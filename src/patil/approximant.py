@@ -21,7 +21,7 @@ from .quadrature import (
     integrate_real_line,
     pv_integrate,
 )
-from .quench import phase_G, quench_interior
+from .quench import _log_weight_ratio, _phase, phase_G, quench_interior
 
 __all__ = [
     "BoundarySignal",
@@ -57,13 +57,6 @@ class ReferencePair:
     f_boundary: callable
 
 
-def _phase_vec(t, params, interval):
-    # vectorized boundary phase, valid strictly between the endpoints
-    ratio = np.log(np.abs((interval.hi - t) / (interval.lo - t)))
-    half_log = 0.5 * (math.log1p(interval.hi ** 2) - math.log1p(interval.lo ** 2))
-    return params.xi * (ratio - half_log)
-
-
 def _segment_distance(z, interval):
     z = complex(z)
     dx = max(abs(z.real - interval.center) - interval.half_width, 0.0)
@@ -80,7 +73,6 @@ def _cauchy_weighted_u(z, params, interval, signal, tol):
     c = interval.center
     r = interval.half_width
     xi = params.xi
-    half_log = 0.5 * (math.log1p(interval.hi ** 2) - math.log1p(interval.lo ** 2))
     g = signal.eval_on_I
 
     def integrand(u):
@@ -100,7 +92,7 @@ def _cauchy_weighted_u(z, params, interval, signal, tol):
     dist = _segment_distance(z, interval)
     cert = DecayCertificate(delta, 2.0 * r * data_bound / dist)
     value = integrate_real_line(integrand, cert, tol)
-    return cmath.exp(1j * xi * half_log) * value
+    return cmath.exp(1j * xi * (0.5 * _log_weight_ratio(interval))) * value
 
 
 def _cauchy_weighted_t(z, params, interval, signal, tol):
@@ -108,7 +100,7 @@ def _cauchy_weighted_t(z, params, interval, signal, tol):
     g = signal.eval_on_I
 
     def integrand(t):
-        return np.exp(-1j * _phase_vec(t, params, interval)) * g(t) / (t - z)
+        return np.exp(-1j * _phase(t, params, interval)) * g(t) / (t - z)
 
     return integrate_adaptive(integrand, interval.lo, interval.hi, tol)
 
@@ -150,7 +142,7 @@ def approximant_boundary(x, params, interval, signal, tol=QuadTolerance()):
         g = signal.eval_on_I
 
         def weighted(t):
-            return np.exp(-1j * _phase_vec(t, params, interval)) * g(t)
+            return np.exp(-1j * _phase(t, params, interval)) * g(t)
 
         pv = pv_integrate(weighted, interval.lo, interval.hi, x, tol)
         direct = lam / (2.0 * (1.0 + lam)) * complex(signal.eval_on_I(x))
@@ -181,7 +173,7 @@ def l2_error_on_window(params, interval, signal, ref, window, n_samples,
     interval endpoints by the quadrature guard margin.
     """
     pts = np.linspace(window.lo, window.hi, n_samples)
-    guard = 1e-6 * (interval.hi - interval.lo)
+    guard = interval.guard
     for end in (interval.lo, interval.hi):
         close = np.abs(pts - end) < guard
         pts[close] = end + 2.0 * guard * np.where(pts[close] >= end, 1.0, -1.0)

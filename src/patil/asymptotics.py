@@ -50,8 +50,7 @@ PI = math.pi
 class StripSingularity:
     """A pole of the pullback in the closed strip 0 < Im z <= pi.
 
-    ``coeff`` is the limit of ``p(z) (z - beta)^order`` at the pole,
-    given either as a complex constant or a zero-argument callable.
+    ``coeff`` is the limit of ``p(z) (z - beta)^order`` at the pole.
     """
 
     beta: complex
@@ -63,9 +62,6 @@ class StripSingularity:
             raise DomainError(f"pole must satisfy 0 < Im beta <= pi, got {self.beta}")
         if self.order < 1:
             raise DomainError("pole order must be >= 1")
-
-    def coeff_value(self):
-        return complex(self.coeff() if callable(self.coeff) else self.coeff)
 
 
 @dataclass(frozen=True)
@@ -91,16 +87,19 @@ class GrowthReport:
     samples: tuple          # (lambda, magnitude) pairs
     fitted_exponent: float
     predicted_exponent: float
-    verdict: str
 
     def __post_init__(self):
         if not self.samples:
             raise DomainError("samples must be nonempty")
-        expected = "bounded" if self.predicted_exponent == 0 else "divergent"
-        if self.verdict != expected:
-            raise DomainError(
-                f"verdict {self.verdict!r} inconsistent with predicted exponent"
-            )
+
+    @property
+    def verdict(self):
+        return "bounded" if self.predicted_exponent == 0 else "divergent"
+
+
+def _unwrap(value):
+    """A Python scalar for a 0-d array; any other array unchanged."""
+    return value.item() if value.ndim == 0 else value
 
 
 def phi(u, a):
@@ -110,9 +109,7 @@ def phi(u, a):
     value = a * np.tanh(np.asarray(u) / 2.0)
     if not np.all(np.isfinite(value)):
         raise PoleError("phi has poles at u = i pi + 2 pi i k")
-    if np.isscalar(u) or np.ndim(u) == 0:
-        return value.item()
-    return value
+    return _unwrap(value)
 
 
 def phi_inv(t, a):
@@ -122,8 +119,7 @@ def phi_inv(t, a):
     t = np.asarray(t, dtype=float)
     if np.any(np.abs(t) >= a):
         raise DomainError("phi_inv requires |t| < a")
-    value = np.log((a + t) / (a - t))
-    return value.item() if value.ndim == 0 else value
+    return _unwrap(np.log((a + t) / (a - t)))
 
 
 def alpha_of(x, a):
@@ -152,7 +148,7 @@ def kernel_k(z, xi, alpha):
         raise PoleError(
             "kernel pole at i(pi + 2 k pi) or i(pi + 2 k pi) + ln(alpha)"
         )
-    return value.item() if value.ndim == 0 else value
+    return _unwrap(value)
 
 
 _KERNEL_POLE_NAMES = ("at_ipi", "at_ipi_plus_ln_alpha")
@@ -189,37 +185,33 @@ def residue_kernel_pole(which, xi, alpha, g_strip):
     return math.exp(-xi * PI) * cmath.exp(1j * xi * ln_a) / (1.0 - alpha) * value
 
 
-def _default_radius(pole, alpha):
-    others = []
+def _other_kernel_poles(pole, alpha):
+    """(distance, location) of the kernel poles ``i pi (2k + 1)`` and
+    ``i pi (2k + 1) + ln(alpha)``, k = -1, 0, 1, other than ``pole``."""
     ln_a = math.log(alpha)
     for k in (-1, 0, 1):
         for base in (1j * PI, 1j * PI + ln_a):
             cand = base + 2j * PI * k
             if abs(cand - pole) > 1e-12:
-                others.append(abs(cand - pole))
-    return min(0.2, 0.5 * min(others))
+                yield abs(cand - pole), cand
 
 
-def residue_merged(pole, xi, alpha, g_strip, order=None, radius=None,
-                   n_points=256):
+def residue_merged(pole, xi, alpha, g_strip, radius=None, n_points=256):
     """Residue of k * p at a pole on (or near) Im z = pi, by quadrature.
 
     Trapezoid rule on a small circle; spectrally accurate for any
     combined pole order, so it also covers the case where a pole of the
-    pullback collides with a kernel pole.  ``order`` is an optional
-    hint and does not affect the computation.
+    pullback collides with a kernel pole.
     """
     pole = complex(pole)
+    others = list(_other_kernel_poles(pole, alpha))
     if radius is None:
-        radius = _default_radius(pole, alpha)
-    ln_a = math.log(alpha)
-    for k in (-1, 0, 1):
-        for base in (1j * PI, 1j * PI + ln_a):
-            cand = base + 2j * PI * k
-            if 1e-12 < abs(cand - pole) <= radius:
-                raise RadiusTooLarge(
-                    f"singularity {cand} inside residue circle of radius {radius}"
-                )
+        radius = min(0.2, 0.5 * min(dist for dist, _ in others))
+    for dist, cand in others:
+        if dist <= radius:
+            raise RadiusTooLarge(
+                f"singularity {cand} inside residue circle of radius {radius}"
+            )
     theta = 2.0 * PI * np.arange(n_points) / n_points
     ring = np.exp(1j * theta)
     z = pole + radius * ring
@@ -242,13 +234,13 @@ def residue_strip_pole(s, xi, alpha):
         raise DomainError("closed form requires Im beta < pi")
     emb = cmath.exp(-beta)
     num = cmath.exp(1j * xi * beta.real) * math.exp(-xi * beta.imag) * emb
-    return num / ((1.0 + emb) * (1.0 + alpha * emb)) * s.coeff_value()
+    return num / ((1.0 + emb) * (1.0 + alpha * emb)) * complex(s.coeff)
 
 
 _CONTOUR_GUARD = 1e-6
 
 
-def _enclosed_residues(g_strip, xi, alpha, spec, singularities):
+def _enclosed_residues(g_strip, xi, alpha, singularities):
     ln_a = math.log(alpha)
     kernel_poles = [1j * PI, 1j * PI + ln_a]
     listed = [complex(s.beta) for s in singularities]
@@ -301,7 +293,7 @@ def contour_identity_check(g_strip, xi, alpha, spec, singularities=(),
     right = integrate_adaptive(lambda y: 1j * f(R + 1j * y), 0.0, b, tol)
     left = integrate_adaptive(lambda y: 1j * f(-R + 1j * y), 0.0, b, tol)
     loop = bottom + right - top - left
-    residues = _enclosed_residues(g_strip, xi, alpha, spec, singularities)
+    residues = _enclosed_residues(g_strip, xi, alpha, singularities)
     return abs(loop - 2j * PI * residues)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approximant import BoundarySignal, ReferencePair
-from .asymptotics import StripSingularity, predict_growth_exponent
+from .asymptotics import StripSingularity, _unwrap, predict_growth_exponent
 from .errors import DomainError
 from .quadrature import DecayCertificate
 
@@ -42,13 +42,11 @@ def example1(a=1.0):
 
     def eval_on_I(x):
         x = np.asarray(x, dtype=float)
-        inside = np.sqrt(np.maximum(a * a - x * x, 0.0)) - 1j * x
-        return inside.item() if inside.ndim == 0 else inside
+        return _unwrap(np.sqrt(np.maximum(a * a - x * x, 0.0)) - 1j * x)
 
     def strip_pullback(z):
         z = np.asarray(z, dtype=complex)
-        value = a * (1.0 / np.cosh(0.5 * z) - 1j * np.tanh(0.5 * z))
-        return value.item() if value.ndim == 0 else value
+        return _unwrap(a * (1.0 / np.cosh(0.5 * z) - 1j * np.tanh(0.5 * z)))
 
     # pole of the pullback at i pi, order 1: sech and -i tanh each
     # contribute -2i a there
@@ -72,8 +70,7 @@ def example2():
 
     def eval_on_I(x):
         x = np.asarray(x, dtype=float)
-        value = (1.0 - 1j * x) / (1.0 + x * x)
-        return value.item() if value.ndim == 0 else value
+        return _unwrap((1.0 - 1j * x) / (1.0 + x * x))
 
     def strip_pullback(z):
         # (1-i)(1 + e^{-z}) / (2 (1 - i e^{-z})), written per half plane
@@ -84,8 +81,7 @@ def example2():
         em = np.exp(np.where(grow, -z, z))
         pos = (1.0 - 1j) * (1.0 + em) / (2.0 * (1.0 - 1j * em))
         neg = (1.0 - 1j) * (em + 1.0) / (2.0 * (em - 1j))
-        value = np.where(grow, pos, neg)
-        return value.item() if value.ndim == 0 else value
+        return _unwrap(np.where(grow, pos, neg))
 
     # residue coefficient: numerator (1-i)(1 + e^{-z}) at i pi/2 over
     # d/dz [2(1 - i e^{-z})] = 2 i e^{-z} -> (1-i)^2 / 2 = -i
@@ -114,15 +110,14 @@ def h2_reference_pole(w=-1j, a=1.0):
 
     def evaluate(z):
         z = np.asarray(z, dtype=complex)
-        value = 1.0 / (z - w)
-        return value.item() if value.ndim == 0 else value
+        return _unwrap(1.0 / (z - w))
 
     def strip_pullback(z):
         z = np.asarray(z, dtype=complex)
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             t = a * np.tanh(0.5 * z)
             value = np.where(np.isfinite(t), 1.0 / (t - w), 0.0 + 0.0j)
-        return value.item() if value.ndim == 0 else value
+        return _unwrap(value)
 
     signal = BoundarySignal(
         eval_on_I=evaluate,

@@ -10,10 +10,6 @@ Subcommands::
 The config is a single JSON document; see README for the schema.  Exit
 codes: 0 success, 1 criterion not met, 2 config/validation error,
 3 semantic precondition error, 4 numeric non-convergence.
-
-Set ``PATIL_NUM_THREADS`` to evaluate grid cells in parallel; report
-rows are ordered by (lambda, point index) regardless of execution
-order.
 """
 
 import argparse
@@ -21,9 +17,7 @@ import csv
 import datetime
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,17 +90,15 @@ class ExperimentConfig:
         if any(b <= a for a, b in zip(grid[:-1], grid[1:])):
             raise ConfigError("lambda_grid must be strictly increasing")
         pts = []
-        guard = 1e-6 * (interval.hi - interval.lo)
+        guard = interval.guard
         for p in raw.get("eval_points", []):
             if isinstance(p, (list, tuple)):
                 p = complex(float(p[0]), float(p[1]))
             else:
                 p = float(p)
-            if abs(complex(p).real - interval.lo) < guard and \
-                    abs(complex(p).imag) < guard:
-                raise ConfigError(f"eval point {p} too close to interval endpoint")
-            if abs(complex(p).real - interval.hi) < guard and \
-                    abs(complex(p).imag) < guard:
+            z = complex(p)
+            if abs(z.imag) < guard and min(abs(z.real - interval.lo),
+                                           abs(z.real - interval.hi)) < guard:
                 raise ConfigError(f"eval point {p} too close to interval endpoint")
             pts.append(p)
         tols = raw.get("tolerances", {})
@@ -123,6 +115,12 @@ class ExperimentConfig:
             window = Interval(float(window[0]), float(window[1]))
         except (PatilError, ValueError, TypeError, IndexError) as exc:
             raise ConfigError(f"bad window: {exc}") from None
+        n_samples = int(raw.get("n_samples", 101))
+        if n_samples < 1:
+            raise ConfigError(f"n_samples must be >= 1, got {n_samples}")
+        out_format = fmt or raw.get("format", "csv")
+        if out_format not in ("csv", "json"):
+            raise ConfigError(f"format must be 'csv' or 'json', got {out_format!r}")
         return cls(
             entry_name=str(entry_name),
             interval=interval,
@@ -130,11 +128,11 @@ class ExperimentConfig:
             eval_points=tuple(pts),
             tolerances=tolerances,
             output_path=output_path or raw.get("output_path", "-"),
-            format=(fmt or raw.get("format", "csv")),
+            format=out_format,
             entry_args=dict(raw.get("entry_args", {})),
             slope_tolerance=float(raw.get("slope_tolerance", 0.05)),
             window=window,
-            n_samples=int(raw.get("n_samples", 101)),
+            n_samples=n_samples,
             contour=dict(raw.get("contour", {})),
         )
 
@@ -144,14 +142,6 @@ def _load_config(args):
         raw = json.load(fh)
     return ExperimentConfig.from_dict(raw, output_path=args.out,
                                       fmt=args.format)
-
-
-def _thread_map(fn, tasks):
-    n = int(os.environ.get("PATIL_NUM_THREADS", "1"))
-    if n > 1:
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            return list(pool.map(fn, tasks))
-    return [fn(t) for t in tasks]
 
 
 def _open_out(path):
@@ -197,25 +187,20 @@ def run_growth_experiment(cfg, reproducible=False):
     if not cfg.eval_points:
         raise ConfigError("growth experiment needs at least one eval point")
 
-    tasks = [(lam, i, x) for lam in cfg.lambda_grid
-             for i, x in enumerate(cfg.eval_points)]
-
-    def cell(task):
-        lam, i, x = task
-        mag = abs(approximant_boundary(x, QuenchParams(lam), cfg.interval,
-                                       entry.signal, cfg.tolerances))
-        return lam, i, x, mag
-
-    cells = sorted(_thread_map(cell, tasks), key=lambda c: (c[0], c[1]))
+    # lambda_grid is strictly increasing, so cells come in (lambda, index) order
+    cells = []
+    for lam in cfg.lambda_grid:
+        for i, x in enumerate(cfg.eval_points):
+            mag = abs(approximant_boundary(x, QuenchParams(lam), cfg.interval,
+                                           entry.signal, cfg.tolerances))
+            cells.append((lam, i, x, mag))
     reports = []
     for i, _x in enumerate(cfg.eval_points):
         samples = tuple((lam, mag) for lam, j, _, mag in cells if j == i)
-        fitted = fit_growth_exponent(samples)
         reports.append(GrowthReport(
             samples=samples,
-            fitted_exponent=fitted,
+            fitted_exponent=fit_growth_exponent(samples),
             predicted_exponent=entry.expected_exponent,
-            verdict="bounded" if entry.expected_exponent == 0 else "divergent",
         ))
     rows = [(lam, x, mag, reports[i].fitted_exponent,
              reports[i].predicted_exponent)
@@ -242,15 +227,14 @@ def run_convergence_experiment(cfg, reproducible=False):
     if not pts:
         raise ConfigError("convergence experiment needs eval points")
 
-    def cell(lam):
+    rows = []
+    for lam in cfg.lambda_grid:
         p = QuenchParams(lam)
         sup = sup_error_on_compact(pts, p, cfg.interval, entry.signal,
                                    entry.reference, cfg.tolerances)
         l2 = l2_error_on_window(p, cfg.interval, entry.signal, entry.reference,
                                 cfg.window, cfg.n_samples, cfg.tolerances)
-        return lam, sup, l2
-
-    rows = sorted(_thread_map(cell, list(cfg.lambda_grid)))
+        rows.append((lam, sup, l2))
     _write_rows(cfg, reproducible, ["lambda", "sup_error", "l2_error"], rows)
     sups = [r[1] for r in rows]
     l2s = [r[2] for r in rows]
@@ -280,15 +264,12 @@ def run_contour_check(cfg, reproducible=False):
         if not R > abs(math.log(alpha)) + 1.0:
             raise ConfigError(f"need R > |ln(alpha)| + 1 for alpha={alpha}")
 
-    def cell(task):
-        xi, alpha = task
-        residual = contour_identity_check(
+    # xi and alpha lists may come unsorted; rows are written sorted
+    rows = sorted(
+        (xi, alpha, R, height, contour_identity_check(
             signal.strip_pullback, xi, alpha, spec, signal.singularities,
-            cfg.tolerances)
-        return xi, alpha, R, height, residual
-
-    tasks = [(xi, alpha) for xi in xis for alpha in alphas]
-    rows = sorted(_thread_map(cell, tasks))
+            cfg.tolerances))
+        for xi in xis for alpha in alphas)
     _write_rows(cfg, reproducible,
                 ["xi", "alpha", "R", "height", "residual"], rows)
     ok = all(r[4] < residual_tol for r in rows)

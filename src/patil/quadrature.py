@@ -134,19 +134,28 @@ def integrate_adaptive(f, lo, hi, tol=QuadTolerance(), initial_panels=8):
     Raises
     ------
     NonConvergence
-        If the subdivision budget is exhausted first.
+        If the subdivision budget is exhausted first, or if a panel's
+        estimate or error is not finite.
     """
     if not lo < hi:
         raise DomainError(f"need lo < hi, got [{lo}, {hi}]")
-    edges = np.linspace(lo, hi, initial_panels + 1)
     heap = []
     total = 0.0 + 0.0j
     total_err = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
+
+    def add_panel(a, b):
+        nonlocal total, total_err
         est, err = _gk15(f, a, b)
+        if not math.isfinite(err):
+            raise NonConvergence(f"non-finite integrand on panel [{a}, {b}]",
+                                 estimate=est, error=err)
         total += est
         total_err += err
         heapq.heappush(heap, (-err, a, b, est))
+
+    edges = np.linspace(lo, hi, initial_panels + 1)
+    for a, b in zip(edges[:-1], edges[1:]):
+        add_panel(a, b)
 
     n = initial_panels
     while total_err > max(tol.abs_tol, tol.rel_tol * abs(total)):
@@ -160,16 +169,15 @@ def integrate_adaptive(f, lo, hi, tol=QuadTolerance(), initial_panels=8):
         total -= est
         total_err += neg_err  # neg_err == -err
         mid = 0.5 * (a + b)
-        for aa, bb in ((a, mid), (mid, b)):
-            est, err = _gk15(f, aa, bb)
-            total += est
-            total_err += err
-            heapq.heappush(heap, (-err, aa, bb, est))
+        add_panel(a, mid)
+        add_panel(mid, b)
         n += 1
     return complex(total)
 
 
-_ENDPOINT_GUARD = 1e-6
+def endpoint_guard(lo, hi):
+    """Distance from an endpoint of ``[lo, hi]`` treated as on it."""
+    return 1e-6 * (hi - lo)
 
 
 def pv_integrate(w, lo, hi, x, tol=QuadTolerance()):
@@ -182,7 +190,7 @@ def pv_integrate(w, lo, hi, x, tol=QuadTolerance()):
     """
     if not lo < x < hi:
         raise DomainError(f"need lo < x < hi, got x={x} on [{lo}, {hi}]")
-    if min(x - lo, hi - x) < _ENDPOINT_GUARD * (hi - lo):
+    if min(x - lo, hi - x) < endpoint_guard(lo, hi):
         raise SingularityAtEndpoint(
             f"x={x} within guard distance of an endpoint of [{lo}, {hi}]"
         )

@@ -12,7 +12,10 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import DomainError
+from .quadrature import endpoint_guard
 
 __all__ = [
     "Interval",
@@ -54,8 +57,14 @@ class Interval:
     def contains(self, x):
         return self.lo < x < self.hi
 
+    @property
+    def guard(self):
+        """Distance from an endpoint inside which points are nudged or refused."""
+        return endpoint_guard(self.lo, self.hi)
+
     def is_endpoint(self, x):
-        return x == self.lo or x == self.hi
+        """True if ``x`` (or any element of an array ``x``) is an endpoint."""
+        return bool(np.any((x == self.lo) | (x == self.hi)))
 
 
 def xi_of_lambda(lam):
@@ -81,16 +90,22 @@ def _log_weight_ratio(interval):
     return math.log1p(interval.hi ** 2) - math.log1p(interval.lo ** 2)
 
 
-def phase_G(x, params, interval):
-    """Boundary phase of h_lambda at a real point off the endpoints.
+def _phase(x, params, interval):
+    # G(x) for a float or an array, unchecked: not finite at the endpoints
+    ratio = np.log(np.abs((interval.hi - x) / (interval.lo - x)))
+    return params.xi * (ratio - 0.5 * _log_weight_ratio(interval))
 
-    Unified over symmetric and nonsymmetric intervals; the weight-ratio
-    term vanishes identically when ``lo == -hi``.
+
+def phase_G(x, params, interval):
+    """Boundary phase of h_lambda at real points off the endpoints.
+
+    ``x`` is a float or an array.  Unified over symmetric and
+    nonsymmetric intervals; the weight-ratio term vanishes identically
+    when ``lo == -hi``.
     """
     if interval.is_endpoint(x):
         raise DomainError(f"phase undefined at interval endpoint x={x}")
-    ratio = math.log(abs((interval.hi - x) / (interval.lo - x)))
-    return params.xi * (-0.5 * _log_weight_ratio(interval) + ratio)
+    return _phase(x, params, interval)
 
 
 def quench_interior(z, params, interval):

@@ -6,16 +6,15 @@ import pytest
 
 from patil.approximant import (
     BoundarySignal,
-    _phase_vec,
     approximant_boundary,
     approximant_interior,
     l2_error_on_window,
     sup_error_on_compact,
 )
 from patil.catalog import example1, example2, h2_reference_pole
-from patil.errors import DomainError
+from patil.errors import DomainError, NonConvergence
 from patil.quadrature import QuadTolerance, pv_integrate
-from patil.quench import Interval, QuenchParams, phase_G
+from patil.quench import Interval, QuenchParams, _phase, phase_G
 
 SYM = Interval(-1.0, 1.0)
 TOL = QuadTolerance()
@@ -76,13 +75,19 @@ class TestBoundary:
         with pytest.raises(DomainError):
             approximant_boundary(1.0, QuenchParams(1.0), SYM, H2.signal)
 
+    def test_node_on_endpoint_raises(self):
+        # refinement near x puts a node on lo, where the phase is log 0
+        with pytest.raises(NonConvergence):
+            approximant_boundary(-0.999996, QuenchParams(1e10),
+                                 Interval(-1.0, 1.0), H2.signal)
+
     def test_inside_split_is_exact(self):
         # inside I the direct term must be exactly lam/(2(1+lam)) g(x)
         signal = example2().signal
         p = QuenchParams(500.0)
         x = 0.35
         weighted = lambda t: np.exp(
-            -1j * _phase_vec(np.asarray(t, dtype=float), p, SYM)
+            -1j * _phase(np.asarray(t, dtype=float), p, SYM)
         ) * signal.eval_on_I(t)
         pv = pv_integrate(weighted, SYM.lo, SYM.hi, x, TOL)
         phase = cmath.exp(1j * phase_G(x, p, SYM))

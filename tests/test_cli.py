@@ -133,6 +133,21 @@ class TestConvergeCommand:
                            lambda_grid=[1e2, 1e4])
         assert main(["converge", "--config", cfg]) == EXIT_CONFIG
 
+    def test_zero_samples_rejected(self, tmp_path):
+        cfg = write_config(tmp_path, entry="h2pole", eval_points=[[0.0, 1.0]],
+                           lambda_grid=[1e2], n_samples=0)
+        assert main(["converge", "--config", cfg]) == EXIT_CONFIG
+
+    def test_nonfinite_quadrature_exit(self, tmp_path, capsys):
+        # the window sample at -1 is nudged to -0.999996, where a
+        # quadrature node lands on the endpoint
+        cfg = write_config(tmp_path, entry="h2pole", eval_points=[[0.0, 1.0]],
+                           lambda_grid=[1e10, 1e11, 1e12],
+                           window=[-5.0, 5.0], n_samples=101)
+        out = str(tmp_path / "o.csv")
+        assert main(["converge", "--config", cfg, "--out", out]) == EXIT_NUMERIC
+        assert "non-finite" in capsys.readouterr().err
+
 
 class TestContourCommand:
     def test_example2_identity(self, tmp_path):
@@ -180,6 +195,11 @@ class TestOutputFormats:
         assert main(["contour", "--config", cfg, "--out", out]) == EXIT_OK
         assert open(out).read().startswith("# generated ")
 
+    def test_unknown_format_rejected(self, tmp_path):
+        cfg = write_config(tmp_path, contour={"xi": [1.0], "alpha": [2.0]},
+                           format="xml")
+        assert main(["contour", "--config", cfg]) == EXIT_CONFIG
+
     def test_json_document(self, tmp_path):
         cfg = write_config(tmp_path, contour={"xi": [1.0], "alpha": [2.0]})
         out = str(tmp_path / "c.json")
@@ -190,14 +210,3 @@ class TestOutputFormats:
         assert doc["columns"] == ["xi", "alpha", "R", "height", "residual"]
         assert "generated" not in doc
         assert len(doc["rows"]) == 1
-
-    def test_threaded_run_matches_serial(self, tmp_path, monkeypatch):
-        cfg = self._growth_cfg(tmp_path)
-        serial = str(tmp_path / "serial.csv")
-        threaded = str(tmp_path / "threaded.csv")
-        assert main(["growth", "--config", cfg, "--out", serial,
-                     "--reproducible"]) == EXIT_OK
-        monkeypatch.setenv("PATIL_NUM_THREADS", "4")
-        assert main(["growth", "--config", cfg, "--out", threaded,
-                     "--reproducible"]) == EXIT_OK
-        assert open(serial).read() == open(threaded).read()

@@ -47,6 +47,13 @@ class TestIntegrateAdaptive:
         with pytest.raises(NonConvergence):
             integrate_adaptive(lambda t: np.sqrt(np.abs(t)), -1.0, 1.0, stingy)
 
+    def test_nonfinite_panel_raises(self):
+        # a NaN total compares false against the target; it must not be
+        # returned as the answer
+        with pytest.raises(NonConvergence, match=r"panel \[0\.5, 0\.625\]"):
+            integrate_adaptive(lambda t: np.where(t < 0.5, t, np.nan),
+                               0.0, 1.0, TOL)
+
     @settings(max_examples=25, deadline=None)
     @given(
         a_re=st.floats(-2, 2), a_im=st.floats(-2, 2),

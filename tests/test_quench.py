@@ -63,6 +63,16 @@ class TestPhaseG:
     def test_endpoint_rejected(self):
         with pytest.raises(DomainError):
             phase_G(1.0, QuenchParams(2.0), SYM)
+        with pytest.raises(DomainError):
+            phase_G(np.array([0.5, -1.0]), QuenchParams(2.0), SYM)
+
+    def test_array_matches_scalar(self):
+        p = QuenchParams(1e4)
+        iv = Interval(-0.5, 2.0)
+        xs = np.array([-3.0, -0.2, 0.7, 1.9, 4.5])
+        values = phase_G(xs, p, iv)
+        assert values.shape == xs.shape
+        assert list(values) == [phase_G(float(x), p, iv) for x in xs]
 
     @settings(max_examples=40, deadline=None)
     @given(a=st.floats(0.1, 5.0), x=st.floats(-10, 10), lam=st.floats(0.01, 1e6))
@@ -162,4 +172,6 @@ class TestInterval:
         assert iv.contains(0.5)
         assert not iv.contains(2.0)
         assert iv.is_endpoint(0.0)
+        assert not iv.is_endpoint(np.array([0.5, 1.5]))
+        assert iv.guard == pytest.approx(2e-6)
         assert Interval(-3.0, 3.0).is_symmetric
