@@ -37,16 +37,19 @@ __all__ = [
 class BoundarySignal:
     """Boundary data g on I, optionally with analytic strip metadata.
 
-    ``eval_on_I`` must accept numpy arrays.  ``strip_pullback``, when
+    ``eval_on_I`` must accept numpy arrays.  ``decay_cert`` bounds the
+    data pulled back through the tanh map,
+    ``|g(c + r tanh(u/2))| <= bound_M exp(delta |u|)``, which fixes
+    where the u-integral is truncated.  ``strip_pullback``, when
     present, analytically extends the pullback of g through the tanh
     map to the strip ``0 <= Im z <= 3 pi / 2``; ``singularities`` lists
     its poles in the closed strip ``0 < Im z <= pi``.
     """
 
     eval_on_I: callable
+    decay_cert: DecayCertificate
     strip_pullback: callable = None
     singularities: tuple = ()
-    decay_cert: DecayCertificate = None
 
 
 @dataclass(frozen=True)
@@ -80,17 +83,9 @@ def _cauchy_weighted_u(z, params, interval, signal, tol):
         t = c + r * np.tanh(0.5 * u)
         return np.exp(1j * xi * u) * g(t) * (0.5 * r * sech2) / (t - z)
 
-    if signal.decay_cert is not None:
-        delta = signal.decay_cert.delta
-        data_bound = signal.decay_cert.bound_M
-    else:
-        delta = 0.5
-        u = np.linspace(-40.0, 40.0, 321)
-        t = c + r * np.tanh(0.5 * u)
-        data_bound = 8.0 * float(np.max(np.abs(g(t)) * np.exp(-delta * np.abs(u))))
-        data_bound = max(data_bound, 1e-12)
+    data_cert = signal.decay_cert
     dist = _segment_distance(z, interval)
-    cert = DecayCertificate(delta, 2.0 * r * data_bound / dist)
+    cert = DecayCertificate(data_cert.delta, 2.0 * r * data_cert.bound_M / dist)
     value = integrate_real_line(integrand, cert, tol)
     return cmath.exp(1j * xi * (0.5 * _log_weight_ratio(interval))) * value
 

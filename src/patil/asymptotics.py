@@ -15,16 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    InsufficientData,
-    MergedPole,
-    NonPositiveMagnitude,
-    PoleError,
-    PoleOnContour,
-    RadiusTooLarge,
-    UnsupportedOrder,
-)
+from .errors import DomainError
 from .quadrature import QuadTolerance, integrate_adaptive
 
 __all__ = [
@@ -102,13 +93,20 @@ def _unwrap(value):
     return value.item() if value.ndim == 0 else value
 
 
+def _by_half_plane(z, right, left):
+    """``right(e^{-z})`` where Re z > 0, else ``left(e^z)``: never overflows."""
+    right_half = z.real > 0
+    em = np.exp(np.where(right_half, -z, z))
+    return np.where(right_half, right(em), left(em))
+
+
 def phi(u, a):
     """Tanh change of variable ``a (1 - e^{-u}) / (1 + e^{-u})``."""
     if not a > 0:
         raise DomainError("a must be > 0")
     value = a * np.tanh(np.asarray(u) / 2.0)
     if not np.all(np.isfinite(value)):
-        raise PoleError("phi has poles at u = i pi + 2 pi i k")
+        raise DomainError("phi has poles at u = i pi + 2 pi i k")
     return _unwrap(value)
 
 
@@ -137,15 +135,14 @@ def kernel_k(z, xi, alpha):
     Evaluated in a form stable for large |Re z| on either side.
     """
     z = np.asarray(z, dtype=complex)
-    grow = z.real > 0
-    # for Re z > 0 divide through by e^{2z} to avoid overflow
-    em = np.exp(np.where(grow, -z, z))
     with np.errstate(invalid="ignore", divide="ignore"):
-        pos = np.exp(1j * xi * z) * em / ((1.0 + em) * (1.0 + alpha * em))
-        neg = np.exp(1j * xi * z) * em / ((em + 1.0) * (em + alpha))
-        value = np.where(grow, pos, neg)
+        wave = np.exp(1j * xi * z)
+        # for Re z > 0 divide through by e^{2z} to avoid overflow
+        value = _by_half_plane(
+            z, lambda em: wave * em / ((1.0 + em) * (1.0 + alpha * em)),
+            lambda em: wave * em / ((em + 1.0) * (em + alpha)))
     if not np.all(np.isfinite(value)):
-        raise PoleError(
+        raise DomainError(
             "kernel pole at i(pi + 2 k pi) or i(pi + 2 k pi) + ln(alpha)"
         )
     return _unwrap(value)
@@ -166,7 +163,7 @@ def residue_kernel_pole(which, xi, alpha, g_strip):
     """Closed-form residue of k * p at one of the two kernel poles.
 
     Requires the pullback p (``g_strip``) to be analytic there;
-    raises :class:`MergedPole` otherwise.
+    raises :class:`DomainError` otherwise.
     """
     if abs(alpha - 1.0) <= 1e-6:
         raise DomainError("alpha too close to 1 (x at infinity)")
@@ -176,7 +173,7 @@ def residue_kernel_pole(which, xi, alpha, g_strip):
     # rounding-inflated value at the floating-point image of the pole
     if not (math.isfinite(value.real) and math.isfinite(value.imag)) \
             or abs(value) > 1e8:
-        raise MergedPole(
+        raise DomainError(
             f"pullback singular at {pole}; use residue_merged instead"
         )
     if which == "at_ipi":
@@ -209,7 +206,7 @@ def residue_merged(pole, xi, alpha, g_strip, radius=None, n_points=256):
         radius = min(0.2, 0.5 * min(dist for dist, _ in others))
     for dist, cand in others:
         if dist <= radius:
-            raise RadiusTooLarge(
+            raise DomainError(
                 f"singularity {cand} inside residue circle of radius {radius}"
             )
     theta = 2.0 * PI * np.arange(n_points) / n_points
@@ -226,7 +223,7 @@ def residue_strip_pole(s, xi, alpha):
     constant times ``exp(-xi Im beta)``.
     """
     if s.order != 1:
-        raise UnsupportedOrder(
+        raise DomainError(
             "closed form covers simple poles only; use residue_merged"
         )
     beta = complex(s.beta)
@@ -279,9 +276,9 @@ def contour_identity_check(g_strip, xi, alpha, spec, singularities=(),
         beta = complex(s.beta)
         if abs(beta.imag - b) < _CONTOUR_GUARD or \
                 abs(abs(beta.real) - R) < _CONTOUR_GUARD:
-            raise PoleOnContour(f"singularity {beta} on a contour edge")
+            raise DomainError(f"singularity {beta} on a contour edge")
     if abs(b - PI) < _CONTOUR_GUARD:
-        raise PoleOnContour("kernel poles lie on Im z = pi")
+        raise DomainError("kernel poles lie on Im z = pi")
 
     def f(z):
         return np.asarray(kernel_k(z, xi, alpha)) * np.asarray(g_strip(z))
@@ -316,11 +313,11 @@ def fit_growth_exponent(samples):
     """Least-squares slope of ln(magnitude) against ln(1 + lambda)."""
     samples = list(samples)
     if len(samples) < 4:
-        raise InsufficientData(f"need >= 4 samples, got {len(samples)}")
+        raise DomainError(f"need >= 4 samples, got {len(samples)}")
     lams = np.array([s[0] for s in samples], dtype=float)
     mags = np.array([s[1] for s in samples], dtype=float)
     if np.any(mags <= 0):
-        raise NonPositiveMagnitude("all magnitudes must be > 0")
+        raise DomainError("all magnitudes must be > 0")
     if np.log10(lams.max() / lams.min()) < 4.0 - 1e-12:
-        raise InsufficientData("lambda grid must span at least 4 decades")
+        raise DomainError("lambda grid must span at least 4 decades")
     return float(np.polyfit(np.log1p(lams), np.log(mags), 1)[0])

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approximant import BoundarySignal, ReferencePair
-from .asymptotics import StripSingularity, _unwrap, predict_growth_exponent
+from .asymptotics import StripSingularity, _by_half_plane, _unwrap, \
+    predict_growth_exponent
 from .errors import DomainError
 from .quadrature import DecayCertificate
 
@@ -77,11 +78,9 @@ def example2():
         # so neither exponential overflows; the apparent pole of the two
         # raw summands at i 3pi/2 cancels identically in this form
         z = np.asarray(z, dtype=complex)
-        grow = z.real >= 0
-        em = np.exp(np.where(grow, -z, z))
-        pos = (1.0 - 1j) * (1.0 + em) / (2.0 * (1.0 - 1j * em))
-        neg = (1.0 - 1j) * (em + 1.0) / (2.0 * (em - 1j))
-        return _unwrap(np.where(grow, pos, neg))
+        return _unwrap(_by_half_plane(
+            z, lambda em: (1.0 - 1j) * (1.0 + em) / (2.0 * (1.0 - 1j * em)),
+            lambda em: (1.0 - 1j) * (em + 1.0) / (2.0 * (em - 1j))))
 
     # residue coefficient: numerator (1-i)(1 + e^{-z}) at i pi/2 over
     # d/dz [2(1 - i e^{-z})] = 2 i e^{-z} -> (1-i)^2 / 2 = -i

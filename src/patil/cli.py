@@ -7,9 +7,12 @@ Subcommands::
     patil contour  --config cfg.json ...
     patil catalog list
 
-The config is a single JSON document; see README for the schema.  Exit
-codes: 0 success, 1 criterion not met, 2 config/validation error,
-3 semantic precondition error, 4 numeric non-convergence.
+The config is a single JSON document; see README for the schema.  Every
+value in it is converted once, by ``ExperimentConfig.from_dict``; a
+malformed, non-finite or unknown value, and an unknown catalog entry or
+bad ``entry_args``, is a config error.  Exit codes: 0 success,
+1 criterion not met, 2 config/validation error, 3 semantic precondition
+error, 4 numeric non-convergence.
 """
 
 import argparse
@@ -17,8 +20,9 @@ import csv
 import datetime
 import json
 import math
+import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +31,7 @@ from .approximant import approximant_boundary, l2_error_on_window, \
     sup_error_on_compact
 from .asymptotics import ContourSpec, GrowthReport, contour_identity_check, \
     fit_growth_exponent
-from .errors import MissingReference, NonConvergence, PatilError
+from .errors import DomainError, NonConvergence, PatilError
 from .quadrature import QuadTolerance
 from .quench import Interval, QuenchParams
 
@@ -48,7 +52,85 @@ def _fmt(value):
     return format(value, ".17g")
 
 
-DEFAULT_LAMBDA_GRID = tuple(np.logspace(1, 8, 8))
+DEFAULT_LAMBDA_GRID = list(np.logspace(1, 8, 8))
+_CONFIG_KEYS = {"entry", "entry_args", "interval", "lambda_grid", "eval_points",
+                "tolerances", "output_path", "format", "slope_tolerance",
+                "window", "n_samples", "contour"}
+# what converting a JSON value of the wrong type, shape or range raises
+_BAD_VALUE = (ValueError, TypeError, IndexError, KeyError, AttributeError,
+              OverflowError, PatilError)
+
+
+def _read(raw, key, convert, default):
+    """Convert ``raw[key]`` (``default`` if absent); failures name the key."""
+    try:
+        return convert(raw.get(key, default))
+    except _BAD_VALUE as exc:
+        raise ConfigError(f"bad {key}: {exc}") from None
+
+
+def _known(raw, keys, name):
+    """``raw``, once it is a JSON object with no key outside ``keys``."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{name} must be a JSON object")
+    unknown = sorted(set(raw) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown {name} keys: {unknown}")
+    return raw
+
+
+def _finite(value):
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"need a finite number, got {value}")
+    return value
+
+
+def _tuple(value, convert=_finite):
+    """A JSON list, converted element by element."""
+    if not isinstance(value, list):
+        raise TypeError(f"need a list, got {value!r}")
+    return tuple(convert(v) for v in value)
+
+
+def _interval(value):
+    lo, hi = _tuple(value)
+    return Interval(lo, hi)
+
+
+def _point(value):
+    """A real point, or a complex one given as [re, im]."""
+    if isinstance(value, list):
+        re, im = _tuple(value)
+        return complex(re, im)
+    return _finite(value)
+
+
+def _section(value, name, schema):
+    """The JSON object ``value``, each key converted as ``schema`` says.
+
+    ``schema`` maps every known key to ``(converter, default)``.
+    """
+    params = _known(value, schema, name)
+    return {key: _read(params, key, convert, default)
+            for key, (convert, default) in schema.items()}
+
+
+_TOLERANCES = {"abs_tol": (_finite, 1e-10), "rel_tol": (_finite, 1e-10),
+               "max_subdivisions": (lambda v: int(_finite(v)), 4000)}
+_CONTOUR = {"xi": (_tuple, [1.0]), "alpha": (_tuple, [2.0]),
+            "R": (_finite, 20.0), "height": (_finite, 1.5 * math.pi),
+            "residual_tolerance": (_finite, 1e-6)}
+
+
+def _contour(value):
+    """The ``contour`` section, converted, with its rectangle as ``spec``."""
+    contour = _section(value, "contour", _CONTOUR)
+    contour["spec"] = ContourSpec(R=contour["R"], height=contour["height"])
+    for alpha in contour["alpha"]:
+        if not (alpha > 0 and contour["R"] > abs(math.log(alpha)) + 1.0):
+            raise ValueError(f"need R > |ln(alpha)| + 1 for alpha={alpha}")
+    return contour
 
 
 @dataclass
@@ -59,82 +141,60 @@ class ExperimentConfig:
     eval_points: tuple
     tolerances: QuadTolerance
     output_path: str
-    format: str = "csv"
-    entry_args: dict = field(default_factory=dict)
-    slope_tolerance: float = 0.05
-    window: Interval = Interval(-5.0, 5.0)
-    n_samples: int = 101
-    contour: dict = field(default_factory=dict)
+    format: str
+    entry_args: dict
+    slope_tolerance: float
+    window: Interval
+    n_samples: int
+    contour: dict
 
     @classmethod
     def from_dict(cls, raw, output_path=None, fmt=None):
-        if not isinstance(raw, dict):
-            raise ConfigError("config must be a JSON object")
-        try:
-            entry_name = raw["entry"]
-        except KeyError:
-            raise ConfigError("config missing required key 'entry'") from None
-        iv = raw.get("interval", [-1.0, 1.0])
-        try:
-            interval = Interval(float(iv[0]), float(iv[1]))
-        except (PatilError, ValueError, TypeError, IndexError) as exc:
-            raise ConfigError(f"bad interval: {exc}") from None
-        grid = raw.get("lambda_grid")
-        if grid is None:
-            grid = DEFAULT_LAMBDA_GRID
-        grid = tuple(float(v) for v in grid)
+        if "entry" not in _known(raw, _CONFIG_KEYS, "config"):
+            raise ConfigError("config missing required key 'entry'")
+        interval = _read(raw, "interval", _interval, [-1.0, 1.0])
+        grid = _read(raw, "lambda_grid", _tuple, DEFAULT_LAMBDA_GRID)
         if not grid:
             raise ConfigError("lambda_grid must be nonempty")
         if any(v <= 0 for v in grid):
             raise ConfigError("lambda_grid values must be positive")
         if any(b <= a for a, b in zip(grid[:-1], grid[1:])):
             raise ConfigError("lambda_grid must be strictly increasing")
-        pts = []
+        pts = _read(raw, "eval_points", lambda v: _tuple(v, _point), [])
         guard = interval.guard
-        for p in raw.get("eval_points", []):
-            if isinstance(p, (list, tuple)):
-                p = complex(float(p[0]), float(p[1]))
-            else:
-                p = float(p)
+        for p in pts:
             z = complex(p)
             if abs(z.imag) < guard and min(abs(z.real - interval.lo),
                                            abs(z.real - interval.hi)) < guard:
                 raise ConfigError(f"eval point {p} too close to interval endpoint")
-            pts.append(p)
-        tols = raw.get("tolerances", {})
-        try:
-            tolerances = QuadTolerance(
-                abs_tol=float(tols.get("abs_tol", 1e-10)),
-                rel_tol=float(tols.get("rel_tol", 1e-10)),
-                max_subdivisions=int(tols.get("max_subdivisions", 4000)),
-            )
-        except PatilError as exc:
-            raise ConfigError(f"bad tolerances: {exc}") from None
-        window = raw.get("window", [-5.0, 5.0])
-        try:
-            window = Interval(float(window[0]), float(window[1]))
-        except (PatilError, ValueError, TypeError, IndexError) as exc:
-            raise ConfigError(f"bad window: {exc}") from None
-        n_samples = int(raw.get("n_samples", 101))
+        n_samples = int(_read(raw, "n_samples", _finite, 101))
         if n_samples < 1:
             raise ConfigError(f"n_samples must be >= 1, got {n_samples}")
-        out_format = fmt or raw.get("format", "csv")
+        out_format = fmt or _read(raw, "format", str, "csv")
         if out_format not in ("csv", "json"):
             raise ConfigError(f"format must be 'csv' or 'json', got {out_format!r}")
         return cls(
-            entry_name=str(entry_name),
+            entry_name=_read(raw, "entry", str, None),
             interval=interval,
             lambda_grid=grid,
-            eval_points=tuple(pts),
-            tolerances=tolerances,
-            output_path=output_path or raw.get("output_path", "-"),
+            eval_points=pts,
+            tolerances=_read(raw, "tolerances", lambda v: QuadTolerance(
+                **_section(v, "tolerances", _TOLERANCES)), {}),
+            output_path=output_path or _read(raw, "output_path", os.fspath, "-"),
             format=out_format,
-            entry_args=dict(raw.get("entry_args", {})),
-            slope_tolerance=float(raw.get("slope_tolerance", 0.05)),
-            window=window,
+            entry_args=_read(raw, "entry_args", dict, {}),
+            slope_tolerance=_read(raw, "slope_tolerance", _finite, 0.05),
+            window=_read(raw, "window", _interval, [-5.0, 5.0]),
             n_samples=n_samples,
-            contour=dict(raw.get("contour", {})),
+            contour=_read(raw, "contour", _contour, {}),
         )
+
+    def build_entry(self):
+        """The catalog entry; a bad name or ``entry_args`` is a ConfigError."""
+        try:
+            return catalog.get_entry(self.entry_name, **self.entry_args)
+        except _BAD_VALUE as exc:
+            raise ConfigError(f"bad entry or entry_args: {exc}") from None
 
 
 def _load_config(args):
@@ -177,7 +237,7 @@ def _write_rows(cfg, reproducible, header, rows):
 
 def run_growth_experiment(cfg, reproducible=False):
     """Sweep |g_lambda| over the lambda grid at real exterior points."""
-    entry = catalog.get_entry(cfg.entry_name, **cfg.entry_args)
+    entry = cfg.build_entry()
     for x in cfg.eval_points:
         if isinstance(x, complex) or not (
                 x <= cfg.interval.lo or x >= cfg.interval.hi):
@@ -215,9 +275,9 @@ def run_growth_experiment(cfg, reproducible=False):
 
 def run_convergence_experiment(cfg, reproducible=False):
     """Sup- and windowed-L2 error against the entry's reference pair."""
-    entry = catalog.get_entry(cfg.entry_name, **cfg.entry_args)
+    entry = cfg.build_entry()
     if entry.reference is None:
-        raise MissingReference(
+        raise DomainError(
             f"catalog entry {cfg.entry_name!r} has no reference pair")
     pts = [complex(p) for p in cfg.eval_points]
     for z in pts:
@@ -245,34 +305,21 @@ def run_convergence_experiment(cfg, reproducible=False):
 
 def run_contour_check(cfg, reproducible=False):
     """Residue-identity residuals for configured (xi, alpha, R, height)."""
-    entry = catalog.get_entry(cfg.entry_name, **cfg.entry_args)
-    signal = entry.signal
+    signal = cfg.build_entry().signal
     if signal.strip_pullback is None:
-        raise MissingReference(
+        raise DomainError(
             f"catalog entry {cfg.entry_name!r} has no strip metadata")
-    params = cfg.contour
-    xis = [float(v) for v in params.get("xi", [1.0])]
-    alphas = [float(v) for v in params.get("alpha", [2.0])]
-    R = float(params.get("R", 20.0))
-    height = float(params.get("height", 1.5 * math.pi))
-    residual_tol = float(params.get("residual_tolerance", 1e-6))
-    try:
-        spec = ContourSpec(R=R, height=height)
-    except PatilError as exc:
-        raise ConfigError(str(exc)) from None
-    for alpha in alphas:
-        if not R > abs(math.log(alpha)) + 1.0:
-            raise ConfigError(f"need R > |ln(alpha)| + 1 for alpha={alpha}")
 
     # xi and alpha lists may come unsorted; rows are written sorted
+    contour = cfg.contour
     rows = sorted(
-        (xi, alpha, R, height, contour_identity_check(
-            signal.strip_pullback, xi, alpha, spec, signal.singularities,
-            cfg.tolerances))
-        for xi in xis for alpha in alphas)
+        (xi, alpha, contour["R"], contour["height"], contour_identity_check(
+            signal.strip_pullback, xi, alpha, contour["spec"],
+            signal.singularities, cfg.tolerances))
+        for xi in contour["xi"] for alpha in contour["alpha"])
     _write_rows(cfg, reproducible,
                 ["xi", "alpha", "R", "height", "residual"], rows)
-    ok = all(r[4] < residual_tol for r in rows)
+    ok = all(r[4] < contour["residual_tolerance"] for r in rows)
     return rows, (EXIT_OK if ok else EXIT_CRITERION)
 
 
@@ -311,9 +358,6 @@ def main(argv=None):
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except MissingReference as exc:
-        print(f"precondition error: {exc}", file=sys.stderr)
-        return EXIT_SEMANTIC
     except NonConvergence as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -10,49 +10,9 @@ class DomainError(PatilError, ValueError):
 
 
 class NonConvergence(PatilError, ArithmeticError):
-    """Adaptive quadrature exhausted its subdivision budget."""
+    """Adaptive quadrature exhausted its budget or met a non-finite value."""
 
     def __init__(self, message, estimate=None, error=None):
         super().__init__(message)
         self.estimate = estimate
         self.error = error
-
-
-class SingularityAtEndpoint(DomainError):
-    """Principal-value abscissa too close to an integration endpoint."""
-
-
-class InvalidCertificate(DomainError):
-    """Decay certificate with parameters outside their legal range."""
-
-
-class PoleError(DomainError):
-    """Evaluation requested at (or numerically on top of) a pole."""
-
-
-class MergedPole(PatilError):
-    """Closed-form residue unavailable: the weight is itself singular there."""
-
-
-class RadiusTooLarge(PatilError):
-    """Residue circle would enclose more than one singularity."""
-
-
-class UnsupportedOrder(PatilError):
-    """Closed-form residue only covers simple poles."""
-
-
-class PoleOnContour(PatilError):
-    """A singularity sits within guard distance of a contour edge."""
-
-
-class InsufficientData(PatilError, ValueError):
-    """Not enough (or not spread enough) samples for a fit."""
-
-
-class NonPositiveMagnitude(PatilError, ValueError):
-    """Log-log fitting requires strictly positive magnitudes."""
-
-
-class MissingReference(PatilError):
-    """Catalog entry has no reference pair for a convergence experiment."""

@@ -20,12 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    InvalidCertificate,
-    NonConvergence,
-    SingularityAtEndpoint,
-)
+from .errors import DomainError, NonConvergence
 
 __all__ = [
     "QuadTolerance",
@@ -67,9 +62,9 @@ class DecayCertificate:
 
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
-            raise InvalidCertificate("delta must lie in (0, 1)")
+            raise DomainError("delta must lie in (0, 1)")
         if not self.bound_M > 0:
-            raise InvalidCertificate("bound_M must be > 0")
+            raise DomainError("bound_M must be > 0")
 
     def truncation_point(self, abs_tol):
         """Half-width U with tail bound below ``abs_tol / 2``."""
@@ -191,7 +186,7 @@ def pv_integrate(w, lo, hi, x, tol=QuadTolerance()):
     if not lo < x < hi:
         raise DomainError(f"need lo < x < hi, got x={x} on [{lo}, {hi}]")
     if min(x - lo, hi - x) < endpoint_guard(lo, hi):
-        raise SingularityAtEndpoint(
+        raise DomainError(
             f"x={x} within guard distance of an endpoint of [{lo}, {hi}]"
         )
     wx = w(x)

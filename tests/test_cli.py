@@ -3,6 +3,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patil.cli import (
     EXIT_CONFIG,
@@ -11,6 +13,8 @@ from patil.cli import (
     EXIT_OK,
     EXIT_SEMANTIC,
     SCHEMA_VERSION,
+    ConfigError,
+    ExperimentConfig,
     main,
 )
 
@@ -210,3 +214,84 @@ class TestOutputFormats:
         assert doc["columns"] == ["xi", "alpha", "R", "height", "residual"]
         assert "generated" not in doc
         assert len(doc["rows"]) == 1
+
+
+class TestConfigErrors:
+    """Malformed, non-finite or unknown config values exit 2, never a traceback."""
+
+    @pytest.mark.parametrize("command,overrides", [
+        ("converge", {"entry": "h2pole", "eval_points": [[0, 1]],
+                      "n_samples": "many"}),
+        ("growth", {"lambda_grid": [100, "x"]}),
+        ("growth", {"entry_args": {"b": 1}}),
+        ("growth", {"entry_args": ["a"]}),
+        ("contour", {"contour": {"xi": ["a"]}}),
+        ("contour", {"contour": {"xi": 1.0}}),
+        ("contour", {"contour": "x"}),
+        ("converge", {"entry": "h2pole", "eval_points": [[1]]}),
+        ("growth", {"tolerances": {"abs_tol": "x"}}),
+        ("growth", {"slope_tolerance": "x"}),
+        ("growth", {"lambda_grid": [10, 100, 1e3, 1e4, 1e5, "NaN"]}),
+        ("growth", {"entry": "nosuch"}),
+    ])
+    def test_bad_value_exits_config(self, tmp_path, capsys, command, overrides):
+        cfg = write_config(tmp_path, **{"eval_points": [2.0], **overrides})
+        assert main([command, "--config", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("overrides,unknown", [
+        ({"lamda_grid": [1e2, 1e4]}, "lamda_grid"),
+        ({"tolerances": {"abs_tol": 1e-9, "reltol": 1e-9}}, "reltol"),
+        ({"contour": {"xi": [1.0], "radius": 20.0}}, "radius"),
+    ])
+    def test_unknown_key_named(self, tmp_path, capsys, overrides, unknown):
+        cfg = write_config(tmp_path, eval_points=[2.0], **overrides)
+        assert main(["growth", "--config", cfg]) == EXIT_CONFIG
+        assert repr(unknown) in capsys.readouterr().err
+
+
+# JSON numbers include integers too large for a float
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(10**308, 10**400)
+    | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6)
+_NUMBERS = st.lists(st.floats() | st.integers(), max_size=4)
+
+
+def _json_object(keys):
+    return st.fixed_dictionaries({}, optional={k: _JSON | _NUMBERS for k in keys})
+
+
+_CONFIG = st.fixed_dictionaries(
+    {"entry": st.sampled_from(["example1", "example2", "h2pole"]) | _JSON},
+    optional={
+        "entry_args": st.dictionaries(st.sampled_from(["a", "w", "b"]), _JSON,
+                                      max_size=2) | _JSON,
+        "interval": st.just([-1.0, 1.0]) | _NUMBERS | _JSON,
+        "lambda_grid": _NUMBERS | _JSON,
+        "eval_points": st.lists(_NUMBERS | st.floats(), max_size=3) | _JSON,
+        "tolerances": _json_object(["abs_tol", "rel_tol", "max_subdivisions"])
+        | _JSON,
+        "output_path": _JSON,
+        "format": st.sampled_from(["csv", "json"]) | _JSON,
+        "slope_tolerance": _JSON,
+        "window": st.just([-5.0, 5.0]) | _NUMBERS | _JSON,
+        "n_samples": _JSON,
+        "contour": _json_object(["xi", "alpha", "R", "height",
+                                 "residual_tolerance"]) | _JSON,
+    })
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=_CONFIG, stray=st.dictionaries(st.text(), _JSON, max_size=1))
+def test_from_dict_returns_config_or_config_error(raw, stray):
+    """Parsing a config and building its entry compute nothing and raise
+    nothing but ConfigError, whatever JSON values the keys hold."""
+    try:
+        ExperimentConfig.from_dict({**stray, **raw}).build_entry()
+    except ConfigError:
+        pass
