@@ -151,9 +151,6 @@ def sup_error_on_compact(pts, params, interval, signal, ref,
     """Max deviation of g_lambda from the reference on interior points."""
     worst = 0.0
     for z in pts:
-        z = complex(z)
-        if not z.imag > 0:
-            raise DomainError(f"compact subset must lie in Im z > 0, got {z}")
         err = abs(approximant_interior(z, params, interval, signal, tol)
                   - ref.F_interior(z))
         worst = max(worst, err)

@@ -31,10 +31,12 @@ __all__ = [
     "residue_strip_pole",
     "contour_identity_check",
     "predict_growth_exponent",
+    "check_growth_grid",
     "fit_growth_exponent",
 ]
 
 PI = math.pi
+ALPHA_ONE_TOL = 1e-6  # |alpha - 1| at or below this puts x at infinity
 
 
 @dataclass(frozen=True)
@@ -69,6 +71,15 @@ class ContourSpec:
             raise DomainError(
                 f"height must lie in (pi, 3 pi/2], got {self.height}"
             )
+
+    def check(self, xi, alpha):
+        """Refuse a (xi, alpha) whose residue identity this rectangle cannot close."""
+        if not xi >= 0:
+            raise DomainError(f"need xi >= 0, got xi={xi}")
+        # both kernel poles must exist and lie at least 1 inside the sides
+        ln_a = _kernel_poles(alpha)["at_ipi_plus_ln_alpha"].real
+        if not self.R > abs(ln_a) + 1.0:
+            raise DomainError(f"need R > |ln(alpha)| + 1 for alpha={alpha}")
 
 
 @dataclass(frozen=True)
@@ -148,15 +159,12 @@ def kernel_k(z, xi, alpha):
     return _unwrap(value)
 
 
-_KERNEL_POLE_NAMES = ("at_ipi", "at_ipi_plus_ln_alpha")
-
-
-def _kernel_pole_location(which, alpha):
-    if which == "at_ipi":
-        return 1j * PI
-    if which == "at_ipi_plus_ln_alpha":
-        return 1j * PI + math.log(alpha)
-    raise DomainError(f"which must be one of {_KERNEL_POLE_NAMES}")
+def _kernel_poles(alpha):
+    """Name -> location of the two kernel poles on Im z = pi."""
+    if not (alpha > 0 and abs(alpha - 1.0) > ALPHA_ONE_TOL):
+        raise DomainError(f"need alpha > 0 and |alpha - 1| > {ALPHA_ONE_TOL} "
+                          f"(x at infinity), got alpha={alpha}")
+    return {"at_ipi": 1j * PI, "at_ipi_plus_ln_alpha": 1j * PI + math.log(alpha)}
 
 
 def residue_kernel_pole(which, xi, alpha, g_strip):
@@ -165,9 +173,10 @@ def residue_kernel_pole(which, xi, alpha, g_strip):
     Requires the pullback p (``g_strip``) to be analytic there;
     raises :class:`DomainError` otherwise.
     """
-    if abs(alpha - 1.0) <= 1e-6:
-        raise DomainError("alpha too close to 1 (x at infinity)")
-    pole = _kernel_pole_location(which, alpha)
+    poles = _kernel_poles(alpha)
+    if which not in poles:
+        raise DomainError(f"which must be one of {tuple(poles)}")
+    pole = poles[which]
     value = complex(np.asarray(g_strip(pole), dtype=complex))
     # a pullback pole at the kernel pole shows up as a non-finite or
     # rounding-inflated value at the floating-point image of the pole
@@ -178,16 +187,14 @@ def residue_kernel_pole(which, xi, alpha, g_strip):
         )
     if which == "at_ipi":
         return math.exp(-xi * PI) / (alpha - 1.0) * value
-    ln_a = math.log(alpha)
-    return math.exp(-xi * PI) * cmath.exp(1j * xi * ln_a) / (1.0 - alpha) * value
+    return math.exp(-xi * PI) * cmath.exp(1j * xi * pole.real) / (1.0 - alpha) * value
 
 
 def _other_kernel_poles(pole, alpha):
     """(distance, location) of the kernel poles ``i pi (2k + 1)`` and
     ``i pi (2k + 1) + ln(alpha)``, k = -1, 0, 1, other than ``pole``."""
-    ln_a = math.log(alpha)
     for k in (-1, 0, 1):
-        for base in (1j * PI, 1j * PI + ln_a):
+        for base in _kernel_poles(alpha).values():
             cand = base + 2j * PI * k
             if abs(cand - pole) > 1e-12:
                 yield abs(cand - pole), cand
@@ -238,21 +245,17 @@ _CONTOUR_GUARD = 1e-6
 
 
 def _enclosed_residues(g_strip, xi, alpha, singularities):
-    ln_a = math.log(alpha)
-    kernel_poles = [1j * PI, 1j * PI + ln_a]
+    kernel_poles = _kernel_poles(alpha)
     listed = [complex(s.beta) for s in singularities]
     total = 0.0 + 0.0j
-    for kp in kernel_poles:
-        merged = any(abs(b - kp) < 1e-9 for b in listed)
-        if merged:
+    for which, kp in kernel_poles.items():
+        if any(abs(b - kp) < 1e-9 for b in listed):
             total += residue_merged(kp, xi, alpha, g_strip)
         else:
-            which = "at_ipi" if abs(kp.imag - PI) < 1e-12 and kp.real == 0 \
-                else "at_ipi_plus_ln_alpha"
             total += residue_kernel_pole(which, xi, alpha, g_strip)
     for s in singularities:
         beta = complex(s.beta)
-        if any(abs(beta - kp) < 1e-9 for kp in kernel_poles):
+        if any(abs(beta - kp) < 1e-9 for kp in kernel_poles.values()):
             continue  # already handled as a merged kernel pole
         if abs(beta.imag - PI) < 1e-9 or s.order != 1:
             total += residue_merged(beta, xi, alpha, g_strip)
@@ -268,8 +271,7 @@ def contour_identity_check(g_strip, xi, alpha, spec, singularities=(),
     Numerically integrates k * p over the four rectangle edges and
     returns ``|contour integral - 2 pi i * sum of enclosed residues|``.
     """
-    if not spec.R > abs(math.log(alpha)) + 1.0:
-        raise DomainError("need R > |ln(alpha)| + 1")
+    spec.check(xi, alpha)
     b = spec.height
     R = spec.R
     for s in singularities:
@@ -309,15 +311,21 @@ def predict_growth_exponent(singularities):
     return best
 
 
+def check_growth_grid(lams):
+    """``lams`` as an array, once it holds enough lambdas to fit a slope."""
+    lams = np.array(lams, dtype=float)
+    if len(lams) < 4:
+        raise DomainError(f"need >= 4 samples, got {len(lams)}")
+    if np.log10(lams.max() / lams.min()) < 4.0 - 1e-12:
+        raise DomainError("lambda grid must span at least 4 decades")
+    return lams
+
+
 def fit_growth_exponent(samples):
     """Least-squares slope of ln(magnitude) against ln(1 + lambda)."""
     samples = list(samples)
-    if len(samples) < 4:
-        raise DomainError(f"need >= 4 samples, got {len(samples)}")
-    lams = np.array([s[0] for s in samples], dtype=float)
+    lams = check_growth_grid([s[0] for s in samples])
     mags = np.array([s[1] for s in samples], dtype=float)
     if np.any(mags <= 0):
         raise DomainError("all magnitudes must be > 0")
-    if np.log10(lams.max() / lams.min()) < 4.0 - 1e-12:
-        raise DomainError("lambda grid must span at least 4 decades")
     return float(np.polyfit(np.log1p(lams), np.log(mags), 1)[0])

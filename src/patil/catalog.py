@@ -21,6 +21,7 @@ from .asymptotics import StripSingularity, _by_half_plane, _unwrap, \
     predict_growth_exponent
 from .errors import DomainError
 from .quadrature import DecayCertificate
+from .quench import Interval
 
 __all__ = ["CatalogEntry", "example1", "example2", "h2_reference_pole",
            "get_entry", "entry_names"]
@@ -32,8 +33,12 @@ PI = math.pi
 class CatalogEntry:
     name: str
     signal: BoundarySignal
+    interval: Interval  # the I that the strip pullback and poles are drawn for
     reference: ReferencePair = None
-    expected_exponent: float = 0.0
+
+    @property
+    def expected_exponent(self):
+        return predict_growth_exponent(self.signal.singularities)
 
 
 def example1(a=1.0):
@@ -49,21 +54,15 @@ def example1(a=1.0):
         z = np.asarray(z, dtype=complex)
         return _unwrap(a * (1.0 / np.cosh(0.5 * z) - 1j * np.tanh(0.5 * z)))
 
-    # pole of the pullback at i pi, order 1: sech and -i tanh each
-    # contribute -2i a there
-    singularities = (StripSingularity(beta=1j * PI, order=1, coeff=-4j * a),)
     signal = BoundarySignal(
         eval_on_I=eval_on_I,
         strip_pullback=strip_pullback,
-        singularities=singularities,
+        # pole of the pullback at i pi, order 1: sech and -i tanh each
+        # contribute -2i a there
+        singularities=(StripSingularity(beta=1j * PI, order=1, coeff=-4j * a),),
         decay_cert=DecayCertificate(delta=0.51, bound_M=8.0 * max(a, 1.0)),
     )
-    return CatalogEntry(
-        name="example1",
-        signal=signal,
-        reference=None,
-        expected_exponent=predict_growth_exponent(singularities),
-    )
+    return CatalogEntry(name="example1", signal=signal, interval=Interval(-a, a))
 
 
 def example2():
@@ -82,21 +81,15 @@ def example2():
             z, lambda em: (1.0 - 1j) * (1.0 + em) / (2.0 * (1.0 - 1j * em)),
             lambda em: (1.0 - 1j) * (em + 1.0) / (2.0 * (em - 1j))))
 
-    # residue coefficient: numerator (1-i)(1 + e^{-z}) at i pi/2 over
-    # d/dz [2(1 - i e^{-z})] = 2 i e^{-z} -> (1-i)^2 / 2 = -i
-    singularities = (StripSingularity(beta=0.5j * PI, order=1, coeff=-1j),)
     signal = BoundarySignal(
         eval_on_I=eval_on_I,
         strip_pullback=strip_pullback,
-        singularities=singularities,
+        # residue coefficient: numerator (1-i)(1 + e^{-z}) at i pi/2 over
+        # d/dz [2(1 - i e^{-z})] = 2 i e^{-z} -> (1-i)^2 / 2 = -i
+        singularities=(StripSingularity(beta=0.5j * PI, order=1, coeff=-1j),),
         decay_cert=DecayCertificate(delta=0.1, bound_M=4.0),
     )
-    return CatalogEntry(
-        name="example2",
-        signal=signal,
-        reference=None,
-        expected_exponent=predict_growth_exponent(singularities),
-    )
+    return CatalogEntry(name="example2", signal=signal, interval=Interval(-1.0, 1.0))
 
 
 def h2_reference_pole(w=-1j, a=1.0):
@@ -128,8 +121,8 @@ def h2_reference_pole(w=-1j, a=1.0):
     return CatalogEntry(
         name="h2pole",
         signal=signal,
+        interval=Interval(-a, a),
         reference=ReferencePair(F_interior=evaluate, f_boundary=evaluate),
-        expected_exponent=0.0,
     )
 
 

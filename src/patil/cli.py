@@ -16,6 +16,7 @@ error, 4 numeric non-convergence.
 """
 
 import argparse
+import contextlib
 import csv
 import datetime
 import json
@@ -29,8 +30,8 @@ import numpy as np
 from . import catalog
 from .approximant import approximant_boundary, l2_error_on_window, \
     sup_error_on_compact
-from .asymptotics import ContourSpec, GrowthReport, contour_identity_check, \
-    fit_growth_exponent
+from .asymptotics import ContourSpec, GrowthReport, check_growth_grid, \
+    contour_identity_check, fit_growth_exponent
 from .errors import DomainError, NonConvergence, PatilError
 from .quadrature import QuadTolerance
 from .quench import Interval, QuenchParams
@@ -124,12 +125,13 @@ _CONTOUR = {"xi": (_tuple, [1.0]), "alpha": (_tuple, [2.0]),
 
 
 def _contour(value):
-    """The ``contour`` section, converted, with its rectangle as ``spec``."""
+    """The ``contour`` section, converted, with R and height in its ``spec``."""
     contour = _section(value, "contour", _CONTOUR)
-    contour["spec"] = ContourSpec(R=contour["R"], height=contour["height"])
-    for alpha in contour["alpha"]:
-        if not (alpha > 0 and contour["R"] > abs(math.log(alpha)) + 1.0):
-            raise ValueError(f"need R > |ln(alpha)| + 1 for alpha={alpha}")
+    spec = contour["spec"] = ContourSpec(R=contour.pop("R"),
+                                         height=contour.pop("height"))
+    for xi in contour["xi"]:
+        for alpha in contour["alpha"]:
+            spec.check(xi, alpha)
     return contour
 
 
@@ -204,40 +206,31 @@ def _load_config(args):
                                       fmt=args.format)
 
 
-def _open_out(path):
-    if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
-
-
 def _write_rows(cfg, reproducible, header, rows):
-    out, should_close = _open_out(cfg.output_path)
-    try:
+    rows = [[_fmt(v) if isinstance(v, float) else v for v in row] for row in rows]
+    stamp = datetime.datetime.now().isoformat()
+    with (contextlib.nullcontext(sys.stdout) if cfg.output_path == "-"
+          else open(cfg.output_path, "w", newline="")) as out:
         if cfg.format == "json":
-            doc = {"schema_version": SCHEMA_VERSION,
-                   "columns": header,
-                   "rows": [[_fmt(v) if isinstance(v, float) else v
-                             for v in row] for row in rows]}
+            doc = {"schema_version": SCHEMA_VERSION, "columns": header, "rows": rows}
             if not reproducible:
-                doc["generated"] = datetime.datetime.now().isoformat()
+                doc["generated"] = stamp
             json.dump(doc, out, indent=2)
             out.write("\n")
         else:
             if not reproducible:
-                out.write(f"# generated {datetime.datetime.now().isoformat()}\n")
+                out.write(f"# generated {stamp}\n")
             writer = csv.writer(out, lineterminator="\n")
             writer.writerow(header)
-            for row in rows:
-                writer.writerow([_fmt(v) if isinstance(v, float) else v
-                                 for v in row])
-    finally:
-        if should_close:
-            out.close()
+            writer.writerows(rows)
 
 
 def run_growth_experiment(cfg, reproducible=False):
     """Sweep |g_lambda| over the lambda grid at real exterior points."""
     entry = cfg.build_entry()
+    if entry.signal.singularities and cfg.interval != entry.interval:
+        raise ConfigError(f"entry {cfg.entry_name!r} has strip poles for "
+                          f"{entry.interval}, not for {cfg.interval}")
     for x in cfg.eval_points:
         if isinstance(x, complex) or not (
                 x <= cfg.interval.lo or x >= cfg.interval.hi):
@@ -246,25 +239,21 @@ def run_growth_experiment(cfg, reproducible=False):
                 f"interval, got {x}")
     if not cfg.eval_points:
         raise ConfigError("growth experiment needs at least one eval point")
+    try:
+        check_growth_grid(cfg.lambda_grid)
+    except DomainError as exc:
+        raise ConfigError(f"bad lambda_grid: {exc}") from None
 
-    # lambda_grid is strictly increasing, so cells come in (lambda, index) order
-    cells = []
-    for lam in cfg.lambda_grid:
-        for i, x in enumerate(cfg.eval_points):
-            mag = abs(approximant_boundary(x, QuenchParams(lam), cfg.interval,
-                                           entry.signal, cfg.tolerances))
-            cells.append((lam, i, x, mag))
-    reports = []
-    for i, _x in enumerate(cfg.eval_points):
-        samples = tuple((lam, mag) for lam, j, _, mag in cells if j == i)
-        reports.append(GrowthReport(
-            samples=samples,
-            fitted_exponent=fit_growth_exponent(samples),
-            predicted_exponent=entry.expected_exponent,
-        ))
-    rows = [(lam, x, mag, reports[i].fitted_exponent,
-             reports[i].predicted_exponent)
-            for lam, i, x, mag in cells]
+    # one row of magnitudes per lambda, one column per eval point
+    table = [[abs(approximant_boundary(x, QuenchParams(lam), cfg.interval,
+                                       entry.signal, cfg.tolerances))
+              for x in cfg.eval_points] for lam in cfg.lambda_grid]
+    columns = [tuple(zip(cfg.lambda_grid, column)) for column in zip(*table)]
+    reports = [GrowthReport(s, fit_growth_exponent(s), entry.expected_exponent)
+               for s in columns]
+    rows = [(lam, x, mag, r.fitted_exponent, r.predicted_exponent)
+            for lam, mags in zip(cfg.lambda_grid, table)
+            for x, mag, r in zip(cfg.eval_points, mags, reports)]
     _write_rows(cfg, reproducible,
                 ["lambda", "x", "magnitude", "fitted_slope", "predicted_slope"],
                 rows)
@@ -311,10 +300,10 @@ def run_contour_check(cfg, reproducible=False):
             f"catalog entry {cfg.entry_name!r} has no strip metadata")
 
     # xi and alpha lists may come unsorted; rows are written sorted
-    contour = cfg.contour
+    contour, spec = cfg.contour, cfg.contour["spec"]
     rows = sorted(
-        (xi, alpha, contour["R"], contour["height"], contour_identity_check(
-            signal.strip_pullback, xi, alpha, contour["spec"],
+        (xi, alpha, spec.R, spec.height, contour_identity_check(
+            signal.strip_pullback, xi, alpha, spec,
             signal.singularities, cfg.tolerances))
         for xi in contour["xi"] for alpha in contour["alpha"])
     _write_rows(cfg, reproducible,

@@ -50,10 +50,6 @@ class Interval:
     def half_width(self):
         return 0.5 * (self.hi - self.lo)
 
-    @property
-    def is_symmetric(self):
-        return self.lo == -self.hi
-
     def contains(self, x):
         return self.lo < x < self.hi
 

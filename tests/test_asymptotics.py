@@ -12,6 +12,7 @@ from patil.asymptotics import (
     GrowthReport,
     StripSingularity,
     alpha_of,
+    check_growth_grid,
     contour_identity_check,
     fit_growth_exponent,
     kernel_k,
@@ -134,6 +135,11 @@ class TestKernelPoleResidues:
         with pytest.raises(DomainError):
             residue_kernel_pole("at_ipi", 1.0, 1.0 + 1e-9, ones)
 
+    @pytest.mark.parametrize("which", ["at_ipi", "at_ipi_plus_ln_alpha"])
+    def test_nonpositive_alpha_rejected(self, which):
+        with pytest.raises(DomainError, match="need alpha > 0"):
+            residue_kernel_pole(which, 1.0, -2.0, ones)
+
     def test_unknown_pole_name(self):
         with pytest.raises(DomainError):
             residue_kernel_pole("nowhere", 1.0, 2.0, ones)
@@ -249,6 +255,23 @@ class TestContourIdentity:
         with pytest.raises(DomainError, match="on a contour edge"):
             contour_identity_check(ones, 1.0, 2.0, self.SPEC, sing)
 
+    @pytest.mark.parametrize("xi,alpha,message", [
+        (-50.0, 2.0, "xi >= 0"),
+        (1.0, 1.0, "alpha - 1"),
+        (1.0, 1.0 + 1e-7, "alpha - 1"),
+        (1.0, 0.0, "alpha > 0"),
+        (1.0, math.exp(20.0), "R > "),
+    ])
+    def test_spec_check(self, xi, alpha, message):
+        with pytest.raises(DomainError, match=message):
+            self.SPEC.check(xi, alpha)
+        with pytest.raises(DomainError, match=message):
+            contour_identity_check(ones, xi, alpha, self.SPEC)
+
+    def test_spec_check_accepts_edges(self):
+        self.SPEC.check(0.0, 1.0 + 2e-6)
+        self.SPEC.check(0.0, math.exp(18.9))
+
     def test_height_at_pi_rejected(self):
         with pytest.raises(DomainError):
             ContourSpec(R=20.0, height=PI)
@@ -306,6 +329,14 @@ class TestGrowthFit:
     def test_narrow_span(self):
         with pytest.raises(DomainError, match="span at least 4 decades"):
             fit_growth_exponent([(1.0, 1.0), (2.0, 1.0), (4.0, 1.0), (8.0, 1.0)])
+
+    def test_grid_rules(self):
+        lams = check_growth_grid([10.0, 1e3, 1e5, 1e7])
+        assert isinstance(lams, np.ndarray) and lams.tolist() == [10.0, 1e3, 1e5, 1e7]
+        with pytest.raises(DomainError, match="need >= 4 samples"):
+            check_growth_grid([10.0, 100.0])
+        with pytest.raises(DomainError, match="span at least 4 decades"):
+            check_growth_grid([10.0, 100.0, 1000.0, 9999.0])
 
     def test_nonpositive_magnitude(self):
         with pytest.raises(DomainError, match="magnitudes must be > 0"):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from patil.catalog import (
 )
 from patil.errors import DomainError
 from patil.quadrature import QuadTolerance, integrate_real_line
+from patil.quench import Interval
 
 PI = math.pi
 PULLBACK_POINTS = [-2.0, -1.0, 0.5, 3.0]
@@ -87,6 +89,21 @@ class TestGrowthMetadata:
         entry = h2_reference_pole()
         assert entry.signal.singularities == ()
         assert entry.expected_exponent == 0.0
+
+    def test_exponent_is_derived_not_stored(self):
+        fields = {f.name for f in dataclasses.fields(CatalogEntry)}
+        assert "expected_exponent" not in fields
+        entry = example2()
+        pole = dataclasses.replace(entry.signal.singularities[0], beta=0.25j * PI)
+        moved = dataclasses.replace(
+            entry, signal=dataclasses.replace(entry.signal, singularities=(pole,)))
+        assert moved.expected_exponent == pytest.approx(0.375)
+
+    def test_interval_of_strip_metadata(self):
+        assert example1().interval == Interval(-1.0, 1.0)
+        assert example1(2.5).interval == Interval(-2.5, 2.5)
+        assert example2().interval == Interval(-1.0, 1.0)
+        assert h2_reference_pole(-1j, 0.5).interval == Interval(-0.5, 0.5)
 
 
 class TestHardyWitness:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import patil.cli as cli
 from patil.cli import (
     EXIT_CONFIG,
     EXIT_CRITERION,
@@ -25,6 +26,10 @@ def write_config(tmp_path, name="cfg.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def no_cell(*args, **kwargs):
+    raise AssertionError("a g_lambda value was computed")
 
 
 def read_csv(path):
@@ -83,6 +88,32 @@ class TestGrowthCommand:
     def test_missing_config_file(self, tmp_path):
         missing = str(tmp_path / "nope.json")
         assert main(["growth", "--config", missing]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("grid", [[10, 100], [10, 100, 1000, 10000]])
+    def test_short_grid_refused_before_any_cell(self, tmp_path, capsys,
+                                                monkeypatch, grid):
+        monkeypatch.setattr(cli, "approximant_boundary", no_cell)
+        cfg = write_config(tmp_path, eval_points=[2.0], lambda_grid=grid)
+        assert main(["growth", "--config", cfg]) == EXIT_CONFIG
+        assert "bad lambda_grid" in capsys.readouterr().err
+
+    def test_interval_of_strip_poles_enforced(self, tmp_path, capsys, monkeypatch):
+        # example2's strip pole i pi/2 belongs to I = (-1, 1) only
+        monkeypatch.setattr(cli, "approximant_boundary", no_cell)
+        cfg = write_config(tmp_path, interval=[-2.0, 2.0], eval_points=[3.0],
+                           lambda_grid=[10.0 ** k for k in range(2, 9)])
+        assert main(["growth", "--config", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Interval(lo=-1.0, hi=1.0)" in err
+        assert "Interval(lo=-2.0, hi=2.0)" in err
+
+    def test_interval_of_entry_args_accepted(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "approximant_boundary", lambda *a, **k: 1.0)
+        cfg = write_config(tmp_path, entry="example1", entry_args={"a": 2.0},
+                           interval=[-2.0, 2.0], eval_points=[3.0],
+                           lambda_grid=[10.0 ** k for k in range(2, 9)])
+        assert main(["growth", "--config", cfg,
+                     "--out", str(tmp_path / "o.csv")]) == EXIT_OK
 
     def test_nonconvergence_exit(self, tmp_path):
         cfg = write_config(
@@ -233,6 +264,8 @@ class TestConfigErrors:
         ("growth", {"slope_tolerance": "x"}),
         ("growth", {"lambda_grid": [10, 100, 1e3, 1e4, 1e5, "NaN"]}),
         ("growth", {"entry": "nosuch"}),
+        ("contour", {"contour": {"alpha": [1.0]}}),
+        ("contour", {"contour": {"xi": [-50.0]}}),
     ])
     def test_bad_value_exits_config(self, tmp_path, capsys, command, overrides):
         cfg = write_config(tmp_path, **{"eval_points": [2.0], **overrides})

@@ -168,10 +168,8 @@ class TestInterval:
         iv = Interval(0.0, 2.0)
         assert iv.center == 1.0
         assert iv.half_width == 1.0
-        assert not iv.is_symmetric
         assert iv.contains(0.5)
         assert not iv.contains(2.0)
         assert iv.is_endpoint(0.0)
         assert not iv.is_endpoint(np.array([0.5, 1.5]))
         assert iv.guard == pytest.approx(2e-6)
-        assert Interval(-3.0, 3.0).is_symmetric
