@@ -23,7 +23,9 @@ REL_TOL = 1e-12
 CASES = [
     ("growth_example2", EXIT_OK),
     ("growth_h2pole", EXIT_CRITERION),  # 4 lambdas: slope misses 0.05
+    ("growth_h2pole_nonsym", EXIT_OK),  # 2 points on each side of I
     ("converge_h2pole", EXIT_OK),
+    ("converge_h2pole_mixed", EXIT_OK),  # PV and exterior cells, one lambda
     ("contour_example1", EXIT_OK),
     ("contour_example2", EXIT_OK),
 ]
