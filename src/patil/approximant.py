@@ -17,8 +17,9 @@ from .errors import DomainError
 from .quadrature import (
     DecayCertificate,
     QuadTolerance,
-    integrate_adaptive,
-    integrate_real_line,
+    integrate_batch,
+    integrate_real_line,  # noqa: F401 -- perfbench/tracing.py wraps it here
+    integrate_real_line_batch,
     pv_integrate,
 )
 from .quench import _log_weight_ratio, _phase, phase_G, quench_interior
@@ -28,6 +29,8 @@ __all__ = [
     "ReferencePair",
     "approximant_interior",
     "approximant_boundary",
+    "interior_values",
+    "boundary_values",
     "sup_error_on_compact",
     "l2_error_on_window",
 ]
@@ -66,11 +69,11 @@ def _segment_distance(z, interval):
     return math.hypot(dx, z.imag)
 
 
-def _cauchy_weighted_u(z, params, interval, signal, tol):
-    """int_I exp(-iG(t)) g(t) / (t - z) dt via the tanh substitution.
+def _cauchy_weighted_u(zs, params, interval, signal, tol):
+    """int_I exp(-iG(t)) g(t) / (t - z) dt for each z of the array ``zs``.
 
-    Under ``t = c + r tanh(u/2)`` the phase becomes exactly
-    ``exp(i xi u)`` times a constant unimodular factor, and the
+    Under the tanh substitution ``t = c + r tanh(u/2)`` the phase becomes
+    exactly ``exp(i xi u)`` times a constant unimodular factor, and the
     Jacobian contributes ``exp(-|u|)`` decay.
     """
     c = interval.center
@@ -78,82 +81,107 @@ def _cauchy_weighted_u(z, params, interval, signal, tol):
     xi = params.xi
     g = signal.eval_on_I
 
-    def integrand(u):
+    def integrand(u, k):
         sech2 = 1.0 / np.cosh(0.5 * u) ** 2
         t = c + r * np.tanh(0.5 * u)
-        return np.exp(1j * xi * u) * g(t) * (0.5 * r * sech2) / (t - z)
+        return np.exp(1j * xi * u) * g(t) * (0.5 * r * sech2) / (t - zs[k])
 
     data_cert = signal.decay_cert
-    dist = _segment_distance(z, interval)
-    cert = DecayCertificate(data_cert.delta, 2.0 * r * data_cert.bound_M / dist)
-    value = integrate_real_line(integrand, cert, tol)
-    return cmath.exp(1j * xi * (0.5 * _log_weight_ratio(interval))) * value
+    certs = [DecayCertificate(data_cert.delta, 2.0 * r * data_cert.bound_M
+                              / _segment_distance(z, interval)) for z in zs]
+    values = integrate_real_line_batch(integrand, certs, tol)
+    const = cmath.exp(1j * xi * (0.5 * _log_weight_ratio(interval)))
+    return [const * value for value in values]
 
 
-def _cauchy_weighted_t(z, params, interval, signal, tol):
-    """Same integral, evaluated directly in the t variable (oracle path)."""
+def _cauchy_weighted_t(zs, params, interval, signal, tol):
+    """Same integrals, evaluated directly in the t variable (oracle path)."""
     g = signal.eval_on_I
 
-    def integrand(t):
-        return np.exp(-1j * _phase(t, params, interval)) * g(t) / (t - z)
+    def integrand(t, k):
+        return np.exp(-1j * _phase(t, params, interval)) * g(t) / (t - zs[k])
 
-    return integrate_adaptive(integrand, interval.lo, interval.hi, tol)
+    return integrate_batch(integrand, np.full(len(zs), interval.lo),
+                           np.full(len(zs), interval.hi), tol)
 
 
-def approximant_interior(z, params, interval, signal, tol=QuadTolerance(),
-                         method="u"):
-    """g_lambda at a point of the open upper half plane.
+def interior_values(zs, params, interval, signal, tol=QuadTolerance(),
+                    method="u"):
+    """g_lambda at each point of ``zs`` in the open upper half plane, as a list.
 
     ``method`` selects the integration variable: "u" (default, tanh
     substitution) or "t" (direct adaptive; dual-path oracle).
     """
-    z = complex(z)
-    if not z.imag > 0:
-        raise DomainError(f"need Im z > 0, got z={z}")
+    zs = [complex(z) for z in zs]
+    for z in zs:
+        if not z.imag > 0:
+            raise DomainError(f"need Im z > 0, got z={z}")
     lam = params.lam
     if lam == 0:
-        return 0.0 + 0.0j
+        return [0.0 + 0.0j] * len(zs)
     path = _cauchy_weighted_u if method == "u" else _cauchy_weighted_t
-    integral = path(z, params, interval, signal, tol)
-    h = quench_interior(z, params, interval)
-    return lam * h / (2j * math.pi) * integral / math.sqrt(1.0 + lam)
+    integrals = path(np.array(zs, dtype=complex), params, interval, signal, tol)
+    return [lam * quench_interior(z, params, interval) / (2j * math.pi)
+            * integral / math.sqrt(1.0 + lam)
+            for z, integral in zip(zs, integrals)]
 
 
-def approximant_boundary(x, params, interval, signal, tol=QuadTolerance()):
-    """Boundary trace of g_lambda at a real point off the endpoints.
+def approximant_interior(z, params, interval, signal, tol=QuadTolerance(),
+                         method="u"):
+    """g_lambda at a point of the open upper half plane (see interior_values)."""
+    return interior_values([z], params, interval, signal, tol, method)[0]
+
+
+def boundary_values(xs, params, interval, signal, tol=QuadTolerance()):
+    """Boundary trace of g_lambda at each real point of ``xs``, as a list.
 
     Inside I the quench moduli cancel exactly and the value splits into
     ``lam/(2(1+lam)) g(x)`` plus a principal-value Hilbert-type term.
     Outside the closed interval no principal value is needed and the
-    integral is taken in the u-domain.
+    integral is taken in the u-domain.  Each of the two paths is one batch.
     """
-    if interval.is_endpoint(x):
-        raise DomainError(f"g_lambda boundary trace undefined at endpoint x={x}")
+    for x in xs:
+        if interval.is_endpoint(x):
+            raise DomainError(
+                f"g_lambda boundary trace undefined at endpoint x={x}")
     lam = params.lam
     if lam == 0:
-        return 0.0 + 0.0j
-    phase = cmath.exp(1j * phase_G(x, params, interval))
-    if interval.contains(x):
-        g = signal.eval_on_I
+        return [0.0 + 0.0j] * len(xs)
+    pts = np.asarray(xs, dtype=float)
+    inside = interval.contains(pts)
+    g = signal.eval_on_I
 
-        def weighted(t):
-            return np.exp(-1j * _phase(t, params, interval)) * g(t)
+    def weighted(t):
+        return np.exp(-1j * _phase(t, params, interval)) * g(t)
 
-        pv = pv_integrate(weighted, interval.lo, interval.hi, x, tol)
-        direct = lam / (2.0 * (1.0 + lam)) * complex(signal.eval_on_I(x))
-        return direct + 1j * lam / (2.0 * math.pi * (1.0 + lam)) * phase * pv
-    integral = -_cauchy_weighted_u(x, params, interval, signal, tol)
-    return 1j * lam / (2.0 * math.pi * math.sqrt(1.0 + lam)) * phase * integral
+    pvs = iter(pv_integrate(weighted, interval.lo, interval.hi, pts[inside], tol))
+    integrals = iter(_cauchy_weighted_u(pts[~inside], params, interval, signal,
+                                        tol))
+    values = []
+    for x, x_inside in zip(xs, inside):
+        phase = cmath.exp(1j * phase_G(x, params, interval))
+        if x_inside:
+            direct = lam / (2.0 * (1.0 + lam)) * complex(g(x))
+            values.append(direct + 1j * lam / (2.0 * math.pi * (1.0 + lam))
+                          * phase * next(pvs))
+        else:
+            values.append(1j * lam / (2.0 * math.pi * math.sqrt(1.0 + lam))
+                          * phase * -next(integrals))
+    return values
+
+
+def approximant_boundary(x, params, interval, signal, tol=QuadTolerance()):
+    """Boundary trace of g_lambda at a real point off the endpoints
+    (see boundary_values)."""
+    return boundary_values([x], params, interval, signal, tol)[0]
 
 
 def sup_error_on_compact(pts, params, interval, signal, ref,
                          tol=QuadTolerance()):
     """Max deviation of g_lambda from the reference on interior points."""
     worst = 0.0
-    for z in pts:
-        err = abs(approximant_interior(z, params, interval, signal, tol)
-                  - ref.F_interior(z))
-        worst = max(worst, err)
+    for z, value in zip(pts, interior_values(pts, params, interval, signal, tol)):
+        worst = max(worst, abs(value - ref.F_interior(z)))
     return worst
 
 
@@ -170,9 +198,7 @@ def l2_error_on_window(params, interval, signal, ref, window, n_samples,
         close = np.abs(pts - end) < guard
         pts[close] = end + 2.0 * guard * np.where(pts[close] >= end, 1.0, -1.0)
     total = 0.0
-    for x in pts:
-        d = approximant_boundary(x, params, interval, signal, tol) \
-            - ref.f_boundary(x)
-        total += abs(d) ** 2
+    for x, value in zip(pts, boundary_values(pts, params, interval, signal, tol)):
+        total += abs(value - ref.f_boundary(x)) ** 2
     width = window.hi - window.lo
     return math.sqrt(width * total / n_samples)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import catalog
-from .approximant import approximant_boundary, l2_error_on_window, \
+from .approximant import boundary_values, l2_error_on_window, \
     sup_error_on_compact
 from .asymptotics import ContourSpec, GrowthReport, check_growth_grid, \
     contour_identity_check, fit_growth_exponent
@@ -244,10 +244,10 @@ def run_growth_experiment(cfg, reproducible=False):
     except DomainError as exc:
         raise ConfigError(f"bad lambda_grid: {exc}") from None
 
-    # one row of magnitudes per lambda, one column per eval point
-    table = [[abs(approximant_boundary(x, QuenchParams(lam), cfg.interval,
-                                       entry.signal, cfg.tolerances))
-              for x in cfg.eval_points] for lam in cfg.lambda_grid]
+    # one row of magnitudes (one batch) per lambda, one column per eval point
+    table = [[abs(v) for v in boundary_values(
+        cfg.eval_points, QuenchParams(lam), cfg.interval, entry.signal,
+        cfg.tolerances)] for lam in cfg.lambda_grid]
     columns = [tuple(zip(cfg.lambda_grid, column)) for column in zip(*table)]
     reports = [GrowthReport(s, fit_growth_exponent(s), entry.expected_exponent)
                for s in columns]

@@ -1,13 +1,12 @@
 """Adaptive quadrature for complex-valued integrands.
 
-Three entry points:
-
-* :func:`integrate_adaptive` -- globally adaptive Gauss-Kronrod (G7/K15)
-  on a finite interval.
-* :func:`pv_integrate` -- principal value of ``w(t)/(x - t)`` with an
+* :func:`integrate_batch` -- many globally adaptive Gauss-Kronrod
+  (G7/K15) integrals on finite intervals, sharing integrand calls;
+  :func:`integrate_adaptive` is a batch of one.
+* :func:`pv_integrate` -- principal values of ``w(t)/(x - t)`` with an
   interior Cauchy singularity, by singularity subtraction.
-* :func:`integrate_real_line` -- truncated real-line integral whose
-  truncation point is chosen from an explicit decay certificate.
+* :func:`integrate_real_line` (and ``_batch``) -- truncated real-line
+  integrals whose truncation point comes from a decay certificate.
 
 Integrands must accept numpy arrays of abscissae and return arrays of
 the same shape (complex or real).  Real and imaginary parts are summed
@@ -25,9 +24,11 @@ from .errors import DomainError, NonConvergence
 __all__ = [
     "QuadTolerance",
     "DecayCertificate",
+    "integrate_batch",
     "integrate_adaptive",
     "pv_integrate",
     "integrate_real_line",
+    "integrate_real_line_batch",
 ]
 
 
@@ -109,65 +110,83 @@ _WG_FULL = np.zeros(15)
 _WG_FULL[1:14:2] = np.concatenate([_WG[:-1], _WG[::-1]])
 
 
-def _gk15(f, lo, hi):
-    """One G7/K15 panel: returns (kronrod estimate, error estimate)."""
+def _gk15(f, k, lo, hi):
+    """G7/K15 on panels ``[lo[j], hi[j]]`` of integrals ``k[j]``, in one
+    integrand call: lists of Kronrod estimates and of error estimates."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    fv = np.asarray(f(mid + half * _NODES))
-    kronrod = half * np.sum(_WK_FULL * fv)
-    gauss = half * np.sum(_WG_FULL * fv)
-    return kronrod, abs(kronrod - gauss)
+    # a NaN or inf becomes NonConvergence in integrate_batch, not a warning
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fv = np.asarray(f(mid[:, None] + half[:, None] * _NODES, k[:, None]))
+    kronrod = half * np.sum(_WK_FULL * fv, axis=1)
+    gauss = half * np.sum(_WG_FULL * fv, axis=1)
+    # abs of each scalar: numpy's array abs of a complex can differ in the last bit
+    return kronrod.tolist(), [abs(d) for d in (kronrod - gauss).tolist()]
 
 
-def integrate_adaptive(f, lo, hi, tol=QuadTolerance(), initial_panels=8):
-    """Integrate ``f`` on ``[lo, hi]`` to the requested tolerance.
+def integrate_batch(f, lo, hi, tol=QuadTolerance(), initial_panels=8):
+    """Integrate many functions at once, integral ``i`` over ``[lo[i], hi[i]]``.
 
-    Globally adaptive: the panel with the worst embedded G7/K15 error
-    estimate is bisected until the summed error drops below
-    ``max(abs_tol, rel_tol * |result|)``.
+    ``f(u, k)`` gets a ``(panels, 15)`` array of nodes and the
+    ``(panels, 1)`` indices of their integrals.  Each integral bisects
+    its own worst G7/K15 panel until its summed error is below
+    ``max(abs_tol, rel_tol * |result|)``, with its own budget; the
+    integrals share only the integrand calls, so each result (a list of
+    complex) is what that integral alone would give.
 
     Raises
     ------
     NonConvergence
-        If the subdivision budget is exhausted first, or if a panel's
-        estimate or error is not finite.
+        At the first integral found to exhaust its budget or to have a
+        panel whose estimate or error is not finite.
     """
-    if not lo < hi:
-        raise DomainError(f"need lo < hi, got [{lo}, {hi}]")
-    heap = []
-    total = 0.0 + 0.0j
-    total_err = 0.0
+    lo = np.atleast_1d(np.asarray(lo, dtype=float))
+    hi = np.atleast_1d(np.asarray(hi, dtype=float))
+    panels = np.broadcast_to(initial_panels, lo.shape).tolist()
+    for a, b in zip(lo, hi):
+        if not a < b:
+            raise DomainError(f"need lo < hi, got [{a}, {b}]")
+    heaps = [[] for _ in panels]
+    totals = [0.0 + 0.0j] * len(panels)
+    errors = [0.0] * len(panels)
 
-    def add_panel(a, b):
-        nonlocal total, total_err
-        est, err = _gk15(f, a, b)
-        if not math.isfinite(err):
-            raise NonConvergence(f"non-finite integrand on panel [{a}, {b}]",
-                                 estimate=est, error=err)
-        total += est
-        total_err += err
-        heapq.heappush(heap, (-err, a, b, est))
+    ks, a_s, b_s = [], [], []
+    for i, n in enumerate(panels):
+        edges = np.linspace(lo[i], hi[i], n + 1).tolist()
+        ks += [i] * n
+        a_s += edges[:-1]
+        b_s += edges[1:]
+    while ks:
+        ests, errs = _gk15(f, np.array(ks), np.array(a_s), np.array(b_s))
+        for i, a, b, est, err in zip(ks, a_s, b_s, ests, errs):
+            if not math.isfinite(err):
+                raise NonConvergence(f"non-finite integrand on panel [{a}, {b}]",
+                                     estimate=est, error=err)
+            totals[i] += est
+            errors[i] += err
+            heapq.heappush(heaps[i], (-err, a, b, est))
+        refine = [i for i in dict.fromkeys(ks)
+                  if errors[i] > max(tol.abs_tol, tol.rel_tol * abs(totals[i]))]
+        ks, a_s, b_s = [], [], []
+        for i in refine:
+            if panels[i] >= tol.max_subdivisions:
+                raise NonConvergence(
+                    f"error {errors[i]:.3e} above target after {panels[i]} panels",
+                    estimate=totals[i], error=errors[i])
+            neg_err, a, b, est = heapq.heappop(heaps[i])
+            totals[i] -= est
+            errors[i] += neg_err  # neg_err == -err
+            mid = 0.5 * (a + b)
+            ks += [i, i]
+            a_s += [a, mid]
+            b_s += [mid, b]
+            panels[i] += 1
+    return [complex(t) for t in totals]
 
-    edges = np.linspace(lo, hi, initial_panels + 1)
-    for a, b in zip(edges[:-1], edges[1:]):
-        add_panel(a, b)
 
-    n = initial_panels
-    while total_err > max(tol.abs_tol, tol.rel_tol * abs(total)):
-        if n >= tol.max_subdivisions:
-            raise NonConvergence(
-                f"error {total_err:.3e} above target after {n} panels",
-                estimate=total,
-                error=total_err,
-            )
-        neg_err, a, b, est = heapq.heappop(heap)
-        total -= est
-        total_err += neg_err  # neg_err == -err
-        mid = 0.5 * (a + b)
-        add_panel(a, mid)
-        add_panel(mid, b)
-        n += 1
-    return complex(total)
+def integrate_adaptive(f, lo, hi, tol=QuadTolerance(), initial_panels=8):
+    """Integrate ``f(u)`` on ``[lo, hi]``: a batch of one (:func:`integrate_batch`)."""
+    return integrate_batch(lambda u, k: f(u), lo, hi, tol, initial_panels)[0]
 
 
 def endpoint_guard(lo, hi):
@@ -178,36 +197,50 @@ def endpoint_guard(lo, hi):
 def pv_integrate(w, lo, hi, x, tol=QuadTolerance()):
     """Principal value of ``w(t) / (x - t)`` over ``[lo, hi]``.
 
+    ``x`` is a float, or an array for a list of values, one per point.
     Uses singularity subtraction: the smooth remainder
     ``(w(t) - w(x)) / (x - t)`` is integrated adaptively (split at x so
     no node lands on the singularity), and the singular part is the
-    closed form ``p.v. int dt/(x - t) = ln((x - lo)/(hi - x))``.
+    closed form ``p.v. int dt/(x - t) = ln((x - lo)/(hi - x))``.  ``w``
+    does not depend on x, so the two pieces of every x form one batch.
     """
-    if not lo < x < hi:
-        raise DomainError(f"need lo < x < hi, got x={x} on [{lo}, {hi}]")
-    if min(x - lo, hi - x) < endpoint_guard(lo, hi):
-        raise DomainError(
-            f"x={x} within guard distance of an endpoint of [{lo}, {hi}]"
-        )
-    wx = w(x)
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    for v in xs:
+        if not lo < v < hi:
+            raise DomainError(f"need lo < x < hi, got x={v} on [{lo}, {hi}]")
+        if min(v - lo, hi - v) < endpoint_guard(lo, hi):
+            raise DomainError(
+                f"x={v} within guard distance of an endpoint of [{lo}, {hi}]"
+            )
+    # w at each point alone: numpy's array complex multiply can round
+    # differently from its scalar one
+    wx = np.array([w(v) for v in xs])
 
-    def smooth(t):
-        return (w(t) - wx) / (x - t)
+    def smooth(t, k):
+        return (w(t) - wx[k // 2]) / (xs[k // 2] - t)
 
-    result = integrate_adaptive(smooth, lo, x, tol)
-    result += integrate_adaptive(smooth, x, hi, tol)
-    return result + wx * math.log((x - lo) / (hi - x))
+    # piece 2j is [lo, x_j], piece 2j + 1 is [x_j, hi]
+    pieces = integrate_batch(smooth, np.stack([np.full_like(xs, lo), xs], 1).ravel(),
+                             np.stack([xs, np.full_like(xs, hi)], 1).ravel(), tol)
+    values = [left + right + wv * math.log((v - lo) / (hi - v))
+              for left, right, wv, v in zip(pieces[::2], pieces[1::2], wx, xs)]
+    return values if np.ndim(x) else values[0]
 
 
 def integrate_real_line(f, cert, tol=QuadTolerance()):
-    """Integrate ``f`` over the real line, truncated via ``cert``.
+    """Integrate ``f(u)`` over the real line, truncated via ``cert``.
 
     The truncation half-width U is chosen so that the certified tail
     bound ``bound_M * exp((delta-1) U) / (1 - delta)`` stays below half
     the absolute tolerance.
     """
-    if not isinstance(cert, DecayCertificate):
-        cert = DecayCertificate(*cert)
-    u = cert.truncation_point(tol.abs_tol)
-    panels = max(8, int(math.ceil(u)))
-    return integrate_adaptive(f, -u, u, tol, initial_panels=panels)
+    return integrate_real_line_batch(lambda u, k: f(u), [cert], tol)[0]
+
+
+def integrate_real_line_batch(f, certs, tol=QuadTolerance()):
+    """:func:`integrate_real_line` of ``f(u, k)`` (see integrate_batch),
+    one integral per certificate; returns a list of complex."""
+    us = np.array([(c if isinstance(c, DecayCertificate) else DecayCertificate(*c))
+                   .truncation_point(tol.abs_tol) for c in certs])
+    panels = [max(8, int(math.ceil(u))) for u in us]
+    return integrate_batch(f, -us, us, tol, panels)

@@ -51,7 +51,8 @@ class Interval:
         return 0.5 * (self.hi - self.lo)
 
     def contains(self, x):
-        return self.lo < x < self.hi
+        """Whether ``x`` lies in (lo, hi); elementwise for an array ``x``."""
+        return (self.lo < x) & (x < self.hi)
 
     @property
     def guard(self):

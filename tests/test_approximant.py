@@ -8,6 +8,8 @@ from patil.approximant import (
     BoundarySignal,
     approximant_boundary,
     approximant_interior,
+    boundary_values,
+    interior_values,
     l2_error_on_window,
     sup_error_on_compact,
 )
@@ -122,6 +124,49 @@ class TestBoundary:
             ys.append(math.log(mag))
         slope = np.polyfit(xs, ys, 1)[0]
         assert slope == pytest.approx(0.25, abs=0.03)
+
+
+def bits(values):
+    return [(v.real, v.imag) for v in map(complex, values)]
+
+
+class TestBatches:
+    NONSYM = Interval(-0.5, 2.0)
+    # inside I, and outside it on both sides, in no particular order
+    XS = [3.1, -0.49, 0.0, -2.0, 1.999, 0.7, -0.6, 2.5, 1.2]
+    ZS = [0.3 + 0.7j, -1.4 + 0.2j, 2.6 + 1.5j, 0.9 + 0.05j]
+
+    @pytest.mark.parametrize("entry", [example2(), h2_reference_pole(-1j)])
+    @pytest.mark.parametrize("lam", [1e2, 1e7])
+    def test_boundary_batch_equals_each_point(self, entry, lam):
+        p = QuenchParams(lam)
+        batch = boundary_values(self.XS, p, self.NONSYM, entry.signal, TOL)
+        alone = [approximant_boundary(x, p, self.NONSYM, entry.signal, TOL)
+                 for x in self.XS]
+        assert bits(batch) == bits(alone)
+
+    @pytest.mark.parametrize("method", ["u", "t"])
+    def test_interior_batch_equals_each_point(self, method):
+        p = QuenchParams(1e3)
+        signal = example1().signal
+        batch = interior_values(self.ZS, p, self.NONSYM, signal, TOL, method)
+        alone = [approximant_interior(z, p, self.NONSYM, signal, TOL, method)
+                 for z in self.ZS]
+        assert bits(batch) == bits(alone)
+
+    def test_interior_batch_rejects_lower_half_plane(self):
+        with pytest.raises(DomainError, match="need Im z > 0"):
+            interior_values([0.5 + 1j, 0.2 + 0j], QuenchParams(10.0), SYM,
+                            H2.signal)
+
+    def test_boundary_batch_rejects_endpoint(self):
+        with pytest.raises(DomainError, match="endpoint x=1.0"):
+            boundary_values([0.3, 1.0, 2.0], QuenchParams(10.0), SYM, H2.signal)
+
+    def test_empty_batches(self):
+        p = QuenchParams(10.0)
+        assert boundary_values([], p, SYM, H2.signal) == []
+        assert interior_values([], p, SYM, H2.signal) == []
 
 
 class TestErrorMeasures:

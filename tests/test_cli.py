@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -92,14 +93,14 @@ class TestGrowthCommand:
     @pytest.mark.parametrize("grid", [[10, 100], [10, 100, 1000, 10000]])
     def test_short_grid_refused_before_any_cell(self, tmp_path, capsys,
                                                 monkeypatch, grid):
-        monkeypatch.setattr(cli, "approximant_boundary", no_cell)
+        monkeypatch.setattr(cli, "boundary_values", no_cell)
         cfg = write_config(tmp_path, eval_points=[2.0], lambda_grid=grid)
         assert main(["growth", "--config", cfg]) == EXIT_CONFIG
         assert "bad lambda_grid" in capsys.readouterr().err
 
     def test_interval_of_strip_poles_enforced(self, tmp_path, capsys, monkeypatch):
         # example2's strip pole i pi/2 belongs to I = (-1, 1) only
-        monkeypatch.setattr(cli, "approximant_boundary", no_cell)
+        monkeypatch.setattr(cli, "boundary_values", no_cell)
         cfg = write_config(tmp_path, interval=[-2.0, 2.0], eval_points=[3.0],
                            lambda_grid=[10.0 ** k for k in range(2, 9)])
         assert main(["growth", "--config", cfg]) == EXIT_CONFIG
@@ -108,7 +109,8 @@ class TestGrowthCommand:
         assert "Interval(lo=-2.0, hi=2.0)" in err
 
     def test_interval_of_entry_args_accepted(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "approximant_boundary", lambda *a, **k: 1.0)
+        monkeypatch.setattr(cli, "boundary_values",
+                            lambda xs, *a, **k: [1.0] * len(xs))
         cfg = write_config(tmp_path, entry="example1", entry_args={"a": 2.0},
                            interval=[-2.0, 2.0], eval_points=[3.0],
                            lambda_grid=[10.0 ** k for k in range(2, 9)])
@@ -180,8 +182,14 @@ class TestConvergeCommand:
                            lambda_grid=[1e10, 1e11, 1e12],
                            window=[-5.0, 5.0], n_samples=101)
         out = str(tmp_path / "o.csv")
-        assert main(["converge", "--config", cfg, "--out", out]) == EXIT_NUMERIC
-        assert "non-finite" in capsys.readouterr().err
+        # numpy's divide and invalid-value warnings on that node would
+        # raise here; the NaN must surface only as NonConvergence
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["converge", "--config", cfg, "--out", out]) == EXIT_NUMERIC
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("numeric error: non-finite")
 
 
 class TestContourCommand:

@@ -1,3 +1,4 @@
+import heapq
 import math
 
 import numpy as np
@@ -6,11 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from patil.errors import DomainError, NonConvergence
+import patil.quadrature as quadrature
 from patil.quadrature import (
     DecayCertificate,
     QuadTolerance,
     integrate_adaptive,
+    integrate_batch,
     integrate_real_line,
+    integrate_real_line_batch,
     pv_integrate,
 )
 
@@ -65,7 +69,158 @@ class TestIntegrateAdaptive:
         assert abs(lhs - rhs) < 10 * TOL.abs_tol * (1 + abs(a) + abs(b))
 
 
+def same(a, b):
+    """Bitwise equality of two lists of complex numbers."""
+    return [(v.real, v.imag) for v in map(complex, a)] == \
+        [(v.real, v.imag) for v in map(complex, b)]
+
+
+@pytest.fixture
+def panel_log(monkeypatch):
+    """Integrand calls and panels per integral, as seen by the G7/K15 stage."""
+    log = {"calls": 0, "panels": {}}
+    gk15 = quadrature._gk15
+
+    def counted(f, k, lo, hi):
+        log["calls"] += 1
+        for i in k.tolist():
+            log["panels"][i] = log["panels"].get(i, 0) + 1
+        return gk15(f, k, lo, hi)
+
+    monkeypatch.setattr(quadrature, "_gk15", counted)
+    return log
+
+
+# integral i of the batch: its integrand, interval and initial panels; all
+# complex, since a batch sums one dtype and numpy sums 15 complex values in
+# another order than 15 real ones
+BATCH = [
+    (lambda t: np.exp(1j * 3.0 * t) / (1.1 + t), -1.0, 2.0, 8),
+    (lambda t: np.sqrt(np.abs(t)) - 1j * t, -1.0, 1.0, 3),
+    (lambda t: (1.0 + 0.5j * t) / (1.0 + 400.0 * t * t), -2.0, 0.5, 1),
+    (lambda t: np.cos(t) + 0.5j * t, 0.0, 1.0, 8),
+]
+
+
+def batch_integrand(u, k):
+    out = np.empty(u.shape, dtype=complex)
+    for i, (f, *_rest) in enumerate(BATCH):
+        rows = k[:, 0] == i
+        out[rows] = f(u[rows])
+    return out
+
+
+def reference_adaptive(f, lo, hi, tol, initial_panels=8):
+    """The one-panel-per-call adaptive loop the batch engine replaced."""
+    heap, total, total_err = [], 0.0 + 0.0j, 0.0
+
+    def add_panel(a, b):
+        nonlocal total, total_err
+        half, mid = 0.5 * (b - a), 0.5 * (b + a)
+        fv = np.asarray(f(mid + half * quadrature._NODES))
+        est = half * np.sum(quadrature._WK_FULL * fv)
+        err = abs(est - half * np.sum(quadrature._WG_FULL * fv))
+        total += est
+        total_err += err
+        heapq.heappush(heap, (-err, a, b, est))
+
+    edges = np.linspace(lo, hi, initial_panels + 1)
+    for a, b in zip(edges[:-1], edges[1:]):
+        add_panel(a, b)
+    while total_err > max(tol.abs_tol, tol.rel_tol * abs(total)):
+        neg_err, a, b, est = heapq.heappop(heap)
+        total -= est
+        total_err += neg_err
+        add_panel(a, 0.5 * (a + b))
+        add_panel(0.5 * (a + b), b)
+    return complex(total)
+
+
+def reference_pv(w, lo, hi, x, tol):
+    """The principal value of one point, as computed before batching."""
+    wx = w(x)
+
+    def smooth(t):
+        return (w(t) - wx) / (x - t)
+
+    return reference_adaptive(smooth, lo, x, tol) \
+        + reference_adaptive(smooth, x, hi, tol) \
+        + wx * math.log((x - lo) / (hi - x))
+
+
+class TestIntegrateBatch:
+    def test_equals_reference_loop(self):
+        tol = QuadTolerance(1e-12, 1e-12, 4000)
+        for f, lo, hi, n in BATCH:
+            assert same([integrate_adaptive(f, lo, hi, tol, n)],
+                        [reference_adaptive(f, lo, hi, tol, n)])
+
+
+    def test_equals_each_integral_alone(self, panel_log):
+        tol = QuadTolerance(1e-12, 1e-12, 4000)
+        alone, calls, panels = [], [], []
+        for f, lo, hi, n in BATCH:
+            panel_log.update(calls=0, panels={})
+            alone.append(integrate_adaptive(f, lo, hi, tol, n))
+            calls.append(panel_log["calls"])
+            panels.append(panel_log["panels"][0])
+        panel_log.update(calls=0, panels={})
+        together = integrate_batch(batch_integrand, [b[1] for b in BATCH],
+                                   [b[2] for b in BATCH], tol,
+                                   [b[3] for b in BATCH])
+        assert same(together, alone)
+        assert [panel_log["panels"][i] for i in range(len(BATCH))] == panels
+        # one call for all initial panels, then one per refinement step
+        assert panel_log["calls"] == max(calls) < sum(calls)
+
+    def test_empty_batch(self):
+        assert integrate_batch(batch_integrand, [], [], TOL) == []
+
+    def test_nonfinite_member_named(self):
+        def f(u, k):
+            return np.where((k == 1) & (u > 0.5), np.nan, u)
+        with pytest.raises(NonConvergence, match=r"panel \[0\.5, 0\.625\]"):
+            integrate_batch(f, [0.0, 0.0, 0.0], [1.0, 1.0, 1.0], TOL)
+
+    def test_member_budget_exhausted(self):
+        stingy = QuadTolerance(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=9)
+
+        def f(u, k):
+            return np.where(k == 0, u, np.sqrt(np.abs(u)))
+        with pytest.raises(NonConvergence, match="after 9 panels"):
+            integrate_batch(f, [-1.0, -1.0], [1.0, 1.0], stingy)
+
+    @pytest.mark.parametrize("lo,hi", [([0.0, 1.0], [1.0, 1.0]),
+                                       ([0.0, 2.0], [1.0, 1.0])])
+    def test_bad_member_interval(self, lo, hi):
+        with pytest.raises(DomainError, match="need lo < hi"):
+            integrate_batch(lambda u, k: u, lo, hi, TOL)
+
+    def test_real_line_batch_equals_each_alone(self):
+        certs = [DecayCertificate(0.5, 1.0), (0.3, 4.0), DecayCertificate(0.1, 0.5)]
+        rates = np.array([1.0, 2.0, 0.5])
+
+        def f(u, k):
+            return np.exp(-np.abs(u)) * np.cos(rates[k] * u)
+        alone = [integrate_real_line(lambda u, r=r: np.exp(-np.abs(u)) * np.cos(r * u),
+                                     c, TOL) for r, c in zip(rates, certs)]
+        assert same(integrate_real_line_batch(f, certs, TOL), alone)
+
+
 class TestPvIntegrate:
+    def test_array_of_points(self):
+        # w(x) is evaluated point by point: numpy's array complex multiply
+        # rounds differently from its scalar one, so w(xs) would not match
+        w = lambda t: np.exp(-1j * 3.0 * t) * (1.0 - 1j * t) / (1.0 + t * t)
+        xs = np.array([-0.95, -0.85, -0.1, 0.0, 0.3, 0.85, 0.99])
+        batch = pv_integrate(w, -1.0, 1.0, xs, TOL)
+        assert same(batch, [pv_integrate(w, -1.0, 1.0, x, TOL) for x in xs])
+        assert same(batch, [reference_pv(w, -1.0, 1.0, x, TOL) for x in xs])
+
+    def test_array_with_point_outside(self):
+        with pytest.raises(DomainError):
+            pv_integrate(const_one, -1.0, 1.0, np.array([0.0, 2.0]), TOL)
+
     def test_odd_symmetry(self):
         assert pv_integrate(const_one, -1.0, 1.0, 0.0, TOL) == pytest.approx(0.0, abs=1e-12)
 

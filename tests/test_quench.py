@@ -170,6 +170,9 @@ class TestInterval:
         assert iv.half_width == 1.0
         assert iv.contains(0.5)
         assert not iv.contains(2.0)
+        assert iv.contains(0.5) is True
+        assert iv.contains(np.array([-1.0, 0.0, 0.5, 2.0, 3.0])).tolist() == \
+            [False, False, True, False, False]
         assert iv.is_endpoint(0.0)
         assert not iv.is_endpoint(np.array([0.5, 1.5]))
         assert iv.guard == pytest.approx(2e-6)
