@@ -154,9 +154,10 @@ def boundary_values(xs, params, interval, signal, tol=QuadTolerance()):
     def weighted(t):
         return np.exp(-1j * _phase(t, params, interval)) * g(t)
 
-    pvs = iter(pv_integrate(weighted, interval.lo, interval.hi, pts[inside], tol))
+    pvs = iter(pv_integrate(weighted, interval.lo, interval.hi, pts[inside], tol)
+               if inside.any() else ())
     integrals = iter(_cauchy_weighted_u(pts[~inside], params, interval, signal,
-                                        tol))
+                                        tol) if not inside.all() else ())
     values = []
     for x, x_inside in zip(xs, inside):
         phase = cmath.exp(1j * phase_G(x, params, interval))
@@ -171,8 +172,7 @@ def boundary_values(xs, params, interval, signal, tol=QuadTolerance()):
 
 
 def approximant_boundary(x, params, interval, signal, tol=QuadTolerance()):
-    """Boundary trace of g_lambda at a real point off the endpoints
-    (see boundary_values)."""
+    """Boundary trace of g_lambda at one real point (see boundary_values)."""
     return boundary_values([x], params, interval, signal, tol)[0]
 
 
