@@ -128,11 +128,11 @@ def integrate_batch(f, lo, hi, tol=QuadTolerance(), initial_panels=8):
     """Integrate many functions at once, integral ``i`` over ``[lo[i], hi[i]]``.
 
     ``f(u, k)`` gets a ``(panels, 15)`` array of nodes and the
-    ``(panels, 1)`` indices of their integrals.  Each integral bisects
-    its own worst G7/K15 panel until its summed error is below
-    ``max(abs_tol, rel_tol * |result|)``, with its own budget; the
-    integrals share only the integrand calls, so each result (a list of
-    complex) is what that integral alone would give.
+    ``(panels, 1)`` indices of their integrals; ``initial_panels`` is one
+    count or one per integral.  Each integral bisects its own worst
+    G7/K15 panel until its summed error is below ``max(abs_tol, rel_tol
+    * |result|)``, within its own budget; they share only the integrand
+    calls, so each result (a list of complex) is what it alone would give.
 
     Raises
     ------

@@ -1,0 +1,77 @@
+"""Quadrature work per perfbench workload: integrand calls, panels, points.
+
+Usage, from the root of a source tree::
+
+    PYTHONPATH=src python3 tools/quad_counts.py [--seed 1] [WORKLOAD ...]
+
+Runs each experiment of the workloads (perfbench/workloads.py, the same
+seed-drawn inputs) once, in-process, through ``patil.cli.main``, with
+``patil.quadrature._gk15`` wrapped to count its integrand calls, the
+panels it evaluates (one per entry of its last argument, the panel right
+ends) and the nodes passed to the integrand.  The counts do not depend
+on the machine, and the wrapper does not depend on whether ``_gk15``
+takes one panel or a stack of them, so two source trees can be compared.
+Prints one JSON object: workload -> {"calls", "panels", "points", and
+per experiment its counts and exit code}.
+"""
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
+
+import patil.cli  # noqa: E402
+import patil.quadrature as quadrature  # noqa: E402
+
+
+def counted(gk15, tally):
+    def wrapper(f, *args):
+        def integrand(u, *rest):
+            tally["calls"] += 1
+            tally["points"] += np.size(u)
+            return f(u, *rest)
+        tally["panels"] += np.size(args[-1])
+        return gk15(integrand, *args)
+    return wrapper
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("workload", nargs="*", default=sorted(workloads.WORKLOADS))
+    args = parser.parse_args(argv)
+    result = {}
+    gk15 = quadrature._gk15
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            for name in args.workload:
+                total = result[name] = {"calls": 0, "panels": 0, "points": 0}
+                for exp in workloads.WORKLOADS[name](args.seed):
+                    tally = total[exp.name] = {"calls": 0, "panels": 0, "points": 0}
+                    quadrature._gk15 = counted(gk15, tally)
+                    cfg = os.path.join(tmp, f"{exp.name}.json")
+                    with open(cfg, "w") as fh:
+                        json.dump(exp.config, fh)
+                    with contextlib.redirect_stderr(io.StringIO()):
+                        tally["exit"] = patil.cli.main(
+                            [exp.command, "--config", cfg,
+                             "--out", os.path.join(tmp, "out.csv")])
+                    for key in ("calls", "panels", "points"):
+                        total[key] += tally[key]
+    finally:
+        quadrature._gk15 = gk15
+    print(json.dumps(result))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
