@@ -1,16 +1,21 @@
 """Reference boundary signals with full analytic metadata.
 
-Three families:
+Each builder takes the interval I = (c0 - r, c0 + r) and derives for it
+the pullback through ``t = c0 + r tanh(z/2)``, its strip poles and the
+decay certificate:
 
-* ``example1`` -- semicircle-plus-linear data whose pullback is
-  ``a (sech(z/2) - i tanh(z/2))``; its only strip pole sits exactly on
-  Im z = pi (merged with the kernel pole), predicted exponent 0.
-* ``example2`` -- Cauchy-type data with a genuine strip pole at
-  i pi / 2, predicted exponent 1/4 (divergent case).
-* ``h2_reference_pole`` -- an explicit Hardy-class witness
-  ``1/(z - w)`` with its boundary trace, for convergence experiments.
+* ``rational(c, w)`` -- data ``c / (z - w)``.  Im w > 0 gives one strip
+  pole ``2 artanh((w - c0)/r)`` and exponent ``theta_w / (2 pi)``, with
+  ``theta_w`` the angle I subtends at w; for Im w < 0 the data is its
+  own Hardy-class reference.
+* ``example2 = rational(-i, i)``, exponent 1/4 on (-1, 1), and
+  ``h2_reference_pole = rational(1, w)`` with Im w < 0.
+* ``example1`` -- semicircle-plus-linear data on I = (-a, a) only; its
+  one strip pole sits on Im z = pi (merged with the kernel pole), so its
+  exponent is 0.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -23,17 +28,17 @@ from .errors import DomainError
 from .quadrature import DecayCertificate
 from .quench import Interval
 
-__all__ = ["CatalogEntry", "example1", "example2", "h2_reference_pole",
-           "get_entry", "entry_names"]
+__all__ = ["CatalogEntry", "rational", "example1", "example2",
+           "h2_reference_pole", "get_entry", "entry_names"]
 
 PI = math.pi
+UNIT = Interval(-1.0, 1.0)
 
 
 @dataclass(frozen=True)
 class CatalogEntry:
     name: str
     signal: BoundarySignal
-    interval: Interval  # the I that the strip pullback and poles are drawn for
     reference: ReferencePair = None
 
     @property
@@ -41,10 +46,50 @@ class CatalogEntry:
         return predict_growth_exponent(self.signal.singularities)
 
 
-def example1(a=1.0):
-    """Semicircle data ``sqrt(a^2 - x^2) - i x`` on (-a, a)."""
-    if not a > 0:
-        raise DomainError("a must be > 0")
+def rational(c, w, interval=UNIT, name="rational"):
+    """Data ``c / (z - w)`` on ``interval``, with w off the real line."""
+    c, w = complex(c), complex(w)
+    if not (cmath.isfinite(c) and cmath.isfinite(w) and w.imag != 0):
+        raise DomainError(f"need finite c and w off the real line, "
+                          f"got c={c}, w={w}")
+    c0, r = interval.center, interval.half_width
+    d = c0 - w
+    # under t = c0 + r tanh(z/2): t - w = (d + r)(1 + ratio e^{-z}) / (1 + e^{-z})
+    scale, ratio = c / (d + r), (d - r) / (d + r)
+
+    def evaluate(z):
+        return _unwrap(c / (np.asarray(z, dtype=complex) - w))
+
+    def strip_pullback(z):
+        # written per half plane so neither exponential overflows
+        z = np.asarray(z, dtype=complex)
+        return _unwrap(_by_half_plane(
+            z, lambda em: scale * (1.0 + em) / (1.0 + ratio * em),
+            lambda em: scale * (em + 1.0) / (em + ratio)))
+
+    poles = ()
+    if w.imag > 0:
+        # tanh(beta/2) = s; the residue is c over dt/dz = r (1 - s^2) / 2
+        s = (w - c0) / r
+        poles = (StripSingularity(beta=2.0 * cmath.atanh(s),
+                                  coeff=2.0 * c / (r * (1.0 - s * s))),)
+    signal = BoundarySignal(
+        eval_on_I=evaluate,
+        strip_pullback=strip_pullback,
+        singularities=poles,
+        # |c / (t - w)| <= |c| / |Im w| on the real line
+        decay_cert=DecayCertificate(delta=0.1, bound_M=2.0 * abs(c)
+                                    * (1.0 + 1.0 / abs(w.imag))),
+    )
+    reference = ReferencePair(evaluate, evaluate) if w.imag < 0 else None
+    return CatalogEntry(name=name, signal=signal, reference=reference)
+
+
+def example1(interval=UNIT):
+    """Semicircle data ``sqrt(a^2 - x^2) - i x`` on I = (-a, a)."""
+    a = interval.hi
+    if interval.lo != -a:
+        raise DomainError(f"example1 needs I = (-a, a), got {interval}")
 
     def eval_on_I(x):
         x = np.asarray(x, dtype=float)
@@ -62,68 +107,20 @@ def example1(a=1.0):
         singularities=(StripSingularity(beta=1j * PI, order=1, coeff=-4j * a),),
         decay_cert=DecayCertificate(delta=0.51, bound_M=8.0 * max(a, 1.0)),
     )
-    return CatalogEntry(name="example1", signal=signal, interval=Interval(-a, a))
+    return CatalogEntry(name="example1", signal=signal)
 
 
-def example2():
-    """Cauchy-type data ``(1 - i x) / (1 + x^2)``; strip pole at i pi/2."""
-
-    def eval_on_I(x):
-        x = np.asarray(x, dtype=float)
-        return _unwrap((1.0 - 1j * x) / (1.0 + x * x))
-
-    def strip_pullback(z):
-        # (1-i)(1 + e^{-z}) / (2 (1 - i e^{-z})), written per half plane
-        # so neither exponential overflows; the apparent pole of the two
-        # raw summands at i 3pi/2 cancels identically in this form
-        z = np.asarray(z, dtype=complex)
-        return _unwrap(_by_half_plane(
-            z, lambda em: (1.0 - 1j) * (1.0 + em) / (2.0 * (1.0 - 1j * em)),
-            lambda em: (1.0 - 1j) * (em + 1.0) / (2.0 * (em - 1j))))
-
-    signal = BoundarySignal(
-        eval_on_I=eval_on_I,
-        strip_pullback=strip_pullback,
-        # residue coefficient: numerator (1-i)(1 + e^{-z}) at i pi/2 over
-        # d/dz [2(1 - i e^{-z})] = 2 i e^{-z} -> (1-i)^2 / 2 = -i
-        singularities=(StripSingularity(beta=0.5j * PI, order=1, coeff=-1j),),
-        decay_cert=DecayCertificate(delta=0.1, bound_M=4.0),
-    )
-    return CatalogEntry(name="example2", signal=signal, interval=Interval(-1.0, 1.0))
+def example2(interval=UNIT):
+    """Cauchy-type data ``(1 - i x) / (1 + x^2) = -i / (x - i)``."""
+    return rational(-1j, 1j, interval, "example2")
 
 
-def h2_reference_pole(w=-1j, a=1.0):
+def h2_reference_pole(w=-1j, interval=UNIT):
     """Hardy-class witness ``F(z) = 1/(z - w)`` with pole below the axis."""
     w = complex(w)
     if not w.imag < 0:
         raise DomainError(f"need Im w < 0, got w={w}")
-    if not a > 0:
-        raise DomainError("a must be > 0")
-
-    def evaluate(z):
-        z = np.asarray(z, dtype=complex)
-        return _unwrap(1.0 / (z - w))
-
-    def strip_pullback(z):
-        z = np.asarray(z, dtype=complex)
-        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            t = a * np.tanh(0.5 * z)
-            value = np.where(np.isfinite(t), 1.0 / (t - w), 0.0 + 0.0j)
-        return _unwrap(value)
-
-    signal = BoundarySignal(
-        eval_on_I=evaluate,
-        strip_pullback=strip_pullback,
-        singularities=(),
-        decay_cert=DecayCertificate(delta=0.1,
-                                    bound_M=2.0 * (1.0 + 1.0 / abs(w.imag))),
-    )
-    return CatalogEntry(
-        name="h2pole",
-        signal=signal,
-        interval=Interval(-a, a),
-        reference=ReferencePair(F_interior=evaluate, f_boundary=evaluate),
-    )
+    return rational(1.0, w, interval, "h2pole")
 
 
 _BUILDERS = {

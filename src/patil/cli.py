@@ -194,7 +194,8 @@ class ExperimentConfig:
     def build_entry(self):
         """The catalog entry; a bad name or ``entry_args`` is a ConfigError."""
         try:
-            return catalog.get_entry(self.entry_name, **self.entry_args)
+            return catalog.get_entry(self.entry_name, interval=self.interval,
+                                     **self.entry_args)
         except _BAD_VALUE as exc:
             raise ConfigError(f"bad entry or entry_args: {exc}") from None
 
@@ -228,9 +229,6 @@ def _write_rows(cfg, reproducible, header, rows):
 def run_growth_experiment(cfg, reproducible=False):
     """Sweep |g_lambda| over the lambda grid at real exterior points."""
     entry = cfg.build_entry()
-    if entry.signal.singularities and cfg.interval != entry.interval:
-        raise ConfigError(f"entry {cfg.entry_name!r} has strip poles for "
-                          f"{entry.interval}, not for {cfg.interval}")
     for x in cfg.eval_points:
         if isinstance(x, complex) or not (
                 x <= cfg.interval.lo or x >= cfg.interval.hi):

@@ -64,8 +64,8 @@ class DecayCertificate:
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
             raise DomainError("delta must lie in (0, 1)")
-        if not self.bound_M > 0:
-            raise DomainError("bound_M must be > 0")
+        if not 0 < self.bound_M < math.inf:
+            raise DomainError(f"bound_M must be > 0 and finite, got {self.bound_M}")
 
     def truncation_point(self, abs_tol):
         """Half-width U with tail bound below ``abs_tol / 2``."""

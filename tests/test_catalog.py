@@ -1,8 +1,11 @@
+import cmath
 import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patil.asymptotics import phi, predict_growth_exponent
 from patil.catalog import (
@@ -12,6 +15,7 @@ from patil.catalog import (
     example2,
     get_entry,
     h2_reference_pole,
+    rational,
 )
 from patil.errors import DomainError
 from patil.quadrature import QuadTolerance, integrate_real_line
@@ -27,7 +31,7 @@ class TestPullbackIdentity:
     @pytest.mark.parametrize("u", PULLBACK_POINTS)
     @pytest.mark.parametrize("a", [1.0, 2.5])
     def test_example1(self, u, a):
-        entry = example1(a)
+        entry = example1(Interval(-a, a))
         lhs = entry.signal.strip_pullback(u)
         rhs = entry.signal.eval_on_I(phi(u, a))
         assert abs(lhs - rhs) < 1e-10
@@ -41,7 +45,7 @@ class TestPullbackIdentity:
 
     @pytest.mark.parametrize("u", PULLBACK_POINTS)
     def test_h2pole(self, u):
-        entry = h2_reference_pole(-0.5j, 2.0)
+        entry = h2_reference_pole(-0.5j, Interval(-2.0, 2.0))
         lhs = entry.signal.strip_pullback(u)
         rhs = entry.signal.eval_on_I(phi(u, 2.0))
         assert abs(lhs - rhs) < 1e-10
@@ -100,10 +104,65 @@ class TestGrowthMetadata:
         assert moved.expected_exponent == pytest.approx(0.375)
 
     def test_interval_of_strip_metadata(self):
-        assert example1().interval == Interval(-1.0, 1.0)
-        assert example1(2.5).interval == Interval(-2.5, 2.5)
-        assert example2().interval == Interval(-1.0, 1.0)
-        assert h2_reference_pole(-1j, 0.5).interval == Interval(-0.5, 0.5)
+        # each builder draws its strip metadata for the interval it is given
+        assert "interval" not in {f.name for f in dataclasses.fields(CatalogEntry)}
+        assert example1(Interval(-2.5, 2.5)).signal.strip_pullback(0.0) == \
+            pytest.approx(2.5)
+        wide = example2(Interval(-2.0, 2.0))
+        assert wide.signal.singularities[0].beta == \
+            pytest.approx(2j * math.atan(0.5))
+        assert wide.expected_exponent == \
+            pytest.approx((PI - 2.0 * math.atan(0.5)) / (2.0 * PI))
+        shifted = h2_reference_pole(-1j, Interval(-0.5, 2.0))
+        assert shifted.signal.strip_pullback(0.0) == pytest.approx(1.0 / (0.75 + 1j))
+
+
+_COEFF = st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0)
+_POLE = st.builds(complex, st.floats(-5.0, 5.0),
+                  st.floats(0.2, 5.0) | st.floats(-5.0, -0.2))
+_INTERVAL = st.builds(lambda lo, width: Interval(lo, lo + width),
+                      st.floats(-3.0, 2.0), st.floats(0.5, 4.0))
+
+
+class TestRational:
+    """Everything ``rational(c, w, I)`` derives, against its definition."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(c=_COEFF, w=_POLE, interval=_INTERVAL)
+    def test_derived_metadata(self, c, w, interval):
+        entry = rational(c, w, interval)
+        signal = entry.signal
+        c0, r = interval.center, interval.half_width
+        # the pullback is the data at t = c0 + r tanh(u/2)
+        u = np.linspace(-30.0, 30.0, 61)
+        data = signal.eval_on_I(c0 + r * np.tanh(0.5 * u))
+        pullback = signal.strip_pullback(u)
+        scale = np.maximum(np.abs(data), 1.0)
+        assert np.all(np.abs(pullback - data) <= 1e-12 * scale)
+        # the real-line certificate: |c / (t - w)| <= |c| / |Im w| <= bound_M
+        cert = signal.decay_cert
+        bound = cert.bound_M * np.exp(cert.delta * np.abs(u))
+        assert np.all(np.abs(pullback) <= bound)
+        # the exponent is theta_w / (2 pi), theta_w the angle I subtends at w
+        theta = abs(cmath.phase((interval.lo - w) / (interval.hi - w)))
+        if w.imag > 0:
+            assert entry.expected_exponent == \
+                pytest.approx(theta / (2.0 * PI), abs=1e-12)
+            (pole,) = signal.singularities
+            ring = np.exp(2j * PI * np.arange(64) / 64)
+            average = np.mean(signal.strip_pullback(pole.beta + ring) * ring)
+            assert abs(average - pole.coeff) <= 1e-9 * abs(pole.coeff)
+            assert entry.reference is None
+        else:
+            assert entry.expected_exponent == 0.0
+            assert signal.singularities == ()
+            assert entry.reference.F_interior(w.conjugate()) == \
+                pytest.approx(c / (2j * w.conjugate().imag))
+
+    @pytest.mark.parametrize("w", [0.5, 2.0 + 0j, complex("nanj"), complex("-infj")])
+    def test_pole_off_the_real_line(self, w):
+        with pytest.raises(DomainError):
+            rational(1.0, w)
 
 
 class TestHardyWitness:
@@ -133,7 +192,7 @@ class TestHardyWitness:
         with pytest.raises(DomainError):
             h2_reference_pole(1j)
         with pytest.raises(DomainError):
-            h2_reference_pole(-1j, a=-1.0)
+            h2_reference_pole(0.5)
 
 
 class TestRegistry:
@@ -141,7 +200,7 @@ class TestRegistry:
         assert entry_names() == ["example1", "example2", "h2pole"]
 
     def test_get_entry(self):
-        entry = get_entry("example1", a=2.0)
+        entry = get_entry("example1", interval=Interval(-2.0, 2.0))
         assert isinstance(entry, CatalogEntry)
         assert entry.name == "example1"
         assert entry.signal.eval_on_I(0.0) == pytest.approx(2.0)
@@ -151,5 +210,10 @@ class TestRegistry:
             get_entry("nonsense")
 
     def test_example1_requires_positive_width(self):
+        # I = (-a, a) with a > 0; an Interval is never empty
         with pytest.raises(DomainError):
-            example1(a=0.0)
+            example1(Interval(-1.0, 2.0))
+        with pytest.raises(DomainError):
+            example1(Interval(0.0, 0.0))
+        with pytest.raises(TypeError):
+            get_entry("example1", a=2.0)

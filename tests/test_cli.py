@@ -99,23 +99,28 @@ class TestGrowthCommand:
         assert "bad lambda_grid" in capsys.readouterr().err
 
     def test_interval_of_strip_poles_enforced(self, tmp_path, capsys, monkeypatch):
-        # example2's strip pole i pi/2 belongs to I = (-1, 1) only
+        # example1's strip pole at i pi needs I = (-a, a); every other
+        # entry derives its strip poles from the configured interval
         monkeypatch.setattr(cli, "boundary_values", no_cell)
-        cfg = write_config(tmp_path, interval=[-2.0, 2.0], eval_points=[3.0],
+        cfg = write_config(tmp_path, entry="example1", interval=[-1.0, 2.0],
+                           eval_points=[3.0],
                            lambda_grid=[10.0 ** k for k in range(2, 9)])
         assert main(["growth", "--config", cfg]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert "Interval(lo=-1.0, hi=1.0)" in err
-        assert "Interval(lo=-2.0, hi=2.0)" in err
+        assert "Interval(lo=-1.0, hi=2.0)" in capsys.readouterr().err
 
     def test_interval_of_entry_args_accepted(self, tmp_path, monkeypatch):
+        # the entry's interval is the config's; entry_args cannot set it
         monkeypatch.setattr(cli, "boundary_values",
                             lambda xs, *a, **k: [1.0] * len(xs))
-        cfg = write_config(tmp_path, entry="example1", entry_args={"a": 2.0},
-                           interval=[-2.0, 2.0], eval_points=[3.0],
+        cfg = write_config(tmp_path, entry="example1", interval=[-2.0, 2.0],
+                           eval_points=[3.0],
                            lambda_grid=[10.0 ** k for k in range(2, 9)])
         assert main(["growth", "--config", cfg,
                      "--out", str(tmp_path / "o.csv")]) == EXIT_OK
+        for args in ({"a": 2.0}, {"interval": [-2.0, 2.0]}):
+            cfg = write_config(tmp_path, entry="example1", entry_args=args,
+                               interval=[-2.0, 2.0], eval_points=[3.0])
+            assert main(["growth", "--config", cfg]) == EXIT_CONFIG
 
     def test_nonconvergence_exit(self, tmp_path):
         cfg = write_config(
@@ -274,6 +279,8 @@ class TestConfigErrors:
         ("growth", {"entry": "nosuch"}),
         ("contour", {"contour": {"alpha": [1.0]}}),
         ("contour", {"contour": {"xi": [-50.0]}}),
+        # |Im w| so small that the decay bound 2 (1 + 1/|Im w|) is inf
+        ("growth", {"entry": "h2pole", "entry_args": {"w": "-1e-320j"}}),
     ])
     def test_bad_value_exits_config(self, tmp_path, capsys, command, overrides):
         cfg = write_config(tmp_path, **{"eval_points": [2.0], **overrides})

@@ -22,6 +22,7 @@ REL_TOL = 1e-12
 
 CASES = [
     ("growth_example2", EXIT_OK),
+    ("growth_example2_wide", EXIT_OK),  # I = (-2, 2): slope 0.352
     ("growth_h2pole", EXIT_CRITERION),  # 4 lambdas: slope misses 0.05
     ("growth_h2pole_nonsym", EXIT_OK),  # 2 points on each side of I
     ("converge_h2pole", EXIT_OK),
