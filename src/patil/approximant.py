@@ -19,10 +19,10 @@ from .quadrature import (
     QuadTolerance,
     integrate_batch,
     integrate_real_line,  # noqa: F401 -- perfbench/tracing.py wraps it here
-    integrate_real_line_batch,
-    pv_integrate,
+    pv_integrate,  # noqa: F401 -- perfbench/tracing.py wraps it here
 )
-from .quench import _log_weight_ratio, _phase, phase_G, quench_interior
+from .quench import _log_weight_ratio, _phase, quench_boundary, quench_interior
+from .quench import phase_G  # noqa: F401 -- perfbench/tracing.py wraps it here
 
 __all__ = [
     "BoundarySignal",
@@ -63,35 +63,67 @@ class ReferencePair:
     f_boundary: callable
 
 
-def _segment_distance(z, interval):
-    z = complex(z)
-    dx = max(abs(z.real - interval.center) - interval.half_width, 0.0)
-    return math.hypot(dx, z.imag)
-
-
 def _cauchy_weighted_u(zs, params, interval, signal, tol):
     """int_I exp(-iG(t)) g(t) / (t - z) dt for each z of the array ``zs``.
 
     Under the tanh substitution ``t = c + r tanh(u/2)`` the phase becomes
     exactly ``exp(i xi u)`` times a constant unimodular factor, and the
-    Jacobian contributes ``exp(-|u|)`` decay.
+    Jacobian J contributes ``exp(-|u|)`` decay.  A real x inside I takes
+    the limit from above: with ``v = ln((x - lo)/(hi - x))``,
+    ``w(u) = exp(i xi u) g(t(u))`` and ``K(u) = J(u)/(t(u) - x) =
+    cosh(v/2) / (2 cosh(u/2) sinh((u - v)/2))``, whose principal value is
+    -v, it is ``(w - w(v)) K`` on [-U, v] and [v, U] plus ``(i pi - v) w(v)``.
+    Tail: for ``|u| >= |v| + 2``, ``|u - v| >= 2``, so ``|sinh((u - v)/2)|
+    >= (1 - e^-2) e^{|u - v|/2} / 2``; with ``cosh(u/2) >= e^{|u|/2} / 2``,
+    ``cosh(v/2) <= e^{|v|/2}`` and ``|u - v| >= |u| - |v|``, ``|K| < 3
+    e^{|v| - |u|}``.  As ``|w(u) - w(v)| <= 2 M e^{delta (|u| + |v|)}`` for
+    ``|g(t(u))| <= M e^{delta |u|}``, the integrand is below
+    ``6 M e^{(1 + delta)|v|} e^{(delta - 1)|u|}``.
     """
     c = interval.center
     r = interval.half_width
     xi = params.xi
     g = signal.eval_on_I
+    cert = signal.decay_cert
+    inside = (zs.imag == 0) & interval.contains(zs.real)
+    vs = np.zeros(len(zs))
+    wvs = np.zeros(len(zs), dtype=complex)
+
+    def cut(bound):
+        return DecayCertificate(cert.delta, bound).truncation_point(tol.abs_tol)
+
+    pieces = []  # (point, lo, hi, initial panels) of each integral
+    for j, z in enumerate(zs):
+        if inside[j]:
+            v = vs[j] = math.log((z.real - interval.lo) / (interval.hi - z.real))
+            wvs[j] = cmath.exp(1j * xi * v) * complex(g(z.real))
+            u_max = max(abs(v) + 2.0, cut(6.0 * cert.bound_M * math.exp(
+                (1.0 + cert.delta) * abs(v))))
+            pieces += [(j, -u_max, v, 8), (j, v, u_max, 8)]
+        else:
+            dist = math.hypot(max(abs(z.real - c) - r, 0.0), z.imag)  # to I
+            u_max = cut(2.0 * r * cert.bound_M / dist)
+            pieces.append((j, -u_max, u_max, max(8, int(math.ceil(u_max)))))
+    owner, lo, hi, panels = np.array(pieces).reshape(-1, 4).T
 
     def integrand(u, k):
+        k = owner[k].astype(int)
         sech2 = 1.0 / np.cosh(0.5 * u) ** 2
         t = c + r * np.tanh(0.5 * u)
-        return np.exp(1j * xi * u) * g(t) * (0.5 * r * sech2) / (t - zs[k])
+        w = np.exp(1j * xi * u) * g(t)
+        values = w * (0.5 * r * sech2) / (t - zs[k])
+        rows = inside[k[:, 0]]
+        if rows.any():  # the sinh form of K: no cancellation in t - x
+            u, v = u[rows], vs[k[rows]]
+            values[rows] = (w[rows] - wvs[k[rows]]) * np.cosh(0.5 * v) / (
+                2.0 * np.cosh(0.5 * u) * np.sinh(0.5 * (u - v)))
+        return values
 
-    data_cert = signal.decay_cert
-    certs = [DecayCertificate(data_cert.delta, 2.0 * r * data_cert.bound_M
-                              / _segment_distance(z, interval)) for z in zs]
-    values = integrate_real_line_batch(integrand, certs, tol)
     const = cmath.exp(1j * xi * (0.5 * _log_weight_ratio(interval)))
-    return [const * value for value in values]
+    ints = iter(integrate_batch(integrand, lo, hi, tol, panels.astype(int)))
+    return [const * (next(ints) + next(ints) + (1j * math.pi - vs[j])
+                     * complex(wvs[j])) if inside[j] else const * next(ints)
+            for j in range(len(zs))]
 
 
 def _cauchy_weighted_t(zs, params, interval, signal, tol):
@@ -135,10 +167,9 @@ def approximant_interior(z, params, interval, signal, tol=QuadTolerance(),
 def boundary_values(xs, params, interval, signal, tol=QuadTolerance()):
     """Boundary trace of g_lambda at each real point of ``xs``, as a list.
 
-    Inside I the quench moduli cancel exactly and the value splits into
-    ``lam/(2(1+lam)) g(x)`` plus a principal-value Hilbert-type term.
-    Outside the closed interval no principal value is needed and the
-    integral is taken in the u-domain.  Each of the two paths is one batch.
+    Each point is one u-domain Cauchy integral of a single batch (inside I
+    the limit from above) times the boundary trace of h_lambda, whose
+    modulus is ``(1+lam)^{-1/2}`` inside I and 1 outside.
     """
     for x in xs:
         if interval.is_endpoint(x):
@@ -147,28 +178,11 @@ def boundary_values(xs, params, interval, signal, tol=QuadTolerance()):
     lam = params.lam
     if lam == 0:
         return [0.0 + 0.0j] * len(xs)
-    pts = np.asarray(xs, dtype=float)
-    inside = interval.contains(pts)
-    g = signal.eval_on_I
-
-    def weighted(t):
-        return np.exp(-1j * _phase(t, params, interval)) * g(t)
-
-    pvs = iter(pv_integrate(weighted, interval.lo, interval.hi, pts[inside], tol)
-               if inside.any() else ())
-    integrals = iter(_cauchy_weighted_u(pts[~inside], params, interval, signal,
-                                        tol) if not inside.all() else ())
-    values = []
-    for x, x_inside in zip(xs, inside):
-        phase = cmath.exp(1j * phase_G(x, params, interval))
-        if x_inside:
-            direct = lam / (2.0 * (1.0 + lam)) * complex(g(x))
-            values.append(direct + 1j * lam / (2.0 * math.pi * (1.0 + lam))
-                          * phase * next(pvs))
-        else:
-            values.append(1j * lam / (2.0 * math.pi * math.sqrt(1.0 + lam))
-                          * phase * -next(integrals))
-    return values
+    integrals = _cauchy_weighted_u(np.asarray(xs, dtype=complex), params,
+                                   interval, signal, tol)
+    return [1j * lam / (2.0 * math.pi * math.sqrt(1.0 + lam))
+            * quench_boundary(x, params, interval) * -integral
+            for x, integral in zip(xs, integrals)]
 
 
 def approximant_boundary(x, params, interval, signal, tol=QuadTolerance()):

@@ -3,7 +3,7 @@
 * :func:`integrate_batch` -- many globally adaptive Gauss-Kronrod
   (G7/K15) integrals on finite intervals, sharing integrand calls;
   :func:`integrate_adaptive` is a batch of one.
-* :func:`pv_integrate` -- principal values of ``w(t)/(x - t)`` with an
+* :func:`pv_integrate` -- the principal value of ``w(t)/(x - t)`` at an
   interior Cauchy singularity, by singularity subtraction.
 * :func:`integrate_real_line` (and ``_batch``) -- truncated real-line
   integrals whose truncation point comes from a decay certificate.
@@ -197,34 +197,20 @@ def endpoint_guard(lo, hi):
 def pv_integrate(w, lo, hi, x, tol=QuadTolerance()):
     """Principal value of ``w(t) / (x - t)`` over ``[lo, hi]``.
 
-    ``x`` is a float, or an array for a list of values, one per point.
     Uses singularity subtraction: the smooth remainder
     ``(w(t) - w(x)) / (x - t)`` is integrated adaptively (split at x so
     no node lands on the singularity), and the singular part is the
-    closed form ``p.v. int dt/(x - t) = ln((x - lo)/(hi - x))``.  ``w``
-    does not depend on x, so the two pieces of every x form one batch.
+    closed form ``p.v. int dt/(x - t) = ln((x - lo)/(hi - x))``.
     """
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    for v in xs:
-        if not lo < v < hi:
-            raise DomainError(f"need lo < x < hi, got x={v} on [{lo}, {hi}]")
-        if min(v - lo, hi - v) < endpoint_guard(lo, hi):
-            raise DomainError(
-                f"x={v} within guard distance of an endpoint of [{lo}, {hi}]"
-            )
-    # w at each point alone: numpy's array complex multiply can round
-    # differently from its scalar one
-    wx = np.array([w(v) for v in xs])
-
-    def smooth(t, k):
-        return (w(t) - wx[k // 2]) / (xs[k // 2] - t)
-
-    # piece 2j is [lo, x_j], piece 2j + 1 is [x_j, hi]
-    pieces = integrate_batch(smooth, np.stack([np.full_like(xs, lo), xs], 1).ravel(),
-                             np.stack([xs, np.full_like(xs, hi)], 1).ravel(), tol)
-    values = [left + right + wv * math.log((v - lo) / (hi - v))
-              for left, right, wv, v in zip(pieces[::2], pieces[1::2], wx, xs)]
-    return values if np.ndim(x) else values[0]
+    if not lo < x < hi:
+        raise DomainError(f"need lo < x < hi, got x={x} on [{lo}, {hi}]")
+    if min(x - lo, hi - x) < endpoint_guard(lo, hi):
+        raise DomainError(f"x={x} within guard distance of an endpoint "
+                          f"of [{lo}, {hi}]")
+    wx = w(x)
+    left, right = integrate_batch(lambda t, k: (w(t) - wx) / (x - t),
+                                  [lo, x], [x, hi], tol)
+    return left + right + wx * math.log((x - lo) / (hi - x))
 
 
 def integrate_real_line(f, cert, tol=QuadTolerance()):

@@ -1,8 +1,12 @@
 import cmath
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patil.approximant import (
     BoundarySignal,
@@ -13,14 +17,37 @@ from patil.approximant import (
     l2_error_on_window,
     sup_error_on_compact,
 )
-from patil.catalog import example1, example2, h2_reference_pole
-from patil.errors import DomainError, NonConvergence
-from patil.quadrature import QuadTolerance, pv_integrate
-from patil.quench import Interval, QuenchParams, _phase, phase_G
+from patil.catalog import example1, example2, h2_reference_pole, rational
+from patil.errors import DomainError
+from patil.quadrature import QuadTolerance
+from patil.quench import Interval, QuenchParams
 
 SYM = Interval(-1.0, 1.0)
 TOL = QuadTolerance()
 H2 = h2_reference_pole(-1j)
+
+# the benchmark's mpmath oracle, loaded read-only from its file
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_oracle", Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py")
+oracle = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(oracle)
+
+
+def closed_form(x, lam, interval, c, w):
+    """g_lambda(x) for data c/(t - w): F(x) (1 - h_lambda(x) / H_lambda(w)).
+
+    H_lambda is h_lambda continued off I along the principal branch
+    (see perfbench/oracle.py); h_lambda(x) is its limit from above, of
+    modulus (1+lam)^{-1/2} inside I and 1 outside.
+    """
+    xi = math.log1p(lam) / (2.0 * math.pi)
+    half_l = 0.5 * (math.log1p(interval.hi ** 2) - math.log1p(interval.lo ** 2))
+    big_h = cmath.exp(1j * xi * (cmath.log((interval.hi - w) / (interval.lo - w))
+                                 - half_l))
+    modulus = 1.0 / math.sqrt(1.0 + lam) if interval.contains(x) else 1.0
+    h = modulus * cmath.exp(1j * xi * (math.log(abs((interval.hi - x)
+                                                    / (interval.lo - x))) - half_l))
+    return c / (x - w) * (1.0 - h / big_h)
 
 
 class TestInterior:
@@ -77,26 +104,42 @@ class TestBoundary:
         with pytest.raises(DomainError):
             approximant_boundary(1.0, QuenchParams(1.0), SYM, H2.signal)
 
-    def test_node_on_endpoint_raises(self):
-        # refinement near x puts a node on lo, where the phase is log 0
-        with pytest.raises(NonConvergence):
-            approximant_boundary(-0.999996, QuenchParams(1e10),
-                                 Interval(-1.0, 1.0), H2.signal)
+    @pytest.mark.parametrize("lam", [1e10, 1e11, 1e12])
+    def test_near_endpoint_matches_oracle(self, lam):
+        # 4e-6 from lo: the t-domain principal value put a node on lo here
+        value = approximant_boundary(-0.999996, QuenchParams(lam), SYM, H2.signal)
+        want = oracle.approximant(-0.999996, lam, -1.0, 1.0, 1, -1j)
+        assert abs(value - want) <= 1e-12 * abs(want)
 
-    def test_inside_split_is_exact(self):
-        # inside I the direct term must be exactly lam/(2(1+lam)) g(x)
-        signal = example2().signal
-        p = QuenchParams(500.0)
-        x = 0.35
-        weighted = lambda t: np.exp(
-            -1j * _phase(np.asarray(t, dtype=float), p, SYM)
-        ) * signal.eval_on_I(t)
-        pv = pv_integrate(weighted, SYM.lo, SYM.hi, x, TOL)
-        phase = cmath.exp(1j * phase_G(x, p, SYM))
-        hilbert_term = 1j * p.lam / (2 * math.pi * (1 + p.lam)) * phase * pv
-        direct = approximant_boundary(x, p, SYM, signal, TOL) - hilbert_term
-        expected = p.lam / (2 * (1 + p.lam)) * signal.eval_on_I(x)
-        assert abs(direct - expected) < 1e-12
+    @pytest.mark.parametrize("x", [-0.99, -0.3, 0.35, 0.9])
+    @pytest.mark.parametrize("lam", [5e2, 1e8])
+    def test_inside_matches_closed_form(self, x, lam):
+        value = approximant_boundary(x, QuenchParams(lam), SYM, example2().signal)
+        want = closed_form(x, lam, SYM, -1j, 1j)
+        assert abs(value - want) <= 1e-12 * abs(want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(c=st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0),
+           w=st.builds(complex, st.floats(-5.0, 5.0),
+                       st.floats(0.2, 5.0) | st.floats(-5.0, -0.2)),
+           lo=st.floats(-3.0, 2.0), width=st.floats(0.5, 4.0),
+           near=st.lists(st.floats(-5.0, math.log10(0.5)), min_size=2, max_size=2),
+           far=st.lists(st.floats(0.01, 3.0), min_size=2, max_size=2),
+           decades=st.floats(0.0, 12.0))
+    def test_rational_matches_closed_form(self, c, w, lo, width, near, far, decades):
+        # inside I down to 1e-5 |I| from an endpoint, and outside on both sides
+        interval = Interval(lo, lo + width)
+        inside = [lo + width * 10.0 ** near[0], lo + width - width * 10.0 ** near[1]]
+        xs = inside + [lo - far[0], lo + width + far[1]]
+        lam = 10.0 ** decades
+        values = boundary_values(xs, QuenchParams(lam), interval,
+                                 rational(c, w, interval).signal, TOL)
+        # outside I nothing cancels the Cauchy integral's own abs_tol
+        outside = lam / (2.0 * math.pi * math.sqrt(1.0 + lam)) * TOL.abs_tol
+        slack = [0.0, 0.0, outside, outside]
+        for x, value, extra in zip(xs, values, slack):
+            want = closed_form(x, lam, interval, c, w)
+            assert abs(value - want) <= 1e-12 * abs(want) + extra, (x, lam)
 
     @pytest.mark.parametrize("entry", [example1(), example2()])
     @pytest.mark.parametrize("x", [0.3, 2.0])
