@@ -26,7 +26,8 @@ CASES = [
     ("growth_h2pole", EXIT_CRITERION),  # 4 lambdas: slope misses 0.05
     ("growth_h2pole_nonsym", EXIT_OK),  # 2 points on each side of I
     ("converge_h2pole", EXIT_OK),
-    ("converge_h2pole_mixed", EXIT_OK),  # PV and exterior cells, one lambda
+    ("converge_h2pole_mixed", EXIT_OK),  # inside and exterior cells, one batch
+    ("converge_h2pole_near_endpoint", EXIT_OK),  # a window sample 4e-6 from lo
     ("contour_example1", EXIT_OK),
     ("contour_example2", EXIT_OK),
 ]
