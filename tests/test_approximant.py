@@ -111,6 +111,13 @@ class TestBoundary:
         want = oracle.approximant(-0.999996, lam, -1.0, 1.0, 1, -1j)
         assert abs(value - want) <= 1e-12 * abs(want)
 
+    @pytest.mark.parametrize("x", [-1.0 + 1e-9, 1.0 - 1.2e-16])
+    def test_closer_than_endpoint_guard(self, x):
+        # the t-domain principal value refused these; in u they are finite
+        value = approximant_boundary(x, QuenchParams(1e12), SYM, H2.signal)
+        want = oracle.approximant(x, 1e12, -1.0, 1.0, 1, -1j)
+        assert abs(value - want) <= 1e-12 * abs(want)
+
     @pytest.mark.parametrize("x", [-0.99, -0.3, 0.35, 0.9])
     @pytest.mark.parametrize("lam", [5e2, 1e8])
     def test_inside_matches_closed_form(self, x, lam):
