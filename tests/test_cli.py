@@ -192,7 +192,7 @@ class TestConvergeCommand:
             warnings.simplefilter("error", RuntimeWarning)
             assert main(["converge", "--config", cfg, "--out", out]) == EXIT_OK
         assert capsys.readouterr().err == ""
-        header, rows = read_csv(out)
+        _, rows = read_csv(out)
         assert len(rows) == 3
         assert all(math.isfinite(float(v)) for row in rows for v in row)
 
