@@ -14,12 +14,9 @@ from .asymptotics import (
     ContourSpec,
     GrowthReport,
     StripSingularity,
-    alpha_of,
     contour_identity_check,
     fit_growth_exponent,
     kernel_k,
-    phi,
-    phi_inv,
     predict_growth_exponent,
     residue_kernel_pole,
     residue_merged,

@@ -20,6 +20,7 @@ from .quadrature import (
     integrate_batch,
     integrate_real_line,  # noqa: F401 -- perfbench/tracing.py wraps it here
     pv_integrate,  # noqa: F401 -- perfbench/tracing.py wraps it here
+    real_line_panels,
 )
 from .quench import _log_weight_ratio, _phase, quench_boundary, quench_interior
 from .quench import phase_G  # noqa: F401 -- perfbench/tracing.py wraps it here
@@ -46,7 +47,7 @@ class BoundarySignal:
     where the u-integral is truncated.  ``strip_pullback``, when
     present, analytically extends the pullback of g through the tanh
     map to the strip ``0 <= Im z <= 3 pi / 2``; ``singularities`` lists
-    its poles in the closed strip ``0 < Im z <= pi``.
+    its poles there, ``0 < Im z <= 3 pi / 2``.
     """
 
     eval_on_I: callable
@@ -66,10 +67,10 @@ class ReferencePair:
 def _cauchy_weighted_u(zs, params, interval, signal, tol):
     """int_I exp(-iG(t)) g(t) / (t - z) dt for each z of the array ``zs``.
 
-    Under the tanh substitution ``t = c + r tanh(u/2)`` the phase becomes
+    Under the tanh substitution ``t = interval.from_u(u)`` the phase becomes
     exactly ``exp(i xi u)`` times a constant unimodular factor, and the
     Jacobian J contributes ``exp(-|u|)`` decay.  A real x inside I takes
-    the limit from above: with ``v = ln((x - lo)/(hi - x))``,
+    the limit from above: with ``v = interval.to_u(x)``,
     ``w(u) = exp(i xi u) g(t(u))`` and ``K(u) = J(u)/(t(u) - x) =
     cosh(v/2) / (2 cosh(u/2) sinh((u - v)/2))``, whose principal value is
     -v, it is ``(w - w(v)) K`` on [-U, v] and [v, U] plus ``(i pi - v) w(v)``.
@@ -80,7 +81,6 @@ def _cauchy_weighted_u(zs, params, interval, signal, tol):
     ``|g(t(u))| <= M e^{delta |u|}``, the integrand is below
     ``6 M e^{(1 + delta)|v|} e^{(delta - 1)|u|}``.
     """
-    c = interval.center
     r = interval.half_width
     xi = params.xi
     g = signal.eval_on_I
@@ -95,21 +95,21 @@ def _cauchy_weighted_u(zs, params, interval, signal, tol):
     pieces = []  # (point, lo, hi, initial panels) of each integral
     for j, z in enumerate(zs):
         if inside[j]:
-            v = vs[j] = math.log((z.real - interval.lo) / (interval.hi - z.real))
+            v = vs[j] = interval.to_u(z.real)
             wvs[j] = cmath.exp(1j * xi * v) * complex(g(z.real))
             u_max = max(abs(v) + 2.0, cut(6.0 * cert.bound_M * math.exp(
                 (1.0 + cert.delta) * abs(v))))
             pieces += [(j, -u_max, v, 8), (j, v, u_max, 8)]
         else:
-            dist = math.hypot(max(abs(z.real - c) - r, 0.0), z.imag)  # to I
+            dist = math.hypot(max(abs(z.real - interval.center) - r, 0.0), z.imag)
             u_max = cut(2.0 * r * cert.bound_M / dist)
-            pieces.append((j, -u_max, u_max, max(8, int(math.ceil(u_max)))))
+            pieces.append((j, -u_max, u_max, real_line_panels(u_max)))
     owner, lo, hi, panels = np.array(pieces).reshape(-1, 4).T
 
     def integrand(u, k):
         k = owner[k].astype(int)
         sech2 = 1.0 / np.cosh(0.5 * u) ** 2
-        t = c + r * np.tanh(0.5 * u)
+        t = interval.from_u(u)
         w = np.exp(1j * xi * u) * g(t)
         values = w * (0.5 * r * sech2) / (t - zs[k])
         rows = inside[k[:, 0]]

@@ -1,12 +1,13 @@
 """Residue machinery on the strip and growth-exponent analysis.
 
-The tanh change of variable sends the weighted Cauchy integral over I
-to a real-line integral of ``k(u, xi) * p(u)`` where p is the pullback
-of the data and k carries poles at ``i pi`` and ``i pi + ln(alpha)``
-(modulo 2 pi i).  Closing the contour with a rectangle of height
-``b in (pi, 3 pi/2]`` expresses the integral through residues, whose
-``exp(-xi Im beta)`` decay against the ``exp(xi pi)`` prefactor of
-g_lambda dictates the power-law growth exponent in ``1 + lambda``.
+The tanh change of variable (``Interval.from_u``) sends the weighted
+Cauchy integral over I to a real-line integral of ``k(u, xi) * p(u)``
+where p is the pullback of the data and k carries poles at ``i pi`` and
+``i pi + ln(alpha)``, ``alpha = Interval.alpha(x)`` (modulo 2 pi i).
+Closing the contour with a rectangle of height ``b in (pi, 3 pi/2]``
+expresses the integral through residues, whose ``exp(-xi Im beta)``
+decay against the ``exp(xi pi)`` prefactor of g_lambda dictates the
+power-law growth exponent in ``1 + lambda``.
 """
 
 import cmath
@@ -22,9 +23,6 @@ __all__ = [
     "StripSingularity",
     "ContourSpec",
     "GrowthReport",
-    "phi",
-    "phi_inv",
-    "alpha_of",
     "kernel_k",
     "residue_kernel_pole",
     "residue_merged",
@@ -36,12 +34,13 @@ __all__ = [
 ]
 
 PI = math.pi
+STRIP_TOP = 1.5 * PI  # strip_pullback is declared on 0 <= Im z <= STRIP_TOP
 ALPHA_ONE_TOL = 1e-6  # |alpha - 1| at or below this puts x at infinity
 
 
 @dataclass(frozen=True)
 class StripSingularity:
-    """A pole of the pullback in the closed strip 0 < Im z <= pi.
+    """A pole of the pullback in the strip 0 < Im z <= 3 pi / 2.
 
     ``coeff`` is the limit of ``p(z) (z - beta)^order`` at the pole.
     """
@@ -51,8 +50,8 @@ class StripSingularity:
     coeff: complex = 1.0
 
     def __post_init__(self):
-        if not 0.0 < complex(self.beta).imag <= PI:
-            raise DomainError(f"pole must satisfy 0 < Im beta <= pi, got {self.beta}")
+        if not 0.0 < complex(self.beta).imag <= STRIP_TOP:
+            raise DomainError(f"need 0 < Im beta <= 3 pi/2, got {self.beta}")
         if self.order < 1:
             raise DomainError("pole order must be >= 1")
 
@@ -62,12 +61,12 @@ class ContourSpec:
     """Rectangle [-R, R] x [0, height] used to close the contour."""
 
     R: float
-    height: float = 1.5 * PI
+    height: float = STRIP_TOP
 
     def __post_init__(self):
         if not self.R > 0:
             raise DomainError("R must be > 0")
-        if not PI < self.height <= 1.5 * PI:
+        if not PI < self.height <= STRIP_TOP:
             raise DomainError(
                 f"height must lie in (pi, 3 pi/2], got {self.height}"
             )
@@ -109,35 +108,6 @@ def _by_half_plane(z, right, left):
     right_half = z.real > 0
     em = np.exp(np.where(right_half, -z, z))
     return np.where(right_half, right(em), left(em))
-
-
-def phi(u, a):
-    """Tanh change of variable ``a (1 - e^{-u}) / (1 + e^{-u})``."""
-    if not a > 0:
-        raise DomainError("a must be > 0")
-    value = a * np.tanh(np.asarray(u) / 2.0)
-    if not np.all(np.isfinite(value)):
-        raise DomainError("phi has poles at u = i pi + 2 pi i k")
-    return _unwrap(value)
-
-
-def phi_inv(t, a):
-    """Inverse of phi on the open interval (-a, a)."""
-    if not a > 0:
-        raise DomainError("a must be > 0")
-    t = np.asarray(t, dtype=float)
-    if np.any(np.abs(t) >= a):
-        raise DomainError("phi_inv requires |t| < a")
-    return _unwrap(np.log((a + t) / (a - t)))
-
-
-def alpha_of(x, a):
-    """Kernel pole parameter ``(a + x) / (x - a)`` for |x| > a."""
-    if not a > 0:
-        raise DomainError("a must be > 0")
-    if abs(x) <= a:
-        raise DomainError(f"alpha_of requires |x| > a, got x={x}, a={a}")
-    return (a + x) / (x - a)
 
 
 def kernel_k(z, xi, alpha):
@@ -224,7 +194,7 @@ def residue_merged(pole, xi, alpha, g_strip, radius=None, n_points=256):
 
 
 def residue_strip_pole(s, xi, alpha):
-    """Closed-form residue of k * p at a simple pole inside the strip.
+    """Closed-form residue of k * p at a simple pole of the strip off Im z = pi.
 
     Equals ``k(beta) * coeff``; its modulus factors as a xi-independent
     constant times ``exp(-xi Im beta)``.
@@ -234,8 +204,8 @@ def residue_strip_pole(s, xi, alpha):
             "closed form covers simple poles only; use residue_merged"
         )
     beta = complex(s.beta)
-    if not beta.imag < PI:
-        raise DomainError("closed form requires Im beta < pi")
+    if abs(beta.imag - PI) < 1e-9:
+        raise DomainError("closed form requires Im beta != pi; use residue_merged")
     emb = cmath.exp(-beta)
     num = cmath.exp(1j * xi * beta.real) * math.exp(-xi * beta.imag) * emb
     return num / ((1.0 + emb) * (1.0 + alpha * emb)) * complex(s.coeff)
@@ -269,7 +239,8 @@ def contour_identity_check(g_strip, xi, alpha, spec, singularities=(),
     """Residual of the residue identity on the closing rectangle.
 
     Numerically integrates k * p over the four rectangle edges and
-    returns ``|contour integral - 2 pi i * sum of enclosed residues|``.
+    returns ``|contour integral - 2 pi i * sum of enclosed residues|``;
+    a listed pole above the rectangle's top is not enclosed.
     """
     spec.check(xi, alpha)
     b = spec.height
@@ -292,21 +263,22 @@ def contour_identity_check(g_strip, xi, alpha, spec, singularities=(),
     right = integrate_adaptive(lambda y: 1j * f(R + 1j * y), 0.0, b, tol)
     left = integrate_adaptive(lambda y: 1j * f(-R + 1j * y), 0.0, b, tol)
     loop = bottom + right - top - left
-    residues = _enclosed_residues(g_strip, xi, alpha, singularities)
+    enclosed = [s for s in singularities if complex(s.beta).imag < b]
+    residues = _enclosed_residues(g_strip, xi, alpha, enclosed)
     return abs(loop - 2j * PI * residues)
 
 
 def predict_growth_exponent(singularities):
     """Predicted p in ``|g_lambda(x)| ~ (1+lambda)^p`` from strip poles.
 
-    Poles strictly inside the strip contribute ``(pi - Im beta)/(2 pi)``;
-    an empty list or poles only on Im z = pi predict exponent 0.
+    Each pole contributes ``(pi - Im beta)/(2 pi)``; an empty list or
+    poles only on or above Im z = pi predict exponent 0.
     """
     best = 0.0
     for s in singularities:
         im = complex(s.beta).imag
-        if not 0.0 < im <= PI:
-            raise DomainError(f"need 0 < Im beta <= pi, got {s.beta}")
+        if not 0.0 < im <= STRIP_TOP:
+            raise DomainError(f"need 0 < Im beta <= 3 pi/2, got {s.beta}")
         best = max(best, (PI - im) / (2.0 * PI))
     return best
 

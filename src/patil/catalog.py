@@ -7,7 +7,8 @@ decay certificate:
 * ``rational(c, w)`` -- data ``c / (z - w)``.  Im w > 0 gives one strip
   pole ``2 artanh((w - c0)/r)`` and exponent ``theta_w / (2 pi)``, with
   ``theta_w`` the angle I subtends at w; for Im w < 0 the data is its
-  own Hardy-class reference.
+  own Hardy-class reference, with exponent 0 and the strip pole
+  ``2 artanh((w - c0)/r) + 2 pi i`` when that lies at or below 3 pi i/2.
 * ``example2 = rational(-i, i)``, exponent 1/4 on (-1, 1), and
   ``h2_reference_pole = rational(1, w)`` with Im w < 0.
 * ``example1`` -- semicircle-plus-linear data on I = (-a, a) only; its
@@ -22,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approximant import BoundarySignal, ReferencePair
-from .asymptotics import StripSingularity, _by_half_plane, _unwrap, \
-    predict_growth_exponent
+from .asymptotics import STRIP_TOP, StripSingularity, _by_half_plane, \
+    _unwrap, predict_growth_exponent
 from .errors import DomainError
 from .quadrature import DecayCertificate
 from .quench import Interval
@@ -67,12 +68,14 @@ def rational(c, w, interval=UNIT, name="rational"):
             z, lambda em: scale * (1.0 + em) / (1.0 + ratio * em),
             lambda em: scale * (em + 1.0) / (em + ratio)))
 
+    # tanh(beta/2) = s; the residue is c over dt/dz = r (1 - s^2) / 2
+    s = (w - c0) / r
+    beta = 2.0 * cmath.atanh(s)  # Im beta in (0, pi) for Im w > 0, else (-pi, 0)
+    if w.imag < 0:
+        beta += 2j * PI
     poles = ()
-    if w.imag > 0:
-        # tanh(beta/2) = s; the residue is c over dt/dz = r (1 - s^2) / 2
-        s = (w - c0) / r
-        poles = (StripSingularity(beta=2.0 * cmath.atanh(s),
-                                  coeff=2.0 * c / (r * (1.0 - s * s))),)
+    if beta.imag <= STRIP_TOP:
+        poles = (StripSingularity(beta=beta, coeff=2.0 * c / (r * (1.0 - s * s))),)
     signal = BoundarySignal(
         eval_on_I=evaluate,
         strip_pullback=strip_pullback,

@@ -5,8 +5,8 @@
   :func:`integrate_adaptive` is a batch of one.
 * :func:`pv_integrate` -- the principal value of ``w(t)/(x - t)`` at an
   interior Cauchy singularity, by singularity subtraction.
-* :func:`integrate_real_line` (and ``_batch``) -- truncated real-line
-  integrals whose truncation point comes from a decay certificate.
+* :func:`integrate_real_line` -- a truncated real-line integral whose
+  truncation point comes from a decay certificate.
 
 Integrands must accept numpy arrays of abscissae and return arrays of
 the same shape (complex or real).  Real and imaginary parts are summed
@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonConvergence
+from .quench import Interval
 
 __all__ = [
     "QuadTolerance",
@@ -28,7 +29,6 @@ __all__ = [
     "integrate_adaptive",
     "pv_integrate",
     "integrate_real_line",
-    "integrate_real_line_batch",
 ]
 
 
@@ -72,6 +72,11 @@ class DecayCertificate:
         rate = 1.0 - self.delta
         u = math.log(2.0 * self.bound_M / (rate * abs_tol)) / rate
         return max(u, 1.0)
+
+
+def real_line_panels(u_max):
+    """Initial panels on ``[-u_max, u_max]``: one per two units, at least 8."""
+    return max(8, int(math.ceil(u_max)))
 
 
 # Gauss-Kronrod 7-15 pair on [-1, 1] (QUADPACK dqk15 constants).
@@ -189,11 +194,6 @@ def integrate_adaptive(f, lo, hi, tol=QuadTolerance(), initial_panels=8):
     return integrate_batch(lambda u, k: f(u), lo, hi, tol, initial_panels)[0]
 
 
-def endpoint_guard(lo, hi):
-    """Distance from an endpoint of ``[lo, hi]`` treated as on it."""
-    return 1e-6 * (hi - lo)
-
-
 def pv_integrate(w, lo, hi, x, tol=QuadTolerance()):
     """Principal value of ``w(t) / (x - t)`` over ``[lo, hi]``.
 
@@ -204,13 +204,14 @@ def pv_integrate(w, lo, hi, x, tol=QuadTolerance()):
     """
     if not lo < x < hi:
         raise DomainError(f"need lo < x < hi, got x={x} on [{lo}, {hi}]")
-    if min(x - lo, hi - x) < endpoint_guard(lo, hi):
+    interval = Interval(lo, hi)
+    if min(x - lo, hi - x) < interval.guard:
         raise DomainError(f"x={x} within guard distance of an endpoint "
                           f"of [{lo}, {hi}]")
     wx = w(x)
     left, right = integrate_batch(lambda t, k: (w(t) - wx) / (x - t),
                                   [lo, x], [x, hi], tol)
-    return left + right + wx * math.log((x - lo) / (hi - x))
+    return left + right + wx * interval.to_u(x)
 
 
 def integrate_real_line(f, cert, tol=QuadTolerance()):
@@ -220,13 +221,5 @@ def integrate_real_line(f, cert, tol=QuadTolerance()):
     bound ``bound_M * exp((delta-1) U) / (1 - delta)`` stays below half
     the absolute tolerance.
     """
-    return integrate_real_line_batch(lambda u, k: f(u), [cert], tol)[0]
-
-
-def integrate_real_line_batch(f, certs, tol=QuadTolerance()):
-    """:func:`integrate_real_line` of ``f(u, k)`` (see integrate_batch),
-    one integral per certificate; returns a list of complex."""
-    us = np.array([(c if isinstance(c, DecayCertificate) else DecayCertificate(*c))
-                   .truncation_point(tol.abs_tol) for c in certs])
-    panels = [max(8, int(math.ceil(u))) for u in us]
-    return integrate_batch(f, -us, us, tol, panels)
+    u_max = cert.truncation_point(tol.abs_tol)
+    return integrate_adaptive(f, -u_max, u_max, tol, real_line_panels(u_max))

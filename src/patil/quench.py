@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .quadrature import endpoint_guard
 
 __all__ = [
     "Interval",
@@ -31,7 +30,7 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class Interval:
-    """Open interval (lo, hi) on the real line."""
+    """Open interval (lo, hi) on the real line, the tanh image of the u-line."""
 
     lo: float
     hi: float
@@ -57,11 +56,27 @@ class Interval:
     @property
     def guard(self):
         """Distance from an endpoint inside which points are nudged or refused."""
-        return endpoint_guard(self.lo, self.hi)
+        return 1e-6 * (self.hi - self.lo)
 
     def is_endpoint(self, x):
         """True if ``x`` (or any element of an array ``x``) is an endpoint."""
         return bool(np.any((x == self.lo) | (x == self.hi)))
+
+    def from_u(self, u):
+        """``center + half_width tanh(u/2)``, for real or complex ``u``, or arrays."""
+        return self.center + self.half_width * np.tanh(0.5 * u)
+
+    def to_u(self, x):
+        """The preimage ``ln((x - lo)/(hi - x))`` of a real ``x`` in I."""
+        if not self.contains(x):
+            raise DomainError(f"to_u needs x in ({self.lo}, {self.hi}), got x={x}")
+        return math.log((x - self.lo) / (self.hi - x))
+
+    def alpha(self, x):
+        """Kernel parameter of real ``x`` off [lo, hi]: from_u(i pi + ln alpha) = x."""
+        if self.lo <= x <= self.hi:
+            raise DomainError(f"alpha needs x off [{self.lo}, {self.hi}], got x={x}")
+        return (x - self.lo) / (x - self.hi)
 
 
 def xi_of_lambda(lam):

@@ -11,22 +11,21 @@ from patil.asymptotics import (
     ContourSpec,
     GrowthReport,
     StripSingularity,
-    alpha_of,
     check_growth_grid,
     contour_identity_check,
     fit_growth_exponent,
     kernel_k,
-    phi,
-    phi_inv,
     predict_growth_exponent,
     residue_kernel_pole,
     residue_merged,
     residue_strip_pole,
 )
-from patil.catalog import example1, example2
+from patil.catalog import example1, example2, h2_reference_pole
 from patil.errors import DomainError
+from patil.quench import Interval
 
 PI = math.pi
+UNIT = Interval(-1.0, 1.0)
 
 
 def ones(z):
@@ -34,41 +33,45 @@ def ones(z):
 
 
 class TestChangeOfVariable:
+    """The tanh map phi = ``Interval.from_u``, its inverse ``to_u`` and
+    the kernel parameter ``alpha`` on symmetric intervals."""
+
     def test_phi_origin(self):
-        assert phi(0.0, 2.0) == 0.0
+        assert Interval(-2.0, 2.0).from_u(0.0) == 0.0
 
     def test_phi_value(self):
-        assert phi(math.log(3.0), 1.0) == pytest.approx(0.5, rel=1e-14)
+        assert UNIT.from_u(math.log(3.0)) == pytest.approx(0.5, rel=1e-14)
 
     def test_phi_odd(self):
-        assert phi(-2.5, 1.0) == pytest.approx(-phi(2.5, 1.0), rel=1e-14)
+        assert UNIT.from_u(-2.5) == pytest.approx(-UNIT.from_u(2.5), rel=1e-14)
 
     def test_phi_complex_and_near_pole(self):
-        value = phi(1.0 + 0.5j, 1.0)
+        value = UNIT.from_u(1.0 + 0.5j)
         assert value == pytest.approx(complex(np.tanh(0.5 + 0.25j)), rel=1e-14)
         # the floating-point image of i pi sits a hair off the true pole
-        assert abs(phi(1j * PI, 1.0)) > 1e12
+        assert abs(UNIT.from_u(1j * PI)) > 1e12
 
     def test_phi_inv_values(self):
-        assert phi_inv(0.0, 1.0) == 0.0
-        assert phi_inv(0.5, 1.0) == pytest.approx(math.log(3.0), rel=1e-14)
+        assert UNIT.to_u(0.0) == 0.0
+        assert UNIT.to_u(0.5) == pytest.approx(math.log(3.0), rel=1e-14)
 
     def test_phi_inv_domain(self):
         with pytest.raises(DomainError):
-            phi_inv(1.0, 1.0)
+            UNIT.to_u(1.0)
 
     def test_roundtrip(self):
         u = -1.7
-        assert phi_inv(phi(u, 2.0), 2.0) == pytest.approx(u, abs=1e-12)
+        iv = Interval(-2.0, 2.0)
+        assert iv.to_u(iv.from_u(u)) == pytest.approx(u, abs=1e-12)
 
     def test_alpha_values(self):
-        assert alpha_of(3.0, 1.0) == pytest.approx(2.0)
-        assert alpha_of(-3.0, 1.0) == pytest.approx(0.5)
-        assert alpha_of(-5.0, 1.0) == pytest.approx(1.0 / alpha_of(5.0, 1.0), rel=1e-14)
+        assert UNIT.alpha(3.0) == pytest.approx(2.0)
+        assert UNIT.alpha(-3.0) == pytest.approx(0.5)
+        assert UNIT.alpha(-5.0) == pytest.approx(1.0 / UNIT.alpha(5.0), rel=1e-14)
 
     def test_alpha_domain(self):
         with pytest.raises(DomainError):
-            alpha_of(0.5, 1.0)
+            UNIT.alpha(0.5)
 
 
 class TestKernel:
@@ -213,6 +216,21 @@ class TestStripPoleResidue:
         with pytest.raises(DomainError, match="simple poles only"):
             residue_strip_pole(s, 1.0, 2.0)
 
+    def test_kernel_pole_line_rejected(self):
+        s = StripSingularity(beta=0.5 + 1j * PI, order=1, coeff=1.0)
+        with pytest.raises(DomainError, match="use residue_merged"):
+            residue_strip_pole(s, 1.0, 2.0)
+
+    @pytest.mark.parametrize("xi", [0.5, 2.0])
+    def test_pole_above_pi_matches_circle_oracle(self, xi):
+        # h2pole's pullback pole 2 artanh(-2i) + 2 pi i, at Im 1.295 pi
+        signal = h2_reference_pole(-2j).signal
+        (s,) = signal.singularities
+        assert PI < s.beta.imag < 1.5 * PI
+        closed = residue_strip_pole(s, xi, 2.0)
+        oracle = residue_merged(s.beta, xi, 2.0, signal.strip_pullback)
+        assert abs(closed - oracle) < 1e-12
+
 
 class TestContourIdentity:
     SPEC = ContourSpec(R=20.0, height=1.5 * PI)
@@ -249,6 +267,21 @@ class TestContourIdentity:
     def test_r_too_small(self):
         with pytest.raises(DomainError):
             contour_identity_check(ones, 1.0, 2.0, ContourSpec(1.0, 1.5 * PI))
+
+    @pytest.mark.parametrize("height", [1.25 * PI, 1.5 * PI])
+    def test_h2pole_pole_above_pi(self, height):
+        # enclosed below a top at 1.5 pi, left out below a top at 1.25 pi
+        signal = h2_reference_pole(-2j).signal
+        residual = contour_identity_check(signal.strip_pullback, 0.5, 2.0,
+                                          ContourSpec(20.0, height),
+                                          signal.singularities)
+        assert residual < 1e-10
+
+    def test_h2pole_pole_on_top_edge(self):
+        signal = h2_reference_pole(-1j).signal
+        with pytest.raises(DomainError, match="on a contour edge"):
+            contour_identity_check(signal.strip_pullback, 0.5, 2.0, self.SPEC,
+                                   signal.singularities)
 
     def test_pole_on_edge(self):
         sing = (StripSingularity(beta=20.0 + 0.5j * PI, order=1, coeff=1.0),)
@@ -294,8 +327,14 @@ class TestGrowthPrediction:
         sing = [StripSingularity(beta=1j * PI, order=1, coeff=1.0)]
         assert predict_growth_exponent(sing) == 0.0
 
+    def test_pole_above_pi_predicts_bounded(self):
+        sing = [StripSingularity(beta=1.3j * PI, order=1, coeff=1.0)]
+        assert predict_growth_exponent(sing) == 0.0
+        sing.append(StripSingularity(beta=0.5j * PI, order=1, coeff=1.0))
+        assert predict_growth_exponent(sing) == pytest.approx(0.25)
+
     def test_bad_location(self):
-        stub = types.SimpleNamespace(beta=4j)
+        stub = types.SimpleNamespace(beta=5j)
         with pytest.raises(DomainError):
             predict_growth_exponent([stub])
 
@@ -348,7 +387,8 @@ class TestDataTypes:
         with pytest.raises(DomainError):
             StripSingularity(beta=1.0 + 0j)
         with pytest.raises(DomainError):
-            StripSingularity(beta=1j * (PI + 0.1))
+            StripSingularity(beta=1j * (1.5 * PI + 0.1))
+        assert StripSingularity(beta=1.5j * PI).beta == 1.5j * PI
         with pytest.raises(DomainError):
             StripSingularity(beta=0.5j, order=0)
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patil.asymptotics import phi, predict_growth_exponent
+from patil.asymptotics import predict_growth_exponent
 from patil.catalog import (
     CatalogEntry,
     entry_names,
@@ -18,36 +18,47 @@ from patil.catalog import (
     rational,
 )
 from patil.errors import DomainError
-from patil.quadrature import QuadTolerance, integrate_real_line
+from patil.quadrature import DecayCertificate, QuadTolerance, integrate_real_line
 from patil.quench import Interval
 
 PI = math.pi
 PULLBACK_POINTS = [-2.0, -1.0, 0.5, 3.0]
+NONSYM = Interval(-0.5, 2.0)
 
 
 class TestPullbackIdentity:
-    """strip_pullback(u) must equal eval_on_I(phi(u, a)) on the real line."""
+    """strip_pullback(u) must equal eval_on_I(interval.from_u(u)) on the real line."""
 
     @pytest.mark.parametrize("u", PULLBACK_POINTS)
     @pytest.mark.parametrize("a", [1.0, 2.5])
     def test_example1(self, u, a):
-        entry = example1(Interval(-a, a))
+        interval = Interval(-a, a)
+        entry = example1(interval)
         lhs = entry.signal.strip_pullback(u)
-        rhs = entry.signal.eval_on_I(phi(u, a))
+        rhs = entry.signal.eval_on_I(interval.from_u(u))
         assert abs(lhs - rhs) < 1e-10
 
     @pytest.mark.parametrize("u", PULLBACK_POINTS)
     def test_example2(self, u):
         entry = example2()
         lhs = entry.signal.strip_pullback(u)
-        rhs = entry.signal.eval_on_I(phi(u, 1.0))
+        rhs = entry.signal.eval_on_I(Interval(-1.0, 1.0).from_u(u))
         assert abs(lhs - rhs) < 1e-10
 
     @pytest.mark.parametrize("u", PULLBACK_POINTS)
     def test_h2pole(self, u):
-        entry = h2_reference_pole(-0.5j, Interval(-2.0, 2.0))
+        interval = Interval(-2.0, 2.0)
+        entry = h2_reference_pole(-0.5j, interval)
         lhs = entry.signal.strip_pullback(u)
-        rhs = entry.signal.eval_on_I(phi(u, 2.0))
+        rhs = entry.signal.eval_on_I(interval.from_u(u))
+        assert abs(lhs - rhs) < 1e-10
+
+    @pytest.mark.parametrize("u", PULLBACK_POINTS)
+    @pytest.mark.parametrize("build", [example2, h2_reference_pole])
+    def test_nonsymmetric(self, build, u):
+        entry = build(interval=NONSYM)
+        lhs = entry.signal.strip_pullback(u)
+        rhs = entry.signal.eval_on_I(NONSYM.from_u(u))
         assert abs(lhs - rhs) < 1e-10
 
     def test_center_values(self):
@@ -90,8 +101,11 @@ class TestGrowthMetadata:
             predict_growth_exponent(entry.signal.singularities)
 
     def test_h2pole_has_no_strip_poles(self):
+        # none in the growth strip Im z <= pi: its one listed pole, the
+        # preimage of w = -i shifted by 2 pi i, sits at 3 pi i / 2
         entry = h2_reference_pole()
-        assert entry.signal.singularities == ()
+        (pole,) = entry.signal.singularities
+        assert pole.beta == pytest.approx(1.5j * PI, abs=1e-15)
         assert entry.expected_exponent == 0.0
 
     def test_exponent_is_derived_not_stored(self):
@@ -145,17 +159,25 @@ class TestRational:
         assert np.all(np.abs(pullback) <= bound)
         # the exponent is theta_w / (2 pi), theta_w the angle I subtends at w
         theta = abs(cmath.phase((interval.lo - w) / (interval.hi - w)))
-        if w.imag > 0:
-            assert entry.expected_exponent == \
-                pytest.approx(theta / (2.0 * PI), abs=1e-12)
+        # the pole: t(beta) = w, in (0, pi) above w, in (pi, 2 pi) below it
+        beta = 2.0 * cmath.atanh((w - c0) / r) + (2j * PI if w.imag < 0 else 0)
+        assert interval.from_u(beta) == pytest.approx(w, rel=1e-9, abs=1e-9)
+        if beta.imag <= 1.5 * PI:
             (pole,) = signal.singularities
+            assert pole.beta == beta
             ring = np.exp(2j * PI * np.arange(64) / 64)
             average = np.mean(signal.strip_pullback(pole.beta + ring) * ring)
             assert abs(average - pole.coeff) <= 1e-9 * abs(pole.coeff)
+        else:
+            assert signal.singularities == ()
+        if w.imag > 0:
+            assert 0 < beta.imag < PI
+            assert entry.expected_exponent == \
+                pytest.approx(theta / (2.0 * PI), abs=1e-12)
             assert entry.reference is None
         else:
+            assert PI < beta.imag < 2.0 * PI
             assert entry.expected_exponent == 0.0
-            assert signal.singularities == ()
             assert entry.reference.F_interior(w.conjugate()) == \
                 pytest.approx(c / (2j * w.conjugate().imag))
 
@@ -185,7 +207,8 @@ class TestHardyWitness:
             x = np.sinh(u)
             return np.abs(entry.reference.f_boundary(x)) ** 2 * np.cosh(u)
 
-        value = integrate_real_line(integrand, (0.5, 2.0), QuadTolerance())
+        value = integrate_real_line(integrand, DecayCertificate(0.5, 2.0),
+                                    QuadTolerance())
         assert value.real == pytest.approx(PI, abs=1e-9)
 
     def test_pole_in_upper_half_plane_rejected(self):

@@ -210,6 +210,31 @@ class TestContourCommand:
         assert len(rows) == 4
         assert all(float(r[4]) < 1e-6 for r in rows)
 
+    def test_h2pole_pole_above_pi(self, tmp_path):
+        # the pullback pole 2 artanh(-2i) + 2 pi i at Im 1.295 pi is enclosed
+        cfg = write_config(tmp_path, entry="h2pole", entry_args={"w": "-2j"},
+                           contour={"xi": [0.5, 2.0], "alpha": [2.0], "R": 20.0})
+        out = str(tmp_path / "contour.csv")
+        assert main(["contour", "--config", cfg, "--out", out]) == EXIT_OK
+        _, rows = read_csv(out)
+        assert len(rows) == 2
+        assert all(float(r[4]) < 1e-10 for r in rows)
+
+    @pytest.mark.parametrize("height,code", [(1.5 * math.pi, EXIT_SEMANTIC),
+                                             (1.25 * math.pi, EXIT_OK)])
+    def test_h2pole_default_pole_at_top(self, tmp_path, capsys, height, code):
+        # w = -i puts the pullback pole at 3 pi i / 2: on the default top
+        # edge, and above a top at 1.25 pi, where it is not enclosed
+        cfg = write_config(tmp_path, entry="h2pole",
+                           contour={"xi": [0.5, 2.0], "alpha": [2.0],
+                                    "R": 20.0, "height": height})
+        out = str(tmp_path / "contour.csv")
+        assert main(["contour", "--config", cfg, "--out", out]) == code
+        if code == EXIT_SEMANTIC:
+            assert "on a contour edge" in capsys.readouterr().err
+        else:
+            assert all(float(r[4]) < 1e-10 for r in read_csv(out)[1])
+
     def test_bad_height(self, tmp_path):
         cfg = write_config(tmp_path, contour={"height": math.pi})
         assert main(["contour", "--config", cfg]) == EXIT_CONFIG

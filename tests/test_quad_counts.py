@@ -2,8 +2,8 @@
 
 Its counts are the record that a change kept the panels the same, so it
 runs here as a subprocess, with ``src`` on PYTHONPATH, as it is run by
-hand.  The growth and contour totals are pinned: the off-I u-path and
-the contour identity must keep doing exactly this much work.
+hand.  Every workload's totals are pinned: the g_lambda u-paths and the
+contour identity must keep doing exactly this much work.
 """
 
 import json
@@ -17,14 +17,15 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 COUNTS = ("calls", "panels", "points")
 # calls, panels, points of perfbench's seed-1 experiments
-PINNED = {"growth": (1517, 27677, 415155), "contour": (3840, 17088, 256320)}
+PINNED = {"growth": (1517, 27677, 415155), "converge": (230, 45006, 675090),
+          "contour": (3840, 17088, 256320)}
 
 
 @pytest.fixture(scope="module")
 def counts():
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run([sys.executable, str(ROOT / "tools" / "quad_counts.py"),
-                           "growth", "contour", "--seed", "1"],
+                           "growth", "converge", "contour", "--seed", "1"],
                           cwd=ROOT, env=env, capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -14,7 +14,6 @@ from patil.quadrature import (
     integrate_adaptive,
     integrate_batch,
     integrate_real_line,
-    integrate_real_line_batch,
     pv_integrate,
 )
 
@@ -196,16 +195,6 @@ class TestIntegrateBatch:
         with pytest.raises(DomainError, match="need lo < hi"):
             integrate_batch(lambda u, k: u, lo, hi, TOL)
 
-    def test_real_line_batch_equals_each_alone(self):
-        certs = [DecayCertificate(0.5, 1.0), (0.3, 4.0), DecayCertificate(0.1, 0.5)]
-        rates = np.array([1.0, 2.0, 0.5])
-
-        def f(u, k):
-            return np.exp(-np.abs(u)) * np.cos(rates[k] * u)
-        alone = [integrate_real_line(lambda u, r=r: np.exp(-np.abs(u)) * np.cos(r * u),
-                                     c, TOL) for r, c in zip(rates, certs)]
-        assert same(integrate_real_line_batch(f, certs, TOL), alone)
-
 
 class TestPvIntegrate:
     def test_equals_reference_loop(self):
@@ -274,15 +263,20 @@ class TestIntegrateRealLine:
                                      initial_panels=int(4 * u))
         assert abs(base - doubled) < TOL.abs_tol
 
+    def test_truncation_and_initial_panels(self):
+        # [-U, U] with U from the certificate and max(8, ceil(U)) initial panels
+        cert = DecayCertificate(0.3, 4.0)
+        f = lambda u: np.exp(-np.abs(u)) * np.cos(2.0 * u)
+        u_max = cert.truncation_point(TOL.abs_tol)
+        assert u_max > 8
+        assert same([integrate_real_line(f, cert, TOL)],
+                    [integrate_adaptive(f, -u_max, u_max, TOL, math.ceil(u_max))])
+
     def test_invalid_certificate(self):
         with pytest.raises(DomainError, match="delta must lie in"):
             DecayCertificate(1.2, 1.0)
         with pytest.raises(DomainError, match="bound_M must be > 0"):
             DecayCertificate(0.5, -1.0)
-
-    def test_tuple_certificate_accepted(self):
-        value = integrate_real_line(lambda u: np.exp(-np.abs(u)), (0.5, 1.0), TOL)
-        assert value == pytest.approx(2.0, abs=1e-9)
 
 
 class TestQuadTolerance:

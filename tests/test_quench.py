@@ -176,3 +176,27 @@ class TestInterval:
         assert iv.is_endpoint(0.0)
         assert not iv.is_endpoint(np.array([0.5, 1.5]))
         assert iv.guard == pytest.approx(2e-6)
+
+    @settings(max_examples=60, deadline=None)
+    @given(lo=st.floats(-5.0, 4.0), width=st.floats(0.1, 6.0),
+           u=st.floats(-10.0, 10.0), frac=st.floats(0.01, 0.99),
+           gap=st.floats(0.01, 10.0), right=st.booleans())
+    def test_tanh_map_nonsymmetric(self, lo, width, u, frac, gap, right):
+        iv = Interval(lo, lo + width)
+        assert iv.to_u(iv.from_u(u)) == pytest.approx(u, abs=1e-8)
+        x = lo + frac * width
+        assert iv.from_u(iv.to_u(x)) == pytest.approx(x, rel=1e-12, abs=1e-12)
+        # the second kernel pole i pi + ln(alpha) is the preimage of x off I
+        x = iv.hi + gap if right else iv.lo - gap
+        assert iv.from_u(1j * math.pi + math.log(iv.alpha(x))) == \
+            pytest.approx(x, rel=1e-9, abs=1e-9)
+
+    def test_tanh_map_domains(self):
+        iv = Interval(-0.5, 2.0)
+        assert iv.from_u(np.zeros(3)).tolist() == [0.75] * 3
+        for x in (-0.5, 2.0, 3.0):
+            with pytest.raises(DomainError, match="to_u needs x in"):
+                iv.to_u(x)
+        for x in (-0.5, 0.75, 2.0):
+            with pytest.raises(DomainError, match="alpha needs x off"):
+                iv.alpha(x)
