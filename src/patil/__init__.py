@@ -12,7 +12,6 @@ from .approximant import (
 )
 from .asymptotics import (
     ContourSpec,
-    GrowthReport,
     StripSingularity,
     contour_identity_check,
     fit_growth_exponent,

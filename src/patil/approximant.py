@@ -22,8 +22,8 @@ from .quadrature import (
     pv_integrate,  # noqa: F401 -- perfbench/tracing.py wraps it here
     real_line_panels,
 )
-from .quench import _log_weight_ratio, _phase, quench_boundary, quench_interior
-from .quench import phase_G  # noqa: F401 -- perfbench/tracing.py wraps it here
+from .quench import _log_weight_ratio, phase_G, quench_boundary, \
+    quench_interior
 
 __all__ = [
     "BoundarySignal",
@@ -131,7 +131,7 @@ def _cauchy_weighted_t(zs, params, interval, signal, tol):
     g = signal.eval_on_I
 
     def integrand(t, k):
-        return np.exp(-1j * _phase(t, params, interval)) * g(t) / (t - zs[k])
+        return np.exp(-1j * phase_G(t, params, interval)) * g(t) / (t - zs[k])
 
     return integrate_batch(integrand, np.full(len(zs), interval.lo),
                            np.full(len(zs), interval.hi), tol)
@@ -144,6 +144,9 @@ def interior_values(zs, params, interval, signal, tol=QuadTolerance(),
     ``method`` selects the integration variable: "u" (default, tanh
     substitution) or "t" (direct adaptive; dual-path oracle).
     """
+    paths = {"u": _cauchy_weighted_u, "t": _cauchy_weighted_t}
+    if method not in paths:
+        raise DomainError(f'method must be "u" or "t", got {method!r}')
     zs = [complex(z) for z in zs]
     for z in zs:
         if not z.imag > 0:
@@ -151,8 +154,8 @@ def interior_values(zs, params, interval, signal, tol=QuadTolerance(),
     lam = params.lam
     if lam == 0:
         return [0.0 + 0.0j] * len(zs)
-    path = _cauchy_weighted_u if method == "u" else _cauchy_weighted_t
-    integrals = path(np.array(zs, dtype=complex), params, interval, signal, tol)
+    integrals = paths[method](np.array(zs, dtype=complex), params, interval,
+                              signal, tol)
     return [lam * quench_interior(z, params, interval) / (2j * math.pi)
             * integral / math.sqrt(1.0 + lam)
             for z, integral in zip(zs, integrals)]

@@ -30,7 +30,7 @@ import numpy as np
 from . import catalog
 from .approximant import boundary_values, l2_error_on_window, \
     sup_error_on_compact
-from .asymptotics import ContourSpec, GrowthReport, check_growth_grid, \
+from .asymptotics import ContourSpec, check_growth_grid, \
     contour_identity_check, fit_growth_exponent
 from .errors import DomainError, NonConvergence, PatilError
 from .quadrature import QuadTolerance
@@ -246,18 +246,17 @@ def run_growth_experiment(cfg, reproducible=False):
     table = [[abs(v) for v in boundary_values(
         cfg.eval_points, QuenchParams(lam), cfg.interval, entry.signal,
         cfg.tolerances)] for lam in cfg.lambda_grid]
-    columns = [tuple(zip(cfg.lambda_grid, column)) for column in zip(*table)]
-    reports = [GrowthReport(s, fit_growth_exponent(s), entry.expected_exponent)
-               for s in columns]
-    rows = [(lam, x, mag, r.fitted_exponent, r.predicted_exponent)
+    slopes = [fit_growth_exponent(zip(cfg.lambda_grid, column))
+              for column in zip(*table)]
+    predicted = entry.expected_exponent
+    rows = [(lam, x, mag, slope, predicted)
             for lam, mags in zip(cfg.lambda_grid, table)
-            for x, mag, r in zip(cfg.eval_points, mags, reports)]
+            for x, mag, slope in zip(cfg.eval_points, mags, slopes)]
     _write_rows(cfg, reproducible,
                 ["lambda", "x", "magnitude", "fitted_slope", "predicted_slope"],
                 rows)
-    ok = all(abs(r.fitted_exponent - r.predicted_exponent)
-             <= cfg.slope_tolerance for r in reports)
-    return reports, (EXIT_OK if ok else EXIT_CRITERION)
+    ok = all(abs(slope - predicted) <= cfg.slope_tolerance for slope in slopes)
+    return EXIT_OK if ok else EXIT_CRITERION
 
 
 def run_convergence_experiment(cfg, reproducible=False):
@@ -287,16 +286,12 @@ def run_convergence_experiment(cfg, reproducible=False):
     l2s = [r[2] for r in rows]
     ok = all(b <= a for a, b in zip(sups[:-1], sups[1:])) and \
         all(b <= a for a, b in zip(l2s[:-1], l2s[1:]))
-    return rows, (EXIT_OK if ok else EXIT_CRITERION)
+    return EXIT_OK if ok else EXIT_CRITERION
 
 
 def run_contour_check(cfg, reproducible=False):
     """Residue-identity residuals for configured (xi, alpha, R, height)."""
     signal = cfg.build_entry().signal
-    if signal.strip_pullback is None:
-        raise DomainError(
-            f"catalog entry {cfg.entry_name!r} has no strip metadata")
-
     # xi and alpha lists may come unsorted; rows are written sorted
     contour, spec = cfg.contour, cfg.contour["spec"]
     rows = sorted(
@@ -307,7 +302,7 @@ def run_contour_check(cfg, reproducible=False):
     _write_rows(cfg, reproducible,
                 ["xi", "alpha", "R", "height", "residual"], rows)
     ok = all(r[4] < contour["residual_tolerance"] for r in rows)
-    return rows, (EXIT_OK if ok else EXIT_CRITERION)
+    return EXIT_OK if ok else EXIT_CRITERION
 
 
 def build_parser():
@@ -340,8 +335,7 @@ def main(argv=None):
                "contour": run_contour_check}
     try:
         cfg = _load_config(args)
-        _rows, code = runners[args.command](cfg, reproducible=args.reproducible)
-        return code
+        return runners[args.command](cfg, reproducible=args.reproducible)
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -102,12 +102,6 @@ def _log_weight_ratio(interval):
     return math.log1p(interval.hi ** 2) - math.log1p(interval.lo ** 2)
 
 
-def _phase(x, params, interval):
-    # G(x) for a float or an array, unchecked: not finite at the endpoints
-    ratio = np.log(np.abs((interval.hi - x) / (interval.lo - x)))
-    return params.xi * (ratio - 0.5 * _log_weight_ratio(interval))
-
-
 def phase_G(x, params, interval):
     """Boundary phase of h_lambda at real points off the endpoints.
 
@@ -117,7 +111,8 @@ def phase_G(x, params, interval):
     """
     if interval.is_endpoint(x):
         raise DomainError(f"phase undefined at interval endpoint x={x}")
-    return _phase(x, params, interval)
+    ratio = np.log(np.abs((interval.hi - x) / (interval.lo - x)))
+    return params.xi * (ratio - 0.5 * _log_weight_ratio(interval))
 
 
 def quench_interior(z, params, interval):

@@ -209,6 +209,15 @@ class TestBatches:
             interior_values([0.5 + 1j, 0.2 + 0j], QuenchParams(10.0), SYM,
                             H2.signal)
 
+    @pytest.mark.parametrize("method", ["closed", "U"])
+    def test_unknown_method_rejected(self, method):
+        with pytest.raises(DomainError, match='"u" or "t"'):
+            interior_values([0.5 + 1j], QuenchParams(10.0), SYM, H2.signal,
+                            method=method)
+        with pytest.raises(DomainError, match='"u" or "t"'):
+            approximant_interior(0.5 + 1j, QuenchParams(10.0), SYM, H2.signal,
+                                 method=method)
+
     def test_boundary_batch_rejects_endpoint(self):
         with pytest.raises(DomainError, match="endpoint x=1.0"):
             boundary_values([0.3, 1.0, 2.0], QuenchParams(10.0), SYM, H2.signal)

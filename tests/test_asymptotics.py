@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from patil.asymptotics import (
     ContourSpec,
-    GrowthReport,
     StripSingularity,
     check_growth_grid,
     contour_identity_check,
@@ -288,6 +287,17 @@ class TestContourIdentity:
         with pytest.raises(DomainError, match="on a contour edge"):
             contour_identity_check(ones, 1.0, 2.0, self.SPEC, sing)
 
+    def test_pole_beyond_sides_not_enclosed(self):
+        # a pole of the pullback right of R: below the top, yet outside
+        beta = 6.5 + 0.5j * PI
+
+        def g_strip(z):
+            return 1.0 / (np.asarray(z, dtype=complex) - beta)
+
+        sing = (StripSingularity(beta=beta, order=1, coeff=1.0),)
+        spec = ContourSpec(R=5.0, height=1.5 * PI)
+        assert contour_identity_check(g_strip, 1.0, 2.0, spec, sing) < 1e-10
+
     @pytest.mark.parametrize("xi,alpha,message", [
         (-50.0, 2.0, "xi >= 0"),
         (1.0, 1.0, "alpha - 1"),
@@ -397,14 +407,3 @@ class TestDataTypes:
             ContourSpec(R=-1.0)
         with pytest.raises(DomainError):
             ContourSpec(R=10.0, height=2.0 * PI)
-
-    def test_growth_report_invariants(self):
-        with pytest.raises(DomainError):
-            GrowthReport(samples=(), fitted_exponent=0.0,
-                         predicted_exponent=0.0)
-        report = GrowthReport(samples=((10.0, 1.0),), fitted_exponent=0.0,
-                              predicted_exponent=0.0)
-        assert report.verdict == "bounded"
-        report = GrowthReport(samples=((10.0, 1.0),), fitted_exponent=0.25,
-                              predicted_exponent=0.25)
-        assert report.verdict == "divergent"

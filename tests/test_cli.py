@@ -220,6 +220,18 @@ class TestContourCommand:
         assert len(rows) == 2
         assert all(float(r[4]) < 1e-10 for r in rows)
 
+    def test_h2pole_pole_beyond_sides(self, tmp_path):
+        # w = 1.001 - 0.0001i lists a pole near 7.596 + 3.241i: below the
+        # top but right of R = 5, so it is not enclosed
+        cfg = write_config(tmp_path, entry="h2pole",
+                           entry_args={"w": "1.001-0.0001j"},
+                           contour={"xi": [0.5, 2.0], "alpha": [2.0], "R": 5.0})
+        out = str(tmp_path / "contour.csv")
+        assert main(["contour", "--config", cfg, "--out", out]) == EXIT_OK
+        _, rows = read_csv(out)
+        assert len(rows) == 2
+        assert all(float(r[4]) < 1e-10 for r in rows)
+
     @pytest.mark.parametrize("height,code", [(1.5 * math.pi, EXIT_SEMANTIC),
                                              (1.25 * math.pi, EXIT_OK)])
     def test_h2pole_default_pole_at_top(self, tmp_path, capsys, height, code):

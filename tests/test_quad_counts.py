@@ -18,7 +18,7 @@ ROOT = Path(__file__).resolve().parents[1]
 COUNTS = ("calls", "panels", "points")
 # calls, panels, points of perfbench's seed-1 experiments
 PINNED = {"growth": (1517, 27677, 415155), "converge": (230, 45006, 675090),
-          "contour": (3840, 17088, 256320)}
+          "contour": (3171, 17088, 256320)}
 
 
 @pytest.fixture(scope="module")
