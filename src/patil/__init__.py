@@ -4,9 +4,9 @@ analysis of the approximants outside that interval."""
 
 from .approximant import (
     BoundarySignal,
-    ReferencePair,
     approximant_boundary,
     approximant_interior,
+    approximant_values,
     l2_error_on_window,
     sup_error_on_compact,
 )

@@ -27,11 +27,9 @@ from .quench import _log_weight_ratio, phase_G, quench_boundary, \
 
 __all__ = [
     "BoundarySignal",
-    "ReferencePair",
+    "approximant_values",
     "approximant_interior",
     "approximant_boundary",
-    "interior_values",
-    "boundary_values",
     "sup_error_on_compact",
     "l2_error_on_window",
 ]
@@ -54,14 +52,6 @@ class BoundarySignal:
     decay_cert: DecayCertificate
     strip_pullback: callable = None
     singularities: tuple = ()
-
-
-@dataclass(frozen=True)
-class ReferencePair:
-    """A known Hardy-class function and its boundary trace."""
-
-    F_interior: callable
-    f_boundary: callable
 
 
 def _cauchy_weighted_u(zs, params, interval, signal, tol):
@@ -137,74 +127,69 @@ def _cauchy_weighted_t(zs, params, interval, signal, tol):
                            np.full(len(zs), interval.hi), tol)
 
 
-def interior_values(zs, params, interval, signal, tol=QuadTolerance(),
-                    method="u"):
-    """g_lambda at each point of ``zs`` in the open upper half plane, as a list.
+def approximant_values(points, params, interval, signal, tol=QuadTolerance(),
+                       method="u"):
+    """g_lambda at each point of the closed upper half plane, as a list.
 
-    ``method`` selects the integration variable: "u" (default, tanh
-    substitution) or "t" (direct adaptive; dual-path oracle).
+    A point is either in Im z > 0 or real and off the endpoints of I; a
+    real point gets the boundary trace, inside I the limit from above.
+    All points form one batch of u-domain Cauchy integrals.  ``method``
+    "t" integrates directly in the t variable instead (the dual-path
+    oracle) and takes points with Im z > 0 only.
     """
     paths = {"u": _cauchy_weighted_u, "t": _cauchy_weighted_t}
     if method not in paths:
         raise DomainError(f'method must be "u" or "t", got {method!r}')
-    zs = [complex(z) for z in zs]
+    zs = [complex(z) for z in points]
     for z in zs:
-        if not z.imag > 0:
+        if not (z.imag > 0 or z.imag == 0 and method == "u"):
             raise DomainError(f"need Im z > 0, got z={z}")
+        if z.imag == 0 and interval.is_endpoint(z.real):
+            raise DomainError(
+                f"g_lambda boundary trace undefined at endpoint x={z.real}")
     lam = params.lam
     if lam == 0:
         return [0.0 + 0.0j] * len(zs)
     integrals = paths[method](np.array(zs, dtype=complex), params, interval,
                               signal, tol)
+    # both prefactors are lam h C / (2 pi i sqrt(1 + lam)); they differ only
+    # in rounding, and each keeps its own order so that no output moves
     return [lam * quench_interior(z, params, interval) / (2j * math.pi)
-            * integral / math.sqrt(1.0 + lam)
+            * integral / math.sqrt(1.0 + lam) if z.imag > 0
+            else 1j * lam / (2.0 * math.pi * math.sqrt(1.0 + lam))
+            * quench_boundary(z.real, params, interval) * -integral
             for z, integral in zip(zs, integrals)]
 
 
 def approximant_interior(z, params, interval, signal, tol=QuadTolerance(),
                          method="u"):
-    """g_lambda at a point of the open upper half plane (see interior_values)."""
-    return interior_values([z], params, interval, signal, tol, method)[0]
-
-
-def boundary_values(xs, params, interval, signal, tol=QuadTolerance()):
-    """Boundary trace of g_lambda at each real point of ``xs``, as a list.
-
-    Each point is one u-domain Cauchy integral of a single batch (inside I
-    the limit from above) times the boundary trace of h_lambda, whose
-    modulus is ``(1+lam)^{-1/2}`` inside I and 1 outside.
-    """
-    for x in xs:
-        if interval.is_endpoint(x):
-            raise DomainError(
-                f"g_lambda boundary trace undefined at endpoint x={x}")
-    lam = params.lam
-    if lam == 0:
-        return [0.0 + 0.0j] * len(xs)
-    integrals = _cauchy_weighted_u(np.asarray(xs, dtype=complex), params,
-                                   interval, signal, tol)
-    return [1j * lam / (2.0 * math.pi * math.sqrt(1.0 + lam))
-            * quench_boundary(x, params, interval) * -integral
-            for x, integral in zip(xs, integrals)]
+    """g_lambda at a point of the open upper half plane (see approximant_values)."""
+    if not complex(z).imag > 0:
+        raise DomainError(f"need Im z > 0, got z={complex(z)}")
+    return approximant_values([z], params, interval, signal, tol, method)[0]
 
 
 def approximant_boundary(x, params, interval, signal, tol=QuadTolerance()):
-    """Boundary trace of g_lambda at one real point (see boundary_values)."""
-    return boundary_values([x], params, interval, signal, tol)[0]
+    """Boundary trace of g_lambda at one real point (see approximant_values)."""
+    return approximant_values([x], params, interval, signal, tol)[0]
 
 
 def sup_error_on_compact(pts, params, interval, signal, ref,
                          tol=QuadTolerance()):
-    """Max deviation of g_lambda from the reference on interior points."""
+    """Max deviation of g_lambda from the reference F at points with Im z > 0."""
+    for z in pts:
+        if not complex(z).imag > 0:
+            raise DomainError(f"need Im z > 0, got z={complex(z)}")
     worst = 0.0
-    for z, value in zip(pts, interior_values(pts, params, interval, signal, tol)):
-        worst = max(worst, abs(value - ref.F_interior(z)))
+    for z, value in zip(pts, approximant_values(pts, params, interval, signal,
+                                                tol)):
+        worst = max(worst, abs(value - ref(z)))
     return worst
 
 
 def l2_error_on_window(params, interval, signal, ref, window, n_samples,
                        tol=QuadTolerance()):
-    """Discrete L2 norm of (g_lambda - f) over a real window.
+    """Discrete L2 norm of (g_lambda - F) over a real window.
 
     Sample points are equispaced over the window and nudged off the
     interval endpoints by the quadrature guard margin.
@@ -215,7 +200,8 @@ def l2_error_on_window(params, interval, signal, ref, window, n_samples,
         close = np.abs(pts - end) < guard
         pts[close] = end + 2.0 * guard * np.where(pts[close] >= end, 1.0, -1.0)
     total = 0.0
-    for x, value in zip(pts, boundary_values(pts, params, interval, signal, tol)):
-        total += abs(value - ref.f_boundary(x)) ** 2
+    for x, value in zip(pts, approximant_values(pts, params, interval, signal,
+                                                tol)):
+        total += abs(value - ref(x)) ** 2
     width = window.hi - window.lo
     return math.sqrt(width * total / n_samples)

@@ -129,11 +129,15 @@ def residue_kernel_pole(which, xi, alpha, g_strip):
     if which not in poles:
         raise DomainError(f"which must be one of {tuple(poles)}")
     pole = poles[which]
-    value = complex(np.asarray(g_strip(pole), dtype=complex))
-    # a pullback pole at the kernel pole shows up as a non-finite or
-    # rounding-inflated value at the floating-point image of the pole
+    # p at the pole, then at eight points of a ring of radius 1e-3 around it
+    ring = pole + 1e-3 * np.exp(0.25j * PI * np.arange(8))
+    values = np.asarray(g_strip(np.append(pole, ring)), dtype=complex)
+    value = complex(values[0])
+    # a pullback pole at the kernel pole shows up as a non-finite value,
+    # or one far above p on the ring, at the floating-point image of the
+    # pole; an analytic p there is the mean of its values on the ring
     if not (math.isfinite(value.real) and math.isfinite(value.imag)) \
-            or abs(value) > 1e8:
+            or abs(value) > 1e6 * np.max(np.abs(values[1:])):
         raise DomainError(
             f"pullback singular at {pole}; use residue_merged instead"
         )
@@ -230,8 +234,10 @@ def contour_identity_check(g_strip, xi, alpha, spec, singularities=(),
     R = spec.R
     for s in singularities:
         beta = complex(s.beta)
-        if abs(beta.imag - b) < _CONTOUR_GUARD or \
-                abs(abs(beta.real) - R) < _CONTOUR_GUARD:
+        # offsets from the lines of the sides and of the top
+        x, y = abs(beta.real) - R, beta.imag - b
+        if abs(y) < _CONTOUR_GUARD and x <= _CONTOUR_GUARD or \
+                abs(x) < _CONTOUR_GUARD and y <= _CONTOUR_GUARD:
             raise DomainError(f"singularity {beta} on a contour edge")
     if abs(b - PI) < _CONTOUR_GUARD:
         raise DomainError("kernel poles lie on Im z = pi")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .approximant import BoundarySignal, ReferencePair
+from .approximant import BoundarySignal
 from .asymptotics import STRIP_TOP, StripSingularity, _by_half_plane, \
     _unwrap, predict_growth_exponent
 from .errors import DomainError
@@ -40,7 +40,7 @@ UNIT = Interval(-1.0, 1.0)
 class CatalogEntry:
     name: str
     signal: BoundarySignal
-    reference: ReferencePair = None
+    reference: callable = None  # F itself, on Im z >= 0, if it is known
 
     @property
     def expected_exponent(self):
@@ -84,8 +84,8 @@ def rational(c, w, interval=UNIT, name="rational"):
         decay_cert=DecayCertificate(delta=0.1, bound_M=2.0 * abs(c)
                                     * (1.0 + 1.0 / abs(w.imag))),
     )
-    reference = ReferencePair(evaluate, evaluate) if w.imag < 0 else None
-    return CatalogEntry(name=name, signal=signal, reference=reference)
+    return CatalogEntry(name=name, signal=signal,
+                        reference=evaluate if w.imag < 0 else None)
 
 
 def example1(interval=UNIT):

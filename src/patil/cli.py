@@ -12,7 +12,8 @@ value in it is converted once, by ``ExperimentConfig.from_dict``; a
 malformed, non-finite or unknown value, and an unknown catalog entry or
 bad ``entry_args``, is a config error.  Exit codes: 0 success,
 1 criterion not met, 2 config/validation error, 3 semantic precondition
-error, 4 numeric non-convergence.
+error, 4 numeric non-convergence, 5 internal error (any other exception,
+reported in one line without a traceback).
 """
 
 import argparse
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import catalog
-from .approximant import boundary_values, l2_error_on_window, \
+from .approximant import approximant_values, l2_error_on_window, \
     sup_error_on_compact
 from .asymptotics import ContourSpec, check_growth_grid, \
     contour_identity_check, fit_growth_exponent
@@ -43,6 +44,7 @@ EXIT_CRITERION = 1
 EXIT_CONFIG = 2
 EXIT_SEMANTIC = 3
 EXIT_NUMERIC = 4
+EXIT_INTERNAL = 5
 
 
 class ConfigError(ValueError):
@@ -243,7 +245,7 @@ def run_growth_experiment(cfg, reproducible=False):
         raise ConfigError(f"bad lambda_grid: {exc}") from None
 
     # one row of magnitudes (one batch) per lambda, one column per eval point
-    table = [[abs(v) for v in boundary_values(
+    table = [[abs(v) for v in approximant_values(
         cfg.eval_points, QuenchParams(lam), cfg.interval, entry.signal,
         cfg.tolerances)] for lam in cfg.lambda_grid]
     slopes = [fit_growth_exponent(zip(cfg.lambda_grid, column))
@@ -260,11 +262,11 @@ def run_growth_experiment(cfg, reproducible=False):
 
 
 def run_convergence_experiment(cfg, reproducible=False):
-    """Sup- and windowed-L2 error against the entry's reference pair."""
+    """Sup- and windowed-L2 error against the entry's reference F."""
     entry = cfg.build_entry()
     if entry.reference is None:
         raise DomainError(
-            f"catalog entry {cfg.entry_name!r} has no reference pair")
+            f"catalog entry {cfg.entry_name!r} has no reference")
     pts = [complex(p) for p in cfg.eval_points]
     for z in pts:
         if not z.imag > 0:
@@ -345,6 +347,9 @@ def main(argv=None):
     except PatilError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SEMANTIC
+    except Exception as exc:  # a fault of the program, not of the config
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

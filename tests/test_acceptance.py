@@ -8,6 +8,7 @@ import cmath
 import json
 import math
 import statistics
+from pathlib import Path
 
 import numpy as np
 
@@ -237,7 +238,7 @@ def test_criterion_9_cli_determinism(tmp_path):
         for out in outs:
             ok = ok and main([sub, "--config", config, "--out", out,
                               "--reproducible"]) == EXIT_OK
-        ok = ok and open(outs[0]).read() == open(outs[1]).read()
+        ok = ok and Path(outs[0]).read_text() == Path(outs[1]).read_text()
 
     bad_grid = cfg("bad.json", eval_points=[2.0], lambda_grid=[])
     ok = ok and main(["growth", "--config", bad_grid]) == EXIT_CONFIG

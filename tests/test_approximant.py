@@ -12,8 +12,7 @@ from patil.approximant import (
     BoundarySignal,
     approximant_boundary,
     approximant_interior,
-    boundary_values,
-    interior_values,
+    approximant_values,
     l2_error_on_window,
     sup_error_on_compact,
 )
@@ -139,8 +138,8 @@ class TestBoundary:
         inside = [lo + width * 10.0 ** near[0], lo + width - width * 10.0 ** near[1]]
         xs = inside + [lo - far[0], lo + width + far[1]]
         lam = 10.0 ** decades
-        values = boundary_values(xs, QuenchParams(lam), interval,
-                                 rational(c, w, interval).signal, TOL)
+        values = approximant_values(xs, QuenchParams(lam), interval,
+                                    rational(c, w, interval).signal, TOL)
         # outside I nothing cancels the Cauchy integral's own abs_tol
         outside = lam / (2.0 * math.pi * math.sqrt(1.0 + lam)) * TOL.abs_tol
         slack = [0.0, 0.0, outside, outside]
@@ -190,7 +189,7 @@ class TestBatches:
     @pytest.mark.parametrize("lam", [1e2, 1e7])
     def test_boundary_batch_equals_each_point(self, entry, lam):
         p = QuenchParams(lam)
-        batch = boundary_values(self.XS, p, self.NONSYM, entry.signal, TOL)
+        batch = approximant_values(self.XS, p, self.NONSYM, entry.signal, TOL)
         alone = [approximant_boundary(x, p, self.NONSYM, entry.signal, TOL)
                  for x in self.XS]
         assert bits(batch) == bits(alone)
@@ -199,33 +198,51 @@ class TestBatches:
     def test_interior_batch_equals_each_point(self, method):
         p = QuenchParams(1e3)
         signal = example1().signal
-        batch = interior_values(self.ZS, p, self.NONSYM, signal, TOL, method)
+        batch = approximant_values(self.ZS, p, self.NONSYM, signal, TOL, method)
         alone = [approximant_interior(z, p, self.NONSYM, signal, TOL, method)
                  for z in self.ZS]
         assert bits(batch) == bits(alone)
 
+    @pytest.mark.parametrize("entry", [example1(), h2_reference_pole(-1j)])
+    def test_mixed_batch_equals_each_point(self, entry):
+        # interior points, and real points inside I and outside it
+        p = QuenchParams(1e3)
+        points = [z for pair in zip(self.ZS, self.XS) for z in pair]
+        batch = approximant_values(points, p, self.NONSYM, entry.signal, TOL)
+        alone = [approximant_interior(z, p, self.NONSYM, entry.signal, TOL)
+                 if isinstance(z, complex) else
+                 approximant_boundary(z, p, self.NONSYM, entry.signal, TOL)
+                 for z in points]
+        assert bits(batch) == bits(alone)
+
     def test_interior_batch_rejects_lower_half_plane(self):
         with pytest.raises(DomainError, match="need Im z > 0"):
-            interior_values([0.5 + 1j, 0.2 + 0j], QuenchParams(10.0), SYM,
-                            H2.signal)
+            approximant_values([0.5 + 1j, 0.2 - 1e-3j], QuenchParams(10.0),
+                               SYM, H2.signal)
+
+    def test_t_path_rejects_real_point(self):
+        with pytest.raises(DomainError, match="need Im z > 0"):
+            approximant_values([0.5 + 1j, 0.2], QuenchParams(10.0), SYM,
+                               H2.signal, method="t")
 
     @pytest.mark.parametrize("method", ["closed", "U"])
     def test_unknown_method_rejected(self, method):
         with pytest.raises(DomainError, match='"u" or "t"'):
-            interior_values([0.5 + 1j], QuenchParams(10.0), SYM, H2.signal,
-                            method=method)
+            approximant_values([0.5 + 1j], QuenchParams(10.0), SYM, H2.signal,
+                               method=method)
         with pytest.raises(DomainError, match='"u" or "t"'):
             approximant_interior(0.5 + 1j, QuenchParams(10.0), SYM, H2.signal,
                                  method=method)
 
     def test_boundary_batch_rejects_endpoint(self):
         with pytest.raises(DomainError, match="endpoint x=1.0"):
-            boundary_values([0.3, 1.0, 2.0], QuenchParams(10.0), SYM, H2.signal)
+            approximant_values([0.3, 1.0, 2.0], QuenchParams(10.0), SYM,
+                               H2.signal)
 
     def test_empty_batches(self):
         p = QuenchParams(10.0)
-        assert boundary_values([], p, SYM, H2.signal) == []
-        assert interior_values([], p, SYM, H2.signal) == []
+        assert approximant_values([], p, SYM, H2.signal) == []
+        assert approximant_values([], p, SYM, H2.signal, method="t") == []
 
 
 class TestErrorMeasures:
@@ -235,7 +252,7 @@ class TestErrorMeasures:
     def test_sup_error_lambda_zero(self):
         value = sup_error_on_compact(self.GRID, QuenchParams(0.0), SYM,
                                      H2.signal, H2.reference)
-        expected = max(abs(H2.reference.F_interior(z)) for z in self.GRID)
+        expected = max(abs(H2.reference(z)) for z in self.GRID)
         assert value == pytest.approx(expected, rel=1e-12)
 
     def test_sup_error_decreases(self):

@@ -298,6 +298,16 @@ class TestContourIdentity:
         spec = ContourSpec(R=5.0, height=1.5 * PI)
         assert contour_identity_check(g_strip, 1.0, 2.0, spec, sing) < 1e-10
 
+    @pytest.mark.parametrize("beta", [7.0 + 1.25j * PI, 5.0 + 1.4j * PI])
+    def test_pole_on_edge_line_off_rectangle(self, beta):
+        # on the line through the top or a side, but off the edge itself
+        def g_strip(z):
+            return 1.0 / (np.asarray(z, dtype=complex) - beta)
+
+        sing = (StripSingularity(beta=beta, order=1, coeff=1.0),)
+        spec = ContourSpec(R=5.0, height=1.25 * PI)
+        assert contour_identity_check(g_strip, 1.0, 2.0, spec, sing) < 1e-10
+
     @pytest.mark.parametrize("xi,alpha,message", [
         (-50.0, 2.0, "xi >= 0"),
         (1.0, 1.0, "alpha - 1"),

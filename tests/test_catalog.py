@@ -178,7 +178,7 @@ class TestRational:
         else:
             assert PI < beta.imag < 2.0 * PI
             assert entry.expected_exponent == 0.0
-            assert entry.reference.F_interior(w.conjugate()) == \
+            assert entry.reference(w.conjugate()) == \
                 pytest.approx(c / (2j * w.conjugate().imag))
 
     @pytest.mark.parametrize("w", [0.5, 2.0 + 0j, complex("nanj"), complex("-infj")])
@@ -190,13 +190,13 @@ class TestRational:
 class TestHardyWitness:
     def test_interior_value(self):
         entry = h2_reference_pole(-1j)
-        assert entry.reference.F_interior(1j) == pytest.approx(-0.5j)
+        assert entry.reference(1j) == pytest.approx(-0.5j)
 
     def test_boundary_consistency(self):
         entry = h2_reference_pole(-1j)
         x = 0.3
-        interior = entry.reference.F_interior(x + 1e-6j)
-        boundary = entry.reference.f_boundary(x)
+        interior = entry.reference(x + 1e-6j)
+        boundary = entry.reference(x)
         assert abs(interior - boundary) < 1e-5
 
     def test_square_integrable_norm(self):
@@ -205,7 +205,7 @@ class TestHardyWitness:
 
         def integrand(u):
             x = np.sinh(u)
-            return np.abs(entry.reference.f_boundary(x)) ** 2 * np.cosh(u)
+            return np.abs(entry.reference(x)) ** 2 * np.cosh(u)
 
         value = integrate_real_line(integrand, DecayCertificate(0.5, 2.0),
                                     QuadTolerance())

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ import patil.cli as cli
 from patil.cli import (
     EXIT_CONFIG,
     EXIT_CRITERION,
+    EXIT_INTERNAL,
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_SEMANTIC,
@@ -93,7 +95,7 @@ class TestGrowthCommand:
     @pytest.mark.parametrize("grid", [[10, 100], [10, 100, 1000, 10000]])
     def test_short_grid_refused_before_any_cell(self, tmp_path, capsys,
                                                 monkeypatch, grid):
-        monkeypatch.setattr(cli, "boundary_values", no_cell)
+        monkeypatch.setattr(cli, "approximant_values", no_cell)
         cfg = write_config(tmp_path, eval_points=[2.0], lambda_grid=grid)
         assert main(["growth", "--config", cfg]) == EXIT_CONFIG
         assert "bad lambda_grid" in capsys.readouterr().err
@@ -101,7 +103,7 @@ class TestGrowthCommand:
     def test_interval_of_strip_poles_enforced(self, tmp_path, capsys, monkeypatch):
         # example1's strip pole at i pi needs I = (-a, a); every other
         # entry derives its strip poles from the configured interval
-        monkeypatch.setattr(cli, "boundary_values", no_cell)
+        monkeypatch.setattr(cli, "approximant_values", no_cell)
         cfg = write_config(tmp_path, entry="example1", interval=[-1.0, 2.0],
                            eval_points=[3.0],
                            lambda_grid=[10.0 ** k for k in range(2, 9)])
@@ -110,7 +112,7 @@ class TestGrowthCommand:
 
     def test_interval_of_entry_args_accepted(self, tmp_path, monkeypatch):
         # the entry's interval is the config's; entry_args cannot set it
-        monkeypatch.setattr(cli, "boundary_values",
+        monkeypatch.setattr(cli, "approximant_values",
                             lambda xs, *a, **k: [1.0] * len(xs))
         cfg = write_config(tmp_path, entry="example1", interval=[-2.0, 2.0],
                            eval_points=[3.0],
@@ -247,6 +249,17 @@ class TestContourCommand:
         else:
             assert all(float(r[4]) < 1e-10 for r in read_csv(out)[1])
 
+    def test_example1_wide_interval(self, tmp_path):
+        # on (-3e7, 3e7) the pullback is about 1.7e8 at the regular kernel
+        # pole i pi + ln 2: large, yet no pole
+        cfg = write_config(tmp_path, entry="example1", interval=[-3e7, 3e7],
+                           contour={"xi": [0.5, 2.0], "alpha": [2.0, 3.0]})
+        out = str(tmp_path / "contour.csv")
+        assert main(["contour", "--config", cfg, "--out", out]) == EXIT_OK
+        _, rows = read_csv(out)
+        assert len(rows) == 4
+        assert all(float(r[4]) < 1e-6 for r in rows)
+
     def test_bad_height(self, tmp_path):
         cfg = write_config(tmp_path, contour={"height": math.pi})
         assert main(["contour", "--config", cfg]) == EXIT_CONFIG
@@ -270,7 +283,7 @@ class TestOutputFormats:
         for out in outs:
             assert main(["growth", "--config", cfg, "--out", out,
                          "--reproducible"]) == EXIT_OK
-        a, b = (open(o).read() for o in outs)
+        a, b = (Path(o).read_text() for o in outs)
         assert a == b
         assert not a.startswith("#")
 
@@ -278,7 +291,7 @@ class TestOutputFormats:
         cfg = write_config(tmp_path, contour={"xi": [1.0], "alpha": [2.0]})
         out = str(tmp_path / "c.csv")
         assert main(["contour", "--config", cfg, "--out", out]) == EXIT_OK
-        assert open(out).read().startswith("# generated ")
+        assert Path(out).read_text().startswith("# generated ")
 
     def test_unknown_format_rejected(self, tmp_path):
         cfg = write_config(tmp_path, contour={"xi": [1.0], "alpha": [2.0]},
@@ -290,7 +303,7 @@ class TestOutputFormats:
         out = str(tmp_path / "c.json")
         assert main(["contour", "--config", cfg, "--out", out,
                      "--format", "json", "--reproducible"]) == EXIT_OK
-        doc = json.load(open(out))
+        doc = json.loads(Path(out).read_text())
         assert doc["schema_version"] == SCHEMA_VERSION
         assert doc["columns"] == ["xi", "alpha", "R", "height", "residual"]
         assert "generated" not in doc
@@ -324,6 +337,21 @@ class TestConfigErrors:
         assert main([command, "--config", cfg]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command,overrides,fault", [
+        # hi ** 2 in the quench weight-ratio term overflows
+        ("growth", {"interval": [-1e300, 1e300], "eval_points": [1.5e300]},
+         "OverflowError"),
+        # R = 1e300 asks for more initial panels than numpy can allocate
+        ("contour", {"contour": {"alpha": [1e300], "R": 1e300}}, "ValueError"),
+    ])
+    def test_unexpected_error_exits_internal(self, tmp_path, capsys, command,
+                                             overrides, fault):
+        cfg = write_config(tmp_path, **overrides)
+        assert main([command, "--config", cfg]) == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert err.startswith(f"internal error: {fault}: ")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("overrides,unknown", [
