@@ -152,7 +152,7 @@ def approximant_values(points, params, interval, signal, tol=QuadTolerance(),
         return [0.0 + 0.0j] * len(zs)
     integrals = paths[method](np.array(zs, dtype=complex), params, interval,
                               signal, tol)
-    # both prefactors are lam h C / (2 pi i sqrt(1 + lam)); they differ only
+    # both give lam h(z) integral / (2 pi i sqrt(1 + lam)); they differ only
     # in rounding, and each keeps its own order so that no output moves
     return [lam * quench_interior(z, params, interval) / (2j * math.pi)
             * integral / math.sqrt(1.0 + lam) if z.imag > 0
