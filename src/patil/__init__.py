@@ -2,7 +2,21 @@
 boundary data on a bounded real interval, with residue-based growth
 analysis of the approximants outside that interval."""
 
-from .approximant import (
+import os as _os
+import sys as _sys
+
+# OpenBLAS reads OPENBLAS_NUM_THREADS once, when numpy loads it.  The one
+# BLAS call here is a 2-column least-squares fit, and a second thread only
+# spins on an idle core, so load it with one thread unless the user chose;
+# the variable is removed again, so the environment stays the user's.
+if "numpy" not in _sys.modules and "OPENBLAS_NUM_THREADS" not in _os.environ:
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as _numpy  # noqa: F401
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
+
+from .approximant import (  # noqa: E402
     BoundarySignal,
     approximant_boundary,
     approximant_interior,
@@ -10,7 +24,7 @@ from .approximant import (
     l2_error_on_window,
     sup_error_on_compact,
 )
-from .asymptotics import (
+from .asymptotics import (  # noqa: E402
     ContourSpec,
     StripSingularity,
     contour_identity_check,
@@ -21,7 +35,7 @@ from .asymptotics import (
     residue_merged,
     residue_strip_pole,
 )
-from .catalog import (
+from .catalog import (  # noqa: E402
     CatalogEntry,
     entry_names,
     example1,
@@ -29,14 +43,14 @@ from .catalog import (
     get_entry,
     h2_reference_pole,
 )
-from .quadrature import (
+from .quadrature import (  # noqa: E402
     DecayCertificate,
     QuadTolerance,
     integrate_adaptive,
     integrate_real_line,
     pv_integrate,
 )
-from .quench import (
+from .quench import (  # noqa: E402
     Interval,
     QuenchParams,
     phase_G,

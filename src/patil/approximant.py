@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NonConvergence
 from .quadrature import (
     DecayCertificate,
     QuadTolerance,
@@ -52,6 +52,15 @@ class BoundarySignal:
     decay_cert: DecayCertificate
     strip_pullback: callable = None
     singularities: tuple = ()
+
+
+def _failed_cell(exc, params, z, piece):
+    """The failure ``exc`` of the ``piece`` integral of g_lambda at ``z``,
+    its message headed by that cell: lambda, the point and the piece."""
+    z = complex(z)
+    point = f"x={z.real!r}" if z.imag == 0 else f"z={z!r}"
+    return NonConvergence(f"g_lambda at lambda={float(params.lam)!r}, {point}, "
+                          f"{piece} integral: {exc}", exc.estimate, exc.error)
 
 
 def _cauchy_weighted_u(zs, params, interval, signal, tol):
@@ -110,7 +119,12 @@ def _cauchy_weighted_u(zs, params, interval, signal, tol):
         return values
 
     const = cmath.exp(1j * xi * (0.5 * _log_weight_ratio(interval)))
-    ints = iter(integrate_batch(integrand, lo, hi, tol, panels.astype(int)))
+    try:
+        ints = iter(integrate_batch(integrand, lo, hi, tol, panels.astype(int)))
+    except NonConvergence as exc:
+        j = int(owner[exc.index])
+        piece = "u-PV" if inside[j] else "u"
+        raise _failed_cell(exc, params, zs[j], piece) from exc
     return [const * (next(ints) + next(ints) + (1j * math.pi - vs[j])
                      * complex(wvs[j])) if inside[j] else const * next(ints)
             for j in range(len(zs))]
@@ -123,8 +137,11 @@ def _cauchy_weighted_t(zs, params, interval, signal, tol):
     def integrand(t, k):
         return np.exp(-1j * phase_G(t, params, interval)) * g(t) / (t - zs[k])
 
-    return integrate_batch(integrand, np.full(len(zs), interval.lo),
-                           np.full(len(zs), interval.hi), tol)
+    try:
+        return integrate_batch(integrand, np.full(len(zs), interval.lo),
+                               np.full(len(zs), interval.hi), tol)
+    except NonConvergence as exc:
+        raise _failed_cell(exc, params, zs[exc.index], "t") from exc
 
 
 def approximant_values(points, params, interval, signal, tol=QuadTolerance(),

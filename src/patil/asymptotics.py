@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NonConvergence
 from .quadrature import QuadTolerance, integrate_batch
 
 __all__ = [
@@ -252,9 +252,15 @@ def contour_identity_check(g_strip, xi, alpha, spec, singularities=(),
         return step[k] * (np.asarray(kernel_k(z, xi, alpha))
                           * np.asarray(g_strip(z)))
 
-    bottom, top, right, left = integrate_batch(
-        f, [-R, -R, 0.0, 0.0], [R, R, b, b], tol,
-        [max(8, int(R)), max(8, int(R)), 8, 8])
+    try:
+        bottom, top, right, left = integrate_batch(
+            f, [-R, -R, 0.0, 0.0], [R, R, b, b], tol,
+            [max(8, int(R)), max(8, int(R)), 8, 8])
+    except NonConvergence as exc:
+        edge = ("bottom", "top", "right", "left")[exc.index]
+        raise NonConvergence(
+            f"contour at xi={float(xi)!r}, alpha={float(alpha)!r}, {edge} edge: "
+            f"{exc}", exc.estimate, exc.error) from exc
     loop = bottom + right - top - left
     enclosed = [s for s in singularities
                 if complex(s.beta).imag < b and abs(complex(s.beta).real) < R]
@@ -292,6 +298,8 @@ def fit_growth_exponent(samples):
     samples = list(samples)
     lams = check_growth_grid([s[0] for s in samples])
     mags = np.array([s[1] for s in samples], dtype=float)
-    if np.any(mags <= 0):
-        raise DomainError("all magnitudes must be > 0")
+    ok = np.isfinite(mags) & (mags > 0)
+    if not ok.all():
+        raise DomainError(
+            f"all magnitudes must be > 0 and finite, got {mags[~ok][0]}")
     return float(np.polyfit(np.log1p(lams), np.log(mags), 1)[0])

@@ -10,9 +10,14 @@ class DomainError(PatilError, ValueError):
 
 
 class NonConvergence(PatilError, ArithmeticError):
-    """Adaptive quadrature exhausted its budget or met a non-finite value."""
+    """Adaptive quadrature exhausted its budget or met a non-finite value.
 
-    def __init__(self, message, estimate=None, error=None):
+    ``index`` is the position of the failing integral in its batch, so
+    that the caller can name the cell it belongs to.
+    """
+
+    def __init__(self, message, estimate=None, error=None, index=None):
         super().__init__(message)
         self.estimate = estimate
         self.error = error
+        self.index = index

@@ -143,7 +143,8 @@ def integrate_batch(f, lo, hi, tol=QuadTolerance(), initial_panels=8):
     ------
     NonConvergence
         At the first integral found to exhaust its budget or to have a
-        panel whose estimate or error is not finite.
+        panel whose estimate or error is not finite; its ``index`` is
+        that integral's.
     """
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
@@ -166,7 +167,7 @@ def integrate_batch(f, lo, hi, tol=QuadTolerance(), initial_panels=8):
         for i, a, b, est, err in zip(ks, a_s, b_s, ests, errs):
             if not math.isfinite(err):
                 raise NonConvergence(f"non-finite integrand on panel [{a}, {b}]",
-                                     estimate=est, error=err)
+                                     estimate=est, error=err, index=i)
             totals[i] += est
             errors[i] += err
             heapq.heappush(heaps[i], (-err, a, b, est))
@@ -177,7 +178,7 @@ def integrate_batch(f, lo, hi, tol=QuadTolerance(), initial_panels=8):
             if panels[i] >= tol.max_subdivisions:
                 raise NonConvergence(
                     f"error {errors[i]:.3e} above target after {panels[i]} panels",
-                    estimate=totals[i], error=errors[i])
+                    estimate=totals[i], error=errors[i], index=i)
             neg_err, a, b, est = heapq.heappop(heaps[i])
             totals[i] -= est
             errors[i] += neg_err  # neg_err == -err

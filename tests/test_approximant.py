@@ -17,7 +17,7 @@ from patil.approximant import (
     sup_error_on_compact,
 )
 from patil.catalog import example1, example2, h2_reference_pole, rational
-from patil.errors import DomainError
+from patil.errors import DomainError, NonConvergence
 from patil.quadrature import QuadTolerance
 from patil.quench import Interval, QuenchParams
 
@@ -238,6 +238,22 @@ class TestBatches:
         with pytest.raises(DomainError, match="endpoint x=1.0"):
             approximant_values([0.3, 1.0, 2.0], QuenchParams(10.0), SYM,
                                H2.signal)
+
+    # a budget of 8 panels stops every integral at its first refinement;
+    # with 9 the two 8-panel pieces of 0.3 refine, and the exterior
+    # point's integral, number 2 of the batch, fails first
+    @pytest.mark.parametrize("points,method,budget,cell", [
+        ([0.3, 2.0], "u", 9, "x=2.0, u integral"),
+        ([0.3], "u", 8, "x=0.3, u-PV integral"),
+        ([0.5 + 1j], "u", 8, r"z=\(0\.5\+1j\), u integral"),
+        ([0.5 + 1j], "t", 8, r"z=\(0\.5\+1j\), t integral"),
+    ])
+    def test_nonconvergence_names_cell(self, points, method, budget, cell):
+        stingy = QuadTolerance(max_subdivisions=budget)
+        with pytest.raises(NonConvergence,
+                           match=rf"^g_lambda at lambda=10\.0, {cell}: error"):
+            approximant_values(points, QuenchParams(10.0), SYM, H2.signal,
+                               stingy, method)
 
     def test_empty_batches(self):
         p = QuenchParams(10.0)

@@ -20,7 +20,8 @@ from patil.asymptotics import (
     residue_strip_pole,
 )
 from patil.catalog import example1, example2, h2_reference_pole
-from patil.errors import DomainError
+from patil.errors import DomainError, NonConvergence
+from patil.quadrature import QuadTolerance
 from patil.quench import Interval
 
 PI = math.pi
@@ -282,6 +283,12 @@ class TestContourIdentity:
             contour_identity_check(signal.strip_pullback, 0.5, 2.0, self.SPEC,
                                    signal.singularities)
 
+    def test_nonconvergence_names_edge(self):
+        stingy = QuadTolerance(abs_tol=1e-14, rel_tol=1e-14, max_subdivisions=9)
+        with pytest.raises(NonConvergence,
+                           match=r"xi=1\.0, alpha=2\.0, bottom edge: error"):
+            contour_identity_check(ones, 1.0, 2.0, self.SPEC, tol=stingy)
+
     def test_pole_on_edge(self):
         sing = (StripSingularity(beta=20.0 + 0.5j * PI, order=1, coeff=1.0),)
         with pytest.raises(DomainError, match="on a contour edge"):
@@ -400,6 +407,13 @@ class TestGrowthFit:
     def test_nonpositive_magnitude(self):
         with pytest.raises(DomainError, match="magnitudes must be > 0"):
             fit_growth_exponent([(10.0 ** k, 0.0) for k in range(1, 9)])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+    def test_one_bad_magnitude_refused(self, bad):
+        # a NaN or inf used to come back as a nan slope, with no error
+        lams = [1e1, 1e2, 1e3, 1e4, 1e5]
+        with pytest.raises(DomainError, match=f"> 0 and finite, got {bad}"):
+            fit_growth_exponent(zip(lams, [1.0, 2.0, bad, 4.0, 5.0]))
 
 
 class TestDataTypes:

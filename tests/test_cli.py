@@ -134,6 +134,15 @@ class TestGrowthCommand:
         )
         assert main(["growth", "--config", cfg]) == EXIT_NUMERIC
 
+    def test_nonconvergence_names_cell(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, entry="h2pole", eval_points=[2.0],
+                           lambda_grid=[1e1, 1e2, 1e3, 1e4, 1e5],
+                           tolerances={"max_subdivisions": 9})
+        assert main(["growth", "--config", cfg]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error: g_lambda at lambda=10.0, x=2.0, "
+                              "u integral: error ")
+
 
 class TestConvergeCommand:
     def test_h2pole_nonincreasing(self, tmp_path):
