@@ -5,11 +5,14 @@ analysis of the approximants outside that interval."""
 import os as _os
 import sys as _sys
 
-# OpenBLAS reads OPENBLAS_NUM_THREADS once, when numpy loads it.  The one
-# BLAS call here is a 2-column least-squares fit, and a second thread only
-# spins on an idle core, so load it with one thread unless the user chose;
-# the variable is removed again, so the environment stays the user's.
-if "numpy" not in _sys.modules and "OPENBLAS_NUM_THREADS" not in _os.environ:
+# OpenBLAS reads its thread count once, when numpy loads it, from the first
+# of these variables that is set.  The one BLAS call here is a 2-column
+# least-squares fit, and a second thread only spins on an idle core, so
+# load it with one thread unless the user chose a count; the variable is
+# removed again, so the environment stays the user's.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if "numpy" not in _sys.modules and not any(
+        v in _os.environ for v in _BLAS_THREAD_VARS):
     _os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
         import numpy as _numpy  # noqa: F401

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NonConvergence
+from .errors import DomainError, NonConvergence, in_cell
 from .quadrature import (
     DecayCertificate,
     QuadTolerance,
@@ -54,13 +54,12 @@ class BoundarySignal:
     singularities: tuple = ()
 
 
-def _failed_cell(exc, params, z, piece):
-    """The failure ``exc`` of the ``piece`` integral of g_lambda at ``z``,
-    its message headed by that cell: lambda, the point and the piece."""
+def _cell(params, z, piece):
+    """The cell of the ``piece`` integral of g_lambda at ``z``: lambda, the
+    point and the piece."""
     z = complex(z)
     point = f"x={z.real!r}" if z.imag == 0 else f"z={z!r}"
-    return NonConvergence(f"g_lambda at lambda={float(params.lam)!r}, {point}, "
-                          f"{piece} integral: {exc}", exc.estimate, exc.error)
+    return f"g_lambda at lambda={float(params.lam)!r}, {point}, {piece} integral"
 
 
 def _cauchy_weighted_u(zs, params, interval, signal, tol):
@@ -124,7 +123,7 @@ def _cauchy_weighted_u(zs, params, interval, signal, tol):
     except NonConvergence as exc:
         j = int(owner[exc.index])
         piece = "u-PV" if inside[j] else "u"
-        raise _failed_cell(exc, params, zs[j], piece) from exc
+        raise in_cell(exc, _cell(params, zs[j], piece)) from exc
     return [const * (next(ints) + next(ints) + (1j * math.pi - vs[j])
                      * complex(wvs[j])) if inside[j] else const * next(ints)
             for j in range(len(zs))]
@@ -141,7 +140,7 @@ def _cauchy_weighted_t(zs, params, interval, signal, tol):
         return integrate_batch(integrand, np.full(len(zs), interval.lo),
                                np.full(len(zs), interval.hi), tol)
     except NonConvergence as exc:
-        raise _failed_cell(exc, params, zs[exc.index], "t") from exc
+        raise in_cell(exc, _cell(params, zs[exc.index], "t")) from exc
 
 
 def approximant_values(points, params, interval, signal, tol=QuadTolerance(),

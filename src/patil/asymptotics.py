@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NonConvergence
+from .errors import DomainError, NonConvergence, in_cell
 from .quadrature import QuadTolerance, integrate_batch
 
 __all__ = [
@@ -258,9 +258,8 @@ def contour_identity_check(g_strip, xi, alpha, spec, singularities=(),
             [max(8, int(R)), max(8, int(R)), 8, 8])
     except NonConvergence as exc:
         edge = ("bottom", "top", "right", "left")[exc.index]
-        raise NonConvergence(
-            f"contour at xi={float(xi)!r}, alpha={float(alpha)!r}, {edge} edge: "
-            f"{exc}", exc.estimate, exc.error) from exc
+        raise in_cell(exc, f"contour at xi={float(xi)!r}, "
+                           f"alpha={float(alpha)!r}, {edge} edge") from exc
     loop = bottom + right - top - left
     enclosed = [s for s in singularities
                 if complex(s.beta).imag < b and abs(complex(s.beta).real) < R]

@@ -21,3 +21,8 @@ class NonConvergence(PatilError, ArithmeticError):
         self.estimate = estimate
         self.error = error
         self.index = index
+
+
+def in_cell(exc, cell):
+    """``exc``, a NonConvergence, with its message headed by ``cell``."""
+    return NonConvergence(f"{cell}: {exc}", exc.estimate, exc.error)

@@ -13,7 +13,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Run in a fresh interpreter: imports patil, then prints the thread count
 # of the OpenBLAS library mapped into the process (null when none is) and
-# OPENBLAS_NUM_THREADS as os.environ and as the C environment see it.
+# the thread variables that os.environ and the C environment hold.
 PROBE = r"""
 import ctypes
 import json
@@ -44,16 +44,23 @@ def openblas_threads():
 
 getenv = ctypes.CDLL(None).getenv
 getenv.argtypes, getenv.restype = [ctypes.c_char_p], ctypes.c_char_p
-raw = getenv(b"OPENBLAS_NUM_THREADS")
-print(json.dumps({"threads": openblas_threads(),
-                  "environ": os.environ.get("OPENBLAS_NUM_THREADS"),
-                  "getenv": raw and raw.decode()}))
+names = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+raw = {name: getenv(name.encode()) for name in names}
+print(json.dumps({
+    "threads": openblas_threads(),
+    "environ": {name: os.environ[name] for name in names if name in os.environ},
+    "getenv": {name: raw[name].decode() for name in names if raw[name]}}))
 """
 
 
+# OpenBLAS takes its thread count from the first of these that is set
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
 def probe(**env):
-    """What PROBE reports under the test's environment plus ``env``."""
-    child = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    """What PROBE reports under the test's environment, without any of
+    THREAD_VARS, plus ``env``."""
+    child = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
     child.update(env, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", PROBE], env=child, check=True,
                           capture_output=True, text=True, timeout=120)
@@ -62,19 +69,20 @@ def probe(**env):
 
 def test_one_thread_and_environment_unchanged():
     got = probe()
-    assert got["environ"] is None and got["getenv"] is None
+    assert got["environ"] == {} and got["getenv"] == {}
     if got["threads"] is None:
         pytest.skip("no OpenBLAS library mapped")
     assert got["threads"] == 1
 
 
-def test_user_choice_wins():
+@pytest.mark.parametrize("var", THREAD_VARS)
+def test_user_choice_wins(var):
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count())
     if cpus < 2:
         pytest.skip("OpenBLAS caps its threads at the cores available")
-    got = probe(OPENBLAS_NUM_THREADS="2")
-    assert got["environ"] == "2" and got["getenv"] == "2"
+    got = probe(**{var: "2"})
+    assert got["environ"] == {var: "2"} and got["getenv"] == {var: "2"}
     if got["threads"] is None:
         pytest.skip("no OpenBLAS library mapped")
     assert got["threads"] == 2

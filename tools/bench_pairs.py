@@ -3,21 +3,22 @@
 Usage, from anywhere::
 
     python3 tools/bench_pairs.py PARENT_TREE CHANGE_TREE --workload W \\
-        --pairs N --out FILE [--seconds 20] [--what TEXT]
+        --pairs N --out FILE
 
-Pair i (i = 1..N) runs ``python3 perfbench/run.py --workload W --seed i
---seconds S`` once in each tree, each with that tree's own perfbench and
+Pair i (i = 1..N) runs ``python3 perfbench/run.py --workload W --seed i``
+once in each tree, each with that tree's own perfbench, run length and
 sources; the parent runs first in odd pairs and the change first in even
 ones.  Then ``tools/quad_counts.py --seed 1 W`` runs in each tree.  The
-end-to-end metrics and which way is better come from CHANGE_TREE's
-BENCHMARK.json.
+end-to-end metrics, which way is better and the run length named in FILE
+come from CHANGE_TREE's BENCHMARK.json.
 
-FILE gets, under ``workloads.W``: each pair's metrics as [parent,
-change] with its failed-row share and ``correct`` flag, the median and
-quartiles of each side, the pairs the change won (ties count for
-neither side) and both trees' counts.  Other workloads already in FILE
-are kept, so one file can collect several workloads.  Neither tree is
-modified, apart from perfbench's own git-ignored work directory.
+The set of pairs is appended to the list ``workloads.W`` of FILE: each
+pair's metrics as [parent, change] with its failed-row share and
+``correct`` flag, the median and quartiles of each side, the pairs the
+change won (ties count for neither side) and both trees' counts.  Sets
+and workloads already in FILE are kept, so one file collects every run.
+Neither tree is modified, apart from perfbench's own git-ignored work
+directory.
 """
 
 import argparse
@@ -50,11 +51,11 @@ def last_json_line(argv, cwd, env):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def bench(tree, workload, seed, seconds):
+def bench(tree, workload, seed):
     """The result line of one perfbench run in ``tree``."""
     return last_json_line(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds)], tree, child_env())
+         "--seed", str(seed)], tree, child_env())
 
 
 def summary(values):
@@ -69,9 +70,6 @@ def main(argv=None):
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--what", default=None,
-                        help="one line saying what the change is")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("need --pairs >= 2 for quartiles")
@@ -85,7 +83,7 @@ def main(argv=None):
         results = {}
         for side in order:
             print(f"pair {seed}: {side}", file=sys.stderr, flush=True)
-            results[side] = bench(trees[side], args.workload, seed, args.seconds)
+            results[side] = bench(trees[side], args.workload, seed)
         pair = {"seed": seed, "first": order[0]}
         for name in better:
             pair[name] = [round(results[s]["metrics"][name]["value"], 4)
@@ -109,18 +107,21 @@ def main(argv=None):
         tree, child_env(tree))[args.workload] for side, tree in trees.items()}
 
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+    workloads = doc.get("workloads", {})
     doc = {
-        "what": args.what or doc.get("what", "parent commit vs this change"),
+        "what": doc.get("what", "parent commit vs this change"),
         "machine": f"{os.cpu_count()}-core {platform.machine()}, Python "
                    f"{platform.python_version()}, numpy "
                    f"{importlib.metadata.version('numpy')}",
-        "benchmark": "python3 perfbench/run.py --workload W --seed S --seconds "
-                     f"{args.seconds:g}, one run of each tree per pair, same seed "
-                     "in a pair, seed = pair number, the parent first in odd pairs",
+        "benchmark": "python3 perfbench/run.py --workload W --seed S, "
+                     f"{spec['run_seconds']} s per run, one run of each tree per "
+                     "pair, same seed in a pair, seed = pair number, the parent "
+                     "first in odd pairs",
         "counts_method": "PYTHONPATH=src python3 tools/quad_counts.py --seed 1 W in "
                          "each tree: calls = integrand calls, panels = G7/K15 "
                          "panels, points = nodes passed to the integrand",
-        "workloads": {**doc.get("workloads", {}), args.workload: entry},
+        "workloads": {**workloads,
+                      args.workload: workloads.get(args.workload, []) + [entry]},
     }
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
