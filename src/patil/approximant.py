@@ -158,6 +158,8 @@ def approximant_values(points, params, interval, signal, tol=QuadTolerance(),
         raise DomainError(f'method must be "u" or "t", got {method!r}')
     zs = [complex(z) for z in points]
     for z in zs:
+        if not cmath.isfinite(z):
+            raise DomainError(f"need a finite point, got z={z}")
         if not (z.imag > 0 or z.imag == 0 and method == "u"):
             raise DomainError(f"need Im z > 0, got z={z}")
         if z.imag == 0 and interval.is_endpoint(z.real):
@@ -168,12 +170,9 @@ def approximant_values(points, params, interval, signal, tol=QuadTolerance(),
         return [0.0 + 0.0j] * len(zs)
     integrals = paths[method](np.array(zs, dtype=complex), params, interval,
                               signal, tol)
-    # both give lam h(z) integral / (2 pi i sqrt(1 + lam)); they differ only
-    # in rounding, and each keeps its own order so that no output moves
-    return [lam * quench_interior(z, params, interval) / (2j * math.pi)
-            * integral / math.sqrt(1.0 + lam) if z.imag > 0
-            else 1j * lam / (2.0 * math.pi * math.sqrt(1.0 + lam))
-            * quench_boundary(z.real, params, interval) * -integral
+    return [lam * (quench_interior(z, params, interval) if z.imag > 0
+                   else quench_boundary(z.real, params, interval))
+            / (2j * math.pi) * integral / math.sqrt(1.0 + lam)
             for z, integral in zip(zs, integrals)]
 
 

@@ -89,6 +89,14 @@ def _finite(value):
     return value
 
 
+def _whole(value):
+    """A finite number with no fractional part, as an int (101.0 gives 101)."""
+    number = _finite(value)
+    if not number.is_integer():
+        raise ValueError(f"need a whole number, got {number}")
+    return int(number)
+
+
 def _tuple(value, convert=_finite):
     """A JSON list, converted element by element."""
     if not isinstance(value, list):
@@ -120,7 +128,7 @@ def _section(value, name, schema):
 
 
 _TOLERANCES = {"abs_tol": (_finite, 1e-10), "rel_tol": (_finite, 1e-10),
-               "max_subdivisions": (lambda v: int(_finite(v)), 4000)}
+               "max_subdivisions": (_whole, 4000)}
 _CONTOUR = {"xi": (_tuple, [1.0]), "alpha": (_tuple, [2.0]),
             "R": (_finite, 20.0), "height": (_finite, 1.5 * math.pi),
             "residual_tolerance": (_finite, 1e-6)}
@@ -171,7 +179,7 @@ class ExperimentConfig:
             if abs(z.imag) < guard and min(abs(z.real - interval.lo),
                                            abs(z.real - interval.hi)) < guard:
                 raise ConfigError(f"eval point {p} too close to interval endpoint")
-        n_samples = int(_read(raw, "n_samples", _finite, 101))
+        n_samples = _read(raw, "n_samples", _whole, 101)
         if n_samples < 1:
             raise ConfigError(f"n_samples must be >= 1, got {n_samples}")
         out_format = fmt or _read(raw, "format", str, "csv")

@@ -177,7 +177,8 @@ def integrate_batch(f, lo, hi, tol=QuadTolerance(), initial_panels=8):
         for i in refine:
             if panels[i] >= tol.max_subdivisions:
                 raise NonConvergence(
-                    f"error {errors[i]:.3e} above target after {panels[i]} panels",
+                    f"error {errors[i]:.3e} above target after {panels[i]} "
+                    f"panels (max_subdivisions={tol.max_subdivisions})",
                     estimate=totals[i], error=errors[i], index=i)
             neg_err, a, b, est = heapq.heappop(heaps[i])
             totals[i] -= est

@@ -1,11 +1,11 @@
 """The quenching weight h_lambda on the upper half plane.
 
 h_lambda is the exponential of a Cauchy-type integral over the recovery
-window I.  Its exponent has an exact antiderivative, so the interior
-value is evaluated in closed form; quadrature of the defining integral
-is kept only as a test oracle.  On the real line the weight degenerates
-to a unimodular phase outside I and to ``(1+lambda)^{-1/2}`` times a
-phase inside.
+window I.  Its exponent has an exact antiderivative, so h_lambda is
+evaluated in closed form on the closed upper half plane; quadrature of
+the defining integral is kept only as a test oracle.  On the real line
+it is its limit from above: a unimodular phase outside I and
+``(1+lambda)^{-1/2}`` times a phase inside.
 """
 
 import cmath
@@ -81,8 +81,8 @@ class Interval:
 
 def xi_of_lambda(lam):
     """Logarithmic frequency ``ln(1 + lambda) / (2 pi)``."""
-    if lam < 0:
-        raise DomainError(f"lambda must be >= 0, got {lam}")
+    if not 0 <= lam < math.inf:
+        raise DomainError(f"lambda must be finite and >= 0, got {lam}")
     return math.log1p(lam) / TWO_PI
 
 
@@ -115,25 +115,27 @@ def phase_G(x, params, interval):
     return params.xi * (ratio - 0.5 * _log_weight_ratio(interval))
 
 
-def quench_interior(z, params, interval):
-    """h_lambda(z) for Im z > 0, in closed form.
+def _quench(z, params, interval):
+    """h_lambda(z) = exp(i xi (Log(z - hi) - Log(z - lo) - L/2)), Im z >= 0.
 
-    The defining integrand splits as ``1/(t-z) - t/(1+t^2)``; both
-    pieces have exact antiderivatives.  The principal Log is applied to
-    ``hi - z`` and ``lo - z`` separately (both stay in the open lower
-    half plane, so no branch cut is crossed).
+    L is ``_log_weight_ratio``.  ``z - hi`` and ``z - lo`` lie in the closed
+    upper half plane, so a real ``complex(x, 0.0)`` gets the limit from
+    above; ``hi - z`` would not, its imaginary part being +0.0.
     """
+    cauchy = cmath.log(z - interval.hi) - cmath.log(z - interval.lo)
+    return cmath.exp(1j * params.xi * (cauchy - 0.5 * _log_weight_ratio(interval)))
+
+
+def quench_interior(z, params, interval):
+    """h_lambda(z) for Im z > 0, in closed form."""
     z = complex(z)
     if not z.imag > 0:
         raise DomainError(f"need Im z > 0, got z={z}")
-    cauchy = cmath.log(interval.hi - z) - cmath.log(interval.lo - z)
-    exponent = cauchy - 0.5 * _log_weight_ratio(interval)
-    return cmath.exp(-math.log1p(params.lam) / (TWO_PI * 1j) * exponent)
+    return _quench(z, params, interval)
 
 
 def quench_boundary(x, params, interval):
-    """Boundary trace of h_lambda at a real point off the endpoints."""
-    modulus = 1.0
-    if interval.contains(x):
-        modulus = 1.0 / math.sqrt(1.0 + params.lam)
-    return modulus * cmath.exp(1j * phase_G(x, params, interval))
+    """h_lambda at a real point off the endpoints: its limit from above."""
+    if interval.is_endpoint(x):
+        raise DomainError(f"h_lambda undefined at interval endpoint x={x}")
+    return _quench(complex(x, 0.0), params, interval)

@@ -1,6 +1,7 @@
 import cmath
 import importlib.util
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -233,6 +234,14 @@ class TestBatches:
         with pytest.raises(DomainError, match='"u" or "t"'):
             approximant_interior(0.5 + 1j, QuenchParams(10.0), SYM, H2.signal,
                                  method=method)
+
+    @pytest.mark.parametrize("z,shown", [
+        (math.nan, "nan+0j"), (complex(0.5, math.inf), "0.5+infj"),
+        (complex(math.nan, 1.0), "nan+1j")])
+    def test_nonfinite_point_rejected(self, z, shown):
+        with pytest.raises(DomainError, match=rf"need a finite point, got "
+                                              rf"z=\({re.escape(shown)}\)"):
+            approximant_values([0.3, z], QuenchParams(10.0), SYM, H2.signal)
 
     def test_boundary_batch_rejects_endpoint(self):
         with pytest.raises(DomainError, match="endpoint x=1.0"):

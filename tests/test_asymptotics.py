@@ -315,6 +315,23 @@ class TestContourIdentity:
         spec = ContourSpec(R=5.0, height=1.25 * PI)
         assert contour_identity_check(g_strip, 1.0, 2.0, spec, sing) < 1e-10
 
+    def test_order_two_pole_by_merged_residue(self):
+        # the closed form covers simple poles only; this one goes to residue_merged
+        beta = 0.5 + 0.5j * PI
+
+        def g_strip(z):
+            return 1.0 / (np.asarray(z, dtype=complex) - beta) ** 2
+
+        sing = (StripSingularity(beta=beta, order=2, coeff=1.0),)
+        spec = ContourSpec(R=5.0, height=1.25 * PI)
+        assert contour_identity_check(g_strip, 1.0, 2.0, spec, sing) < 1e-12
+
+    def test_height_near_pi_rejected(self):
+        # ContourSpec takes a height above pi; the kernel poles still sit on it
+        spec = ContourSpec(R=20.0, height=PI + 1e-7)
+        with pytest.raises(DomainError, match="kernel poles lie on Im z = pi"):
+            contour_identity_check(ones, 1.0, 2.0, spec)
+
     @pytest.mark.parametrize("xi,alpha,message", [
         (-50.0, 2.0, "xi >= 0"),
         (1.0, 1.0, "alpha - 1"),

@@ -142,6 +142,8 @@ class TestGrowthCommand:
         err = capsys.readouterr().err
         assert err.startswith("numeric error: g_lambda at lambda=10.0, x=2.0, "
                               "u integral: error ")
+        # the u integral at x = 2 starts with 29 panels, above the budget
+        assert err.rstrip().endswith("after 29 panels (max_subdivisions=9)")
 
 
 class TestConvergeCommand:
@@ -362,6 +364,27 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"internal error: {fault}: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command,overrides,key", [
+        ("converge", {"entry": "h2pole", "eval_points": [[0, 1]],
+                      "n_samples": 3.7}, "bad n_samples: "),
+        ("growth", {"tolerances": {"max_subdivisions": 4000.9}},
+         "bad max_subdivisions: "),
+    ])
+    def test_fractional_count_exits_config(self, tmp_path, capsys, command,
+                                           overrides, key):
+        cfg = write_config(tmp_path, **{"eval_points": [2.0], **overrides})
+        assert main([command, "--config", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert key in err and "need a whole number" in err
+
+    def test_whole_float_count_accepted(self):
+        cfg = ExperimentConfig.from_dict({
+            "entry": "h2pole", "n_samples": 101.0,
+            "tolerances": {"max_subdivisions": 4000.0}})
+        assert cfg.n_samples == 101 and type(cfg.n_samples) is int
+        assert cfg.tolerances.max_subdivisions == 4000
+        assert type(cfg.tolerances.max_subdivisions) is int
 
     @pytest.mark.parametrize("overrides,unknown", [
         ({"lamda_grid": [1e2, 1e4]}, "lamda_grid"),

@@ -189,6 +189,14 @@ class TestIntegrateBatch:
         with pytest.raises(NonConvergence, match="after 9 panels"):
             integrate_batch(f, [-1.0, -1.0], [1.0, 1.0], stingy)
 
+    def test_budget_below_initial_panels_named(self):
+        # 29 initial panels are spent before a budget of 9 is first checked
+        stingy = QuadTolerance(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=9)
+        with pytest.raises(NonConvergence, match=r"^error \S+ above target after "
+                           r"29 panels \(max_subdivisions=9\)$"):
+            integrate_batch(lambda u, k: np.sqrt(np.abs(u)), [-1.0], [1.0],
+                            stingy, 29)
+
     @pytest.mark.parametrize("lo,hi", [([0.0, 1.0], [1.0, 1.0]),
                                        ([0.0, 2.0], [1.0, 1.0])])
     def test_bad_member_interval(self, lo, hi):

@@ -1,6 +1,9 @@
 import cmath
+import importlib.util
 import math
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +21,12 @@ from patil.quench import (
 )
 
 SYM = Interval(-1.0, 1.0)
+
+# the benchmark's mpmath oracle, loaded read-only from its file
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_oracle", Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py")
+oracle = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(oracle)
 
 
 def quench_oracle(z, lam, interval):
@@ -41,6 +50,11 @@ class TestXiOfLambda:
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
             xi_of_lambda(-0.5)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_nonfinite_rejected(self, lam):
+        with pytest.raises(DomainError, match=f"finite and >= 0, got {lam}"):
+            QuenchParams(lam)
 
     def test_params_keep_xi_consistent(self):
         p = QuenchParams(37.0)
@@ -155,6 +169,32 @@ class TestQuenchBoundary:
                      - quench_boundary(x, p, SYM))
                  for y in (1e-1, 1e-2, 1e-3, 1e-4)]
         assert all(b < a for a, b in zip(diffs[:-1], diffs[1:]))
+
+
+class TestMpmathOracle:
+    """quench_interior and quench_boundary against perfbench/oracle.py's
+    h_lambda on the closed upper half plane (the limit from above on R)."""
+
+    @pytest.mark.parametrize("where", ["inside", "outside", "interior"])
+    def test_random_nonsymmetric(self, where):
+        rng = np.random.default_rng({"inside": 1, "outside": 2, "interior": 3}[where])
+        for _ in range(25):
+            lam = 10.0 ** rng.uniform(-2, 12)
+            lo = rng.uniform(-3.0, 1.0)
+            hi = lo + rng.uniform(0.2, 4.0)
+            interval, p = Interval(lo, hi), QuenchParams(lam)
+            if where == "interior":
+                z = complex(rng.uniform(lo - 3, hi + 3), rng.uniform(1e-3, 3.0))
+                value = quench_interior(z, p, interval)
+            else:
+                reach = interval.half_width + rng.uniform(0.01, 3.0)
+                x = (rng.uniform(lo, hi) if where == "inside"
+                     else interval.center + rng.choice([-1.0, 1.0]) * reach)
+                z = complex(x, 0.0)
+                value = quench_boundary(x, p, interval)
+            with mpmath.workdps(oracle.DPS):
+                want = complex(oracle.quench(z, lam, lo, hi))
+            assert abs(value - want) <= 1e-13 * abs(want), (z, lam, lo, hi)
 
 
 class TestInterval:
