@@ -287,6 +287,9 @@ def check_growth_grid(lams):
     lams = np.array(lams, dtype=float)
     if len(lams) < 4:
         raise DomainError(f"need >= 4 samples, got {len(lams)}")
+    for lam in lams:
+        if not 0 < lam < math.inf:
+            raise DomainError(f"need finite lambda > 0, got {lam}")
     if np.log10(lams.max() / lams.min()) < 4.0 - 1e-12:
         raise DomainError("lambda grid must span at least 4 decades")
     return lams

@@ -56,33 +56,37 @@ def _fmt(value):
 
 
 DEFAULT_LAMBDA_GRID = list(np.logspace(1, 8, 8))
-_CONFIG_KEYS = {"entry", "entry_args", "interval", "lambda_grid", "eval_points",
-                "tolerances", "output_path", "format", "slope_tolerance",
-                "window", "n_samples", "contour"}
 # what converting a JSON value of the wrong type, shape or range raises
 _BAD_VALUE = (ValueError, TypeError, IndexError, KeyError, AttributeError,
               OverflowError, PatilError)
 
 
-def _read(raw, key, convert, default):
-    """Convert ``raw[key]`` (``default`` if absent); failures name the key."""
-    try:
-        return convert(raw.get(key, default))
-    except _BAD_VALUE as exc:
-        raise ConfigError(f"bad {key}: {exc}") from None
+def _section(value, name, schema):
+    """The JSON object ``value``, each key converted as ``schema`` says.
 
-
-def _known(raw, keys, name):
-    """``raw``, once it is a JSON object with no key outside ``keys``."""
-    if not isinstance(raw, dict):
+    ``schema`` maps every known key to ``(converter, default)``; a
+    ``None`` default marks a required key.  Failures name the key.
+    """
+    if not isinstance(value, dict):
         raise ConfigError(f"{name} must be a JSON object")
-    unknown = sorted(set(raw) - set(keys))
+    unknown = sorted(set(value) - set(schema))
     if unknown:
         raise ConfigError(f"unknown {name} keys: {unknown}")
-    return raw
+    section = {}
+    for key, (convert, default) in schema.items():
+        if default is None and key not in value:
+            raise ConfigError(f"{name} missing required key {key!r}")
+        try:
+            section[key] = convert(value.get(key, default))
+        except _BAD_VALUE as exc:
+            raise ConfigError(f"bad {key}: {exc}") from None
+    return section
 
 
 def _finite(value):
+    """A finite JSON number (not a string or a boolean), as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"need a number, got {value!r}")
     value = float(value)
     if not math.isfinite(value):
         raise ValueError(f"need a finite number, got {value}")
@@ -90,10 +94,10 @@ def _finite(value):
 
 
 def _whole(value):
-    """A finite number with no fractional part, as an int (101.0 gives 101)."""
+    """A count >= 1 with no fractional part, as an int (101.0 gives 101)."""
     number = _finite(value)
-    if not number.is_integer():
-        raise ValueError(f"need a whole number, got {number}")
+    if not number.is_integer() or number < 1:
+        raise ValueError(f"need a whole number >= 1, got {number}")
     return int(number)
 
 
@@ -102,6 +106,15 @@ def _tuple(value, convert=_finite):
     if not isinstance(value, list):
         raise TypeError(f"need a list, got {value!r}")
     return tuple(convert(v) for v in value)
+
+
+def _grid(value):
+    """A nonempty, positive, strictly increasing list of lambdas."""
+    grid = _tuple(value)
+    if not grid or grid[0] <= 0 or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("need a nonempty, positive, strictly increasing "
+                         f"list, got {list(grid)}")
+    return grid
 
 
 def _interval(value):
@@ -117,14 +130,17 @@ def _point(value):
     return _finite(value)
 
 
-def _section(value, name, schema):
-    """The JSON object ``value``, each key converted as ``schema`` says.
+def _format(value):
+    if value not in ("csv", "json"):
+        raise ValueError(f"need 'csv' or 'json', got {value!r}")
+    return value
 
-    ``schema`` maps every known key to ``(converter, default)``.
-    """
-    params = _known(value, schema, name)
-    return {key: _read(params, key, convert, default)
-            for key, (convert, default) in schema.items()}
+
+def _object(value):
+    """A copy of the JSON object ``value``."""
+    if not isinstance(value, dict):
+        raise TypeError(f"need a JSON object, got {value!r}")
+    return dict(value)
 
 
 _TOLERANCES = {"abs_tol": (_finite, 1e-10), "rel_tol": (_finite, 1e-10),
@@ -145,6 +161,18 @@ def _contour(value):
     return contour
 
 
+_CONFIG = {"entry": (str, None), "entry_args": (_object, {}),
+           "interval": (_interval, [-1.0, 1.0]),
+           "lambda_grid": (_grid, DEFAULT_LAMBDA_GRID),
+           "eval_points": (lambda v: _tuple(v, _point), []),
+           "tolerances": (lambda v: QuadTolerance(
+               **_section(v, "tolerances", _TOLERANCES)), {}),
+           "output_path": (os.fspath, "-"), "format": (_format, "csv"),
+           "slope_tolerance": (_finite, 0.05),
+           "window": (_interval, [-5.0, 5.0]), "n_samples": (_whole, 101),
+           "contour": (_contour, {})}
+
+
 @dataclass
 class ExperimentConfig:
     entry_name: str
@@ -162,44 +190,18 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw, output_path=None, fmt=None):
-        if "entry" not in _known(raw, _CONFIG_KEYS, "config"):
-            raise ConfigError("config missing required key 'entry'")
-        interval = _read(raw, "interval", _interval, [-1.0, 1.0])
-        grid = _read(raw, "lambda_grid", _tuple, DEFAULT_LAMBDA_GRID)
-        if not grid:
-            raise ConfigError("lambda_grid must be nonempty")
-        if any(v <= 0 for v in grid):
-            raise ConfigError("lambda_grid values must be positive")
-        if any(b <= a for a, b in zip(grid[:-1], grid[1:])):
-            raise ConfigError("lambda_grid must be strictly increasing")
-        pts = _read(raw, "eval_points", lambda v: _tuple(v, _point), [])
+        """``raw`` checked; ``--out`` and ``--format`` override its values."""
+        cfg = _section(raw, "config", _CONFIG)
+        interval = cfg["interval"]
         guard = interval.guard
-        for p in pts:
+        for p in cfg["eval_points"]:
             z = complex(p)
             if abs(z.imag) < guard and min(abs(z.real - interval.lo),
                                            abs(z.real - interval.hi)) < guard:
                 raise ConfigError(f"eval point {p} too close to interval endpoint")
-        n_samples = _read(raw, "n_samples", _whole, 101)
-        if n_samples < 1:
-            raise ConfigError(f"n_samples must be >= 1, got {n_samples}")
-        out_format = fmt or _read(raw, "format", str, "csv")
-        if out_format not in ("csv", "json"):
-            raise ConfigError(f"format must be 'csv' or 'json', got {out_format!r}")
-        return cls(
-            entry_name=_read(raw, "entry", str, None),
-            interval=interval,
-            lambda_grid=grid,
-            eval_points=pts,
-            tolerances=_read(raw, "tolerances", lambda v: QuadTolerance(
-                **_section(v, "tolerances", _TOLERANCES)), {}),
-            output_path=output_path or _read(raw, "output_path", os.fspath, "-"),
-            format=out_format,
-            entry_args=_read(raw, "entry_args", dict, {}),
-            slope_tolerance=_read(raw, "slope_tolerance", _finite, 0.05),
-            window=_read(raw, "window", _interval, [-5.0, 5.0]),
-            n_samples=n_samples,
-            contour=_read(raw, "contour", _contour, {}),
-        )
+        cfg["output_path"] = output_path or cfg["output_path"]
+        cfg["format"] = fmt or cfg["format"]
+        return cls(entry_name=cfg.pop("entry"), **cfg)
 
     def build_entry(self):
         """The catalog entry; a bad name or ``entry_args`` is a ConfigError."""

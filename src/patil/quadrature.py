@@ -15,6 +15,7 @@ from the same nodes, so both parts always see identical grids.
 
 import heapq
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,12 +42,15 @@ class QuadTolerance:
     max_subdivisions: int = 4000
 
     def __post_init__(self):
-        if not self.abs_tol > 0:
-            raise DomainError("abs_tol must be > 0")
-        if not self.rel_tol > 0:
-            raise DomainError("rel_tol must be > 0")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be >= 1")
+        for name in ("abs_tol", "rel_tol"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise DomainError(f"{name} must be > 0 and finite, got {value}")
+        budget = self.max_subdivisions
+        whole = isinstance(budget, numbers.Integral) and not isinstance(budget, bool)
+        if not (whole and budget >= 1):
+            raise DomainError(
+                f"max_subdivisions must be an int >= 1, got {budget!r}")
 
 
 @dataclass(frozen=True)

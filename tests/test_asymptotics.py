@@ -421,6 +421,15 @@ class TestGrowthFit:
         with pytest.raises(DomainError, match="span at least 4 decades"):
             check_growth_grid([10.0, 100.0, 1000.0, 9999.0])
 
+    @pytest.mark.parametrize("bad", [-10.0, 0.0, math.nan, math.inf])
+    def test_bad_lambda_refused(self, bad, capfd):
+        # a negative lambda used to pass the span test (its log10 is NaN),
+        # zero divided by zero, and NaN reached np.polyfit
+        lams = [bad, 1e1, 1e2, 1e3, 1e4, 1e5]
+        with pytest.raises(DomainError, match=f"need finite lambda > 0, got {bad}"):
+            fit_growth_exponent(zip(lams, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]))
+        assert capfd.readouterr().err == ""
+
     def test_nonpositive_magnitude(self):
         with pytest.raises(DomainError, match="magnitudes must be > 0"):
             fit_growth_exponent([(10.0 ** k, 0.0) for k in range(1, 9)])

@@ -386,6 +386,67 @@ class TestConfigErrors:
         assert cfg.tolerances.max_subdivisions == 4000
         assert type(cfg.tolerances.max_subdivisions) is int
 
+    @pytest.mark.parametrize("command,overrides,message", [
+        # numbers given as JSON strings or booleans used to be converted
+        ("converge", {"entry": "h2pole", "eval_points": [[0, 1]],
+                      "lambda_grid": ["1e2"], "n_samples": True},
+         "bad lambda_grid: need a number, got '1e2'"),
+        ("converge", {"entry": "h2pole", "eval_points": [[0, 1]],
+                      "lambda_grid": [1e2], "n_samples": True},
+         "bad n_samples: need a number, got True"),
+        ("growth", {"interval": [True, "2"], "eval_points": [3.0]},
+         "bad interval: need a number, got True"),
+        # a list of pairs used to be turned into an object
+        ("growth", {"entry": "h2pole", "entry_args": [["w", "-2j"]]},
+         "bad entry_args: need a JSON object, got [['w', '-2j']]"),
+        ("growth", {"lambda_grid": [1e2, 1e2]},
+         "bad lambda_grid: need a nonempty, positive, strictly increasing"),
+        ("growth", {"lambda_grid": [0, 1e2]},
+         "bad lambda_grid: need a nonempty, positive, strictly increasing"),
+        ("converge", {"entry": "h2pole", "eval_points": [[0, 1]],
+                      "n_samples": 0},
+         "bad n_samples: need a whole number >= 1, got 0.0"),
+    ])
+    def test_malformed_value_named(self, tmp_path, capsys, command, overrides,
+                                   message):
+        cfg = write_config(tmp_path, **{"eval_points": [2.0], **overrides})
+        assert main([command, "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+    @pytest.mark.parametrize("overrides,flags,message", [
+        ({"format": "xml"}, ["--format", "json"],
+         "bad format: need 'csv' or 'json', got 'xml'"),
+        ({"output_path": 5}, ["--out", "c.csv"], "bad output_path: "),
+    ])
+    def test_overridden_value_still_checked(self, tmp_path, capsys, monkeypatch,
+                                            overrides, flags, message):
+        """--format and --out replace a config value only once it is valid."""
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, contour={"xi": [1.0], "alpha": [2.0]},
+                           **overrides)
+        assert main(["contour", "--config", cfg, *flags]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not (tmp_path / "c.csv").exists()
+
+    @pytest.mark.parametrize("raw,message", [
+        ([], "config must be a JSON object"),
+        ({}, "config missing required key 'entry'"),
+        ({"bogus": 1}, "unknown config keys: ['bogus']"),
+        ({"n_samples": "x"}, "config missing required key 'entry'"),
+    ])
+    def test_config_shape_messages(self, raw, message):
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig.from_dict(raw)
+        assert str(info.value) == message
+
+    def test_entry_args_copied(self):
+        raw = {"entry": "h2pole", "entry_args": {"w": "-2j"}}
+        cfg = ExperimentConfig.from_dict(raw)
+        cfg.entry_args["w"] = "-3j"
+        assert raw["entry_args"] == {"w": "-2j"}
+        ExperimentConfig.from_dict({"entry": "h2pole"}).entry_args["w"] = "-3j"
+        assert ExperimentConfig.from_dict({"entry": "h2pole"}).entry_args == {}
+
     @pytest.mark.parametrize("overrides,unknown", [
         ({"lamda_grid": [1e2, 1e4]}, "lamda_grid"),
         ({"tolerances": {"abs_tol": 1e-9, "reltol": 1e-9}}, "reltol"),

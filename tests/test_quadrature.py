@@ -1,5 +1,6 @@
 import heapq
 import math
+import re
 
 import numpy as np
 import pytest
@@ -294,3 +295,17 @@ class TestQuadTolerance:
     def test_validation(self, kwargs):
         with pytest.raises(DomainError):
             QuadTolerance(**kwargs)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"abs_tol": math.inf}, "abs_tol must be > 0 and finite, got inf"),
+        ({"rel_tol": math.nan}, "rel_tol must be > 0 and finite, got nan"),
+        ({"max_subdivisions": 2.5}, "must be an int >= 1, got 2.5"),
+        ({"max_subdivisions": 4000.0}, "must be an int >= 1, got 4000.0"),
+        ({"max_subdivisions": True}, "must be an int >= 1, got True"),
+    ])
+    def test_nonfinite_or_fractional_refused(self, kwargs, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            QuadTolerance(**kwargs)
+
+    def test_integer_budget_accepted(self):
+        assert QuadTolerance(max_subdivisions=np.int64(9)).max_subdivisions == 9
