@@ -200,21 +200,31 @@ def residue_strip_pole(s, xi, alpha):
 _CONTOUR_GUARD = 1e-6
 
 
-def _enclosed_residues(g_strip, xi, alpha, singularities):
-    kernel_poles = _kernel_poles(alpha)
+def _enclosed_residues(g_strip, xi, alpha, spec, singularities):
+    """Sum of the residues of k * p inside the rectangle ``spec``; a residue
+    by quadrature keeps its circle clear of every listed pole."""
     listed = [complex(s.beta) for s in singularities]
+
+    def merged(pole):
+        near = [dist for dist, _ in _other_kernel_poles(pole, alpha)]
+        near += [abs(b - pole) for b in listed if abs(b - pole) > 1e-9]
+        return residue_merged(pole, xi, alpha, g_strip,
+                              radius=min(0.2, 0.5 * min(near)))
+
+    kernel_poles = _kernel_poles(alpha)
     total = 0.0 + 0.0j
     for which, kp in kernel_poles.items():
         if any(abs(b - kp) < 1e-9 for b in listed):
-            total += residue_merged(kp, xi, alpha, g_strip)
+            total += merged(kp)
         else:
             total += residue_kernel_pole(which, xi, alpha, g_strip)
-    for s in singularities:
-        beta = complex(s.beta)
+    for s, beta in zip(singularities, listed):
+        if beta.imag >= spec.height or abs(beta.real) >= spec.R:
+            continue  # not enclosed
         if any(abs(beta - kp) < 1e-9 for kp in kernel_poles.values()):
             continue  # already handled as a merged kernel pole
         if abs(beta.imag - PI) < 1e-9 or s.order != 1:
-            total += residue_merged(beta, xi, alpha, g_strip)
+            total += merged(beta)
         else:
             total += residue_strip_pole(s, xi, alpha)
     return total
@@ -261,9 +271,7 @@ def contour_identity_check(g_strip, xi, alpha, spec, singularities=(),
         raise in_cell(exc, f"contour at xi={float(xi)!r}, "
                            f"alpha={float(alpha)!r}, {edge} edge") from exc
     loop = bottom + right - top - left
-    enclosed = [s for s in singularities
-                if complex(s.beta).imag < b and abs(complex(s.beta).real) < R]
-    residues = _enclosed_residues(g_strip, xi, alpha, enclosed)
+    residues = _enclosed_residues(g_strip, xi, alpha, spec, singularities)
     return abs(loop - 2j * PI * residues)
 
 

@@ -153,6 +153,8 @@ _CONTOUR = {"xi": (_tuple, [1.0]), "alpha": (_tuple, [2.0]),
 def _contour(value):
     """The ``contour`` section, converted, with R and height in its ``spec``."""
     contour = _section(value, "contour", _CONTOUR)
+    if not (contour["xi"] and contour["alpha"]):
+        raise ValueError("xi and alpha must be nonempty lists")
     spec = contour["spec"] = ContourSpec(R=contour.pop("R"),
                                          height=contour.pop("height"))
     for xi in contour["xi"]:
@@ -189,18 +191,9 @@ class ExperimentConfig:
     contour: dict
 
     @classmethod
-    def from_dict(cls, raw, output_path=None, fmt=None):
-        """``raw`` checked; ``--out`` and ``--format`` override its values."""
+    def from_dict(cls, raw):
+        """The config ``raw``, every value checked and converted."""
         cfg = _section(raw, "config", _CONFIG)
-        interval = cfg["interval"]
-        guard = interval.guard
-        for p in cfg["eval_points"]:
-            z = complex(p)
-            if abs(z.imag) < guard and min(abs(z.real - interval.lo),
-                                           abs(z.real - interval.hi)) < guard:
-                raise ConfigError(f"eval point {p} too close to interval endpoint")
-        cfg["output_path"] = output_path or cfg["output_path"]
-        cfg["format"] = fmt or cfg["format"]
         return cls(entry_name=cfg.pop("entry"), **cfg)
 
     def build_entry(self):
@@ -213,10 +206,12 @@ class ExperimentConfig:
 
 
 def _load_config(args):
+    """The config file, then ``--out`` and ``--format`` in place of its values."""
     with open(args.config) as fh:
-        raw = json.load(fh)
-    return ExperimentConfig.from_dict(raw, output_path=args.out,
-                                      fmt=args.format)
+        cfg = ExperimentConfig.from_dict(json.load(fh))
+    cfg.output_path = args.out or cfg.output_path
+    cfg.format = args.format or cfg.format
+    return cfg
 
 
 def _write_rows(cfg, reproducible, header, rows):
@@ -238,17 +233,27 @@ def _write_rows(cfg, reproducible, header, rows):
             writer.writerows(rows)
 
 
-def run_growth_experiment(cfg, reproducible=False):
+def _eval_points(cfg, in_domain, domain):
+    """``cfg.eval_points``: nonempty, ``in_domain`` and off the endpoint guard."""
+    interval, guard = cfg.interval, cfg.interval.guard
+    if not cfg.eval_points:
+        raise ConfigError("need at least one eval point")
+    for p in cfg.eval_points:
+        z = complex(p)
+        if not in_domain(p):
+            raise ConfigError(f"eval points must be {domain}, got {p}")
+        if abs(z.imag) < guard and min(abs(z.real - interval.lo),
+                                       abs(z.real - interval.hi)) < guard:
+            raise ConfigError(f"eval point {p} too close to interval endpoint")
+    return cfg.eval_points
+
+
+def run_growth_experiment(cfg):
     """Sweep |g_lambda| over the lambda grid at real exterior points."""
     entry = cfg.build_entry()
-    for x in cfg.eval_points:
-        if isinstance(x, complex) or not (
-                x <= cfg.interval.lo or x >= cfg.interval.hi):
-            raise ConfigError(
-                f"growth eval points must be real and outside the closed "
-                f"interval, got {x}")
-    if not cfg.eval_points:
-        raise ConfigError("growth experiment needs at least one eval point")
+    points = _eval_points(
+        cfg, lambda x: not isinstance(x, complex) and not cfg.interval.contains(x),
+        "real and outside the closed interval")
     try:
         check_growth_grid(cfg.lambda_grid)
     except DomainError as exc:
@@ -256,34 +261,27 @@ def run_growth_experiment(cfg, reproducible=False):
 
     # one row of magnitudes (one batch) per lambda, one column per eval point
     table = [[abs(v) for v in approximant_values(
-        cfg.eval_points, QuenchParams(lam), cfg.interval, entry.signal,
+        points, QuenchParams(lam), cfg.interval, entry.signal,
         cfg.tolerances)] for lam in cfg.lambda_grid]
     slopes = [fit_growth_exponent(zip(cfg.lambda_grid, column))
               for column in zip(*table)]
     predicted = entry.expected_exponent
     rows = [(lam, x, mag, slope, predicted)
             for lam, mags in zip(cfg.lambda_grid, table)
-            for x, mag, slope in zip(cfg.eval_points, mags, slopes)]
-    _write_rows(cfg, reproducible,
-                ["lambda", "x", "magnitude", "fitted_slope", "predicted_slope"],
-                rows)
+            for x, mag, slope in zip(points, mags, slopes)]
     ok = all(abs(slope - predicted) <= cfg.slope_tolerance for slope in slopes)
-    return EXIT_OK if ok else EXIT_CRITERION
+    return (["lambda", "x", "magnitude", "fitted_slope", "predicted_slope"],
+            rows, ok)
 
 
-def run_convergence_experiment(cfg, reproducible=False):
+def run_convergence_experiment(cfg):
     """Sup- and windowed-L2 error against the entry's reference F."""
     entry = cfg.build_entry()
     if entry.reference is None:
         raise DomainError(
             f"catalog entry {cfg.entry_name!r} has no reference")
-    pts = [complex(p) for p in cfg.eval_points]
-    for z in pts:
-        if not z.imag > 0:
-            raise ConfigError(
-                f"convergence eval points must lie in Im z > 0, got {z}")
-    if not pts:
-        raise ConfigError("convergence experiment needs eval points")
+    pts = [complex(p) for p in _eval_points(
+        cfg, lambda z: z.imag > 0, "in Im z > 0")]
 
     rows = []
     for lam in cfg.lambda_grid:
@@ -293,15 +291,14 @@ def run_convergence_experiment(cfg, reproducible=False):
         l2 = l2_error_on_window(p, cfg.interval, entry.signal, entry.reference,
                                 cfg.window, cfg.n_samples, cfg.tolerances)
         rows.append((lam, sup, l2))
-    _write_rows(cfg, reproducible, ["lambda", "sup_error", "l2_error"], rows)
     sups = [r[1] for r in rows]
     l2s = [r[2] for r in rows]
     ok = all(b <= a for a, b in zip(sups[:-1], sups[1:])) and \
         all(b <= a for a, b in zip(l2s[:-1], l2s[1:]))
-    return EXIT_OK if ok else EXIT_CRITERION
+    return ["lambda", "sup_error", "l2_error"], rows, ok
 
 
-def run_contour_check(cfg, reproducible=False):
+def run_contour_check(cfg):
     """Residue-identity residuals for configured (xi, alpha, R, height)."""
     signal = cfg.build_entry().signal
     # xi and alpha lists may come unsorted; rows are written sorted
@@ -311,10 +308,8 @@ def run_contour_check(cfg, reproducible=False):
             signal.strip_pullback, xi, alpha, spec,
             signal.singularities, cfg.tolerances))
         for xi in contour["xi"] for alpha in contour["alpha"])
-    _write_rows(cfg, reproducible,
-                ["xi", "alpha", "R", "height", "residual"], rows)
     ok = all(r[4] < contour["residual_tolerance"] for r in rows)
-    return EXIT_OK if ok else EXIT_CRITERION
+    return ["xi", "alpha", "R", "height", "residual"], rows, ok
 
 
 def build_parser():
@@ -347,7 +342,9 @@ def main(argv=None):
                "contour": run_contour_check}
     try:
         cfg = _load_config(args)
-        return runners[args.command](cfg, reproducible=args.reproducible)
+        header, rows, criterion_met = runners[args.command](cfg)
+        _write_rows(cfg, args.reproducible, header, rows)
+        return EXIT_OK if criterion_met else EXIT_CRITERION
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -326,6 +326,24 @@ class TestContourIdentity:
         spec = ContourSpec(R=5.0, height=1.25 * PI)
         assert contour_identity_check(g_strip, 1.0, 2.0, spec, sing) < 1e-12
 
+    @pytest.mark.parametrize("beta1,beta2", [
+        (0.5 + 0.5j * PI, 0.6 + 0.5j * PI),  # both enclosed, 0.1 apart
+        (4.9 + 0.5j * PI, 5.05 + 0.5j * PI),  # the simple pole right of R
+        (0.5 + 0.5j * PI, 1.5 + 0.5j * PI),  # 1 apart
+    ])
+    def test_merged_residue_circle_clear_of_listed_pole(self, beta1, beta2):
+        # the order-two pole's residue circle, of radius 0.2 by the kernel
+        # poles alone, must not take in the simple pole
+
+        def g_strip(z):
+            z = np.asarray(z, dtype=complex)
+            return 1.0 / (z - beta1) ** 2 + 1.0 / (z - beta2)
+
+        sing = (StripSingularity(beta=beta1, order=2, coeff=1.0),
+                StripSingularity(beta=beta2, order=1, coeff=1.0))
+        spec = ContourSpec(R=5.0, height=1.25 * PI)
+        assert contour_identity_check(g_strip, 1.0, 2.0, spec, sing) < 1e-12
+
     def test_height_near_pi_rejected(self):
         # ContourSpec takes a height above pi; the kernel poles still sit on it
         spec = ContourSpec(R=20.0, height=PI + 1e-7)

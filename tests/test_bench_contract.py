@@ -27,7 +27,8 @@ def run(script, *args):
                           timeout=300)
 
 
-@pytest.mark.parametrize("name", ["growth_example2", "contour_example1"])
+@pytest.mark.parametrize("name", ["growth_example2", "converge_h2pole",
+                                  "contour_example1"])
 def test_tracing_runs(tmp_path, name):
     trace = tmp_path / "trace.json"
     proc = run("tracing.py", trace, name.split("_")[0],

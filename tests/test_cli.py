@@ -78,6 +78,17 @@ class TestGrowthCommand:
         cfg = write_config(tmp_path, eval_points=[1.0])
         assert main(["growth", "--config", cfg]) == EXIT_CONFIG
 
+    def test_point_within_guard_of_endpoint(self, tmp_path, capsys):
+        # outside I, yet within interval.guard = 2e-6 of hi
+        cfg = write_config(tmp_path, eval_points=[1.0 + 1e-7])
+        assert main(["growth", "--config", cfg]) == EXIT_CONFIG
+        assert "too close to interval endpoint" in capsys.readouterr().err
+
+    def test_no_eval_points(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, eval_points=[])
+        assert main(["growth", "--config", cfg]) == EXIT_CONFIG
+        assert "at least one eval point" in capsys.readouterr().err
+
     def test_slope_criterion_not_met(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -188,6 +199,13 @@ class TestConvergeCommand:
                            lambda_grid=[1e2, 1e4])
         assert main(["converge", "--config", cfg]) == EXIT_CONFIG
 
+    def test_point_within_guard_of_endpoint(self, tmp_path, capsys):
+        # in Im z > 0, yet within interval.guard = 2e-6 of lo
+        cfg = write_config(tmp_path, entry="h2pole", eval_points=[[-1.0, 1e-7]],
+                           lambda_grid=[1e2])
+        assert main(["converge", "--config", cfg]) == EXIT_CONFIG
+        assert "too close to interval endpoint" in capsys.readouterr().err
+
     def test_zero_samples_rejected(self, tmp_path):
         cfg = write_config(tmp_path, entry="h2pole", eval_points=[[0.0, 1.0]],
                            lambda_grid=[1e2], n_samples=0)
@@ -270,6 +288,30 @@ class TestContourCommand:
         _, rows = read_csv(out)
         assert len(rows) == 4
         assert all(float(r[4]) < 1e-6 for r in rows)
+
+    @pytest.mark.parametrize("lists", [{"xi": []}, {"alpha": []}])
+    def test_empty_list_refused(self, tmp_path, capsys, lists):
+        # no (xi, alpha) pair means no residual, not a criterion met
+        cfg = write_config(tmp_path, contour={"xi": [1.0], "alpha": [2.0],
+                                              **lists})
+        assert main(["contour", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: bad contour: ")
+
+    def test_eval_points_not_read(self, tmp_path):
+        # contour computes no g_lambda value, so a point near hi is no error
+        cfg = write_config(tmp_path, eval_points=[0.99999999],
+                           contour={"xi": [1.0], "alpha": [2.0]})
+        out = str(tmp_path / "contour.csv")
+        assert main(["contour", "--config", cfg, "--out", out]) == EXIT_OK
+
+    def test_runner_returns_rows(self, capsys):
+        cfg = ExperimentConfig.from_dict(
+            {"entry": "example2", "contour": {"xi": [1.0], "alpha": [2.0]}})
+        header, rows, criterion_met = cli.run_contour_check(cfg)
+        assert header == ["xi", "alpha", "R", "height", "residual"]
+        assert len(rows) == 1 and rows[0][:2] == (1.0, 2.0)
+        assert criterion_met
+        assert capsys.readouterr().out == ""
 
     def test_bad_height(self, tmp_path):
         cfg = write_config(tmp_path, contour={"height": math.pi})
