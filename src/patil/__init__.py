@@ -31,6 +31,7 @@ from .asymptotics import (  # noqa: E402
     ContourSpec,
     StripSingularity,
     contour_identity_check,
+    contour_residuals,
     fit_growth_exponent,
     kernel_k,
     predict_growth_exponent,

@@ -26,6 +26,7 @@ __all__ = [
     "residue_kernel_pole",
     "residue_merged",
     "residue_strip_pole",
+    "contour_residuals",
     "contour_identity_check",
     "predict_growth_exponent",
     "check_growth_grid",
@@ -230,18 +231,18 @@ def _enclosed_residues(g_strip, xi, alpha, spec, singularities):
     return total
 
 
-def contour_identity_check(g_strip, xi, alpha, spec, singularities=(),
-                           tol=QuadTolerance()):
-    """Residual of the residue identity on the closing rectangle.
+def contour_residuals(g_strip, cells, spec, singularities=(),
+                      tol=QuadTolerance()):
+    """Residuals of the residue identity, one per ``(xi, alpha)`` in ``cells``.
 
-    Numerically integrates k * p over the four rectangle edges, one
-    batch for all four, and returns ``|contour integral - 2 pi i * sum of
-    enclosed residues|``; a listed pole counts only inside the rectangle,
-    below its top and between its sides.
+    Numerically integrates k * p over the four rectangle edges of every
+    cell, one batch for all of them, and returns ``|contour integral -
+    2 pi i * sum of enclosed residues|`` per cell; a listed pole counts
+    only inside the rectangle, below its top and between its sides.
     """
-    spec.check(xi, alpha)
-    b = spec.height
-    R = spec.R
+    for xi, alpha in cells:
+        spec.check(xi, alpha)
+    b, R = spec.height, spec.R
     for s in singularities:
         beta = complex(s.beta)
         # offsets from the lines of the sides and of the top
@@ -252,27 +253,39 @@ def contour_identity_check(g_strip, xi, alpha, spec, singularities=(),
     if abs(b - PI) < _CONTOUR_GUARD:
         raise DomainError("kernel poles lie on Im z = pi")
 
-    # edge k is z = start[k] + step[k] s; the product with step is taken
-    # last, where multiplying by 1 or i is exact
+    # integral k is edge e = k % 4, z = start[e] + step[e] s, of cell k // 4;
+    # the product with step is taken last, where multiplying by 1 or i is exact
     start = np.array([0.0, 1j * b, R, -R])
     step = np.array([1.0, 1.0, 1j, 1j])
+    xis, alphas = np.array(cells, dtype=float).reshape(-1, 2).T
 
     def f(s, k):
-        z = start[k] + step[k] * s
-        return step[k] * (np.asarray(kernel_k(z, xi, alpha))
-                          * np.asarray(g_strip(z)))
+        edge, cell = k % 4, k // 4
+        z = start[edge] + step[edge] * s
+        return step[edge] * (np.asarray(kernel_k(z, xis[cell], alphas[cell]))
+                             * np.asarray(g_strip(z)))
 
+    n = len(cells)
     try:
-        bottom, top, right, left = integrate_batch(
-            f, [-R, -R, 0.0, 0.0], [R, R, b, b], tol,
-            [max(8, int(R)), max(8, int(R)), 8, 8])
+        edges = integrate_batch(f, [-R, -R, 0.0, 0.0] * n, [R, R, b, b] * n, tol,
+                                [max(8, int(R)), max(8, int(R)), 8, 8] * n)
     except NonConvergence as exc:
-        edge = ("bottom", "top", "right", "left")[exc.index]
+        xi, alpha = cells[exc.index // 4]
+        edge = ("bottom", "top", "right", "left")[exc.index % 4]
         raise in_cell(exc, f"contour at xi={float(xi)!r}, "
                            f"alpha={float(alpha)!r}, {edge} edge") from exc
-    loop = bottom + right - top - left
-    residues = _enclosed_residues(g_strip, xi, alpha, spec, singularities)
-    return abs(loop - 2j * PI * residues)
+    residuals = []
+    for c, (xi, alpha) in enumerate(cells):
+        bottom, top, right, left = edges[4 * c:4 * c + 4]
+        residues = _enclosed_residues(g_strip, xi, alpha, spec, singularities)
+        residuals.append(abs(bottom + right - top - left - 2j * PI * residues))
+    return residuals
+
+
+def contour_identity_check(g_strip, xi, alpha, spec, singularities=(),
+                           tol=QuadTolerance()):
+    """Residual at one ``(xi, alpha)``: a batch of one (:func:`contour_residuals`)."""
+    return contour_residuals(g_strip, [(xi, alpha)], spec, singularities, tol)[0]
 
 
 def predict_growth_exponent(singularities):

@@ -31,8 +31,9 @@ import numpy as np
 from . import catalog
 from .approximant import approximant_values, l2_error_on_window, \
     sup_error_on_compact
-from .asymptotics import ContourSpec, check_growth_grid, \
-    contour_identity_check, fit_growth_exponent
+from .asymptotics import ContourSpec, check_growth_grid, contour_residuals, \
+    fit_growth_exponent
+from .asymptotics import contour_identity_check  # noqa: F401 -- perfbench wraps it
 from .errors import DomainError, NonConvergence, PatilError
 from .quadrature import QuadTolerance
 from .quench import Interval, QuenchParams
@@ -151,15 +152,16 @@ _CONTOUR = {"xi": (_tuple, [1.0]), "alpha": (_tuple, [2.0]),
 
 
 def _contour(value):
-    """The ``contour`` section, converted, with R and height in its ``spec``."""
+    """The ``contour`` section, converted, with a ``spec`` and (xi, alpha) ``cells``."""
     contour = _section(value, "contour", _CONTOUR)
-    if not (contour["xi"] and contour["alpha"]):
+    cells = contour["cells"] = [(xi, alpha) for xi in contour["xi"]
+                                for alpha in contour["alpha"]]
+    if not cells:
         raise ValueError("xi and alpha must be nonempty lists")
     spec = contour["spec"] = ContourSpec(R=contour.pop("R"),
                                          height=contour.pop("height"))
-    for xi in contour["xi"]:
-        for alpha in contour["alpha"]:
-            spec.check(xi, alpha)
+    for xi, alpha in cells:
+        spec.check(xi, alpha)
     return contour
 
 
@@ -209,8 +211,12 @@ def _load_config(args):
     """The config file, then ``--out`` and ``--format`` in place of its values."""
     with open(args.config) as fh:
         cfg = ExperimentConfig.from_dict(json.load(fh))
-    cfg.output_path = args.out or cfg.output_path
+    out = cfg.output_path = args.out or cfg.output_path
     cfg.format = args.format or cfg.format
+    folder = os.path.dirname(out) or "."  # checked before any cell is computed
+    if out != "-" and (os.path.isdir(out) or not os.path.isdir(folder) or not
+                       os.access(out if os.path.exists(out) else folder, os.W_OK)):
+        raise ConfigError(f"cannot write output file {out!r}")
     return cfg
 
 
@@ -303,11 +309,10 @@ def run_contour_check(cfg):
     signal = cfg.build_entry().signal
     # xi and alpha lists may come unsorted; rows are written sorted
     contour, spec = cfg.contour, cfg.contour["spec"]
-    rows = sorted(
-        (xi, alpha, spec.R, spec.height, contour_identity_check(
-            signal.strip_pullback, xi, alpha, spec,
-            signal.singularities, cfg.tolerances))
-        for xi in contour["xi"] for alpha in contour["alpha"])
+    residuals = contour_residuals(signal.strip_pullback, contour["cells"], spec,
+                                  signal.singularities, cfg.tolerances)
+    rows = sorted((xi, alpha, spec.R, spec.height, r)
+                  for (xi, alpha), r in zip(contour["cells"], residuals))
     ok = all(r[4] < contour["residual_tolerance"] for r in rows)
     return ["xi", "alpha", "R", "height", "residual"], rows, ok
 

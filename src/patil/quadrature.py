@@ -117,6 +117,8 @@ _WK_FULL = np.concatenate([_WGK[:-1], _WGK[::-1]])
 # Gauss-7 nodes are the odd-indexed Kronrod nodes.
 _WG_FULL = np.zeros(15)
 _WG_FULL[1:14:2] = np.concatenate([_WG[:-1], _WG[::-1]])
+# panels per integrand call at most, which bounds memory for any batch size
+_SLICE = 512
 
 
 def _gk15(f, k, lo, hi):
@@ -136,12 +138,13 @@ def _gk15(f, k, lo, hi):
 def integrate_batch(f, lo, hi, tol=QuadTolerance(), initial_panels=8):
     """Integrate many functions at once, integral ``i`` over ``[lo[i], hi[i]]``.
 
-    ``f(u, k)`` gets a ``(panels, 15)`` array of nodes and the
-    ``(panels, 1)`` indices of their integrals; ``initial_panels`` is one
-    count or one per integral.  Each integral bisects its own worst
-    G7/K15 panel until its summed error is below ``max(abs_tol, rel_tol
-    * |result|)``, within its own budget; they share only the integrand
-    calls, so each result (a list of complex) is what it alone would give.
+    ``f(u, k)`` gets a ``(panels, 15)`` array of nodes, at most 512
+    panels a call, and the ``(panels, 1)`` indices of their integrals;
+    ``initial_panels`` is one count or one per integral.  Each integral
+    bisects its own worst G7/K15 panel until its summed error is below
+    ``max(abs_tol, rel_tol * |result|)``, within its own budget; they
+    share only the integrand calls, so each result (a list of complex)
+    is what it alone would give.
 
     Raises
     ------
@@ -167,7 +170,10 @@ def integrate_batch(f, lo, hi, tol=QuadTolerance(), initial_panels=8):
         a_s += edges[:-1]
         b_s += edges[1:]
     while ks:
-        ests, errs = _gk15(f, np.array(ks), np.array(a_s), np.array(b_s))
+        ests, errs = [], []
+        for j in range(0, len(ks), _SLICE):
+            est, err = _gk15(f, *(np.array(v[j:j + _SLICE]) for v in (ks, a_s, b_s)))
+            ests, errs = ests + est, errs + err
         for i, a, b, est, err in zip(ks, a_s, b_s, ests, errs):
             if not math.isfinite(err):
                 raise NonConvergence(f"non-finite integrand on panel [{a}, {b}]",

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import patil.asymptotics as asymptotics
 from patil.asymptotics import (
     ContourSpec,
     StripSingularity,
     check_growth_grid,
     contour_identity_check,
+    contour_residuals,
     fit_growth_exponent,
     kernel_k,
     predict_growth_exponent,
@@ -370,6 +372,67 @@ class TestContourIdentity:
     def test_height_at_pi_rejected(self):
         with pytest.raises(DomainError):
             ContourSpec(R=20.0, height=PI)
+
+
+class TestContourResiduals:
+    """All cells' edges in one batch give each cell's residual alone."""
+
+    CELLS = [(xi, alpha) for xi in (0.5, 1.0, 2.0) for alpha in (0.5, 2.0, 5.0)]
+
+    @pytest.mark.parametrize("entry", [example1, example2])
+    @pytest.mark.parametrize("height", [1.25 * PI, 1.5 * PI])
+    def test_equals_each_cell_alone(self, entry, height):
+        signal = entry().signal
+        spec = ContourSpec(20.0, height)
+        batch = contour_residuals(signal.strip_pullback, self.CELLS, spec,
+                                  signal.singularities)
+        alone = [contour_identity_check(signal.strip_pullback, xi, alpha, spec,
+                                        signal.singularities)
+                 for xi, alpha in self.CELLS]
+        assert batch == alone
+        assert max(batch) < 1e-6
+
+    def test_empty_cells(self):
+        assert contour_residuals(ones, [], ContourSpec(20.0)) == []
+
+    def test_every_cell_checked_before_integration(self, monkeypatch):
+        def no_integration(*args, **kwargs):
+            raise AssertionError("an edge was integrated")
+
+        monkeypatch.setattr(asymptotics, "integrate_batch", no_integration)
+        with pytest.raises(DomainError, match="xi >= 0"):
+            contour_residuals(ones, [(1.0, 2.0), (-1.0, 2.0)], ContourSpec(20.0))
+
+    @pytest.mark.parametrize("case,budget,cell,edge", [
+        ("example2", 40, (8.0, 5.0), "bottom"),
+        ("pole right of R", 16, (0.5, 2.0), "right"),
+    ])
+    def test_nonconvergence_names_later_cell(self, case, budget, cell, edge):
+        if case == "example2":
+            signal = example2().signal
+            g_strip, sing = signal.strip_pullback, signal.singularities
+            spec = ContourSpec(20.0, 1.5 * PI)
+            cells = [(1.0, 2.0), (4.0, 0.5), cell, (2.0, 2.0)]
+        else:
+            # a pole just right of the right edge, felt most at small xi
+            beta = 5.02 + 0.5j * PI
+
+            def g_strip(z):
+                return 1.0 / (np.asarray(z, dtype=complex) - beta)
+
+            sing = (StripSingularity(beta=beta),)
+            spec = ContourSpec(5.0, 1.25 * PI)
+            cells = [(1.0, 0.5), (2.0, 2.0), (4.0, 0.5), cell]
+        stingy = QuadTolerance(max_subdivisions=budget)
+        with pytest.raises(NonConvergence) as batch:
+            contour_residuals(g_strip, cells, spec, sing, stingy)
+        xi, alpha = cell
+        assert str(batch.value).startswith(
+            f"contour at xi={xi}, alpha={alpha}, {edge} edge: error ")
+        # the same message as the cell alone gives
+        with pytest.raises(NonConvergence) as alone:
+            contour_identity_check(g_strip, xi, alpha, spec, sing, stingy)
+        assert str(batch.value) == str(alone.value)
 
 
 class TestGrowthPrediction:

@@ -346,6 +346,26 @@ class TestOutputFormats:
         assert main(["contour", "--config", cfg, "--out", out]) == EXIT_OK
         assert Path(out).read_text().startswith("# generated ")
 
+    @pytest.mark.parametrize("where", ["missing/o.csv", "."])
+    def test_unwritable_out_refused_before_any_cell(self, tmp_path, capsys,
+                                                    monkeypatch, where):
+        # a missing directory or a directory as the file: exit 2 at once
+        monkeypatch.setattr(cli, "sup_error_on_compact", no_cell)
+        monkeypatch.setattr(cli, "l2_error_on_window", no_cell)
+        cfg = write_config(tmp_path, entry="h2pole", eval_points=[[0.0, 1.0]],
+                           lambda_grid=[1e2, 1e4])
+        out = str(tmp_path / where)
+        assert main(["converge", "--config", cfg, "--out", out]) == EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            f"config error: cannot write output file {out!r}\n"
+
+    def test_failed_run_leaves_no_file(self, tmp_path):
+        cfg = write_config(tmp_path, entry="h2pole", eval_points=[[0.0, 1.0]],
+                           lambda_grid=[1e2], tolerances={"max_subdivisions": 9})
+        out = tmp_path / "o.csv"
+        assert main(["converge", "--config", cfg, "--out", str(out)]) == EXIT_NUMERIC
+        assert not out.exists()
+
     def test_unknown_format_rejected(self, tmp_path):
         cfg = write_config(tmp_path, contour={"xi": [1.0], "alpha": [2.0]},
                            format="xml")

@@ -17,8 +17,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 COUNTS = ("calls", "panels", "points")
 # calls, panels, points of perfbench's seed-1 experiments
-PINNED = {"growth": (1517, 27677, 415155), "converge": (230, 45006, 675090),
-          "contour": (3171, 17088, 256320)}
+PINNED = {"growth": (1517, 27677, 415155), "converge": (277, 45006, 675090),
+          "contour": (280, 17088, 256320)}
 
 
 @pytest.fixture(scope="module")

@@ -173,6 +173,22 @@ class TestIntegrateBatch:
         # one call for all initial panels, then one per refinement step
         assert panel_log["calls"] == max(calls) < sum(calls)
 
+    def test_integrand_calls_capped_at_512_panels(self):
+        # 80 integrals of 8 initial panels: 640 panels, more than one call takes
+        rates = np.linspace(0.5, 40.0, 80)
+        sizes = []
+
+        def f(u, k):
+            sizes.append(len(u))
+            return np.exp(1j * rates[k] * u) / (1.1 + u)
+
+        tol = QuadTolerance(1e-12, 1e-12, 4000)
+        together = integrate_batch(f, np.full(80, -1.0), np.full(80, 2.0), tol)
+        assert sizes[0] == 512 and max(sizes) == 512
+        alone = [integrate_adaptive(lambda u, i=i: f(u, np.full((len(u), 1), i)),
+                                    -1.0, 2.0, tol) for i in range(80)]
+        assert same(together, alone)
+
     def test_empty_batch(self):
         assert integrate_batch(batch_integrand, [], [], TOL) == []
 
