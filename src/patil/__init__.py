@@ -23,6 +23,7 @@ from .approximant import (  # noqa: E402
     BoundarySignal,
     approximant_boundary,
     approximant_interior,
+    approximant_table,
     approximant_values,
     l2_error_on_window,
     sup_error_on_compact,

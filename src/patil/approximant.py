@@ -3,8 +3,9 @@
 g_lambda weighs the data with the conjugate quench phase and applies a
 Cauchy integral over I.  The integral is evaluated by default in the
 u-domain, after the tanh change of variable that straightens the
-quench oscillation into a pure linear phase ``exp(i xi u)``; the direct
-t-domain evaluation is retained as an independent oracle.
+quench oscillation into a pure linear phase ``exp(i xi u)``, by a strip
+trapezoid rule whose nodes every lambda shares; the direct t-domain
+evaluation is retained as an independent oracle.
 """
 
 import cmath
@@ -20,16 +21,21 @@ from .quadrature import (
     integrate_batch,
     integrate_real_line,  # noqa: F401 -- perfbench/tracing.py wraps it here
     pv_integrate,  # noqa: F401 -- perfbench/tracing.py wraps it here
-    real_line_panels,
+    strip_trapezoid,
 )
-from .quench import _log_weight_ratio, phase_G, quench_boundary, \
-    quench_interior
+from .quench import QuenchParams, _log_weight_ratio, _quench_exponent, \
+    phase_G, xi_of_lambda
+from .quench import quench_interior  # noqa: F401 -- perfbench/tracing.py wraps it
 
 __all__ = [
     "BoundarySignal",
+    "approximant_table",
     "approximant_values",
     "approximant_interior",
     "approximant_boundary",
+    "window_samples",
+    "sup_error",
+    "l2_error",
     "sup_error_on_compact",
     "l2_error_on_window",
 ]
@@ -45,33 +51,46 @@ class BoundarySignal:
     where the u-integral is truncated.  ``strip_pullback``, when
     present, analytically extends the pullback of g through the tanh
     map to the strip ``0 <= Im z <= 3 pi / 2``; ``singularities`` lists
-    its poles there, ``0 < Im z <= 3 pi / 2``.
+    its poles there, ``0 < Im z <= 3 pi / 2``.  ``strip_below``, when
+    set, is the distance below the real line to the pullback's nearest
+    singularity there.  Listed poles and ``strip_below`` set the
+    trapezoid step of the u-path; unset, it starts from pi.
     """
 
     eval_on_I: callable
     decay_cert: DecayCertificate
     strip_pullback: callable = None
     singularities: tuple = ()
+    strip_below: float = None
 
 
-def _cell(params, z, piece):
+def _cell(lam, z, piece):
     """The cell of the ``piece`` integral of g_lambda at ``z``: lambda, the
     point and the piece."""
     z = complex(z)
     point = f"x={z.real!r}" if z.imag == 0 else f"z={z!r}"
-    return f"g_lambda at lambda={float(params.lam)!r}, {point}, {piece} integral"
+    return f"g_lambda at lambda={float(lam)!r}, {point}, {piece} integral"
 
 
-def _cauchy_weighted_u(zs, params, interval, signal, tol):
-    """int_I exp(-iG(t)) g(t) / (t - z) dt for each z of the array ``zs``.
+def _cauchy_weighted_u(zs, lams, interval, signal, tol):
+    """int_I exp(-iG(t)) g(t) / (t - z) dt for each z of ``zs``: per z, a
+    list with one value per lambda of ``lams``.
 
     Under the tanh substitution ``t = interval.from_u(u)`` the phase becomes
     exactly ``exp(i xi u)`` times a constant unimodular factor, and the
-    Jacobian J contributes ``exp(-|u|)`` decay.  A real x inside I takes
-    the limit from above: with ``v = interval.to_u(x)``,
-    ``w(u) = exp(i xi u) g(t(u))`` and ``K(u) = J(u)/(t(u) - x) =
-    cosh(v/2) / (2 cosh(u/2) sinh((u - v)/2))``, whose principal value is
-    -v, it is ``(w - w(v)) K`` on [-U, v] and [v, U] plus ``(i pi - v) w(v)``.
+    Jacobian ``J = r sech^2(u/2) / 2`` contributes ``exp(-|u|)`` decay.  So
+    each z is one ``strip_trapezoid`` call: ``g(t(u)) J(u) / (t(u) - z)``
+    is evaluated once on its grid and each lambda costs one phase product.
+    Its poles: +-i pi (of J; for real x off I, at ln alpha +- i pi), the
+    data's listed singularities and ``strip_below`` and, for Im z > 0,
+    ``2 artanh((z - c)/r)``, where t = z.
+
+    A real x inside I takes the limit from above: with ``v =
+    interval.to_u(x)``, ``w(u) = exp(i xi u) g(t(u))`` and ``K(u) =
+    J(u)/(t(u) - x) = cosh(v/2) / (2 cosh(u/2) sinh((u - v)/2))``, whose
+    principal value is -v, it is ``int (w - w(v)) K du + (i pi - v) w(v)``:
+    the grid's lambda-free parts are ``g(t(u)) K`` and ``g(x) K``, and K
+    has poles at +-i pi and v +- 2 pi i.
     Tail: for ``|u| >= |v| + 2``, ``|u - v| >= 2``, so ``|sinh((u - v)/2)|
     >= (1 - e^-2) e^{|u - v|/2} / 2``; with ``cosh(u/2) >= e^{|u|/2} / 2``,
     ``cosh(v/2) <= e^{|v|/2}`` and ``|u - v| >= |u| - |v|``, ``|K| < 3
@@ -79,79 +98,83 @@ def _cauchy_weighted_u(zs, params, interval, signal, tol):
     ``|g(t(u))| <= M e^{delta |u|}``, the integrand is below
     ``6 M e^{(1 + delta)|v|} e^{(delta - 1)|u|}``.
     """
-    r = interval.half_width
-    xi = params.xi
+    c, r = interval.center, interval.half_width
     g = signal.eval_on_I
     cert = signal.decay_cert
-    inside = (zs.imag == 0) & interval.contains(zs.real)
-    vs = np.zeros(len(zs))
-    wvs = np.zeros(len(zs), dtype=complex)
+    xis = [xi_of_lambda(lam) for lam in lams]
+    above = min([math.pi] + [complex(s.beta).imag for s in signal.singularities])
+    below = min(math.pi, signal.strip_below or math.pi)
+    const = [cmath.exp(1j * xi * (0.5 * _log_weight_ratio(interval))) for xi in xis]
 
     def cut(bound):
         return DecayCertificate(cert.delta, bound).truncation_point(tol.abs_tol)
 
-    pieces = []  # (point, lo, hi, initial panels) of each integral
-    for j, z in enumerate(zs):
-        if inside[j]:
-            v = vs[j] = interval.to_u(z.real)
-            wvs[j] = cmath.exp(1j * xi * v) * complex(g(z.real))
+    columns = []
+    for z in zs:
+        if z.imag == 0 and interval.contains(z.real):
+            v = interval.to_u(z.real)
+            gv = complex(g(z.real))
             u_max = max(abs(v) + 2.0, cut(6.0 * cert.bound_M * math.exp(
                 (1.0 + cert.delta) * abs(v))))
-            pieces += [(j, -u_max, v, 8), (j, v, u_max, 8)]
+            strip = (above, below)
+
+            def integrand(u):  # the sinh form of K: no cancellation in t - x
+                kernel = np.cosh(0.5 * v) / (2.0 * np.cosh(0.5 * u)
+                                             * np.sinh(0.5 * (u - v)))
+                return g(interval.from_u(u)) * kernel, gv * kernel
         else:
-            dist = math.hypot(max(abs(z.real - interval.center) - r, 0.0), z.imag)
+            v = None
+            dist = math.hypot(max(abs(z.real - c) - r, 0.0), z.imag)
             u_max = cut(2.0 * r * cert.bound_M / dist)
-            pieces.append((j, -u_max, u_max, real_line_panels(u_max)))
-    owner, lo, hi, panels = np.array(pieces).reshape(-1, 4).T
+            strip = (min(above, 2.0 * cmath.atanh((z - c) / r).imag)
+                     if z.imag > 0 else above, below)
 
-    def integrand(u, k):
-        k = owner[k].astype(int)
-        sech2 = 1.0 / np.cosh(0.5 * u) ** 2
-        t = interval.from_u(u)
-        w = np.exp(1j * xi * u) * g(t)
-        values = w * (0.5 * r * sech2) / (t - zs[k])
-        rows = inside[k[:, 0]]
-        if rows.any():  # the sinh form of K: no cancellation in t - x
-            u, v = u[rows], vs[k[rows]]
-            values[rows] = (w[rows] - wvs[k[rows]]) * np.cosh(0.5 * v) / (
-                2.0 * np.cosh(0.5 * u) * np.sinh(0.5 * (u - v)))
-        return values
-
-    const = cmath.exp(1j * xi * (0.5 * _log_weight_ratio(interval)))
-    try:
-        ints = iter(integrate_batch(integrand, lo, hi, tol, panels.astype(int)))
-    except NonConvergence as exc:
-        j = int(owner[exc.index])
-        piece = "u-PV" if inside[j] else "u"
-        raise in_cell(exc, _cell(params, zs[j], piece)) from exc
-    return [const * (next(ints) + next(ints) + (1j * math.pi - vs[j])
-                     * complex(wvs[j])) if inside[j] else const * next(ints)
-            for j in range(len(zs))]
+            def integrand(u):
+                em = np.exp(-np.abs(u))  # J = 2 r e^{-|u|} / (1 + e^{-|u|})^2
+                t = interval.from_u(u)
+                return g(t) * (2.0 * r * em / (1.0 + em) ** 2) / (t - z)
+        try:
+            sums = strip_trapezoid(integrand, xis, u_max, strip, tol, pole=v)
+        except NonConvergence as exc:
+            piece = "u" if v is None else "u-PV"
+            raise in_cell(exc, _cell(lams[exc.index], z, piece)) from exc
+        if v is not None:
+            sums = [s + (1j * math.pi - v) * cmath.exp(1j * xi * v) * gv
+                    for s, xi in zip(sums, xis)]
+        columns.append([k * s for k, s in zip(const, sums)])
+    return columns
 
 
-def _cauchy_weighted_t(zs, params, interval, signal, tol):
+def _cauchy_weighted_t(zs, lams, interval, signal, tol):
     """Same integrals, evaluated directly in the t variable (oracle path)."""
     g = signal.eval_on_I
+    zs = np.array(zs, dtype=complex)
+    rows = []
+    for lam in lams:
+        params = QuenchParams(lam)
 
-    def integrand(t, k):
-        return np.exp(-1j * phase_G(t, params, interval)) * g(t) / (t - zs[k])
+        def integrand(t, k):
+            return np.exp(-1j * phase_G(t, params, interval)) * g(t) / (t - zs[k])
 
-    try:
-        return integrate_batch(integrand, np.full(len(zs), interval.lo),
-                               np.full(len(zs), interval.hi), tol)
-    except NonConvergence as exc:
-        raise in_cell(exc, _cell(params, zs[exc.index], "t")) from exc
+        try:
+            rows.append(integrate_batch(integrand, np.full(len(zs), interval.lo),
+                                        np.full(len(zs), interval.hi), tol))
+        except NonConvergence as exc:
+            raise in_cell(exc, _cell(lam, zs[exc.index], "t")) from exc
+    return [list(column) for column in zip(*rows)]
 
 
-def approximant_values(points, params, interval, signal, tol=QuadTolerance(),
-                       method="u"):
-    """g_lambda at each point of the closed upper half plane, as a list.
+def approximant_table(points, lambdas, interval, signal, tol=QuadTolerance(),
+                      method="u"):
+    """g_lambda at each point of the closed upper half plane, for each lambda:
+    one row (a list) per lambda of ``lambdas``, one value per point.
 
     A point is either in Im z > 0 or real and off the endpoints of I; a
     real point gets the boundary trace, inside I the limit from above.
-    All points form one batch of u-domain Cauchy integrals.  ``method``
-    "t" integrates directly in the t variable instead (the dual-path
-    oracle) and takes points with Im z > 0 only.
+    Each point is one u-domain Cauchy integral on one trapezoid grid
+    shared by every lambda, and each row is what its lambda alone gives.
+    ``method`` "t" integrates directly in the t variable instead (the
+    dual-path oracle) and takes points with Im z > 0 only.
     """
     paths = {"u": _cauchy_weighted_u, "t": _cauchy_weighted_t}
     if method not in paths:
@@ -165,28 +188,72 @@ def approximant_values(points, params, interval, signal, tol=QuadTolerance(),
         if z.imag == 0 and interval.is_endpoint(z.real):
             raise DomainError(
                 f"g_lambda boundary trace undefined at endpoint x={z.real}")
-    lam = params.lam
-    if lam == 0:
-        return [0.0 + 0.0j] * len(zs)
-    integrals = paths[method](np.array(zs, dtype=complex), params, interval,
-                              signal, tol)
-    return [lam * (quench_interior(z, params, interval) if z.imag > 0
-                   else quench_boundary(z.real, params, interval))
-            / (2j * math.pi) * integral / math.sqrt(1.0 + lam)
-            for z, integral in zip(zs, integrals)]
+    # a real point as complex(x, 0.0): h_lambda takes its limit from above
+    zs = [z if z.imag else complex(z.real, 0.0) for z in zs]
+    lams = [float(lam) for lam in lambdas]
+    xis = [xi_of_lambda(lam) for lam in lams]
+    table = [[0.0 + 0.0j] * len(zs) for _ in lams]
+    live = [k for k, lam in enumerate(lams) if lam != 0]
+    if not (live and zs):
+        return table
+    columns = paths[method](zs, [lams[k] for k in live], interval, signal, tol)
+    for j, (z, column) in enumerate(zip(zs, columns)):
+        exponent = _quench_exponent(z, interval)
+        for k, integral in zip(live, column):
+            lam = lams[k]
+            table[k][j] = (lam * cmath.exp(1j * xis[k] * exponent) / (2j * math.pi)
+                           * integral / math.sqrt(1.0 + lam))
+    return table
+
+
+def approximant_values(points, params, interval, signal, tol=QuadTolerance(),
+                       method="u"):
+    """g_lambda at each point, as a list: the table of one lambda
+    (see approximant_table)."""
+    return approximant_table(points, [params.lam], interval, signal, tol,
+                             method)[0]
 
 
 def approximant_interior(z, params, interval, signal, tol=QuadTolerance(),
                          method="u"):
-    """g_lambda at a point of the open upper half plane (see approximant_values)."""
+    """g_lambda at a point of the open upper half plane (see approximant_table)."""
     if not complex(z).imag > 0:
         raise DomainError(f"need Im z > 0, got z={complex(z)}")
     return approximant_values([z], params, interval, signal, tol, method)[0]
 
 
 def approximant_boundary(x, params, interval, signal, tol=QuadTolerance()):
-    """Boundary trace of g_lambda at one real point (see approximant_values)."""
+    """Boundary trace of g_lambda at one real point (see approximant_table)."""
     return approximant_values([x], params, interval, signal, tol)[0]
+
+
+def window_samples(interval, window, n_samples):
+    """The L2 sample points: equispaced over the window and nudged off the
+    interval endpoints by the quadrature guard margin."""
+    pts = np.linspace(window.lo, window.hi, n_samples)
+    guard = interval.guard
+    for end in (interval.lo, interval.hi):
+        close = np.abs(pts - end) < guard
+        pts[close] = end + 2.0 * guard * np.where(pts[close] >= end, 1.0, -1.0)
+    return pts
+
+
+def sup_error(values, pts, ref):
+    """Max deviation of the g_lambda ``values`` at ``pts`` from the reference F."""
+    worst = 0.0
+    for z, value in zip(pts, values):
+        worst = max(worst, abs(value - ref(z)))
+    return worst
+
+
+def l2_error(values, pts, ref, window):
+    """Discrete L2 norm over ``window`` of (g_lambda - F), given the g_lambda
+    ``values`` at its ``window_samples`` ``pts``."""
+    total = 0.0
+    for x, value in zip(pts, values):
+        total += abs(value - ref(x)) ** 2
+    width = window.hi - window.lo
+    return math.sqrt(width * total / len(pts))
 
 
 def sup_error_on_compact(pts, params, interval, signal, ref,
@@ -195,28 +262,14 @@ def sup_error_on_compact(pts, params, interval, signal, ref,
     for z in pts:
         if not complex(z).imag > 0:
             raise DomainError(f"need Im z > 0, got z={complex(z)}")
-    worst = 0.0
-    for z, value in zip(pts, approximant_values(pts, params, interval, signal,
-                                                tol)):
-        worst = max(worst, abs(value - ref(z)))
-    return worst
+    return sup_error(approximant_values(pts, params, interval, signal, tol),
+                     pts, ref)
 
 
 def l2_error_on_window(params, interval, signal, ref, window, n_samples,
                        tol=QuadTolerance()):
-    """Discrete L2 norm of (g_lambda - F) over a real window.
-
-    Sample points are equispaced over the window and nudged off the
-    interval endpoints by the quadrature guard margin.
-    """
-    pts = np.linspace(window.lo, window.hi, n_samples)
-    guard = interval.guard
-    for end in (interval.lo, interval.hi):
-        close = np.abs(pts - end) < guard
-        pts[close] = end + 2.0 * guard * np.where(pts[close] >= end, 1.0, -1.0)
-    total = 0.0
-    for x, value in zip(pts, approximant_values(pts, params, interval, signal,
-                                                tol)):
-        total += abs(value - ref(x)) ** 2
-    width = window.hi - window.lo
-    return math.sqrt(width * total / n_samples)
+    """Discrete L2 norm of (g_lambda - F) over a real window, at its
+    ``window_samples``."""
+    pts = window_samples(interval, window, n_samples)
+    return l2_error(approximant_values(pts, params, interval, signal, tol),
+                    pts, ref, window)

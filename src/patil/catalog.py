@@ -8,7 +8,9 @@ decay certificate:
   pole ``2 artanh((w - c0)/r)`` and exponent ``theta_w / (2 pi)``, with
   ``theta_w`` the angle I subtends at w; for Im w < 0 the data is its
   own Hardy-class reference, with exponent 0 and the strip pole
-  ``2 artanh((w - c0)/r) + 2 pi i`` when that lies at or below 3 pi i/2.
+  ``2 artanh((w - c0)/r) + 2 pi i`` when that lies at or below 3 pi i/2;
+  then ``2 artanh((w - c0)/r)`` itself is the pole nearest below the
+  real line, and ``strip_below`` is its distance.
 * ``example2 = rational(-i, i)``, exponent 1/4 on (-1, 1), and
   ``h2_reference_pole = rational(1, w)`` with Im w < 0.
 * ``example1`` -- semicircle-plus-linear data on I = (-a, a) only; its
@@ -71,7 +73,9 @@ def rational(c, w, interval=UNIT, name="rational"):
     # tanh(beta/2) = s; the residue is c over dt/dz = r (1 - s^2) / 2
     s = (w - c0) / r
     beta = 2.0 * cmath.atanh(s)  # Im beta in (0, pi) for Im w > 0, else (-pi, 0)
+    below = PI  # beta - 2 pi i lies below -i pi, the Jacobian's pole
     if w.imag < 0:
+        below = -beta.imag
         beta += 2j * PI
     poles = ()
     if beta.imag <= STRIP_TOP:
@@ -80,6 +84,7 @@ def rational(c, w, interval=UNIT, name="rational"):
         eval_on_I=evaluate,
         strip_pullback=strip_pullback,
         singularities=poles,
+        strip_below=below,
         # |c / (t - w)| <= |c| / |Im w| on the real line
         decay_cert=DecayCertificate(delta=0.1, bound_M=2.0 * abs(c)
                                     * (1.0 + 1.0 / abs(w.imag))),
@@ -108,6 +113,7 @@ def example1(interval=UNIT):
         # pole of the pullback at i pi, order 1: sech and -i tanh each
         # contribute -2i a there
         singularities=(StripSingularity(beta=1j * PI, order=1, coeff=-4j * a),),
+        strip_below=PI,  # the mirror pole at -i pi
         decay_cert=DecayCertificate(delta=0.51, bound_M=8.0 * max(a, 1.0)),
     )
     return CatalogEntry(name="example1", signal=signal)

@@ -29,14 +29,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import catalog
-from .approximant import approximant_values, l2_error_on_window, \
-    sup_error_on_compact
+from .approximant import approximant_table, l2_error, sup_error, window_samples
 from .asymptotics import ContourSpec, check_growth_grid, contour_residuals, \
     fit_growth_exponent
-from .asymptotics import contour_identity_check  # noqa: F401 -- perfbench wraps it
 from .errors import DomainError, NonConvergence, PatilError
 from .quadrature import QuadTolerance
-from .quench import Interval, QuenchParams
+from .quench import Interval
+
+# perfbench/tracing.py wraps these names here; the runners do not call them
+from .approximant import l2_error_on_window, sup_error_on_compact  # noqa: F401,E402
+from .asymptotics import contour_identity_check  # noqa: F401,E402
+from .quench import QuenchParams  # noqa: F401,E402
 
 SCHEMA_VERSION = 1
 
@@ -265,10 +268,9 @@ def run_growth_experiment(cfg):
     except DomainError as exc:
         raise ConfigError(f"bad lambda_grid: {exc}") from None
 
-    # one row of magnitudes (one batch) per lambda, one column per eval point
-    table = [[abs(v) for v in approximant_values(
-        points, QuenchParams(lam), cfg.interval, entry.signal,
-        cfg.tolerances)] for lam in cfg.lambda_grid]
+    # one row of magnitudes per lambda, one column per eval point
+    table = [[abs(v) for v in row] for row in approximant_table(
+        points, cfg.lambda_grid, cfg.interval, entry.signal, cfg.tolerances)]
     slopes = [fit_growth_exponent(zip(cfg.lambda_grid, column))
               for column in zip(*table)]
     predicted = entry.expected_exponent
@@ -289,14 +291,14 @@ def run_convergence_experiment(cfg):
     pts = [complex(p) for p in _eval_points(
         cfg, lambda z: z.imag > 0, "in Im z > 0")]
 
-    rows = []
-    for lam in cfg.lambda_grid:
-        p = QuenchParams(lam)
-        sup = sup_error_on_compact(pts, p, cfg.interval, entry.signal,
-                                   entry.reference, cfg.tolerances)
-        l2 = l2_error_on_window(p, cfg.interval, entry.signal, entry.reference,
-                                cfg.window, cfg.n_samples, cfg.tolerances)
-        rows.append((lam, sup, l2))
+    # one table for the eval points and the window samples together
+    samples = window_samples(cfg.interval, cfg.window, cfg.n_samples)
+    table = approximant_table(pts + list(samples), cfg.lambda_grid, cfg.interval,
+                              entry.signal, cfg.tolerances)
+    ref, n = entry.reference, len(pts)
+    rows = [(lam, sup_error(row[:n], pts, ref),
+             l2_error(row[n:], samples, ref, cfg.window))
+            for lam, row in zip(cfg.lambda_grid, table)]
     sups = [r[1] for r in rows]
     l2s = [r[2] for r in rows]
     ok = all(b <= a for a, b in zip(sups[:-1], sups[1:])) and \

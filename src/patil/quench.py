@@ -115,15 +115,21 @@ def phase_G(x, params, interval):
     return params.xi * (ratio - 0.5 * _log_weight_ratio(interval))
 
 
-def _quench(z, params, interval):
-    """h_lambda(z) = exp(i xi (Log(z - hi) - Log(z - lo) - L/2)), Im z >= 0.
+def _quench_exponent(z, interval):
+    """E(z) = Log(z - hi) - Log(z - lo) - L/2, so that h_lambda = exp(i xi E).
 
-    L is ``_log_weight_ratio``.  ``z - hi`` and ``z - lo`` lie in the closed
-    upper half plane, so a real ``complex(x, 0.0)`` gets the limit from
-    above; ``hi - z`` would not, its imaginary part being +0.0.
+    E does not depend on lambda; Im z >= 0 and L is ``_log_weight_ratio``.
+    ``z - hi`` and ``z - lo`` lie in the closed upper half plane, so a real
+    ``complex(x, 0.0)`` gets the limit from above; ``hi - z`` would not,
+    its imaginary part being +0.0.
     """
     cauchy = cmath.log(z - interval.hi) - cmath.log(z - interval.lo)
-    return cmath.exp(1j * params.xi * (cauchy - 0.5 * _log_weight_ratio(interval)))
+    return cauchy - 0.5 * _log_weight_ratio(interval)
+
+
+def _quench(z, params, interval):
+    """h_lambda(z) = exp(i xi E(z)) (see ``_quench_exponent``), Im z >= 0."""
+    return cmath.exp(1j * params.xi * _quench_exponent(z, interval))
 
 
 def quench_interior(z, params, interval):

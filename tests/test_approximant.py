@@ -13,6 +13,7 @@ from patil.approximant import (
     BoundarySignal,
     approximant_boundary,
     approximant_interior,
+    approximant_table,
     approximant_values,
     l2_error_on_window,
     sup_error_on_compact,
@@ -248,11 +249,12 @@ class TestBatches:
             approximant_values([0.3, 1.0, 2.0], QuenchParams(10.0), SYM,
                                H2.signal)
 
-    # a budget of 8 panels stops every integral at its first refinement;
-    # with 9 the two 8-panel pieces of 0.3 refine, and the exterior
-    # point's integral, number 2 of the batch, fails first
+    # a budget of 8 or 9 is 120 or 135 trapezoid nodes, fewer than any
+    # first grid here, so each u integral goes to the G7/K15 fallback,
+    # which stops at its first refinement (8) or second (9); points are
+    # integrated in order, so the first point's integral fails first
     @pytest.mark.parametrize("points,method,budget,cell", [
-        ([0.3, 2.0], "u", 9, "x=2.0, u integral"),
+        ([2.0, 0.3], "u", 9, "x=2.0, u integral"),
         ([0.3], "u", 8, "x=0.3, u-PV integral"),
         ([0.5 + 1j], "u", 8, r"z=\(0\.5\+1j\), u integral"),
         ([0.5 + 1j], "t", 8, r"z=\(0\.5\+1j\), t integral"),
@@ -268,6 +270,85 @@ class TestBatches:
         p = QuenchParams(10.0)
         assert approximant_values([], p, SYM, H2.signal) == []
         assert approximant_values([], p, SYM, H2.signal, method="t") == []
+
+
+class TestTable:
+    NONSYM = Interval(-0.5, 2.0)
+    POINTS = [3.1, 0.3 + 0.7j, -0.49, 0.0, -2.0, 1.999, 2.6 + 1.5j, 0.9 + 0.05j]
+    LAMBDAS = [0.0, 10.0, 1e4, 1e8, 1e12, 1e16]
+
+    @pytest.mark.parametrize("entry", [example2, h2_reference_pole])
+    def test_rows_equal_values_bit_for_bit(self, entry):
+        signal = entry(interval=self.NONSYM).signal
+        table = approximant_table(self.POINTS, self.LAMBDAS, self.NONSYM, signal, TOL)
+        assert len(table) == len(self.LAMBDAS)
+        for lam, row in zip(self.LAMBDAS, table):
+            alone = approximant_values(self.POINTS, QuenchParams(lam), self.NONSYM,
+                                       signal, TOL)
+            assert bits(row) == bits(alone), lam
+
+    def test_t_rows_equal_values_bit_for_bit(self):
+        zs = [z for z in self.POINTS if isinstance(z, complex)]
+        signal = example2(interval=self.NONSYM).signal
+        table = approximant_table(zs, self.LAMBDAS[:4], self.NONSYM, signal, TOL, "t")
+        for lam, row in zip(self.LAMBDAS, table):
+            alone = approximant_values(zs, QuenchParams(lam), self.NONSYM, signal,
+                                       TOL, "t")
+            assert bits(row) == bits(alone), lam
+
+    @settings(max_examples=30, deadline=None)
+    @given(entry=st.sampled_from(["h2pole", "example2"]),
+           inside=st.floats(-0.49, 1.99), left=st.floats(0.01, 3.0),
+           right=st.floats(0.01, 3.0),
+           decades=st.lists(st.floats(1.0, 8.0), min_size=1, max_size=4))
+    def test_matches_closed_form(self, entry, inside, left, right, decades):
+        c, w = (1.0, -1j) if entry == "h2pole" else (-1j, 1j)
+        signal = rational(c, w, self.NONSYM).signal
+        xs = [inside, self.NONSYM.lo - left, self.NONSYM.hi + right]
+        lams = [10.0 ** d for d in decades]
+        for lam, row in zip(lams, approximant_table(xs, lams, self.NONSYM, signal,
+                                                    TOL)):
+            # outside I nothing cancels the Cauchy integral's own abs_tol
+            outside = lam / (2.0 * math.pi * math.sqrt(1.0 + lam)) * TOL.abs_tol
+            for x, value, extra in zip(xs, row, [0.0, outside, outside]):
+                want = closed_form(x, lam, self.NONSYM, c, w)
+                assert abs(value - want) <= 1e-12 * abs(want) + extra, (x, lam)
+
+    @pytest.mark.parametrize("entry", [example2(), h2_reference_pole(-1j)])
+    def test_near_interval_matches_t_path(self, entry):
+        # d_above is about 0.2 at 0.1 + 0.1i: a fine grid, still no fallback
+        z, lams = 0.1 + 0.1j, [10.0, 1e4, 1e8]
+        u_rows = approximant_table([z], lams, SYM, entry.signal, TOL)
+        t_rows = approximant_table([z], lams, SYM, entry.signal, TOL, "t")
+        for (vu,), (vt,) in zip(u_rows, t_rows):
+            assert abs(vu - vt) < 10 * TOL.abs_tol * (1 + abs(vu))
+
+    def test_kinked_data_falls_back_and_matches_t_path(self):
+        # example1's data on (-0.5, 2) has a kink at x = 1: no strip of
+        # analyticity, so the trapezoid runs out of nodes and G7/K15 takes over
+        lams = [10.0, 1e4]
+        signal = example1().signal
+        u_rows = approximant_table([0.3 + 0.7j], lams, self.NONSYM, signal, TOL)
+        t_rows = approximant_table([0.3 + 0.7j], lams, self.NONSYM, signal, TOL, "t")
+        for (vu,), (vt,) in zip(u_rows, t_rows):
+            assert abs(vu - vt) < 10 * TOL.abs_tol * (1 + abs(vu))
+
+    def test_one_failing_lambda_is_named(self):
+        # at lambda = 1e30 the integral is about 1e-15 of its integrand, so
+        # rel_tol 1e-12 asks for more than rounding allows; lambda = 10 is fine
+        tol = QuadTolerance(abs_tol=1e-30, rel_tol=1e-12, max_subdivisions=200)
+        assert approximant_table([2.0], [10.0], SYM, H2.signal, tol)[0][0] != 0
+        with pytest.raises(NonConvergence,
+                           match=r"^g_lambda at lambda=1e\+30, x=2\.0, u integral: "
+                                 r"error .* after 200 panels \(max_subdivisions=200\)$"):
+            approximant_table([2.0, 3.0], [10.0, 1e30, 1e31], SYM, H2.signal, tol)
+
+    def test_lambda_checked(self):
+        with pytest.raises(DomainError, match="lambda must be finite"):
+            approximant_table([2.0], [10.0, -1.0], SYM, H2.signal)
+
+    def test_empty_lambdas(self):
+        assert approximant_table([2.0, 0.5 + 1j], [], SYM, H2.signal) == []
 
 
 class TestErrorMeasures:

@@ -106,7 +106,7 @@ class TestGrowthCommand:
     @pytest.mark.parametrize("grid", [[10, 100], [10, 100, 1000, 10000]])
     def test_short_grid_refused_before_any_cell(self, tmp_path, capsys,
                                                 monkeypatch, grid):
-        monkeypatch.setattr(cli, "approximant_values", no_cell)
+        monkeypatch.setattr(cli, "approximant_table", no_cell)
         cfg = write_config(tmp_path, eval_points=[2.0], lambda_grid=grid)
         assert main(["growth", "--config", cfg]) == EXIT_CONFIG
         assert "bad lambda_grid" in capsys.readouterr().err
@@ -114,7 +114,7 @@ class TestGrowthCommand:
     def test_interval_of_strip_poles_enforced(self, tmp_path, capsys, monkeypatch):
         # example1's strip pole at i pi needs I = (-a, a); every other
         # entry derives its strip poles from the configured interval
-        monkeypatch.setattr(cli, "approximant_values", no_cell)
+        monkeypatch.setattr(cli, "approximant_table", no_cell)
         cfg = write_config(tmp_path, entry="example1", interval=[-1.0, 2.0],
                            eval_points=[3.0],
                            lambda_grid=[10.0 ** k for k in range(2, 9)])
@@ -123,8 +123,8 @@ class TestGrowthCommand:
 
     def test_interval_of_entry_args_accepted(self, tmp_path, monkeypatch):
         # the entry's interval is the config's; entry_args cannot set it
-        monkeypatch.setattr(cli, "approximant_values",
-                            lambda xs, *a, **k: [1.0] * len(xs))
+        monkeypatch.setattr(cli, "approximant_table",
+                            lambda xs, lams, *a, **k: [[1.0] * len(xs)] * len(lams))
         cfg = write_config(tmp_path, entry="example1", interval=[-2.0, 2.0],
                            eval_points=[3.0],
                            lambda_grid=[10.0 ** k for k in range(2, 9)])
@@ -153,8 +153,9 @@ class TestGrowthCommand:
         err = capsys.readouterr().err
         assert err.startswith("numeric error: g_lambda at lambda=10.0, x=2.0, "
                               "u integral: error ")
-        # the u integral at x = 2 starts with 29 panels, above the budget
-        assert err.rstrip().endswith("after 29 panels (max_subdivisions=9)")
+        # the trapezoid's first grid at x = 2 needs more than 15 * 9 nodes, so
+        # the G7/K15 fallback runs, from 8 panels, and stops at 9
+        assert err.rstrip().endswith("after 9 panels (max_subdivisions=9)")
 
 
 class TestConvergeCommand:
@@ -350,8 +351,7 @@ class TestOutputFormats:
     def test_unwritable_out_refused_before_any_cell(self, tmp_path, capsys,
                                                     monkeypatch, where):
         # a missing directory or a directory as the file: exit 2 at once
-        monkeypatch.setattr(cli, "sup_error_on_compact", no_cell)
-        monkeypatch.setattr(cli, "l2_error_on_window", no_cell)
+        monkeypatch.setattr(cli, "approximant_table", no_cell)
         cfg = write_config(tmp_path, entry="h2pole", eval_points=[[0.0, 1.0]],
                            lambda_grid=[1e2, 1e4])
         out = str(tmp_path / where)

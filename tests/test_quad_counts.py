@@ -1,9 +1,11 @@
 """``tools/quad_counts.py`` runs and counts quadrature work.
 
-Its counts are the record that a change kept the panels the same, so it
-runs here as a subprocess, with ``src`` on PYTHONPATH, as it is run by
-hand.  Every workload's totals are pinned: the g_lambda u-paths and the
-contour identity must keep doing exactly this much work.
+Its counts are the record that a change kept the panels and nodes the
+same, so it runs here as a subprocess, with ``src`` on PYTHONPATH, as it
+is run by hand.  Every workload's totals are pinned: the g_lambda
+u-path's trapezoid grids and the contour identity's G7/K15 panels must
+keep doing exactly this much work, and no u integral of the workloads
+may need the G7/K15 fallback.
 """
 
 import json
@@ -15,10 +17,12 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-COUNTS = ("calls", "panels", "points")
-# calls, panels, points of perfbench's seed-1 experiments
-PINNED = {"growth": (1517, 27677, 415155), "converge": (277, 45006, 675090),
-          "contour": (280, 17088, 256320)}
+COUNTS = ("calls", "panels", "points", "trapezoid_calls", "nodes")
+GK15 = COUNTS[:3]
+# G7/K15 calls, panels, points and trapezoid calls, nodes of perfbench's
+# seed-1 experiments
+PINNED = {"growth": (0, 0, 0, 54, 12145), "converge": (0, 0, 0, 414, 84841),
+          "contour": (280, 17088, 256320, 0, 0)}
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +41,7 @@ def test_contour_counts(counts):
     experiments = {k: v for k, v in contour.items() if k not in COUNTS}
     assert experiments
     for tally in [contour, *experiments.values()]:
-        assert all(tally[key] > 0 for key in COUNTS), tally
+        assert all(tally[key] > 0 for key in GK15), tally
     assert all(tally["exit"] == 0 for tally in experiments.values())
 
 

@@ -1,4 +1,4 @@
-"""Quadrature work per perfbench workload: integrand calls, panels, points.
+"""Quadrature work per perfbench workload: integrand calls, panels, nodes.
 
 Usage, from the root of a source tree::
 
@@ -8,11 +8,16 @@ Runs each experiment of the workloads (perfbench/workloads.py, the same
 seed-drawn inputs) once, in-process, through ``patil.cli.main``, with
 ``patil.quadrature._gk15`` wrapped to count its integrand calls, the
 panels it evaluates (one per entry of its last argument, the panel right
-ends) and the nodes passed to the integrand.  The counts do not depend
-on the machine, and the wrapper does not depend on whether ``_gk15``
-takes one panel or a stack of them, so two source trees can be compared.
-Prints one JSON object: workload -> {"calls", "panels", "points", and
-per experiment its counts and exit code}.
+ends) and the nodes passed to the integrand, and the u-path's
+``strip_trapezoid`` (``patil.approximant.strip_trapezoid``, where the
+u-path looks it up) wrapped to count the calls of its integrand and the
+trapezoid nodes they evaluate, apart from its G7/K15 fallback, which
+counts as G7/K15.  The counts do not depend on the machine, and the
+wrappers do not depend on whether ``_gk15`` takes one panel or a stack
+of them, so two source trees can be compared; a tree without
+``strip_trapezoid`` counts 0 trapezoid calls.  Prints one JSON object:
+workload -> {"calls", "panels", "points", "trapezoid_calls", "nodes",
+and per experiment its counts and exit code}.
 """
 
 import argparse
@@ -29,8 +34,11 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
 
+import patil.approximant as approximant  # noqa: E402
 import patil.cli  # noqa: E402
 import patil.quadrature as quadrature  # noqa: E402
+
+COUNTS = ("calls", "panels", "points", "trapezoid_calls", "nodes")
 
 
 def counted(gk15, tally):
@@ -40,7 +48,22 @@ def counted(gk15, tally):
             tally["points"] += np.size(u)
             return f(u, *rest)
         tally["panels"] += np.size(args[-1])
-        return gk15(integrand, *args)
+        tally["in_gk15"] += 1
+        try:
+            return gk15(integrand, *args)
+        finally:
+            tally["in_gk15"] -= 1
+    return wrapper
+
+
+def counted_trapezoid(trapezoid, tally):
+    def wrapper(f, *args, **kwargs):
+        def integrand(u):
+            if not tally["in_gk15"]:
+                tally["trapezoid_calls"] += 1
+                tally["nodes"] += np.size(u)
+            return f(u)
+        return trapezoid(integrand, *args, **kwargs)
     return wrapper
 
 
@@ -51,13 +74,16 @@ def main(argv=None):
     args = parser.parse_args(argv)
     result = {}
     gk15 = quadrature._gk15
+    trapezoid = getattr(approximant, "strip_trapezoid", None)
     try:
         with tempfile.TemporaryDirectory() as tmp:
             for name in args.workload:
-                total = result[name] = {"calls": 0, "panels": 0, "points": 0}
+                total = result[name] = dict.fromkeys(COUNTS, 0)
                 for exp in workloads.WORKLOADS[name](args.seed):
-                    tally = total[exp.name] = {"calls": 0, "panels": 0, "points": 0}
+                    tally = total[exp.name] = dict.fromkeys(COUNTS + ("in_gk15",), 0)
                     quadrature._gk15 = counted(gk15, tally)
+                    if trapezoid is not None:
+                        approximant.strip_trapezoid = counted_trapezoid(trapezoid, tally)
                     cfg = os.path.join(tmp, f"{exp.name}.json")
                     with open(cfg, "w") as fh:
                         json.dump(exp.config, fh)
@@ -65,10 +91,13 @@ def main(argv=None):
                         tally["exit"] = patil.cli.main(
                             [exp.command, "--config", cfg,
                              "--out", os.path.join(tmp, "out.csv")])
-                    for key in ("calls", "panels", "points"):
+                    del tally["in_gk15"]
+                    for key in COUNTS:
                         total[key] += tally[key]
     finally:
         quadrature._gk15 = gk15
+        if trapezoid is not None:
+            approximant.strip_trapezoid = trapezoid
     print(json.dumps(result))
     return 0
 
