@@ -78,19 +78,15 @@ def _cauchy_weighted_u(zs, lams, interval, signal, tol):
 
     Under the tanh substitution ``t = interval.from_u(u)`` the phase becomes
     exactly ``exp(i xi u)`` times a constant unimodular factor, and the
-    Jacobian ``J = r sech^2(u/2) / 2`` contributes ``exp(-|u|)`` decay.  So
-    each z is one ``strip_trapezoid`` call: ``g(t(u)) J(u) / (t(u) - z)``
-    is evaluated once on its grid and each lambda costs one phase product.
-    Its poles: +-i pi (of J; for real x off I, at ln alpha +- i pi), the
-    data's listed singularities and ``strip_below`` and, for Im z > 0,
-    ``2 artanh((z - c)/r)``, where t = z.
-
-    A real x inside I takes the limit from above: with ``v =
-    interval.to_u(x)``, ``w(u) = exp(i xi u) g(t(u))`` and ``K(u) =
-    J(u)/(t(u) - x) = cosh(v/2) / (2 cosh(u/2) sinh((u - v)/2))``, whose
-    principal value is -v, it is ``int (w - w(v)) K du + (i pi - v) w(v)``:
-    the grid's lambda-free parts are ``g(t(u)) K`` and ``g(x) K``, and K
-    has poles at +-i pi and v +- 2 pi i.
+    Jacobian ``J = r sech^2(u/2) / 2`` contributes ``exp(-|u|)`` decay.
+    Each z is one ``strip_trapezoid`` call on ``g(t(u)) J(u) / (t(u) - z)``,
+    whose poles are at +-i pi, the data's listed singularities and
+    ``strip_below`` and, for Im z > 0, ``2 artanh((z - c)/r)``.  A real x
+    inside I takes the limit from above: with ``v = interval.to_u(x)``,
+    ``w(u) = exp(i xi u) g(t(u))`` and ``K(u) = J(u)/(t(u) - x) =
+    cosh(v/2) / (2 cosh(u/2) sinh((u - v)/2))``, whose principal value is
+    -v and whose poles are +-i pi and v +- 2 pi i, it is ``int (w - w(v))
+    K du + (i pi - v) w(v)``.
     Tail: for ``|u| >= |v| + 2``, ``|u - v| >= 2``, so ``|sinh((u - v)/2)|
     >= (1 - e^-2) e^{|u - v|/2} / 2``; with ``cosh(u/2) >= e^{|u|/2} / 2``,
     ``cosh(v/2) <= e^{|v|/2}`` and ``|u - v| >= |u| - |v|``, ``|K| < 3

@@ -241,29 +241,21 @@ def strip_trapezoid(f, xis, u_max, strip, tol=QuadTolerance(), pole=None):
     """``int_{-u_max}^{u_max} exp(i xi u) a(u) du`` for each xi of ``xis``.
 
     ``a`` is analytic in ``-d_below < Im u < d_above``, ``strip`` being
-    ``(d_above, d_below)``, the distances to its nearest singularities.
-    With ``d`` 0.9 times each and ``L = ln(1e3 / abs_tol)``, the trapezoid
-    step ``h = min(2 pi d_above / L, 2 pi d_below / (L + xi d_below))``
-    leaves an error of about ``exp(-L)`` (Trefethen & Weideman, SIAM
-    Review 56, 2014).  Every xi shares one nested grid, ``p + h0/3 + i
-    h0/2^k`` within ``|u| <= u_max + h0/2``, with h0 the step at xi = 0
-    and p the real ``pole`` or 0, so no halving puts a node on p.  xi
-    starts on the coarsest ``h0/2^k`` below 2h and takes ``S_{h/2}`` once
-    ``|S_h - S_{h/2}|`` is within ``max(abs_tol, rel_tol |S_{h/2}|)``,
-    halving h until it is.  ``f(u)`` gets an array of nodes and returns
-    ``a(u)``, evaluated once for all xi; with ``pole`` it returns ``(a,
-    b)`` and the integrand is ``exp(i xi u) a(u) - exp(i xi pole) b(u)``.
-
-    A xi whose sums are not finite, or still above target when the next
-    grid would pass ``15 * max_subdivisions`` nodes (``a`` is not analytic
-    in the strip it was given), is integrated by :func:`integrate_batch`
-    instead, split at ``pole``.  So each result (a list of complex)
-    depends on its own xi only.
-
-    Raises
-    ------
-    NonConvergence
-        From that fallback; its ``index`` is the position of the xi.
+    ``(d_above, d_below)``.  With d 0.9 times each and L = ln(1e3 /
+    abs_tol), the trapezoid step h = min(2 pi d_above / L, 2 pi d_below /
+    (L + xi d_below)) errs by about e^-L (Trefethen & Weideman, SIAM
+    Review 56, 2014).  All xi share one nested grid ``p + h0/3 + i
+    h0/2^k``, |u| <= u_max + h0/2, with h0 the step at xi = 0 and p the
+    real ``pole`` or 0, on which no node lands.  Each xi starts on the
+    coarsest ``h0/2^k`` below 2h and halves it until ``|S_h - S_{h/2}|
+    <= max(abs_tol, rel_tol |S_{h/2}|)``; it returns ``S_{h/2}``.
+    ``f(u)``, evaluated once per node for all xi, returns ``a(u)``, or
+    with ``pole`` ``(a, b)`` for the integrand ``exp(i xi u) a(u) -
+    exp(i xi pole) b(u)``.  A xi whose sums are not finite, or whose next
+    grid would pass ``15 * max_subdivisions`` nodes, goes to
+    :func:`integrate_batch` instead, split at ``pole``; so each result
+    depends on its own xi only.  That fallback may raise NonConvergence,
+    its ``index`` the position of the xi.
     """
     d_above, d_below = (0.9 * d for d in strip)
     big_l = max(math.log(1e3 / tol.abs_tol), 1.0)

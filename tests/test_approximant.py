@@ -19,6 +19,7 @@ from patil.approximant import (
     sup_error_on_compact,
 )
 from patil.catalog import example1, example2, h2_reference_pole, rational
+import patil.quadrature as quadrature
 from patil.errors import DomainError, NonConvergence
 from patil.quadrature import QuadTolerance
 from patil.quench import Interval, QuenchParams
@@ -289,9 +290,11 @@ class TestTable:
 
     def test_t_rows_equal_values_bit_for_bit(self):
         zs = [z for z in self.POINTS if isinstance(z, complex)]
+        lams = self.LAMBDAS[:4]
         signal = example2(interval=self.NONSYM).signal
-        table = approximant_table(zs, self.LAMBDAS[:4], self.NONSYM, signal, TOL, "t")
-        for lam, row in zip(self.LAMBDAS, table):
+        table = approximant_table(zs, lams, self.NONSYM, signal, TOL, "t")
+        assert len(table) == len(lams)
+        for lam, row in zip(lams, table):
             alone = approximant_values(zs, QuenchParams(lam), self.NONSYM, signal,
                                        TOL, "t")
             assert bits(row) == bits(alone), lam
@@ -314,21 +317,37 @@ class TestTable:
                 want = closed_form(x, lam, self.NONSYM, c, w)
                 assert abs(value - want) <= 1e-12 * abs(want) + extra, (x, lam)
 
+    @staticmethod
+    def fallbacks(monkeypatch):
+        """The number of u integrals handed to the G7/K15 fallback, as it grows."""
+        calls = []
+        batch = quadrature.integrate_batch
+
+        def counted(f, lo, hi, *args):
+            calls.append(len(lo))
+            return batch(f, lo, hi, *args)
+        monkeypatch.setattr(quadrature, "integrate_batch", counted)
+        return calls
+
     @pytest.mark.parametrize("entry", [example2(), h2_reference_pole(-1j)])
-    def test_near_interval_matches_t_path(self, entry):
+    def test_near_interval_matches_t_path(self, entry, monkeypatch):
         # d_above is about 0.2 at 0.1 + 0.1i: a fine grid, still no fallback
         z, lams = 0.1 + 0.1j, [10.0, 1e4, 1e8]
+        fallbacks = self.fallbacks(monkeypatch)
         u_rows = approximant_table([z], lams, SYM, entry.signal, TOL)
+        assert fallbacks == []
         t_rows = approximant_table([z], lams, SYM, entry.signal, TOL, "t")
         for (vu,), (vt,) in zip(u_rows, t_rows):
             assert abs(vu - vt) < 10 * TOL.abs_tol * (1 + abs(vu))
 
-    def test_kinked_data_falls_back_and_matches_t_path(self):
+    def test_kinked_data_falls_back_and_matches_t_path(self, monkeypatch):
         # example1's data on (-0.5, 2) has a kink at x = 1: no strip of
         # analyticity, so the trapezoid runs out of nodes and G7/K15 takes over
         lams = [10.0, 1e4]
         signal = example1().signal
+        fallbacks = self.fallbacks(monkeypatch)
         u_rows = approximant_table([0.3 + 0.7j], lams, self.NONSYM, signal, TOL)
+        assert fallbacks == [2]
         t_rows = approximant_table([0.3 + 0.7j], lams, self.NONSYM, signal, TOL, "t")
         for (vu,), (vt,) in zip(u_rows, t_rows):
             assert abs(vu - vt) < 10 * TOL.abs_tol * (1 + abs(vu))
@@ -338,9 +357,9 @@ class TestTable:
         # rel_tol 1e-12 asks for more than rounding allows; lambda = 10 is fine
         tol = QuadTolerance(abs_tol=1e-30, rel_tol=1e-12, max_subdivisions=200)
         assert approximant_table([2.0], [10.0], SYM, H2.signal, tol)[0][0] != 0
-        with pytest.raises(NonConvergence,
-                           match=r"^g_lambda at lambda=1e\+30, x=2\.0, u integral: "
-                                 r"error .* after 200 panels \(max_subdivisions=200\)$"):
+        named = (r"^g_lambda at lambda=1e\+30, x=2\.0, u integral: "
+                 r"error .* after 200 panels \(max_subdivisions=200\)$")
+        with pytest.raises(NonConvergence, match=named):
             approximant_table([2.0, 3.0], [10.0, 1e30, 1e31], SYM, H2.signal, tol)
 
     def test_lambda_checked(self):

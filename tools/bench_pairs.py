@@ -118,8 +118,9 @@ def main(argv=None):
                      "pair, same seed in a pair, seed = pair number, the parent "
                      "first in odd pairs",
         "counts_method": "PYTHONPATH=src python3 tools/quad_counts.py --seed 1 W in "
-                         "each tree: calls = integrand calls, panels = G7/K15 "
-                         "panels, points = nodes passed to the integrand",
+                         "each tree: calls = G7/K15 integrand calls, panels = G7/K15 "
+                         "panels, points = nodes passed to them, trapezoid_calls "
+                         "and nodes = the same for strip_trapezoid grids",
         "workloads": {**workloads,
                       args.workload: workloads.get(args.workload, []) + [entry]},
     }

@@ -83,7 +83,8 @@ def main(argv=None):
                     tally = total[exp.name] = dict.fromkeys(COUNTS + ("in_gk15",), 0)
                     quadrature._gk15 = counted(gk15, tally)
                     if trapezoid is not None:
-                        approximant.strip_trapezoid = counted_trapezoid(trapezoid, tally)
+                        approximant.strip_trapezoid = counted_trapezoid(trapezoid,
+                                                                        tally)
                     cfg = os.path.join(tmp, f"{exp.name}.json")
                     with open(cfg, "w") as fh:
                         json.dump(exp.config, fh)
