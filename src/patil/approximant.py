@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .asymptotics import kernel_k
 from .errors import DomainError, NonConvergence, in_cell
 from .quadrature import (
     DecayCertificate,
@@ -63,6 +64,10 @@ class BoundarySignal:
     singularities: tuple = ()
     strip_below: float = None
 
+    def __post_init__(self):
+        if not (self.strip_below is None or self.strip_below > 0):
+            raise DomainError(f"need strip_below > 0, got {self.strip_below!r}")
+
 
 def _cell(lam, z, piece):
     """The cell of the ``piece`` integral of g_lambda at ``z``: lambda, the
@@ -77,16 +82,16 @@ def _cauchy_weighted_u(zs, lams, interval, signal, tol):
     list with one value per lambda of ``lams``.
 
     Under the tanh substitution ``t = interval.from_u(u)`` the phase becomes
-    exactly ``exp(i xi u)`` times a constant unimodular factor, and the
-    Jacobian ``J = r sech^2(u/2) / 2`` contributes ``exp(-|u|)`` decay.
-    Each z is one ``strip_trapezoid`` call on ``g(t(u)) J(u) / (t(u) - z)``,
-    whose poles are at +-i pi, the data's listed singularities and
-    ``strip_below`` and, for Im z > 0, ``2 artanh((z - c)/r)``.  A real x
-    inside I takes the limit from above: with ``v = interval.to_u(x)``,
-    ``w(u) = exp(i xi u) g(t(u))`` and ``K(u) = J(u)/(t(u) - x) =
-    cosh(v/2) / (2 cosh(u/2) sinh((u - v)/2))``, whose principal value is
-    -v and whose poles are +-i pi and v +- 2 pi i, it is ``int (w - w(v))
-    K du + (i pi - v) w(v)``.
+    exactly ``exp(i xi u)`` times a constant unimodular factor, and with
+    ``alpha = (z - lo)/(z - hi)`` (complex above I, > 0 beside I, < 0 inside
+    I) ``t - z = (hi - z)(e^u + alpha)/(e^u + 1)``, so the Jacobian over
+    ``t - z`` is ``K(u) = 2 r k(u, 0, alpha) / (hi - z)``, k of :func:`kernel_k`.
+    Each z is one ``strip_trapezoid`` call on ``g(t(u)) K(u)``, its strip
+    bounded by K's poles off the real line, the data's listed singularities
+    and ``strip_below``.  A real x inside I takes the limit from above: with
+    ``v = Log(-alpha) = interval.to_u(x)``, ``w(u) = exp(i xi u) g(t(u))``
+    and ``K = cosh(v/2) / (2 cosh(u/2) sinh((u - v)/2))``, whose principal
+    value is -v, it is ``int (w - w(v)) K du + (i pi - v) w(v)``.
     Tail: for ``|u| >= |v| + 2``, ``|u - v| >= 2``, so ``|sinh((u - v)/2)|
     >= (1 - e^-2) e^{|u - v|/2} / 2``; with ``cosh(u/2) >= e^{|u|/2} / 2``,
     ``cosh(v/2) <= e^{|v|/2}`` and ``|u - v| >= |u| - |v|``, ``|K| < 3
@@ -99,7 +104,7 @@ def _cauchy_weighted_u(zs, lams, interval, signal, tol):
     cert = signal.decay_cert
     xis = [xi_of_lambda(lam) for lam in lams]
     above = min([math.pi] + [complex(s.beta).imag for s in signal.singularities])
-    below = min(math.pi, signal.strip_below or math.pi)
+    below = math.pi if signal.strip_below is None else min(math.pi, signal.strip_below)
     const = [cmath.exp(1j * xi * (0.5 * _log_weight_ratio(interval))) for xi in xis]
 
     def cut(bound):
@@ -107,28 +112,23 @@ def _cauchy_weighted_u(zs, lams, interval, signal, tol):
 
     columns = []
     for z in zs:
+        alpha = (z - interval.lo) / (z - interval.hi)
         if z.imag == 0 and interval.contains(z.real):
             v = interval.to_u(z.real)
             gv = complex(g(z.real))
             u_max = max(abs(v) + 2.0, cut(6.0 * cert.bound_M * math.exp(
                 (1.0 + cert.delta) * abs(v))))
             strip = (above, below)
-
-            def integrand(u):  # the sinh form of K: no cancellation in t - x
-                kernel = np.cosh(0.5 * v) / (2.0 * np.cosh(0.5 * u)
-                                             * np.sinh(0.5 * (u - v)))
-                return g(interval.from_u(u)) * kernel, gv * kernel
         else:
             v = None
             dist = math.hypot(max(abs(z.real - c) - r, 0.0), z.imag)
             u_max = cut(2.0 * r * cert.bound_M / dist)
-            strip = (min(above, 2.0 * cmath.atanh((z - c) / r).imag)
-                     if z.imag > 0 else above, below)
+            strip = (min(above, abs(cmath.phase(-alpha))), below)
 
-            def integrand(u):
-                em = np.exp(-np.abs(u))  # J = 2 r e^{-|u|} / (1 + e^{-|u|})^2
-                t = interval.from_u(u)
-                return g(t) * (2.0 * r * em / (1.0 + em) ** 2) / (t - z)
+        def integrand(u):
+            kernel = 2.0 * r / (interval.hi - z) * kernel_k(u, 0.0, alpha)
+            a = g(interval.from_u(u)) * kernel
+            return a if v is None else (a, gv * kernel)
         try:
             sums = strip_trapezoid(integrand, xis, u_max, strip, tol, pole=v)
         except NonConvergence as exc:

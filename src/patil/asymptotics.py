@@ -96,7 +96,8 @@ def _by_half_plane(z, right, left):
 def kernel_k(z, xi, alpha):
     """Transformed Cauchy kernel ``e^{i xi z} e^z / ((e^z+1)(e^z+alpha))``.
 
-    Evaluated in a form stable for large |Re z| on either side.
+    alpha may be complex; the poles are ``i pi (2k + 1)`` and ``Log(-alpha)
+    + 2 pi i k``.  Evaluated in a form stable for large |Re z| on either side.
     """
     z = np.asarray(z, dtype=complex)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -107,8 +108,7 @@ def kernel_k(z, xi, alpha):
             lambda em: wave * em / ((em + 1.0) * (em + alpha)))
     if not np.all(np.isfinite(value)):
         raise DomainError(
-            "kernel pole at i(pi + 2 k pi) or i(pi + 2 k pi) + ln(alpha)"
-        )
+            "kernel pole at i pi (2k + 1) or Log(-alpha) + 2 pi i k")
     return _unwrap(value)
 
 

@@ -120,6 +120,15 @@ class TestBoundary:
         want = oracle.approximant(x, 1e12, -1.0, 1.0, 1, -1j)
         assert abs(value - want) <= 1e-12 * abs(want)
 
+    @pytest.mark.parametrize("entry, c, w", [(H2, 1, -1j), (example2(), -1j, 1j)])
+    @pytest.mark.parametrize("x", [1.0 + 1e-8, -1.0 - 1e-7, 1.0 + 3e-7])
+    @pytest.mark.parametrize("lam", [1e1, 1e3])
+    def test_beside_endpoint_matches_oracle(self, entry, c, w, x, lam):
+        # t(u) - x formed by subtraction loses digits beside an endpoint
+        value = approximant_boundary(x, QuenchParams(lam), SYM, entry.signal)
+        want = oracle.approximant(x, lam, -1.0, 1.0, c, w)
+        assert abs(value - want) <= 1e-11 * abs(want)
+
     @pytest.mark.parametrize("x", [-0.99, -0.3, 0.35, 0.9])
     @pytest.mark.parametrize("lam", [5e2, 1e8])
     def test_inside_matches_closed_form(self, x, lam):

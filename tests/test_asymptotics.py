@@ -2,6 +2,7 @@ import cmath
 import math
 import types
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -114,6 +115,25 @@ class TestKernel:
         pullback = (1.0 - 1j) * (1.0 + emz) / (2.0 * (1.0 - 1j * emz))
         strip_pullback = example2().signal.strip_pullback
         assert strip_pullback(z) == pytest.approx(pullback, rel=1e-14)
+
+
+    @pytest.mark.parametrize("z", [0.3 + 0.2j, 2.0 + 1e-3j, -0.5 + 1e-9 + 0j,
+                                   0.8 + 0j, 2.0 - 1e-9 + 0j, 2.0 + 1e-8 + 0j])
+    def test_cauchy_kernel_in_u(self, z):
+        # J(u) / (t(u) - z) = 2 r k(u, 0, alpha) / (hi - z): complex alpha
+        # above I, negative inside I, positive beside it
+        interval = Interval(-0.5, 2.0)
+        r = interval.half_width
+        alpha = (z - interval.lo) / (z - interval.hi)
+        u = np.linspace(-40.0, 40.0, 81)
+        values = 2.0 * r * kernel_k(u, 0.0, alpha) / (interval.hi - z)
+        with mpmath.workdps(50):
+            for uk, value in zip(u.tolist(), values.tolist()):
+                half = mpmath.mpf(uk) / 2
+                t = mpmath.mpf(interval.center) + r * mpmath.tanh(half)
+                want = complex(r / (2 * mpmath.cosh(half) ** 2)
+                               / (t - mpmath.mpc(z.real, z.imag)))
+                assert abs(value - want) <= 1e-13 * abs(want), uk
 
 
 class TestKernelPoleResidues:

@@ -200,6 +200,14 @@ class TestRational:
     def test_example1_strip_below(self):
         assert example1().signal.strip_below == PI
 
+    @pytest.mark.parametrize("below", [-0.5, 0.0, math.nan])
+    def test_bad_strip_below_refused(self, below):
+        # a strip of width <= 0 or NaN would set a wrong trapezoid step
+        with pytest.raises(DomainError, match=f"got {below!r}"):
+            dataclasses.replace(example2().signal, strip_below=below)
+        for name in entry_names():
+            assert get_entry(name).signal.strip_below > 0
+
     @pytest.mark.parametrize("w", [0.5, 2.0 + 0j, complex("nanj"), complex("-infj")])
     def test_pole_off_the_real_line(self, w):
         with pytest.raises(DomainError):
