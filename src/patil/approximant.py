@@ -53,8 +53,8 @@ class BoundarySignal:
     present, analytically extends the pullback of g through the tanh
     map to the strip ``0 <= Im z <= 3 pi / 2``; ``singularities`` lists
     its poles there, ``0 < Im z <= 3 pi / 2``.  ``strip_below``, when
-    set, is the distance below the real line to the pullback's nearest
-    singularity there.  Listed poles and ``strip_below`` set the
+    set, is the distance (> 0) below the real line to the pullback's
+    nearest singularity.  Listed poles and ``strip_below`` set the
     trapezoid step of the u-path; unset, it starts from pi.
     """
 
