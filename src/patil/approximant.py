@@ -235,21 +235,17 @@ def window_samples(interval, window, n_samples):
 
 
 def sup_error(values, pts, ref):
-    """Max deviation of the g_lambda ``values`` at ``pts`` from the reference F."""
-    worst = 0.0
-    for z, value in zip(pts, values):
-        worst = max(worst, abs(value - ref(z)))
-    return worst
+    """Max deviation of the g_lambda ``values`` at ``pts`` from the reference
+    F; NaN if any value or reference is NaN."""
+    return float(np.max(np.abs(np.asarray(values) - ref(np.asarray(pts))),
+                        initial=0.0))
 
 
 def l2_error(values, pts, ref, window):
     """Discrete L2 norm over ``window`` of (g_lambda - F), given the g_lambda
-    ``values`` at its ``window_samples`` ``pts``."""
-    total = 0.0
-    for x, value in zip(pts, values):
-        total += abs(value - ref(x)) ** 2
-    width = window.hi - window.lo
-    return math.sqrt(width * total / len(pts))
+    ``values`` at its ``window_samples`` ``pts``; NaN propagates."""
+    total = float(np.sum(np.abs(np.asarray(values) - ref(np.asarray(pts))) ** 2))
+    return math.sqrt((window.hi - window.lo) * total / len(pts))
 
 
 def sup_error_on_compact(pts, params, interval, signal, ref,

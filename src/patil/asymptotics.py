@@ -86,26 +86,27 @@ def _unwrap(value):
     return value.item() if value.ndim == 0 else value
 
 
-def _by_half_plane(z, right, left):
-    """``right(e^{-z})`` where Re z > 0, else ``left(e^z)``: never overflows."""
+def _mobius(z, c):
+    """``(em, den)``: ``e^{-z}`` and ``1 + c e^{-z}`` where Re z > 0, else
+    ``e^z`` and ``e^z + c``, so ``(1 + em) / den = (e^z + 1) / (e^z + c)``
+    on both sides and neither exponential overflows."""
     right_half = z.real > 0
     em = np.exp(np.where(right_half, -z, z))
-    return np.where(right_half, right(em), left(em))
+    return em, np.where(right_half, 1.0 + c * em, em + c)
 
 
 def kernel_k(z, xi, alpha):
     """Transformed Cauchy kernel ``e^{i xi z} e^z / ((e^z+1)(e^z+alpha))``.
 
     alpha may be complex; the poles are ``i pi (2k + 1)`` and ``Log(-alpha)
-    + 2 pi i k``.  Evaluated in a form stable for large |Re z| on either side.
+    + 2 pi i k``.  One form for both half planes: where Re z > 0,
+    ``_mobius`` divides the quotient through by e^{2z}, so it never
+    overflows; the phase ``e^{i xi z}`` multiplies the whole quotient.
     """
     z = np.asarray(z, dtype=complex)
     with np.errstate(invalid="ignore", divide="ignore"):
-        wave = np.exp(1j * xi * z)
-        # for Re z > 0 divide through by e^{2z} to avoid overflow
-        value = _by_half_plane(
-            z, lambda em: wave * em / ((1.0 + em) * (1.0 + alpha * em)),
-            lambda em: wave * em / ((em + 1.0) * (em + alpha)))
+        em, den = _mobius(z, alpha)
+        value = np.exp(1j * xi * z) * em / ((1.0 + em) * den)
     if not np.all(np.isfinite(value)):
         raise DomainError(
             "kernel pole at i pi (2k + 1) or Log(-alpha) + 2 pi i k")

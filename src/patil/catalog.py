@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approximant import BoundarySignal
-from .asymptotics import STRIP_TOP, StripSingularity, _by_half_plane, \
-    _unwrap, predict_growth_exponent
+from .asymptotics import STRIP_TOP, StripSingularity, _mobius, _unwrap, \
+    predict_growth_exponent
 from .errors import DomainError
 from .quadrature import DecayCertificate
 from .quench import Interval
@@ -64,11 +64,8 @@ def rational(c, w, interval=UNIT, name="rational"):
         return _unwrap(c / (np.asarray(z, dtype=complex) - w))
 
     def strip_pullback(z):
-        # written per half plane so neither exponential overflows
-        z = np.asarray(z, dtype=complex)
-        return _unwrap(_by_half_plane(
-            z, lambda em: scale * (1.0 + em) / (1.0 + ratio * em),
-            lambda em: scale * (em + 1.0) / (em + ratio)))
+        em, den = _mobius(np.asarray(z, dtype=complex), ratio)
+        return _unwrap(scale * (1.0 + em) / den)
 
     # tanh(beta/2) = s; the residue is c over dt/dz = r (1 - s^2) / 2
     s = (w - c0) / r

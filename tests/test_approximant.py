@@ -15,7 +15,9 @@ from patil.approximant import (
     approximant_interior,
     approximant_table,
     approximant_values,
+    l2_error,
     l2_error_on_window,
+    sup_error,
     sup_error_on_compact,
 )
 from patil.catalog import example1, example2, h2_reference_pole, rational
@@ -399,6 +401,28 @@ class TestErrorMeasures:
         with pytest.raises(DomainError):
             sup_error_on_compact([1.0 + 0j], QuenchParams(1.0), SYM,
                                  H2.signal, H2.reference)
+
+    def test_nan_propagates(self):
+        # a NaN value must not vanish in the sup: max(0.0, nan) is 0.0
+        values, pts, window = [math.nan, 1.0], [0.0, 0.5], Interval(-1.0, 1.0)
+        assert math.isnan(sup_error(values, pts, lambda z: 0 * z))
+        assert math.isnan(sup_error(values[:1], pts[:1], lambda z: 0 * z))
+        assert math.isnan(l2_error(values, pts, lambda z: 0 * z, window))
+        assert math.isnan(sup_error([1.0, 1.0], pts, lambda z: z + math.nan))
+
+    def test_reference_called_once_on_the_array(self):
+        calls = []
+
+        def ref(z):
+            calls.append(np.shape(z))
+            return H2.reference(z)
+
+        pts = np.linspace(-2.0, 2.0, 9)
+        values = H2.reference(pts) + 1e-3
+        assert sup_error(values, pts, ref) == pytest.approx(1e-3, rel=1e-10)
+        assert l2_error(values, pts, ref, Interval(-2.0, 2.0)) == \
+            pytest.approx(1e-3 * math.sqrt(4.0), rel=1e-10)
+        assert calls == [(len(pts),), (len(pts),)]
 
     def test_l2_error_lambda_zero(self):
         window = Interval(-5.0, 5.0)

@@ -100,8 +100,15 @@ class TestKernel:
         assert abs(kernel_k(math.log(2.0) + 1j * PI, 1.0, 2.0)) > 1e12
 
     def test_large_argument_stability(self):
-        assert abs(kernel_k(200.0 + 0j, 1.0, 2.0)) < 1e-80
-        assert abs(kernel_k(-200.0 + 0j, 1.0, 2.0)) < 1e-80
+        # e^{700} is within a factor 2e4 of overflow; k tends to e^{i u - |u|}
+        # on the right and to e^{i u - |u|} / alpha on the left, for alpha
+        # beside (-1, 1), above it at 0.3 + 0.2i and inside it at 0.8
+        for alpha in (2.0, (1.3 + 0.2j) / (-0.7 + 0.2j), -9.0):
+            for u in (200.0, 700.0):
+                for z, limit in ((u, 1.0), (-u, 1.0 / alpha)):
+                    expected = cmath.exp(1j * z) * math.exp(-u) * limit
+                    assert kernel_k(z + 0j, 1.0, alpha) == \
+                        pytest.approx(expected, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("y", [-2.0, 0.0, 0.7, 2.5, 4.0])
     def test_imaginary_axis_matches_unsplit_form(self, y):

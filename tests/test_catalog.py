@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -196,6 +197,21 @@ class TestRational:
             # the pole below, beta - 2 pi i, is past the Jacobian's at -i pi
             assert beta.imag - 2.0 * PI < -PI
             assert below == PI
+
+    @pytest.mark.parametrize("interval", [Interval(-1.0, 1.0), NONSYM])
+    @pytest.mark.parametrize("build", [example2, h2_reference_pole])
+    def test_pullback_far_out(self, build, interval):
+        # c / (t - w) tends to c / (hi - w) = scale as Re z -> +inf and to
+        # c / (lo - w) = scale / ratio as Re z -> -inf; e^{1000} overflows
+        pullback = build(interval=interval).signal.strip_pullback
+        c = 1.0 if build is h2_reference_pole else -1j
+        w = -1j if build is h2_reference_pole else 1j
+        d, r = interval.center - w, interval.half_width
+        scale, ratio = c / (d + r), (d - r) / (d + r)
+        for x, y in itertools.product((700.0, 1000.0), (0.0, 0.5, -2.0)):
+            assert pullback(complex(x, y)) == pytest.approx(scale, rel=1e-14)
+            assert pullback(complex(-x, y)) == \
+                pytest.approx(scale / ratio, rel=1e-14)
 
     def test_example1_strip_below(self):
         assert example1().signal.strip_below == PI
