@@ -24,8 +24,8 @@ from .quadrature import (
     pv_integrate,  # noqa: F401 -- perfbench/tracing.py wraps it here
     strip_trapezoid,
 )
-from .quench import QuenchParams, _log_weight_ratio, _quench_exponent, \
-    phase_G, xi_of_lambda
+from .quench import _quench_exponent, xi_of_lambda
+from .quench import phase_G  # noqa: F401 -- perfbench/tracing.py wraps it
 from .quench import quench_interior  # noqa: F401 -- perfbench/tracing.py wraps it
 
 __all__ = [
@@ -78,11 +78,12 @@ def _cell(lam, z, piece):
 
 
 def _cauchy_weighted_u(zs, lams, interval, signal, tol):
-    """int_I exp(-iG(t)) g(t) / (t - z) dt for each z of ``zs``: per z, a
-    list with one value per lambda of ``lams``.
+    """int_I exp(i xi ln((t - lo)/(hi - t))) g(t) / (t - z) dt, exp(-iG(t))
+    without its constant (see ``_quench_exponent``), for each z of ``zs``:
+    per z, a list with one value per lambda of ``lams``.
 
     Under the tanh substitution ``t = interval.from_u(u)`` the phase becomes
-    exactly ``exp(i xi u)`` times a constant unimodular factor, and with
+    exactly ``exp(i xi u)``, and with
     ``alpha = (z - lo)/(z - hi)`` (complex above I, > 0 beside I, < 0 inside
     I) ``t - z = (hi - z)(e^u + alpha)/(e^u + 1)``, so the Jacobian over
     ``t - z`` is ``K(u) = 2 r k(u, 0, alpha) / (hi - z)``, k of :func:`kernel_k`.
@@ -105,7 +106,6 @@ def _cauchy_weighted_u(zs, lams, interval, signal, tol):
     xis = [xi_of_lambda(lam) for lam in lams]
     above = min([math.pi] + [complex(s.beta).imag for s in signal.singularities])
     below = math.pi if signal.strip_below is None else min(math.pi, signal.strip_below)
-    const = [cmath.exp(1j * xi * (0.5 * _log_weight_ratio(interval))) for xi in xis]
 
     def cut(bound):
         return DecayCertificate(cert.delta, bound).truncation_point(tol.abs_tol)
@@ -137,24 +137,26 @@ def _cauchy_weighted_u(zs, lams, interval, signal, tol):
         if v is not None:
             sums = [s + (1j * math.pi - v) * cmath.exp(1j * xi * v) * gv
                     for s, xi in zip(sums, xis)]
-        columns.append([k * s for k, s in zip(const, sums)])
+        columns.append(sums)
     return columns
 
 
 def _cauchy_weighted_t(zs, lams, interval, signal, tol):
-    """Same integrals, evaluated directly in the t variable (oracle path)."""
+    """Same integrals, evaluated directly in the t variable (oracle path):
+    the integrand is exp(i xi ln((t - lo)/(hi - t))) g(t) / (t - z)."""
     g = signal.eval_on_I
+    lo, hi = interval.lo, interval.hi
     zs = np.array(zs, dtype=complex)
     rows = []
     for lam in lams:
-        params = QuenchParams(lam)
+        xi = xi_of_lambda(lam)
 
         def integrand(t, k):
-            return np.exp(-1j * phase_G(t, params, interval)) * g(t) / (t - zs[k])
+            return np.exp(1j * xi * np.log((t - lo) / (hi - t))) * g(t) / (t - zs[k])
 
         try:
-            rows.append(integrate_batch(integrand, np.full(len(zs), interval.lo),
-                                        np.full(len(zs), interval.hi), tol))
+            rows.append(integrate_batch(integrand, np.full(len(zs), lo),
+                                        np.full(len(zs), hi), tol))
         except NonConvergence as exc:
             raise in_cell(exc, _cell(lam, zs[exc.index], "t")) from exc
     return [list(column) for column in zip(*rows)]
@@ -234,17 +236,24 @@ def window_samples(interval, window, n_samples):
     return pts
 
 
+def _deviations(values, pts, ref):
+    """|g_lambda - F| at each of ``pts``; no points is a DomainError."""
+    pts = np.asarray(pts)
+    if pts.size == 0:
+        raise DomainError("an error measure needs at least one point")
+    return np.abs(np.asarray(values) - ref(pts))
+
+
 def sup_error(values, pts, ref):
     """Max deviation of the g_lambda ``values`` at ``pts`` from the reference
     F; NaN if any value or reference is NaN."""
-    return float(np.max(np.abs(np.asarray(values) - ref(np.asarray(pts))),
-                        initial=0.0))
+    return float(np.max(_deviations(values, pts, ref)))
 
 
 def l2_error(values, pts, ref, window):
     """Discrete L2 norm over ``window`` of (g_lambda - F), given the g_lambda
     ``values`` at its ``window_samples`` ``pts``; NaN propagates."""
-    total = float(np.sum(np.abs(np.asarray(values) - ref(np.asarray(pts))) ** 2))
+    total = float(np.sum(_deviations(values, pts, ref) ** 2))
     return math.sqrt((window.hi - window.lo) * total / len(pts))
 
 

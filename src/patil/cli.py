@@ -24,7 +24,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+import types
 
 import numpy as np
 
@@ -59,7 +59,6 @@ def _fmt(value):
     return format(value, ".17g")
 
 
-DEFAULT_LAMBDA_GRID = list(np.logspace(1, 8, 8))
 # what converting a JSON value of the wrong type, shape or range raises
 _BAD_VALUE = (ValueError, TypeError, IndexError, KeyError, AttributeError,
               OverflowError, PatilError)
@@ -147,10 +146,11 @@ def _object(value):
     return dict(value)
 
 
-_TOLERANCES = {"abs_tol": (_finite, 1e-10), "rel_tol": (_finite, 1e-10),
-               "max_subdivisions": (_whole, 4000)}
+_TOLERANCES = {"abs_tol": (_finite, QuadTolerance.abs_tol),
+               "rel_tol": (_finite, QuadTolerance.rel_tol),
+               "max_subdivisions": (_whole, QuadTolerance.max_subdivisions)}
 _CONTOUR = {"xi": (_tuple, [1.0]), "alpha": (_tuple, [2.0]),
-            "R": (_finite, 20.0), "height": (_finite, 1.5 * math.pi),
+            "R": (_finite, 20.0), "height": (_finite, ContourSpec.height),
             "residual_tolerance": (_finite, 1e-6)}
 
 
@@ -170,7 +170,7 @@ def _contour(value):
 
 _CONFIG = {"entry": (str, None), "entry_args": (_object, {}),
            "interval": (_interval, [-1.0, 1.0]),
-           "lambda_grid": (_grid, DEFAULT_LAMBDA_GRID),
+           "lambda_grid": (_grid, list(np.logspace(1, 8, 8))),
            "eval_points": (lambda v: _tuple(v, _point), []),
            "tolerances": (lambda v: QuadTolerance(
                **_section(v, "tolerances", _TOLERANCES)), {}),
@@ -180,20 +180,9 @@ _CONFIG = {"entry": (str, None), "entry_args": (_object, {}),
            "contour": (_contour, {})}
 
 
-@dataclass
-class ExperimentConfig:
-    entry_name: str
-    interval: Interval
-    lambda_grid: tuple
-    eval_points: tuple
-    tolerances: QuadTolerance
-    output_path: str
-    format: str
-    entry_args: dict
-    slope_tolerance: float
-    window: Interval
-    n_samples: int
-    contour: dict
+class ExperimentConfig(types.SimpleNamespace):
+    """A checked config: one attribute per ``_CONFIG`` key, with ``entry``
+    named ``entry_name``."""
 
     @classmethod
     def from_dict(cls, raw):

@@ -98,8 +98,8 @@ class QuenchParams:
 
 
 def _log_weight_ratio(interval):
-    # ln((1 + hi^2) / (1 + lo^2)), the Poisson-weight correction term
-    return math.log1p(interval.hi ** 2) - math.log1p(interval.lo ** 2)
+    # L = ln((1 + hi^2) / (1 + lo^2)), by hypot: no finite endpoint overflows it
+    return 2.0 * math.log(math.hypot(1.0, interval.hi) / math.hypot(1.0, interval.lo))
 
 
 def phase_G(x, params, interval):
@@ -116,20 +116,21 @@ def phase_G(x, params, interval):
 
 
 def _quench_exponent(z, interval):
-    """E(z) = Log(z - hi) - Log(z - lo) - L/2, so that h_lambda = exp(i xi E).
+    """E(z) = Log(z - hi) - Log(z - lo) for Im z >= 0; E does not depend on lambda.
 
-    E does not depend on lambda; Im z >= 0 and L is ``_log_weight_ratio``.
+    h_lambda = exp(i xi (E - L/2)), L from ``_log_weight_ratio``; g_lambda
+    takes E alone, as exp(-i xi L/2) cancels against exp(-iG)'s constant.
     ``z - hi`` and ``z - lo`` lie in the closed upper half plane, so a real
     ``complex(x, 0.0)`` gets the limit from above; ``hi - z`` would not,
     its imaginary part being +0.0.
     """
-    cauchy = cmath.log(z - interval.hi) - cmath.log(z - interval.lo)
-    return cauchy - 0.5 * _log_weight_ratio(interval)
+    return cmath.log(z - interval.hi) - cmath.log(z - interval.lo)
 
 
 def _quench(z, params, interval):
-    """h_lambda(z) = exp(i xi E(z)) (see ``_quench_exponent``), Im z >= 0."""
-    return cmath.exp(1j * params.xi * _quench_exponent(z, interval))
+    """h_lambda(z) = exp(i xi (E(z) - L/2)) for Im z >= 0 (see ``_quench_exponent``)."""
+    exponent = _quench_exponent(z, interval) - 0.5 * _log_weight_ratio(interval)
+    return cmath.exp(1j * params.xi * exponent)
 
 
 def quench_interior(z, params, interval):

@@ -424,6 +424,18 @@ class TestErrorMeasures:
             pytest.approx(1e-3 * math.sqrt(4.0), rel=1e-10)
         assert calls == [(len(pts),), (len(pts),)]
 
+    def test_no_points_refused(self):
+        # an error measure over no points is no error of 0.0
+        window, p = Interval(-5.0, 5.0), QuenchParams(1e2)
+        for measure in (lambda: sup_error([], [], H2.reference),
+                        lambda: l2_error([], [], H2.reference, window),
+                        lambda: sup_error_on_compact([], p, SYM, H2.signal,
+                                                     H2.reference),
+                        lambda: l2_error_on_window(p, SYM, H2.signal,
+                                                   H2.reference, window, 0)):
+            with pytest.raises(DomainError, match="at least one point"):
+                measure()
+
     def test_l2_error_lambda_zero(self):
         window = Interval(-5.0, 5.0)
         value = l2_error_on_window(QuenchParams(0.0), SYM, H2.signal,

@@ -413,9 +413,6 @@ class TestConfigErrors:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command,overrides,fault", [
-        # hi ** 2 in the quench weight-ratio term overflows
-        ("growth", {"interval": [-1e300, 1e300], "eval_points": [1.5e300]},
-         "OverflowError"),
         # R = 1e300 asks for more initial panels than numpy can allocate
         ("contour", {"contour": {"alpha": [1e300], "R": 1e300}}, "ValueError"),
     ])

@@ -196,6 +196,29 @@ class TestMpmathOracle:
                 want = complex(oracle.quench(z, lam, lo, hi))
             assert abs(value - want) <= 1e-13 * abs(want), (z, lam, lo, hi)
 
+    @pytest.mark.parametrize("lo,hi", [(-1e300, 1e300), (-1e155, 1e160),
+                                       (1e154, 1e300), (-1e300, -1e200),
+                                       (-3.0, 1e200), (1e10, 1e10 + 1e3)])
+    def test_wide_intervals(self, lo, hi):
+        # squaring an endpoint past 1.34e154 overflows a double; the phase sums
+        # logs of size ln|endpoint|, each rounded to eps of that, times xi
+        interval = Interval(lo, hi)
+        c, r = interval.center, interval.half_width
+        for lam in (10.0, 1e8):
+            p = QuenchParams(lam)
+            bound = 1e-15 + 2 * p.xi * np.finfo(float).eps * math.log(max(-lo, hi))
+            for z in (complex(c + 0.3 * r, 0.5 * r), complex(c + 0.4 * r, 0.0),
+                      complex(hi + r, 0.0), complex(lo - 0.5 * r, 0.0)):
+                value = (quench_interior(z, p, interval) if z.imag
+                         else quench_boundary(z.real, p, interval))
+                with mpmath.workdps(oracle.DPS):  # hi * hi in mpf, not float
+                    want = complex(oracle.quench(z, lam, mpmath.mpf(lo),
+                                                 mpmath.mpf(hi)))
+                assert abs(value - want) <= bound * abs(want), (z, lam)
+                if not (z.imag or interval.contains(z.real)):
+                    phase = cmath.exp(1j * phase_G(z.real, p, interval))
+                    assert abs(phase - want) <= bound, (z, lam)
+
 
 class TestInterval:
     def test_validation(self):

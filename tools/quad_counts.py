@@ -14,8 +14,7 @@ u-path looks it up) wrapped to count the calls of its integrand and the
 trapezoid nodes they evaluate, apart from its G7/K15 fallback, which
 counts as G7/K15.  The counts do not depend on the machine, and the
 wrappers do not depend on whether ``_gk15`` takes one panel or a stack
-of them, so two source trees can be compared; a tree without
-``strip_trapezoid`` counts 0 trapezoid calls.  Prints one JSON object:
+of them, so two source trees can be compared.  Prints one JSON object:
 workload -> {"calls", "panels", "points", "trapezoid_calls", "nodes",
 and per experiment its counts and exit code}.
 """
@@ -74,7 +73,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     result = {}
     gk15 = quadrature._gk15
-    trapezoid = getattr(approximant, "strip_trapezoid", None)
+    trapezoid = approximant.strip_trapezoid
     try:
         with tempfile.TemporaryDirectory() as tmp:
             for name in args.workload:
@@ -82,9 +81,7 @@ def main(argv=None):
                 for exp in workloads.WORKLOADS[name](args.seed):
                     tally = total[exp.name] = dict.fromkeys(COUNTS + ("in_gk15",), 0)
                     quadrature._gk15 = counted(gk15, tally)
-                    if trapezoid is not None:
-                        approximant.strip_trapezoid = counted_trapezoid(trapezoid,
-                                                                        tally)
+                    approximant.strip_trapezoid = counted_trapezoid(trapezoid, tally)
                     cfg = os.path.join(tmp, f"{exp.name}.json")
                     with open(cfg, "w") as fh:
                         json.dump(exp.config, fh)
@@ -97,8 +94,7 @@ def main(argv=None):
                         total[key] += tally[key]
     finally:
         quadrature._gk15 = gk15
-        if trapezoid is not None:
-            approximant.strip_trapezoid = trapezoid
+        approximant.strip_trapezoid = trapezoid
     print(json.dumps(result))
     return 0
 
