@@ -52,20 +52,20 @@ class BoundarySignal:
     where the u-integral is truncated.  ``strip_pullback``, when
     present, analytically extends the pullback of g through the tanh
     map to the strip ``0 <= Im z <= 3 pi / 2``; ``singularities`` lists
-    its poles there, ``0 < Im z <= 3 pi / 2``.  ``strip_below``, when
-    set, is the distance (> 0) below the real line to the pullback's
+    its poles there, ``0 < Im z <= 3 pi / 2``.  ``strip_below`` is the
+    distance (> 0, pi by default) below the real line to the pullback's
     nearest singularity.  Listed poles and ``strip_below`` set the
-    trapezoid step of the u-path; unset, it starts from pi.
+    trapezoid step of the u-path.
     """
 
     eval_on_I: callable
     decay_cert: DecayCertificate
     strip_pullback: callable = None
     singularities: tuple = ()
-    strip_below: float = None
+    strip_below: float = math.pi
 
     def __post_init__(self):
-        if not (self.strip_below is None or self.strip_below > 0):
+        if not self.strip_below > 0:
             raise DomainError(f"need strip_below > 0, got {self.strip_below!r}")
 
 
@@ -105,7 +105,7 @@ def _cauchy_weighted_u(zs, lams, interval, signal, tol):
     cert = signal.decay_cert
     xis = [xi_of_lambda(lam) for lam in lams]
     above = min([math.pi] + [complex(s.beta).imag for s in signal.singularities])
-    below = math.pi if signal.strip_below is None else min(math.pi, signal.strip_below)
+    below = min(math.pi, signal.strip_below)
 
     def cut(bound):
         return DecayCertificate(cert.delta, bound).truncation_point(tol.abs_tol)
@@ -146,20 +146,20 @@ def _cauchy_weighted_t(zs, lams, interval, signal, tol):
     the integrand is exp(i xi ln((t - lo)/(hi - t))) g(t) / (t - z)."""
     g = signal.eval_on_I
     lo, hi = interval.lo, interval.hi
-    zs = np.array(zs, dtype=complex)
-    rows = []
-    for lam in lams:
-        xi = xi_of_lambda(lam)
+    # integral k is lambda k // n at point k % n
+    n, zs = len(zs), np.array(zs, dtype=complex)
+    xis = np.array([xi_of_lambda(lam) for lam in lams])
+    count = n * len(lams)
 
-        def integrand(t, k):
-            return np.exp(1j * xi * np.log((t - lo) / (hi - t))) * g(t) / (t - zs[k])
+    def integrand(t, k):
+        phase = np.exp(1j * xis[k // n] * np.log((t - lo) / (hi - t)))
+        return phase * g(t) / (t - zs[k % n])
 
-        try:
-            rows.append(integrate_batch(integrand, np.full(len(zs), lo),
-                                        np.full(len(zs), hi), tol))
-        except NonConvergence as exc:
-            raise in_cell(exc, _cell(lam, zs[exc.index], "t")) from exc
-    return [list(column) for column in zip(*rows)]
+    try:
+        values = integrate_batch(integrand, [lo] * count, [hi] * count, tol)
+    except NonConvergence as exc:
+        raise in_cell(exc, _cell(lams[exc.index // n], zs[exc.index % n], "t")) from exc
+    return [values[j::n] for j in range(n)]
 
 
 def approximant_table(points, lambdas, interval, signal, tol=QuadTolerance(),

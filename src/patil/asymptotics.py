@@ -81,11 +81,6 @@ class ContourSpec:
             raise DomainError(f"need R > |ln(alpha)| + 1 for alpha={alpha}")
 
 
-def _unwrap(value):
-    """A Python scalar for a 0-d array; any other array unchanged."""
-    return value.item() if value.ndim == 0 else value
-
-
 def _mobius(z, c):
     """``(em, den)``: ``e^{-z}`` and ``1 + c e^{-z}`` where Re z > 0, else
     ``e^z`` and ``e^z + c``, so ``(1 + em) / den = (e^z + 1) / (e^z + c)``
@@ -110,7 +105,7 @@ def kernel_k(z, xi, alpha):
     if not np.all(np.isfinite(value)):
         raise DomainError(
             "kernel pole at i pi (2k + 1) or Log(-alpha) + 2 pi i k")
-    return _unwrap(value)
+    return np.asarray(value)
 
 
 def _kernel_poles(alpha):
@@ -177,7 +172,7 @@ def residue_merged(pole, xi, alpha, g_strip, radius=None, n_points=256):
     theta = 2.0 * PI * np.arange(n_points) / n_points
     ring = np.exp(1j * theta)
     z = pole + radius * ring
-    values = np.asarray(kernel_k(z, xi, alpha)) * np.asarray(g_strip(z))
+    values = kernel_k(z, xi, alpha) * g_strip(z)
     return complex(radius * np.mean(values * ring))
 
 
@@ -263,8 +258,7 @@ def contour_residuals(g_strip, cells, spec, singularities=(),
     def f(s, k):
         edge, cell = k % 4, k // 4
         z = start[edge] + step[edge] * s
-        return step[edge] * (np.asarray(kernel_k(z, xis[cell], alphas[cell]))
-                             * np.asarray(g_strip(z)))
+        return step[edge] * (kernel_k(z, xis[cell], alphas[cell]) * g_strip(z))
 
     n = len(cells)
     try:

@@ -25,8 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approximant import BoundarySignal
-from .asymptotics import STRIP_TOP, StripSingularity, _mobius, _unwrap, \
-    predict_growth_exponent
+from .asymptotics import STRIP_TOP, StripSingularity, _mobius, predict_growth_exponent
 from .errors import DomainError
 from .quadrature import DecayCertificate
 from .quench import Interval
@@ -61,11 +60,11 @@ def rational(c, w, interval=UNIT, name="rational"):
     scale, ratio = c / (d + r), (d - r) / (d + r)
 
     def evaluate(z):
-        return _unwrap(c / (np.asarray(z, dtype=complex) - w))
+        return np.asarray(c / (np.asarray(z, dtype=complex) - w))
 
     def strip_pullback(z):
         em, den = _mobius(np.asarray(z, dtype=complex), ratio)
-        return _unwrap(scale * (1.0 + em) / den)
+        return np.asarray(scale * (1.0 + em) / den)
 
     # tanh(beta/2) = s; the residue is c over dt/dz = r (1 - s^2) / 2
     s = (w - c0) / r
@@ -98,11 +97,11 @@ def example1(interval=UNIT):
 
     def eval_on_I(x):
         x = np.asarray(x, dtype=float)
-        return _unwrap(np.sqrt(np.maximum(a * a - x * x, 0.0)) - 1j * x)
+        return np.asarray(np.sqrt(np.maximum(a * a - x * x, 0.0)) - 1j * x)
 
     def strip_pullback(z):
         z = np.asarray(z, dtype=complex)
-        return _unwrap(a * (1.0 / np.cosh(0.5 * z) - 1j * np.tanh(0.5 * z)))
+        return np.asarray(a * (1.0 / np.cosh(0.5 * z) - 1j * np.tanh(0.5 * z)))
 
     signal = BoundarySignal(
         eval_on_I=eval_on_I,

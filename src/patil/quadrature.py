@@ -17,6 +17,7 @@ from the same nodes, so both parts always see identical grids.
 """
 
 import heapq
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -162,27 +163,24 @@ def integrate_batch(f, lo, hi, tol=QuadTolerance(), initial_panels=8):
     totals = [0.0 + 0.0j] * len(panels)
     errors = [0.0] * len(panels)
 
-    ks, a_s, b_s = [], [], []
-    for i, n in enumerate(panels):
-        edges = np.linspace(lo[i], hi[i], n + 1).tolist()
-        ks += [i] * n
-        a_s += edges[:-1]
-        b_s += edges[1:]
-    while ks:
+    # every pending panel as (integral, left, right)
+    todo = [(i, a, b) for i, n in enumerate(panels)
+            for a, b in itertools.pairwise(np.linspace(lo[i], hi[i], n + 1).tolist())]
+    while todo:
         ests, errs = [], []
-        for j in range(0, len(ks), _SLICE):
-            est, err = _gk15(f, *(np.array(v[j:j + _SLICE]) for v in (ks, a_s, b_s)))
+        for j in range(0, len(todo), _SLICE):
+            est, err = _gk15(f, *map(np.array, zip(*todo[j:j + _SLICE])))
             ests, errs = ests + est, errs + err
-        for i, a, b, est, err in zip(ks, a_s, b_s, ests, errs):
+        for (i, a, b), est, err in zip(todo, ests, errs):
             if not math.isfinite(err):
                 raise NonConvergence(f"non-finite integrand on panel [{a}, {b}]",
                                      estimate=est, error=err, index=i)
             totals[i] += est
             errors[i] += err
             heapq.heappush(heaps[i], (-err, a, b, est))
-        refine = [i for i in dict.fromkeys(ks)
+        refine = [i for i in dict.fromkeys(i for i, _, _ in todo)
                   if errors[i] > max(tol.abs_tol, tol.rel_tol * abs(totals[i]))]
-        ks, a_s, b_s = [], [], []
+        todo = []
         for i in refine:
             if panels[i] >= tol.max_subdivisions:
                 raise NonConvergence(
@@ -193,9 +191,7 @@ def integrate_batch(f, lo, hi, tol=QuadTolerance(), initial_panels=8):
             totals[i] -= est
             errors[i] += neg_err  # neg_err == -err
             mid = 0.5 * (a + b)
-            ks += [i, i]
-            a_s += [a, mid]
-            b_s += [mid, b]
+            todo += [(i, a, mid), (i, mid, b)]
             panels[i] += 1
     return [complex(t) for t in totals]
 
@@ -263,29 +259,17 @@ def strip_trapezoid(f, xis, u_max, strip, tol=QuadTolerance(), pole=None):
     origin = (pole or 0.0) + h0 / 3.0
     reach = u_max + 0.5 * h0  # the cells of every node cover [-u_max, u_max]
     xis = np.asarray(xis, dtype=float)
-    level = [int(math.log2(h0 / min(2.0 * math.pi * d_above / big_l,
+    # the coarsest level each xi compares, its running sum and last S_h
+    start = [int(math.log2(h0 / min(2.0 * math.pi * d_above / big_l,
                                     2.0 * math.pi * d_below / (big_l + xi * d_below))))
              for xi in xis.tolist()]
-    pending = list(range(len(xis)))
-    sums = [[] for _ in pending]  # each xi's sum over each level's new nodes
-    results = [None] * len(pending)
-    while True:
-        for i in list(pending):
-            while level[i] + 1 < len(sums[i]):
-                k = level[i]
-                coarse = math.ldexp(h0, -k) * sum(sums[i][:k + 1])
-                fine = math.ldexp(h0, -k - 1) * sum(sums[i][:k + 2])
-                error = abs(coarse - fine)
-                if not math.isfinite(error) or \
-                        error <= max(tol.abs_tol, tol.rel_tol * abs(fine)):
-                    results[i] = fine if math.isfinite(error) else None
-                    pending.remove(i)
-                    break
-                level[i] += 1
-        if not pending:
-            break
-        # every pending xi needs the next level's nodes, the odd ones of its grid
-        k = len(sums[pending[0]])
+    totals = [0j] * len(start)
+    prev = [None] * len(start)
+    results = [None] * len(start)
+    pending = list(range(len(start)))
+    k = 0
+    while pending:
+        # every pending xi needs level k's new nodes, the odd ones of its grid
         h = math.ldexp(h0, -k)
         first, last = math.ceil((-reach - origin) / h), math.floor((reach - origin) / h)
         if last - first + 1 > 15 * tol.max_subdivisions:
@@ -302,7 +286,17 @@ def strip_trapezoid(f, xis, u_max, strip, tol=QuadTolerance(), pole=None):
                 if pole is not None:
                     block -= np.exp(1j * chunk * pole) * b.sum()
                 for i, total in zip(rows[j:j + step].tolist(), block.tolist()):
-                    sums[i].append(total)
+                    totals[i] += total
+        for i in list(pending):
+            fine = h * totals[i]
+            if k > start[i]:
+                error = abs(prev[i] - fine)
+                if not math.isfinite(error) or \
+                        error <= max(tol.abs_tol, tol.rel_tol * abs(fine)):
+                    results[i] = fine if math.isfinite(error) else None
+                    pending.remove(i)
+            prev[i] = fine
+        k += 1
 
     failed = [i for i, result in enumerate(results) if result is None]
     if failed:

@@ -373,6 +373,20 @@ class TestTable:
         with pytest.raises(NonConvergence, match=named):
             approximant_table([2.0, 3.0], [10.0, 1e30, 1e31], SYM, H2.signal, tol)
 
+    @pytest.mark.parametrize("points", [[0.5 + 1j, 0.3 + 0.05j],
+                                        [0.3 + 0.05j, 0.5 + 1j]])
+    def test_t_path_names_the_failing_cell(self, points):
+        # with a budget of 67 panels only lambda = 1e8 at 0.3 + 0.05i, which
+        # needs 69, fails; every other (lambda, point) cell needs at most 66
+        stingy = QuadTolerance(max_subdivisions=67)
+        named = (r"^g_lambda at lambda=100000000\.0, z=\(0\.3\+0\.05j\), "
+                 r"t integral: error .* after 67 panels")
+        with pytest.raises(NonConvergence, match=named):
+            approximant_table(points, [10.0, 1e4, 1e8], SYM, H2.signal, stingy, "t")
+        for lam in (10.0, 1e4):
+            approximant_table(points, [lam], SYM, H2.signal, stingy, "t")
+        approximant_table([0.5 + 1j], [1e8], SYM, H2.signal, stingy, "t")
+
     def test_lambda_checked(self):
         with pytest.raises(DomainError, match="lambda must be finite"):
             approximant_table([2.0], [10.0, -1.0], SYM, H2.signal)

@@ -99,6 +99,16 @@ class TestKernel:
         assert abs(kernel_k(1j * PI, 1.0, 2.0)) > 1e12
         assert abs(kernel_k(math.log(2.0) + 1j * PI, 1.0, 2.0)) > 1e12
 
+    @pytest.mark.parametrize("z", [0.3, 0.3 + 0.2j, np.complex128(0.3 + 0.2j),
+                                   np.array(0.3), [0.1, -0.2j, 2.0],
+                                   np.full((2, 3), 0.5 + 0.1j)],
+                             ids=["float", "complex", "complex128", "0-d", "list",
+                                  "2x3"])
+    def test_returns_array_of_input_shape(self, z):
+        value = kernel_k(z, 0.7, 2.0)
+        assert isinstance(value, np.ndarray)
+        assert value.shape == np.shape(z)
+
     def test_large_argument_stability(self):
         # e^{700} is within a factor 2e4 of overflow; k tends to e^{i u - |u|}
         # on the right and to e^{i u - |u|} / alpha on the left, for alpha

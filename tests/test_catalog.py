@@ -275,6 +275,23 @@ class TestRegistry:
         with pytest.raises(DomainError):
             get_entry("nonsense")
 
+    @pytest.mark.parametrize("x", [0.3, np.float64(0.3), np.array(0.3),
+                                   [0.1, -0.2, 0.6], np.full((2, 3), 0.25)],
+                             ids=["float", "float64", "0-d", "list", "2x3"])
+    def test_evaluators_return_arrays(self, x):
+        # one contract for scalars and arrays: an ndarray of the input's
+        # shape, 0-d for a scalar
+        entries = [get_entry(name) for name in entry_names()]
+        entries.append(rational(0.5 + 1j, 0.2 + 0.7j, NONSYM))
+        for entry in entries:
+            evaluators = [entry.signal.eval_on_I, entry.signal.strip_pullback]
+            if entry.reference is not None:
+                evaluators.append(entry.reference)
+            for evaluate in evaluators:
+                value = evaluate(x)
+                assert isinstance(value, np.ndarray), (entry.name, evaluate)
+                assert value.shape == np.shape(x), (entry.name, evaluate)
+
     def test_example1_requires_positive_width(self):
         # I = (-a, a) with a > 0; an Interval is never empty
         with pytest.raises(DomainError):
