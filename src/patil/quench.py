@@ -40,6 +40,9 @@ class Interval:
             raise DomainError("interval endpoints must be finite")
         if not self.lo < self.hi:
             raise DomainError(f"need lo < hi, got ({self.lo}, {self.hi})")
+        if not (math.isfinite(self.lo + self.hi) and math.isfinite(self.hi - self.lo)):
+            raise DomainError(f"interval center or width overflows a double: "
+                              f"({self.lo}, {self.hi})")
 
     @property
     def center(self):

@@ -472,6 +472,17 @@ class TestConfigErrors:
         assert main([command, "--config", cfg]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"config error: {message}")
 
+    @pytest.mark.parametrize("command", ["growth", "converge", "contour"])
+    @pytest.mark.parametrize("interval", [[1e308, 1.5e308], [-1.7e308, 1.7e308]],
+                             ids=["center-inf", "width-inf"])
+    def test_overflowing_interval_named(self, tmp_path, capsys, command, interval):
+        # center inf, then width inf: both used to fail late, naming another fault
+        cfg = write_config(tmp_path, entry="h2pole", interval=interval,
+                           eval_points=[[0.0, 1.0]])
+        assert main([command, "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            "config error: bad interval: interval center or width overflows")
+
     @pytest.mark.parametrize("overrides,flags,message", [
         ({"format": "xml"}, ["--format", "json"],
          "bad format: need 'csv' or 'json', got 'xml'"),

@@ -227,6 +227,13 @@ class TestInterval:
         with pytest.raises(DomainError):
             Interval(0.0, math.inf)
 
+    @pytest.mark.parametrize("lo,hi", [(1e308, 1.5e308), (-1.7e308, 1.7e308),
+                                       (-1.5e308, -1e308)])
+    def test_center_or_width_overflow_refused(self, lo, hi):
+        # (1e308, 1.5e308) has center inf and (-1.7e308, 1.7e308) width inf
+        with pytest.raises(DomainError, match="overflows"):
+            Interval(lo, hi)
+
     def test_helpers(self):
         iv = Interval(0.0, 2.0)
         assert iv.center == 1.0
