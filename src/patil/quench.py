@@ -119,15 +119,15 @@ def phase_G(x, params, interval):
 
 
 def _quench_exponent(z, interval):
-    """E(z) = Log(z - hi) - Log(z - lo) for Im z >= 0; E does not depend on lambda.
+    """E(z) = Log((z - hi)/(z - lo)) for Im z >= 0; E does not depend on lambda.
 
     h_lambda = exp(i xi (E - L/2)), L from ``_log_weight_ratio``; g_lambda
     takes E alone, as exp(-i xi L/2) cancels against exp(-iG)'s constant.
-    ``z - hi`` and ``z - lo`` lie in the closed upper half plane, so a real
-    ``complex(x, 0.0)`` gets the limit from above; ``hi - z`` would not,
-    its imaginary part being +0.0.
+    ``z - hi`` and ``z - lo`` lie in the closed upper half plane, so E is
+    Log(z - hi) - Log(z - lo), a real ``complex(x, 0.0)`` inside I getting
+    the limit from above; the one Log errs by eps, not eps ln|endpoint|.
     """
-    return cmath.log(z - interval.hi) - cmath.log(z - interval.lo)
+    return cmath.log((z - interval.hi) / (z - interval.lo))
 
 
 def _quench(z, params, interval):

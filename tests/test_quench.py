@@ -220,6 +220,25 @@ class TestMpmathOracle:
                     assert abs(phase - want) <= bound, (z, lam)
 
 
+    @pytest.mark.parametrize("hi", [1e300, 1e200, 1e155, 1e10, 3.0])
+    def test_wide_symmetric_intervals(self, hi):
+        # L = 0 here, so h_lambda's phase is xi Log((z - hi)/(z - lo)) alone:
+        # one Log of a quotient, which errs by about eps whatever the endpoints
+        interval = Interval(-hi, hi)
+        for lam in (10.0, 1e8):
+            p = QuenchParams(lam)
+            bound = 1e-15 + 2 * p.xi * np.finfo(float).eps
+            for z in (complex(0.3 * hi, 0.5 * hi), complex(0.4 * hi, 0.0),
+                      complex(2.0 * hi, 0.0), complex(-1.5 * hi, 0.0),
+                      complex(-0.7 * hi, 0.01 * hi), complex(0.0, 3.0 * hi)):
+                value = (quench_interior(z, p, interval) if z.imag
+                         else quench_boundary(z.real, p, interval))
+                with mpmath.workdps(oracle.DPS):
+                    want = complex(oracle.quench(z, lam, -mpmath.mpf(hi),
+                                                 mpmath.mpf(hi)))
+                assert abs(value - want) <= bound * abs(want), (z, lam)
+
+
 class TestInterval:
     def test_validation(self):
         with pytest.raises(DomainError):
