@@ -234,7 +234,7 @@ def integrate_real_line(f, cert, tol=QuadTolerance()):
 
 
 def strip_trapezoid(f, xis, u_max, strip, tol=QuadTolerance(), pole=None):
-    """``int_{-u_max}^{u_max} exp(i xi u) a(u) du`` for each xi of ``xis``.
+    """``int_{-u_max}^{u_max} exp(i xi u) a(u) du`` for each finite xi >= 0 of ``xis``.
 
     ``a`` is analytic in ``-d_below < Im u < d_above``, ``strip`` being
     ``(d_above, d_below)``.  With d 0.9 times each and L = ln(1e3 /
@@ -259,6 +259,9 @@ def strip_trapezoid(f, xis, u_max, strip, tol=QuadTolerance(), pole=None):
     origin = (pole or 0.0) + h0 / 3.0
     reach = u_max + 0.5 * h0  # the cells of every node cover [-u_max, u_max]
     xis = np.asarray(xis, dtype=float)
+    bad = xis[~((xis >= 0) & (xis < math.inf))]
+    if bad.size:
+        raise DomainError(f"need finite xi >= 0, got xi={bad[0]}")
     # the coarsest level each xi compares, its running sum and last S_h
     start = [int(math.log2(h0 / min(2.0 * math.pi * d_above / big_l,
                                     2.0 * math.pi * d_below / (big_l + xi * d_below))))

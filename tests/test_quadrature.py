@@ -364,6 +364,13 @@ class TestStripTrapezoid:
                             (PI, PI), stingy)
         assert info.value.index == 1
 
+    @pytest.mark.parametrize("xi", [-50.0, -1.0, math.nan, math.inf])
+    def test_negative_xi_refused(self, xi):
+        # the step rule assumes decay below the real line; xi = -50 on a
+        # narrow lower strip gave 0.0 for any integrand
+        with pytest.raises(DomainError, match=f"need finite xi >= 0, got xi={xi}"):
+            strip_trapezoid(quarter_sech2, [1.0, xi], 40.0, (3.0, 0.5), TOL)
+
     def test_nonfinite_falls_back(self):
         # a NaN on a trapezoid grid (1-D nodes) only: G7/K15 never meets it
         def f(u):
