@@ -1,6 +1,7 @@
 """Recovery of Hardy-space functions on the upper half plane from
 boundary data on a bounded real interval, with residue-based growth
-analysis of the approximants outside that interval."""
+analysis of the approximants outside that interval.  ``import patil``
+loads numpy alone; import each name from its module, as patil.quench.Interval."""
 
 import os as _os
 import sys as _sys
@@ -18,50 +19,6 @@ if "numpy" not in _sys.modules and not any(
         import numpy as _numpy  # noqa: F401
     finally:
         del _os.environ["OPENBLAS_NUM_THREADS"]
-
-from .approximant import (  # noqa: E402
-    BoundarySignal,
-    approximant_boundary,
-    approximant_interior,
-    approximant_table,
-    approximant_values,
-    l2_error_on_window,
-    sup_error_on_compact,
-)
-from .asymptotics import (  # noqa: E402
-    ContourSpec,
-    StripSingularity,
-    contour_identity_check,
-    contour_residuals,
-    fit_growth_exponent,
-    kernel_k,
-    predict_growth_exponent,
-    residue_kernel_pole,
-    residue_merged,
-    residue_strip_pole,
-)
-from .catalog import (  # noqa: E402
-    CatalogEntry,
-    entry_names,
-    example1,
-    example2,
-    get_entry,
-    h2_reference_pole,
-)
-from .quadrature import (  # noqa: E402
-    DecayCertificate,
-    QuadTolerance,
-    integrate_adaptive,
-    integrate_real_line,
-    pv_integrate,
-)
-from .quench import (  # noqa: E402
-    Interval,
-    QuenchParams,
-    phase_G,
-    quench_boundary,
-    quench_interior,
-    xi_of_lambda,
-)
+import numpy as _numpy  # noqa: E402,F401 -- with the user's count, if they chose one
 
 __version__ = "0.1.0"

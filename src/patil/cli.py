@@ -20,6 +20,7 @@ import argparse
 import contextlib
 import csv
 import datetime
+import gc
 import json
 import math
 import os
@@ -53,10 +54,6 @@ EXIT_INTERNAL = 5
 
 class ConfigError(ValueError):
     pass
-
-
-def _fmt(value):
-    return format(value, ".17g")
 
 
 # what converting a JSON value of the wrong type, shape or range raises
@@ -213,7 +210,7 @@ def _load_config(args):
 
 
 def _write_rows(cfg, reproducible, header, rows):
-    rows = [[_fmt(v) if isinstance(v, float) else v for v in row] for row in rows]
+    rows = [[format(v, ".17g") if isinstance(v, float) else v for v in r] for r in rows]
     stamp = datetime.datetime.now().isoformat()
     with (contextlib.nullcontext(sys.stdout) if cfg.output_path == "-"
           else open(cfg.output_path, "w", newline="")) as out:
@@ -229,6 +226,7 @@ def _write_rows(cfg, reproducible, header, rows):
             writer = csv.writer(out, lineterminator="\n")
             writer.writerow(header)
             writer.writerows(rows)
+        out.flush()  # a closed pipe or a full disk fails here, not at exit
 
 
 def _eval_points(cfg, in_domain, domain):
@@ -339,7 +337,15 @@ def main(argv=None):
     try:
         cfg = _load_config(args)
         header, rows, criterion_met = runners[args.command](cfg)
-        _write_rows(cfg, args.reproducible, header, rows)
+        try:
+            _write_rows(cfg, args.reproducible, header, rows)
+        except OSError as exc:
+            if cfg.output_path == "-":  # closing it drops the rows exit would retry
+                with contextlib.suppress(OSError):
+                    sys.stdout.close()
+            print(f"cannot write output {cfg.output_path!r}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return EXIT_CONFIG
         return EXIT_OK if criterion_met else EXIT_CRITERION
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -355,5 +361,11 @@ def main(argv=None):
         return EXIT_INTERNAL
 
 
+def run():
+    """``main()`` as a process: what the imports made is frozen, so exit skips it."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())
