@@ -1,20 +1,21 @@
 """Patil approximants g_lambda built from boundary data on an interval.
 
 g_lambda weighs the data with the conjugate quench phase and applies a
-Cauchy integral over I.  The integral is evaluated by default in the
-u-domain, after the tanh change of variable that straightens the
-quench oscillation into a pure linear phase ``exp(i xi u)``, by a strip
-trapezoid rule whose nodes every lambda shares; the direct t-domain
-evaluation is retained as an independent oracle.
+Cauchy integral over I.  After the tanh change of variable the quench
+oscillation is a pure linear phase ``exp(i xi u)``.  When the signal
+declares the period of its pullback, g_lambda is by default a finite sum
+of residues over one period strip, in closed form and without numpy.
+Otherwise, and as the cross-checks ``method="u"`` and ``"t"``, the
+integral is evaluated in the u-domain by a strip trapezoid rule whose
+nodes every lambda shares, or directly in the t-domain.
 """
 
 import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .asymptotics import kernel_k
+from .arrays import numpy
+from .asymptotics import STRIP_TOP, _mobius, kernel_k
 from .errors import DomainError, NonConvergence, in_cell
 from .quadrature import (
     DecayCertificate,
@@ -24,7 +25,7 @@ from .quadrature import (
     pv_integrate,  # noqa: F401 -- perfbench/tracing.py wraps it here
     strip_trapezoid,
 )
-from .quench import _quench_exponent, xi_of_lambda
+from .quench import Interval, _quench_exponent, xi_of_lambda
 from .quench import phase_G  # noqa: F401 -- perfbench/tracing.py wraps it
 from .quench import quench_interior  # noqa: F401 -- perfbench/tracing.py wraps it
 
@@ -51,11 +52,14 @@ class BoundarySignal:
     ``|g(c + r tanh(u/2))| <= bound_M exp(delta |u|)``, which fixes
     where the u-integral is truncated.  ``strip_pullback``, when
     present, analytically extends the pullback of g through the tanh
-    map to the strip ``0 <= Im z <= 3 pi / 2``; ``singularities`` lists
-    its poles there, ``0 < Im z <= 3 pi / 2``.  ``strip_below`` is the
-    distance (> 0, pi by default) below the real line to the pullback's
-    nearest singularity.  Listed poles and ``strip_below`` set the
-    trapezoid step of the u-path.
+    map of ``interval`` to the strip ``0 <= Im z <= 3 pi / 2``;
+    ``singularities`` lists its poles there, ``0 < Im z <= 3 pi / 2``.
+    With a ``period`` T, a multiple of 2 pi, the pullback is defined on
+    the whole plane with p(z + iT) = p(z), it takes numbers as well as
+    arrays, and ``singularities`` lists every pole with 0 < Im z < T.
+    ``strip_below`` is the distance (> 0, pi by default) below the real
+    line to the pullback's nearest singularity.  Listed poles below
+    Im z = pi and ``strip_below`` set the trapezoid step of the u-path.
     """
 
     eval_on_I: callable
@@ -63,10 +67,23 @@ class BoundarySignal:
     strip_pullback: callable = None
     singularities: tuple = ()
     strip_below: float = math.pi
+    period: float = None
+    interval: Interval = None
 
     def __post_init__(self):
         if not self.strip_below > 0:
             raise DomainError(f"need strip_below > 0, got {self.strip_below!r}")
+        top = STRIP_TOP
+        if self.period is not None:
+            sheets = round(self.period / (2.0 * math.pi))
+            if not (sheets >= 1 and self.period == sheets * 2.0 * math.pi
+                    and self.strip_pullback and self.interval):
+                raise DomainError(f"a period must be a multiple of 2 pi, with a "
+                                  f"pullback and its interval, got {self.period!r}")
+            top = math.nextafter(self.period, 0.0)
+        for s in self.singularities:
+            if not complex(s.beta).imag <= top:
+                raise DomainError(f"need Im beta <= {top!r}, got beta={s.beta}")
 
 
 def _cell(lam, z, piece):
@@ -141,11 +158,137 @@ def _cauchy_weighted_u(zs, lams, interval, signal, tol):
     return columns
 
 
+# nodes of the circle rule round a merged pole or a cluster of poles
+_RING = 64
+# poles nearer each other than min(this, 1/xi) share one circle
+_NEAR = 0.05
+
+
+def _kernel(u, alpha):
+    """``k(u, 0, alpha)`` of :func:`kernel_k` at a complex number ``u``."""
+    em, den = _mobius(u, alpha)
+    return em / ((1.0 + em) * den)
+
+
+def _clusters(locations, near):
+    """The poles at ``locations`` as groups of indices: a group joins another
+    that has a pole within ``near`` of one of its own or within four times
+    its spread of its centre, so that a circle can enclose it alone."""
+    groups = [[i] for i in range(len(locations))]
+
+    def reach(group):
+        points = [locations[i] for i in group]
+        centre = sum(points) / len(points)
+        return centre, 4.0 * max(abs(b - centre) for b in points)
+
+    def joined(a, b):
+        if min(abs(locations[i] - locations[j]) for i in a for j in b) < near:
+            return True
+        return any(any(abs(locations[j] - centre) < radius for j in other)
+                   for (centre, radius), other in ((reach(a), b), (reach(b), a)))
+    merged = True
+    while merged:
+        merged = False
+        for a in range(len(groups)):
+            for b in range(a + 1, len(groups)):
+                if joined(groups[a], groups[b]):
+                    groups[a] += groups.pop(b)
+                    merged = True
+                    break
+            if merged:
+                break
+    return groups
+
+
+def _residue_sum(poles, q, e, period, lam):
+    """g_lambda at one lambda from the ``poles`` of Q and Q itself, ``q``,
+    E being ``e`` (see ``_residue_columns``)."""
+    xi = xi_of_lambda(lam)
+    # ln(lambda / (sqrt(1 + lambda) (1 - e^{-xi T}))), added to each exponent
+    log_scale = math.log(lam) - 0.5 * math.log1p(lam) - math.log(-math.expm1(-xi * period))
+    locations = [pole[0] for pole in poles]
+    total = 0j
+    for group in _clusters(locations, min(_NEAR, 1.0 / xi)):
+        if len(group) == 1 and poles[group[0]][1] == 1:
+            _, _, residue, phase = poles[group[0]]
+            total += cmath.exp(1j * xi * phase + log_scale) * residue()
+            continue
+        # one circle round the group, clear of every other pole and image
+        members = [locations[i] for i in group]
+        centre = sum(members) / len(members)
+        spread = max(abs(b - centre) for b in members)
+        others = [b + image for j, b in enumerate(locations)
+                  for image in (0.0, 1j * period, -1j * period)
+                  if image or j not in group]
+        radius = min(0.5 * min(abs(b - centre) for b in others),
+                     max(2.0 * spread, min(0.2, 2.0 / xi)))
+        for k in range(_RING):
+            step = radius * cmath.exp(2j * math.pi * k / _RING)
+            u = centre + step
+            total += cmath.exp(1j * xi * (e + u) + log_scale) * q(u) * step / _RING
+    return total
+
+
+def _residue_columns(zs, lams, interval, signal):
+    """g_lambda at each z of ``zs`` by the residue sum over one period strip:
+    per z, a list with one value per lambda of ``lams``.
+
+    The u-integrand of ``_cauchy_weighted_u`` is f(u) = e^{i xi u} Q(u),
+    Q(u) = (2r/(hi - z)) k(u, 0, alpha) p(u).  With p of period iT,
+    f(u + iT) = e^{-xi T} f(u), and Q decays like e^{-|u|}; so
+    (1 - e^{-xi T}) int_R f = 2 pi i times the sum of the residues of f
+    with 0 <= Im u < T, a pole on the real line (x inside I) counting as
+    just above it, and
+    g = lambda e^{i xi E} sum res / (sqrt(1 + lambda) (1 - e^{-xi T})).
+    Q's poles are p's listed poles and two kernel poles per 2 pi of T:
+    u = i pi (2k + 1), where the residue of Q is -p(u), and u0 + 2 pi i k
+    with t(u0) = z, where it is p(u), as (2r/(hi - z))/(1 - alpha) = 1;
+    there E + u is i pi (2k + 1) exactly.  A simple pole alone takes its
+    closed form (``residue_kernel_pole``, ``residue_strip_pole``), each
+    term with its own exponential, so nothing overflows.  Poles whose
+    closed-form residues would cancel, nearer each other than
+    min(0.05, 1/xi), and merged or higher-order poles share a 64-point
+    circle rule of radius at most 0.2, 2/xi and half the distance to
+    any other pole.
+    """
+    sheets = round(signal.period / (2.0 * math.pi))
+    p = signal.strip_pullback
+    columns = []
+    for z in zs:
+        alpha = (z - interval.lo) / (z - interval.hi)
+        scale = 2.0 * interval.half_width / (interval.hi - z)
+        if z.imag > 0:
+            u0 = cmath.log(-alpha)
+        elif interval.contains(z.real):
+            u0 = complex(interval.to_u(z.real))
+        else:
+            u0 = complex(math.log(alpha.real), math.pi)
+        e = _quench_exponent(z, interval)
+        # (location, order, residue of Q, phase point E + location)
+        poles = []
+        for k in range(sheets):
+            at_pi, at_z = 1j * math.pi * (2 * k + 1), u0 + 2j * math.pi * k
+            poles += [(at_pi, 1, lambda u=at_pi: -p(u), e + at_pi),
+                      (at_z, 1, lambda u=at_z: p(u), at_pi)]
+        for s in signal.singularities:
+            beta = complex(s.beta)
+            poles.append((beta, s.order,
+                          lambda b=beta, c=s.coeff: scale * _kernel(b, alpha) * c,
+                          e + beta))
+
+        def q(u):
+            return scale * _kernel(u, alpha) * p(u)
+        columns.append([_residue_sum(poles, q, e, signal.period, lam)
+                        for lam in lams])
+    return columns
+
+
 def _cauchy_weighted_t(zs, lams, interval, signal, tol):
     """Same integrals, evaluated directly in the t variable (oracle path):
     the integrand is exp(i xi ln((t - lo)/(hi - t))) g(t) / (t - z)."""
     g = signal.eval_on_I
     lo, hi = interval.lo, interval.hi
+    np = numpy()
     # integral k is lambda k // n at point k % n
     n, zs = len(zs), np.array(zs, dtype=complex)
     xis = np.array([xi_of_lambda(lam) for lam in lams])
@@ -163,25 +306,28 @@ def _cauchy_weighted_t(zs, lams, interval, signal, tol):
 
 
 def approximant_table(points, lambdas, interval, signal, tol=QuadTolerance(),
-                      method="u"):
+                      method=None):
     """g_lambda at each point of the closed upper half plane, for each lambda:
     one row (a list) per lambda of ``lambdas``, one value per point.
 
     A point is either in Im z > 0 or real and off the endpoints of I; a
     real point gets the boundary trace, inside I the limit from above.
-    Each point is one u-domain Cauchy integral on one trapezoid grid
-    shared by every lambda, and each row is what its lambda alone gives.
-    ``method`` "t" integrates directly in the t variable instead (the
-    dual-path oracle) and takes points with Im z > 0 only.
+    By default a signal that declares the period of its pullback for this
+    ``interval`` gets the residue sum over one period strip, exact and
+    without quadrature (``tol`` unused); any other signal, and ``method``
+    "u", gets one u-domain Cauchy integral per point on one trapezoid grid
+    shared by every lambda.  ``method`` "t" integrates directly in the t
+    variable instead (the dual-path oracle) and takes points with
+    Im z > 0 only.  Each row is what its lambda alone gives.
     """
     paths = {"u": _cauchy_weighted_u, "t": _cauchy_weighted_t}
-    if method not in paths:
-        raise DomainError(f'method must be "u" or "t", got {method!r}')
+    if method is not None and method not in paths:
+        raise DomainError(f'method must be None, "u" or "t", got {method!r}')
     zs = [complex(z) for z in points]
     for z in zs:
         if not cmath.isfinite(z):
             raise DomainError(f"need a finite point, got z={z}")
-        if not (z.imag > 0 or z.imag == 0 and method == "u"):
+        if not (z.imag > 0 or z.imag == 0 and method != "t"):
             raise DomainError(f"need Im z > 0, got z={z}")
         if z.imag == 0 and interval.is_endpoint(z.real):
             raise DomainError(
@@ -194,7 +340,13 @@ def approximant_table(points, lambdas, interval, signal, tol=QuadTolerance(),
     live = [k for k, lam in enumerate(lams) if lam != 0]
     if not (live and zs):
         return table
-    columns = paths[method](zs, [lams[k] for k in live], interval, signal, tol)
+    if method is None and signal.period is not None and signal.interval == interval:
+        columns = _residue_columns(zs, [lams[k] for k in live], interval, signal)
+        for j, column in enumerate(columns):
+            for k, value in zip(live, column):
+                table[k][j] = value
+        return table
+    columns = paths[method or "u"](zs, [lams[k] for k in live], interval, signal, tol)
     for j, (z, column) in enumerate(zip(zs, columns)):
         exponent = _quench_exponent(z, interval)
         for k, integral in zip(live, column):
@@ -205,7 +357,7 @@ def approximant_table(points, lambdas, interval, signal, tol=QuadTolerance(),
 
 
 def approximant_values(points, params, interval, signal, tol=QuadTolerance(),
-                       method="u"):
+                       method=None):
     """g_lambda at each point, as a list: the table of one lambda
     (see approximant_table)."""
     return approximant_table(points, [params.lam], interval, signal, tol,
@@ -213,7 +365,7 @@ def approximant_values(points, params, interval, signal, tol=QuadTolerance(),
 
 
 def approximant_interior(z, params, interval, signal, tol=QuadTolerance(),
-                         method="u"):
+                         method=None):
     """g_lambda at a point of the open upper half plane (see approximant_table)."""
     if not complex(z).imag > 0:
         raise DomainError(f"need Im z > 0, got z={complex(z)}")
@@ -226,34 +378,41 @@ def approximant_boundary(x, params, interval, signal, tol=QuadTolerance()):
 
 
 def window_samples(interval, window, n_samples):
-    """The L2 sample points: equispaced over the window and nudged off the
-    interval endpoints by the quadrature guard margin."""
-    pts = np.linspace(window.lo, window.hi, n_samples)
-    guard = interval.guard
+    """The L2 sample points, as a list: equispaced over the window, as
+    numpy's ``linspace`` places them (``lo + i * step``, the last at
+    ``hi``), and nudged off the interval endpoints by the quadrature guard
+    margin."""
+    lo, hi, guard = window.lo, window.hi, interval.guard
+    step = (hi - lo) / (n_samples - 1) if n_samples > 1 else 0.0
+    pts = [lo + i * step for i in range(n_samples)]
+    if n_samples > 1:
+        pts[-1] = hi
     for end in (interval.lo, interval.hi):
-        close = np.abs(pts - end) < guard
-        pts[close] = end + 2.0 * guard * np.where(pts[close] >= end, 1.0, -1.0)
+        pts = [end + 2.0 * guard * (1.0 if p >= end else -1.0)
+               if abs(p - end) < guard else p for p in pts]
     return pts
 
 
 def _deviations(values, pts, ref):
-    """|g_lambda - F| at each of ``pts``; no points is a DomainError."""
-    pts = np.asarray(pts)
-    if pts.size == 0:
+    """|g_lambda - F| at each of ``pts``, as a list, the reference called
+    once on ``pts``; no points is a DomainError."""
+    if len(pts) == 0:
         raise DomainError("an error measure needs at least one point")
-    return np.abs(np.asarray(values) - ref(pts))
+    return [abs(v - f) for v, f in zip(values, ref(pts))]
 
 
 def sup_error(values, pts, ref):
     """Max deviation of the g_lambda ``values`` at ``pts`` from the reference
     F; NaN if any value or reference is NaN."""
-    return float(np.max(_deviations(values, pts, ref)))
+    deviations = _deviations(values, pts, ref)
+    # max() keeps or drops a NaN by where it sits
+    return math.nan if any(map(math.isnan, deviations)) else float(max(deviations))
 
 
 def l2_error(values, pts, ref, window):
     """Discrete L2 norm over ``window`` of (g_lambda - F), given the g_lambda
     ``values`` at its ``window_samples`` ``pts``; NaN propagates."""
-    total = float(np.sum(_deviations(values, pts, ref) ** 2))
+    total = math.fsum(d * d for d in _deviations(values, pts, ref))
     return math.sqrt((window.hi - window.lo) * total / len(pts))
 
 

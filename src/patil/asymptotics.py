@@ -14,8 +14,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from .arrays import numpy
 from .errors import DomainError, NonConvergence, in_cell
 from .quadrature import QuadTolerance, integrate_batch
 
@@ -40,9 +39,10 @@ ALPHA_ONE_TOL = 1e-6  # |alpha - 1| at or below this puts x at infinity
 
 @dataclass(frozen=True)
 class StripSingularity:
-    """A pole of the pullback in the strip 0 < Im z <= 3 pi / 2.
+    """A pole of the pullback above the real line, at finite ``beta``.
 
     ``coeff`` is the limit of ``p(z) (z - beta)^order`` at the pole.
+    How high it may lie is the signal's to say (see ``BoundarySignal``).
     """
 
     beta: complex
@@ -50,8 +50,8 @@ class StripSingularity:
     coeff: complex = 1.0
 
     def __post_init__(self):
-        if not 0.0 < complex(self.beta).imag <= STRIP_TOP:
-            raise DomainError(f"need 0 < Im beta <= 3 pi/2, got {self.beta}")
+        if not (cmath.isfinite(self.beta) and complex(self.beta).imag > 0.0):
+            raise DomainError(f"need a finite beta with Im beta > 0, got {self.beta}")
         if self.order < 1:
             raise DomainError("pole order must be >= 1")
 
@@ -84,7 +84,12 @@ class ContourSpec:
 def _mobius(z, c):
     """``(em, den)``: ``e^{-z}`` and ``1 + c e^{-z}`` where Re z > 0, else
     ``e^z`` and ``e^z + c``, so ``(1 + em) / den = (e^z + 1) / (e^z + c)``
-    on both sides and neither exponential overflows."""
+    on both sides and neither exponential overflows; ``z`` is a complex
+    number or an array."""
+    if isinstance(z, complex):
+        em = cmath.exp(-z if z.real > 0 else z)
+        return em, 1.0 + c * em if z.real > 0 else em + c
+    np = numpy()
     right_half = z.real > 0
     em = np.exp(np.where(right_half, -z, z))
     return em, np.where(right_half, 1.0 + c * em, em + c)
@@ -98,6 +103,7 @@ def kernel_k(z, xi, alpha):
     ``_mobius`` divides the quotient through by e^{2z}, so it never
     overflows; the phase ``e^{i xi z}`` multiplies the whole quotient.
     """
+    np = numpy()
     z = np.asarray(z, dtype=complex)
     with np.errstate(invalid="ignore", divide="ignore"):
         em, den = _mobius(z, alpha)
@@ -126,6 +132,7 @@ def residue_kernel_pole(which, xi, alpha, g_strip):
     if which not in poles:
         raise DomainError(f"which must be one of {tuple(poles)}")
     pole = poles[which]
+    np = numpy()
     # p at the pole, then at eight points of a ring of radius 1e-3 around it
     ring = pole + 1e-3 * np.exp(0.25j * PI * np.arange(8))
     values = np.asarray(g_strip(np.append(pole, ring)), dtype=complex)
@@ -169,6 +176,7 @@ def residue_merged(pole, xi, alpha, g_strip, radius=None, n_points=256):
             raise DomainError(
                 f"singularity {cand} inside residue circle of radius {radius}"
             )
+    np = numpy()
     theta = 2.0 * PI * np.arange(n_points) / n_points
     ring = np.exp(1j * theta)
     z = pole + radius * ring
@@ -249,6 +257,7 @@ def contour_residuals(g_strip, cells, spec, singularities=(),
     if abs(b - PI) < _CONTOUR_GUARD:
         raise DomainError("kernel poles lie on Im z = pi")
 
+    np = numpy()
     # integral k is edge e = k % 4, z = start[e] + step[e] s, of cell k // 4;
     # the product with step is taken last, where multiplying by 1 or i is exact
     start = np.array([0.0, 1j * b, R, -R])
@@ -292,32 +301,36 @@ def predict_growth_exponent(singularities):
     best = 0.0
     for s in singularities:
         im = complex(s.beta).imag
-        if not 0.0 < im <= STRIP_TOP:
-            raise DomainError(f"need 0 < Im beta <= 3 pi/2, got {s.beta}")
+        if not 0.0 < im < math.inf:
+            raise DomainError(f"need 0 < Im beta < inf, got {s.beta}")
         best = max(best, (PI - im) / (2.0 * PI))
     return best
 
 
 def check_growth_grid(lams):
-    """``lams`` as an array, once it holds enough lambdas to fit a slope."""
-    lams = np.array(lams, dtype=float)
+    """``lams`` as a list of floats, once it holds enough lambdas to fit a slope."""
+    lams = [float(lam) for lam in lams]
     if len(lams) < 4:
         raise DomainError(f"need >= 4 samples, got {len(lams)}")
     for lam in lams:
         if not 0 < lam < math.inf:
             raise DomainError(f"need finite lambda > 0, got {lam}")
-    if np.log10(lams.max() / lams.min()) < 4.0 - 1e-12:
+    if math.log10(max(lams) / min(lams)) < 4.0 - 1e-12:
         raise DomainError("lambda grid must span at least 4 decades")
     return lams
 
 
 def fit_growth_exponent(samples):
-    """Least-squares slope of ln(magnitude) against ln(1 + lambda)."""
+    """Least-squares slope of ln(magnitude) against ln(1 + lambda), in
+    closed form: sum((x - mean x) y) / sum((x - mean x)^2)."""
     samples = list(samples)
     lams = check_growth_grid([s[0] for s in samples])
-    mags = np.array([s[1] for s in samples], dtype=float)
-    ok = np.isfinite(mags) & (mags > 0)
-    if not ok.all():
-        raise DomainError(
-            f"all magnitudes must be > 0 and finite, got {mags[~ok][0]}")
-    return float(np.polyfit(np.log1p(lams), np.log(mags), 1)[0])
+    mags = [float(s[1]) for s in samples]
+    for mag in mags:
+        if not 0 < mag < math.inf:
+            raise DomainError(f"all magnitudes must be > 0 and finite, got {mag}")
+    xs = [math.log1p(lam) for lam in lams]
+    mean = math.fsum(xs) / len(xs)
+    dx = [x - mean for x in xs]
+    return math.fsum(d * math.log(m) for d, m in zip(dx, mags)) / \
+        math.fsum(d * d for d in dx)

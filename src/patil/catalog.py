@@ -1,31 +1,33 @@
 """Reference boundary signals with full analytic metadata.
 
 Each builder takes the interval I = (c0 - r, c0 + r) and derives for it
-the pullback through ``t = c0 + r tanh(z/2)``, its strip poles and the
-decay certificate:
+the pullback through ``t = c0 + r tanh(z/2)``, its period, its poles in
+one period strip and the decay certificate:
 
-* ``rational(c, w)`` -- data ``c / (z - w)``.  Im w > 0 gives one strip
-  pole ``2 artanh((w - c0)/r)`` and exponent ``theta_w / (2 pi)``, with
-  ``theta_w`` the angle I subtends at w; for Im w < 0 the data is its
-  own Hardy-class reference, with exponent 0 and the strip pole
-  ``2 artanh((w - c0)/r) + 2 pi i`` when that lies at or below 3 pi i/2;
-  then ``2 artanh((w - c0)/r)`` itself is the pole nearest below the
-  real line, and ``strip_below`` is its distance.
+* ``rational(c, w)`` -- data ``c / (z - w)``, period 2 pi i.  Im w > 0
+  gives the one pole ``2 artanh((w - c0)/r)`` and exponent
+  ``theta_w / (2 pi)``, with ``theta_w`` the angle I subtends at w; for
+  Im w < 0 the data is its own Hardy-class reference, with exponent 0
+  and the pole ``2 artanh((w - c0)/r) + 2 pi i``; then
+  ``2 artanh((w - c0)/r)`` itself is the pole nearest below the real
+  line, and ``strip_below`` is its distance.
 * ``example2 = rational(-i, i)``, exponent 1/4 on (-1, 1), and
   ``h2_reference_pole = rational(1, w)`` with Im w < 0.
-* ``example1`` -- semicircle-plus-linear data on I = (-a, a) only; its
-  one strip pole sits on Im z = pi (merged with the kernel pole), so its
-  exponent is 0.
+* ``example1`` -- semicircle-plus-linear data on I = (-a, a) only, period
+  4 pi i; its one pole sits on Im z = pi (merged with the kernel pole),
+  so its exponent is 0.
+
+Every evaluator follows its input (``patil.arrays.evaluator``): a number
+gives a complex, a list a list, an array an ndarray of its shape.
 """
 
 import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .approximant import BoundarySignal
-from .asymptotics import STRIP_TOP, StripSingularity, _mobius, predict_growth_exponent
+from .arrays import evaluator, numpy
+from .asymptotics import StripSingularity, _mobius, predict_growth_exponent
 from .errors import DomainError
 from .quadrature import DecayCertificate
 from .quench import Interval
@@ -59,12 +61,11 @@ def rational(c, w, interval=UNIT, name="rational"):
     # under t = c0 + r tanh(z/2): t - w = (d + r)(1 + ratio e^{-z}) / (1 + e^{-z})
     scale, ratio = c / (d + r), (d - r) / (d + r)
 
-    def evaluate(z):
-        return np.asarray(c / (np.asarray(z, dtype=complex) - w))
+    evaluate = evaluator(lambda z: c / (z - w))
 
-    def strip_pullback(z):
-        em, den = _mobius(np.asarray(z, dtype=complex), ratio)
-        return np.asarray(scale * (1.0 + em) / den)
+    def pullback(z):
+        em, den = _mobius(z, ratio)
+        return scale * (1.0 + em) / den
 
     # tanh(beta/2) = s; the residue is c over dt/dz = r (1 - s^2) / 2
     s = (w - c0) / r
@@ -73,14 +74,14 @@ def rational(c, w, interval=UNIT, name="rational"):
     if w.imag < 0:
         below = -beta.imag
         beta += 2j * PI
-    poles = ()
-    if beta.imag <= STRIP_TOP:
-        poles = (StripSingularity(beta=beta, coeff=2.0 * c / (r * (1.0 - s * s))),)
     signal = BoundarySignal(
         eval_on_I=evaluate,
-        strip_pullback=strip_pullback,
-        singularities=poles,
+        strip_pullback=evaluator(pullback),
+        singularities=(StripSingularity(beta=beta,
+                                        coeff=2.0 * c / (r * (1.0 - s * s))),),
         strip_below=below,
+        period=2.0 * PI,
+        interval=interval,
         # |c / (t - w)| <= |c| / |Im w| on the real line
         decay_cert=DecayCertificate(delta=0.1, bound_M=2.0 * abs(c)
                                     * (1.0 + 1.0 / abs(w.imag))),
@@ -96,20 +97,28 @@ def example1(interval=UNIT):
         raise DomainError(f"example1 needs I = (-a, a), got {interval}")
 
     def eval_on_I(x):
-        x = np.asarray(x, dtype=float)
-        return np.asarray(np.sqrt(np.maximum(a * a - x * x, 0.0)) - 1j * x)
+        return math.sqrt(max(a * a - x * x, 0.0)) - 1j * x
+
+    def eval_on_I_array(x):
+        np = numpy()
+        return np.sqrt(np.maximum(a * a - x * x, 0.0)) - 1j * x
 
     def strip_pullback(z):
-        z = np.asarray(z, dtype=complex)
-        return np.asarray(a * (1.0 / np.cosh(0.5 * z) - 1j * np.tanh(0.5 * z)))
+        np = numpy()
+        return a * (1.0 / np.cosh(0.5 * z) - 1j * np.tanh(0.5 * z))
 
     signal = BoundarySignal(
-        eval_on_I=eval_on_I,
-        strip_pullback=strip_pullback,
+        eval_on_I=evaluator(eval_on_I, eval_on_I_array, float),
+        # sech(z/2) - i tanh(z/2) = -i tanh((z + i pi)/4): the number form,
+        # which the residue path takes, is exact at the zero 3 pi i
+        strip_pullback=evaluator(lambda z: -1j * a * cmath.tanh(0.25 * (z + 1j * PI)),
+                                 strip_pullback),
         # pole of the pullback at i pi, order 1: sech and -i tanh each
-        # contribute -2i a there
+        # contribute -2i a there; sech(z/2) changes sign under z + 2 pi i
         singularities=(StripSingularity(beta=1j * PI, order=1, coeff=-4j * a),),
         strip_below=PI,  # the mirror pole at -i pi
+        period=4.0 * PI,
+        interval=interval,
         decay_cert=DecayCertificate(delta=0.51, bound_M=8.0 * max(a, 1.0)),
     )
     return CatalogEntry(name="example1", signal=signal)

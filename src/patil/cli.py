@@ -21,13 +21,12 @@ import contextlib
 import csv
 import datetime
 import gc
+import io
 import json
 import math
 import os
 import sys
 import types
-
-import numpy as np
 
 from . import catalog
 from .approximant import approximant_table, l2_error, sup_error, window_samples
@@ -167,7 +166,7 @@ def _contour(value):
 
 _CONFIG = {"entry": (str, None), "entry_args": (_object, {}),
            "interval": (_interval, [-1.0, 1.0]),
-           "lambda_grid": (_grid, list(np.logspace(1, 8, 8))),
+           "lambda_grid": (_grid, [10.0 ** k for k in range(1, 9)]),
            "eval_points": (lambda v: _tuple(v, _point), []),
            "tolerances": (lambda v: QuadTolerance(
                **_section(v, "tolerances", _TOLERANCES)), {}),
@@ -209,24 +208,42 @@ def _load_config(args):
     return cfg
 
 
-def _write_rows(cfg, reproducible, header, rows):
+def _write(path, text):
+    """``text`` to ``path``, "-" for standard output, flushed; a closed pipe
+    or a full device fails here, not at exit, as one line on stderr and
+    EXIT_CONFIG.  None on success."""
+    try:
+        with (contextlib.nullcontext(sys.stdout) if path == "-"
+              else open(path, "w", newline="")) as out:
+            out.write(text)
+            out.flush()
+    except OSError as exc:
+        if path == "-":  # closing it drops the text exit would retry
+            with contextlib.suppress(OSError):
+                sys.stdout.close()
+        print(f"cannot write output {path!r}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    return None
+
+
+def _format_rows(cfg, reproducible, header, rows):
+    """The rows as the text of the output file, in ``cfg.format``."""
     rows = [[format(v, ".17g") if isinstance(v, float) else v for v in r] for r in rows]
     stamp = datetime.datetime.now().isoformat()
-    with (contextlib.nullcontext(sys.stdout) if cfg.output_path == "-"
-          else open(cfg.output_path, "w", newline="")) as out:
-        if cfg.format == "json":
-            doc = {"schema_version": SCHEMA_VERSION, "columns": header, "rows": rows}
-            if not reproducible:
-                doc["generated"] = stamp
-            json.dump(doc, out, indent=2)
-            out.write("\n")
-        else:
-            if not reproducible:
-                out.write(f"# generated {stamp}\n")
-            writer = csv.writer(out, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
-        out.flush()  # a closed pipe or a full disk fails here, not at exit
+    out = io.StringIO(newline="")
+    if cfg.format == "json":
+        doc = {"schema_version": SCHEMA_VERSION, "columns": header, "rows": rows}
+        if not reproducible:
+            doc["generated"] = stamp
+        json.dump(doc, out, indent=2)
+        out.write("\n")
+    else:
+        if not reproducible:
+            out.write(f"# generated {stamp}\n")
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    return out.getvalue()
 
 
 def _eval_points(cfg, in_domain, domain):
@@ -328,25 +345,17 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     if args.command == "catalog":
-        for name in catalog.entry_names():
-            print(name)
-        return EXIT_OK
+        return _write("-", "".join(f"{name}\n" for name in catalog.entry_names())) \
+            or EXIT_OK
     runners = {"growth": run_growth_experiment,
                "converge": run_convergence_experiment,
                "contour": run_contour_check}
     try:
         cfg = _load_config(args)
         header, rows, criterion_met = runners[args.command](cfg)
-        try:
-            _write_rows(cfg, args.reproducible, header, rows)
-        except OSError as exc:
-            if cfg.output_path == "-":  # closing it drops the rows exit would retry
-                with contextlib.suppress(OSError):
-                    sys.stdout.close()
-            print(f"cannot write output {cfg.output_path!r}: {exc.strerror or exc}",
-                  file=sys.stderr)
-            return EXIT_CONFIG
-        return EXIT_OK if criterion_met else EXIT_CRITERION
+        text = _format_rows(cfg, args.reproducible, header, rows)
+        return _write(cfg.output_path, text) or \
+            (EXIT_OK if criterion_met else EXIT_CRITERION)
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -13,17 +13,18 @@
 
 Integrands must accept numpy arrays of abscissae and return arrays of
 the same shape (complex or real).  Real and imaginary parts are summed
-from the same nodes, so both parts always see identical grids.
+from the same nodes, so both parts always see identical grids.  numpy is
+loaded by the first integral, not by the import.
 """
 
+import functools
 import heapq
 import itertools
 import math
 import numbers
 from dataclasses import dataclass
 
-import numpy as np
-
+from .arrays import numpy
 from .errors import DomainError, NonConvergence
 from .quench import Interval
 
@@ -84,7 +85,7 @@ class DecayCertificate:
 
 
 # Gauss-Kronrod 7-15 pair on [-1, 1] (QUADPACK dqk15 constants).
-_XGK = np.array([
+_XGK = (
     0.991455371120812639206854697526329,
     0.949107912342758524526189684047851,
     0.864864423359769072789712788640926,
@@ -93,8 +94,8 @@ _XGK = np.array([
     0.405845151377397166906606412076961,
     0.207784955007898467600689403773245,
     0.000000000000000000000000000000000,
-])
-_WGK = np.array([
+)
+_WGK = (
     0.022935322010529224963732008058970,
     0.063092092629978553290700663189204,
     0.104790010322250183839876322541518,
@@ -103,34 +104,47 @@ _WGK = np.array([
     0.190350578064785409913256402421014,
     0.204432940075298892414161999234649,
     0.209482141084727828012999174891714,
-])
-_WG = np.array([
+)
+_WG = (
     0.129484966168869693270611432679082,
     0.279705391489276667901467771423780,
     0.381830050505118944950369775488975,
     0.417959183673469387755102040816327,
-])
-
-# All 15 Kronrod nodes on [-1, 1], symmetric about 0.
-_NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])
-_WK_FULL = np.concatenate([_WGK[:-1], _WGK[::-1]])
-# Gauss-7 nodes are the odd-indexed Kronrod nodes.
-_WG_FULL = np.zeros(15)
-_WG_FULL[1:14:2] = np.concatenate([_WG[:-1], _WG[::-1]])
+)
 # panels per integrand call at most, which bounds memory for any batch size
 _SLICE = 512
+
+
+@functools.cache
+def _tables():
+    """``{"_NODES", "_WK_FULL", "_WG_FULL"}``: all 15 Kronrod nodes on
+    [-1, 1], symmetric about 0, with their Kronrod and Gauss-7 weights
+    (the Gauss nodes are the odd-indexed ones), as arrays."""
+    np = numpy()
+    gauss = np.zeros(15)
+    gauss[1:14:2] = _WG[:-1] + _WG[::-1]
+    return {"_NODES": np.array([-x for x in _XGK[:-1]] + list(_XGK[::-1])),
+            "_WK_FULL": np.array(_WGK[:-1] + _WGK[::-1]), "_WG_FULL": gauss}
+
+
+def __getattr__(name):
+    """The arrays of ``_tables`` as module attributes, built on first use."""
+    if name in ("_NODES", "_WK_FULL", "_WG_FULL"):
+        return _tables()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _gk15(f, k, lo, hi):
     """G7/K15 on panels ``[lo[j], hi[j]]`` of integrals ``k[j]``, in one
     integrand call: lists of Kronrod estimates and of error estimates."""
+    np, tables = numpy(), _tables()
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     # a NaN or inf becomes NonConvergence in integrate_batch, not a warning
     with np.errstate(divide="ignore", invalid="ignore"):
-        fv = np.asarray(f(mid[:, None] + half[:, None] * _NODES, k[:, None]))
-    kronrod = half * np.sum(_WK_FULL * fv, axis=1)
-    gauss = half * np.sum(_WG_FULL * fv, axis=1)
+        fv = np.asarray(f(mid[:, None] + half[:, None] * tables["_NODES"], k[:, None]))
+    kronrod = half * np.sum(tables["_WK_FULL"] * fv, axis=1)
+    gauss = half * np.sum(tables["_WG_FULL"] * fv, axis=1)
     # abs of each scalar: numpy's array abs of a complex can differ in the last bit
     return kronrod.tolist(), [abs(d) for d in (kronrod - gauss).tolist()]
 
@@ -153,6 +167,7 @@ def integrate_batch(f, lo, hi, tol=QuadTolerance(), initial_panels=8):
         panel whose estimate or error is not finite; its ``index`` is
         that integral's.
     """
+    np = numpy()
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
     panels = np.broadcast_to(initial_panels, lo.shape).tolist()
@@ -253,6 +268,7 @@ def strip_trapezoid(f, xis, u_max, strip, tol=QuadTolerance(), pole=None):
     depends on its own xi only.  That fallback may raise NonConvergence,
     its ``index`` the position of the xi.
     """
+    np = numpy()
     d_above, d_below = (0.9 * d for d in strip)
     big_l = max(math.log(1e3 / tol.abs_tol), 1.0)
     h0 = 2.0 * math.pi * min(d_above, d_below) / big_l

@@ -12,8 +12,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from .arrays import numpy
 from .errors import DomainError
 
 __all__ = [
@@ -63,11 +62,12 @@ class Interval:
 
     def is_endpoint(self, x):
         """True if ``x`` (or any element of an array ``x``) is an endpoint."""
-        return bool(np.any((x == self.lo) | (x == self.hi)))
+        hit = (x == self.lo) | (x == self.hi)
+        return bool(hit.any() if hasattr(hit, "any") else hit)
 
     def from_u(self, u):
         """``center + half_width tanh(u/2)``, for real or complex ``u``, or arrays."""
-        return self.center + self.half_width * np.tanh(0.5 * u)
+        return self.center + self.half_width * numpy().tanh(0.5 * u)
 
     def to_u(self, x):
         """The preimage ``ln((x - lo)/(hi - x))`` of a real ``x`` in I."""
@@ -114,6 +114,7 @@ def phase_G(x, params, interval):
     """
     if interval.is_endpoint(x):
         raise DomainError(f"phase undefined at interval endpoint x={x}")
+    np = numpy()
     ratio = np.log(np.abs((interval.hi - x) / (interval.lo - x)))
     return params.xi * (ratio - 0.5 * _log_weight_ratio(interval))
 

@@ -19,8 +19,10 @@ from patil.approximant import (
     l2_error_on_window,
     sup_error,
     sup_error_on_compact,
+    window_samples,
 )
-from patil.catalog import example1, example2, h2_reference_pole, rational
+from patil.catalog import example1, example2, get_entry, h2_reference_pole, rational
+import patil.approximant as approximant
 import patil.quadrature as quadrature
 from patil.errors import DomainError, NonConvergence
 from patil.quadrature import QuadTolerance
@@ -364,14 +366,16 @@ class TestTable:
             assert abs(vu - vt) < 10 * TOL.abs_tol * (1 + abs(vu))
 
     def test_one_failing_lambda_is_named(self):
-        # at lambda = 1e30 the integral is about 1e-15 of its integrand, so
-        # rel_tol 1e-12 asks for more than rounding allows; lambda = 10 is fine
+        # on the u-path at lambda = 1e30 the integral is about 1e-15 of its
+        # integrand, so rel_tol 1e-12 asks for more than rounding allows;
+        # lambda = 10 is fine
         tol = QuadTolerance(abs_tol=1e-30, rel_tol=1e-12, max_subdivisions=200)
-        assert approximant_table([2.0], [10.0], SYM, H2.signal, tol)[0][0] != 0
+        assert approximant_table([2.0], [10.0], SYM, H2.signal, tol, "u")[0][0] != 0
         named = (r"^g_lambda at lambda=1e\+30, x=2\.0, u integral: "
                  r"error .* after 200 panels \(max_subdivisions=200\)$")
         with pytest.raises(NonConvergence, match=named):
-            approximant_table([2.0, 3.0], [10.0, 1e30, 1e31], SYM, H2.signal, tol)
+            approximant_table([2.0, 3.0], [10.0, 1e30, 1e31], SYM, H2.signal, tol,
+                              "u")
 
     @pytest.mark.parametrize("points", [[0.5 + 1j, 0.3 + 0.05j],
                                         [0.3 + 0.05j, 0.5 + 1j]])
@@ -419,10 +423,48 @@ class TestErrorMeasures:
     def test_nan_propagates(self):
         # a NaN value must not vanish in the sup: max(0.0, nan) is 0.0
         values, pts, window = [math.nan, 1.0], [0.0, 0.5], Interval(-1.0, 1.0)
-        assert math.isnan(sup_error(values, pts, lambda z: 0 * z))
-        assert math.isnan(sup_error(values[:1], pts[:1], lambda z: 0 * z))
-        assert math.isnan(l2_error(values, pts, lambda z: 0 * z, window))
-        assert math.isnan(sup_error([1.0, 1.0], pts, lambda z: z + math.nan))
+        zeros = lambda z: [0.0] * len(z)  # noqa: E731
+        assert math.isnan(sup_error(values, pts, zeros))
+        assert math.isnan(sup_error(values[:1], pts[:1], zeros))
+        assert math.isnan(l2_error(values, pts, zeros, window))
+        assert math.isnan(sup_error([1.0, 1.0], pts,
+                                    lambda z: [p + math.nan for p in z]))
+
+    @pytest.mark.parametrize("where", [0, 2, 4], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("side", ["values", "reference"])
+    @pytest.mark.parametrize("measure", ["sup", "l2"])
+    def test_nan_at_any_position(self, where, side, measure):
+        # a plain max() keeps or drops a NaN by its place: max(nan, 1.0) is
+        # nan, max(1.0, nan) is 1.0; list and array points alike
+        for as_array in (False, True):
+            pts = [0.1 * k for k in range(5)]
+            values, refs = [1.0 + k for k in range(5)], [0.5 * k for k in range(5)]
+            (values if side == "values" else refs)[where] = math.nan
+            if as_array:
+                pts = np.array(pts)
+
+            def ref(z):
+                assert len(z) == len(refs)
+                return np.array(refs) if as_array else list(refs)
+            if measure == "sup":
+                got = sup_error(values, pts, ref)
+            else:
+                got = l2_error(values, pts, ref, Interval(0.0, 0.4))
+            assert math.isnan(got), (as_array, got)
+
+    def test_window_samples_are_linspace(self):
+        # linspace's own lo + i * step, the last at hi, then the guard nudge
+        for window, n in [(Interval(-5.0, 5.0), 101), (Interval(-1.5, 1.5), 101),
+                          (Interval(-0.3, 0.7), 7), (Interval(-1.0, 3.0), 1),
+                          (Interval(-2.0, 2.0), 2), (Interval(-1.0, 1.0), 0)]:
+            pts = window_samples(SYM, window, n)
+            want = np.linspace(window.lo, window.hi, n)
+            guard = SYM.guard
+            for end in (SYM.lo, SYM.hi):
+                close = np.abs(want - end) < guard
+                want[close] = end + 2.0 * guard * np.where(want[close] >= end, 1.0, -1.0)
+            assert isinstance(pts, list)
+            assert pts == want.tolist()
 
     def test_reference_called_once_on_the_array(self):
         calls = []
@@ -471,3 +513,88 @@ class TestErrorMeasures:
                                    H2.reference, window, 21, TOL)
                 for lam in (1e2, 1e4)]
         assert errs[1] < errs[0]
+
+
+class TestResiduePath:
+    """The default path for a signal that declares its period: the residue
+    sum over one period strip, with no quadrature."""
+
+    LAMBDAS = [10.0 ** k for k in (1, 2, 4, 8, 12, 16, 24, 32, 50, 100, 200, 300)]
+
+    @staticmethod
+    def points(interval):
+        lo, hi = interval.lo, interval.hi
+        return [0.3 + 0.7j, 0.5 + 5j, 3.0 + 1j, hi + 1.5, lo - 2.5,
+                lo + 0.3 * (hi - lo), hi + 1e-3, lo - 1e-3, lo + 1e-3, hi - 1e-3,
+                0.2 + 1e-3j]
+
+    @pytest.mark.parametrize("interval", [SYM, Interval(-0.5, 2.0)])
+    @pytest.mark.parametrize("name", ["example2", "h2pole"])
+    def test_matches_oracle(self, name, interval, monkeypatch):
+        # no integral at all: the u-path's trapezoid would raise here
+        monkeypatch.setattr("patil.approximant.strip_trapezoid", None)
+        c, w = oracle.RATIONAL_ENTRIES[name]
+        signal = (example2 if name == "example2" else h2_reference_pole)(
+            interval=interval).signal
+        points = self.points(interval)
+        table = approximant_table(points, self.LAMBDAS, interval, signal)
+        for lam, row in zip(self.LAMBDAS, table):
+            for z, value in zip(points, row):
+                want = oracle.approximant(z, lam, interval.lo, interval.hi, c, w)
+                assert abs(value - want) <= 1e-12 * abs(want), (z, lam)
+
+    @pytest.mark.parametrize("a", [1.0, 2.5])
+    def test_example1_matches_u_path(self, a):
+        # its pole at i pi merges with the kernel's: one circle rule there
+        interval = Interval(-a, a)
+        signal = example1(interval).signal
+        points = [2.0 * a, 5.0 * a, -1.5 * a, 0.3 * a, (0.3 + 0.7j) * a,
+                  complex(-0.5 * a, 0.05 * a), a * (1.0 + 1e-3)]
+        lams = [10.0 ** k for k in range(1, 9)]
+        table = approximant_table(points, lams, interval, signal)
+        u_table = approximant_table(points, lams, interval, signal, method="u")
+        for lam, row, u_row in zip(lams, table, u_table):
+            for z, value, want in zip(points, row, u_row):
+                assert abs(value - want) <= 1e-10 * abs(want), (z, lam)
+
+    def test_tiny_interval_cluster(self):
+        # on I of half-width 1e-6 the data's pole, the kernel pole i pi and
+        # the point's own pole lie within about 1e-6 of each other; their
+        # closed-form residues would cancel, so one circle takes all three
+        interval = Interval(0.3 - 1e-6, 0.3 + 1e-6)
+        for name in ("example2", "h2pole"):
+            c, w = oracle.RATIONAL_ENTRIES[name]
+            signal = get_entry(name, interval=interval).signal
+            points = [0.3 + 2e-6, 0.3 - 5e-6, 0.3 + 0.5e-6, complex(0.3, 1e-6)]
+            for lam in (10.0, 1e8, 1e16):
+                row = approximant_table(points, [lam], interval, signal)[0]
+                for z, value in zip(points, row):
+                    want = oracle.approximant(z, lam, interval.lo, interval.hi, c, w)
+                    assert abs(value - want) <= 1e-11 * abs(want), (name, z, lam)
+
+    def test_other_interval_takes_u_path(self, monkeypatch):
+        # the period and poles belong to the signal's own interval
+        calls = []
+        trapezoid = approximant.strip_trapezoid
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return trapezoid(*args, **kwargs)
+        monkeypatch.setattr(approximant, "strip_trapezoid", counted)
+        signal = example2().signal
+        approximant_table([2.0], [10.0], SYM, signal)
+        assert calls == []
+        approximant_table([2.0], [10.0], Interval(-1.0, 1.5), signal)
+        assert calls == [1]
+
+    def test_fuzz_counts_no_silent_wrong_value(self):
+        # tools/fuzz_oracle.py's five sets, fewer cells each
+        spec = importlib.util.spec_from_file_location(
+            "fuzz_oracle", Path(__file__).resolve().parents[1] / "tools" / "fuzz_oracle.py")
+        fuzz = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(fuzz)
+        for lam_max, decades in fuzz.SETS:
+            tally, worst = fuzz.run_set(7, 40, lam_max, decades)
+            assert tally["default"] == {"right": 40, "typed": 0, "wrong": 0,
+                                        "other": 0}, (lam_max, decades)
+            assert worst["default"] < 1e-12

@@ -495,10 +495,18 @@ class TestGrowthPrediction:
         sing.append(StripSingularity(beta=0.5j * PI, order=1, coeff=1.0))
         assert predict_growth_exponent(sing) == pytest.approx(0.25)
 
-    def test_bad_location(self):
-        stub = types.SimpleNamespace(beta=5j)
+    @pytest.mark.parametrize("beta", [-0.5j, 2.0 + 0j, complex(0.0, math.inf)])
+    def test_bad_location(self, beta):
+        # a pole on or below the real line, or at infinity, is no strip pole;
+        # how high one may lie is its signal's period to say
+        stub = types.SimpleNamespace(beta=beta)
         with pytest.raises(DomainError):
             predict_growth_exponent([stub])
+
+    def test_pole_high_in_the_period_strip(self):
+        # h2pole on (-0.5, 2): its pole lies above 3 pi / 2 and decays
+        sing = [StripSingularity(beta=1.8j * PI, order=1, coeff=1.0)]
+        assert predict_growth_exponent(sing) == 0.0
 
 
 class TestGrowthFit:
@@ -532,8 +540,9 @@ class TestGrowthFit:
             fit_growth_exponent([(1.0, 1.0), (2.0, 1.0), (4.0, 1.0), (8.0, 1.0)])
 
     def test_grid_rules(self):
-        lams = check_growth_grid([10.0, 1e3, 1e5, 1e7])
-        assert isinstance(lams, np.ndarray) and lams.tolist() == [10.0, 1e3, 1e5, 1e7]
+        lams = check_growth_grid(np.array([10.0, 1e3, 1e5, 1e7]))
+        assert lams == [10.0, 1e3, 1e5, 1e7]
+        assert all(type(lam) is float for lam in lams)
         with pytest.raises(DomainError, match="need >= 4 samples"):
             check_growth_grid([10.0, 100.0])
         with pytest.raises(DomainError, match="span at least 4 decades"):
@@ -565,8 +574,11 @@ class TestDataTypes:
         with pytest.raises(DomainError):
             StripSingularity(beta=1.0 + 0j)
         with pytest.raises(DomainError):
-            StripSingularity(beta=1j * (1.5 * PI + 0.1))
+            StripSingularity(beta=complex(0.0, math.inf))
+        with pytest.raises(DomainError):
+            StripSingularity(beta=complex(math.nan, 1.0))
         assert StripSingularity(beta=1.5j * PI).beta == 1.5j * PI
+        assert StripSingularity(beta=1.9j * PI).beta == 1.9j * PI
         with pytest.raises(DomainError):
             StripSingularity(beta=0.5j, order=0)
 

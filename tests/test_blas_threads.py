@@ -1,5 +1,5 @@
-"""``import patil`` loads OpenBLAS with one thread, unless the user chose a
-count, and leaves the environment as it found it."""
+"""patil loads numpy, and with it OpenBLAS, with one thread, unless the
+user chose a count, and leaves the environment as it found it."""
 
 import json
 import os
@@ -11,15 +11,18 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# Run in a fresh interpreter: imports patil, then prints the thread count
-# of the OpenBLAS library mapped into the process (null when none is) and
-# the thread variables that os.environ and the C environment hold.
+# Run in a fresh interpreter: loads numpy through patil, then prints the
+# thread count of the OpenBLAS library mapped into the process (null when
+# none is) and the thread variables that os.environ and the C environment
+# hold.
 PROBE = r"""
 import ctypes
 import json
 import os
 
-import patil
+from patil.arrays import numpy
+
+numpy()
 
 
 def openblas_threads():

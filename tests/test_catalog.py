@@ -163,14 +163,13 @@ class TestRational:
         # the pole: t(beta) = w, in (0, pi) above w, in (pi, 2 pi) below it
         beta = 2.0 * cmath.atanh((w - c0) / r) + (2j * PI if w.imag < 0 else 0)
         assert interval.from_u(beta) == pytest.approx(w, rel=1e-9, abs=1e-9)
-        if beta.imag <= 1.5 * PI:
-            (pole,) = signal.singularities
-            assert pole.beta == beta
-            ring = np.exp(2j * PI * np.arange(64) / 64)
-            average = np.mean(signal.strip_pullback(pole.beta + ring) * ring)
-            assert abs(average - pole.coeff) <= 1e-9 * abs(pole.coeff)
-        else:
-            assert signal.singularities == ()
+        # the one pole in the period strip 0 < Im u < 2 pi, however high
+        assert signal.period == 2.0 * PI and signal.interval == interval
+        (pole,) = signal.singularities
+        assert pole.beta == beta
+        ring = np.exp(2j * PI * np.arange(64) / 64)
+        average = np.mean(signal.strip_pullback(pole.beta + ring) * ring)
+        assert abs(average - pole.coeff) <= 1e-9 * abs(pole.coeff)
         if w.imag > 0:
             assert 0 < beta.imag < PI
             assert entry.expected_exponent == \
@@ -279,8 +278,9 @@ class TestRegistry:
                                    [0.1, -0.2, 0.6], np.full((2, 3), 0.25)],
                              ids=["float", "float64", "0-d", "list", "2x3"])
     def test_evaluators_return_arrays(self, x):
-        # one contract for scalars and arrays: an ndarray of the input's
-        # shape, 0-d for a scalar
+        # evaluators follow their input: a numpy input gives an ndarray of
+        # its shape, 0-d for a numpy scalar; a Python number gives a complex
+        # and a list a list, without numpy
         entries = [get_entry(name) for name in entry_names()]
         entries.append(rational(0.5 + 1j, 0.2 + 0.7j, NONSYM))
         for entry in entries:
@@ -289,8 +289,50 @@ class TestRegistry:
                 evaluators.append(entry.reference)
             for evaluate in evaluators:
                 value = evaluate(x)
-                assert isinstance(value, np.ndarray), (entry.name, evaluate)
-                assert value.shape == np.shape(x), (entry.name, evaluate)
+                if type(x) is float:
+                    assert type(value) is complex, (entry.name, evaluate)
+                elif type(x) is list:
+                    assert type(value) is list and len(value) == len(x)
+                    assert all(type(v) is complex for v in value)
+                    assert value == pytest.approx(evaluate(np.array(x)).tolist(),
+                                                  rel=1e-15)
+                else:
+                    assert isinstance(value, np.ndarray), (entry.name, evaluate)
+                    assert value.shape == np.shape(x), (entry.name, evaluate)
+                if type(x) is float:
+                    assert value == pytest.approx(complex(evaluate(np.array(x))),
+                                                  rel=1e-15)
+
+    def test_period_strip_metadata(self):
+        # rational data have period 2 pi i, example1's sech(u/2) 4 pi i; the
+        # pullback takes numbers anywhere in the plane
+        for name, period in [("example1", 4.0 * PI), ("example2", 2.0 * PI),
+                             ("h2pole", 2.0 * PI)]:
+            signal = get_entry(name, interval=Interval(-2.0, 2.0)).signal
+            assert signal.period == period
+            assert signal.interval == Interval(-2.0, 2.0)
+            for u in (0.3 + 0.2j, -1.0 + 2.5j, 2.0 + 5.0j):
+                assert signal.strip_pullback(u + 1j * period) == \
+                    pytest.approx(signal.strip_pullback(u), rel=1e-12)
+        # example1's pullback vanishes at 3 pi i, where its number form is exact
+        assert abs(example1().signal.strip_pullback(3j * PI)) < 1e-15
+        # example1's one pole in its period: 3 pi i is a zero, not a pole
+        assert [s.beta for s in example1().signal.singularities] == [1j * PI]
+
+    @pytest.mark.parametrize("period", [PI, 3.0, -2.0 * PI, 0.0])
+    def test_period_must_be_whole_turns(self, period):
+        with pytest.raises(DomainError, match="multiple of 2 pi"):
+            dataclasses.replace(example2().signal, period=period)
+
+    def test_pole_above_the_period_refused(self):
+        signal = example2().signal
+        pole = dataclasses.replace(signal.singularities[0], beta=2.1j * PI)
+        with pytest.raises(DomainError, match="Im beta"):
+            dataclasses.replace(signal, singularities=(pole,))
+        # without a period the strip stops at 3 pi / 2, as the u-path's data did
+        with pytest.raises(DomainError, match="Im beta"):
+            dataclasses.replace(signal, singularities=(pole,), period=None)
+        assert dataclasses.replace(signal, singularities=(pole,), period=4.0 * PI)
 
     def test_example1_requires_positive_width(self):
         # I = (-a, a) with a > 0; an Interval is never empty

@@ -135,27 +135,22 @@ class TestGrowthCommand:
                                interval=[-2.0, 2.0], eval_points=[3.0])
             assert main(["growth", "--config", cfg]) == EXIT_CONFIG
 
-    def test_nonconvergence_exit(self, tmp_path):
-        cfg = write_config(
-            tmp_path,
-            eval_points=[2.0],
-            lambda_grid=[10.0 ** k for k in range(2, 9)],
-            tolerances={"abs_tol": 1e-14, "rel_tol": 1e-14,
-                        "max_subdivisions": 3},
-        )
-        assert main(["growth", "--config", cfg]) == EXIT_NUMERIC
-
-    def test_nonconvergence_names_cell(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, entry="h2pole", eval_points=[2.0],
-                           lambda_grid=[1e1, 1e2, 1e3, 1e4, 1e5],
-                           tolerances={"max_subdivisions": 9})
-        assert main(["growth", "--config", cfg]) == EXIT_NUMERIC
-        err = capsys.readouterr().err
-        assert err.startswith("numeric error: g_lambda at lambda=10.0, x=2.0, "
-                              "u integral: error ")
-        # the trapezoid's first grid at x = 2 needs more than 15 * 9 nodes, so
-        # the G7/K15 fallback runs, from 8 panels, and stops at 9
-        assert err.rstrip().endswith("after 9 panels (max_subdivisions=9)")
+    @pytest.mark.parametrize("command,points", [("growth", [2.0, -3.0]),
+                                                ("converge", [[0.0, 1.0]])])
+    def test_tolerances_do_not_act(self, tmp_path, command, points):
+        # every catalog entry declares its period, so growth and converge
+        # take the residue sum, which no quadrature tolerance reaches
+        rows = []
+        for tolerances in ({}, {"abs_tol": 1e-14, "rel_tol": 1e-14,
+                                "max_subdivisions": 3}):
+            out = tmp_path / f"{len(rows)}.csv"
+            cfg = write_config(tmp_path, entry="h2pole", eval_points=points,
+                               lambda_grid=[10.0 ** k for k in range(2, 9)],
+                               tolerances=tolerances)
+            assert main([command, "--config", cfg, "--out", str(out),
+                         "--reproducible"]) in (EXIT_OK, EXIT_CRITERION)
+            rows.append(out.read_text())
+        assert rows[0] == rows[1]
 
 
 class TestConvergeCommand:
@@ -230,6 +225,16 @@ class TestConvergeCommand:
 
 
 class TestContourCommand:
+    def test_nonconvergence_names_cell(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, contour={"xi": [1.0], "alpha": [2.0]},
+                           tolerances={"max_subdivisions": 9})
+        assert main(["contour", "--config", cfg]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        # the bottom edge starts on 20 panels, more than the budget allows
+        assert err.startswith("numeric error: contour at xi=1.0, alpha=2.0, "
+                              "bottom edge: error ")
+        assert err.rstrip().endswith("after 20 panels (max_subdivisions=9)")
+
     def test_example2_identity(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -360,10 +365,10 @@ class TestOutputFormats:
             f"config error: cannot write output file {out!r}\n"
 
     def test_failed_run_leaves_no_file(self, tmp_path):
-        cfg = write_config(tmp_path, entry="h2pole", eval_points=[[0.0, 1.0]],
-                           lambda_grid=[1e2], tolerances={"max_subdivisions": 9})
+        cfg = write_config(tmp_path, contour={"xi": [1.0], "alpha": [2.0]},
+                           tolerances={"max_subdivisions": 9})
         out = tmp_path / "o.csv"
-        assert main(["converge", "--config", cfg, "--out", str(out)]) == EXIT_NUMERIC
+        assert main(["contour", "--config", cfg, "--out", str(out)]) == EXIT_NUMERIC
         assert not out.exists()
 
     def test_unknown_format_rejected(self, tmp_path):

@@ -1,6 +1,7 @@
-"""``import patil`` loads numpy and no module of the package, and
+"""``import patil`` loads neither numpy nor any module of the package, and
 ``import patil.<module>`` loads that module and what it imports, not the
-rest: each name has one import path, from its module."""
+rest: each name has one import path, from its module.  numpy is loaded
+only where arrays are used (patil.arrays)."""
 
 import json
 import os
@@ -40,9 +41,15 @@ def loaded(module, **env):
 
 
 @pytest.mark.parametrize("env", [{}, {"OPENBLAS_NUM_THREADS": "2"}])
-def test_package_loads_numpy_and_no_module(env):
-    # numpy is loaded whether patil pins the thread count or the user did
-    assert loaded("patil", **env) == {"patil": ["patil"], "numpy": True}
+def test_package_loads_no_numpy_and_no_module(env):
+    # whether the user chose a thread count or not
+    assert loaded("patil", **env) == {"patil": ["patil"], "numpy": False}
+
+
+@pytest.mark.parametrize("module", ["patil.cli", "patil.catalog", "patil.quadrature"])
+def test_modules_load_no_numpy(module):
+    # the CLI imports every module of the package; none imports numpy
+    assert loaded(module)["numpy"] is False
 
 
 def test_module_loads_only_what_it_imports():

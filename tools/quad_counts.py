@@ -12,11 +12,14 @@ ends) and the nodes passed to the integrand, and the u-path's
 ``strip_trapezoid`` (``patil.approximant.strip_trapezoid``, where the
 u-path looks it up) wrapped to count the calls of its integrand and the
 trapezoid nodes they evaluate, apart from its G7/K15 fallback, which
-counts as G7/K15.  The counts do not depend on the machine, and the
-wrappers do not depend on whether ``_gk15`` takes one panel or a stack
-of them, so two source trees can be compared.  Prints one JSON object:
-workload -> {"calls", "panels", "points", "trapezoid_calls", "nodes",
-and per experiment its counts and exit code}.
+counts as G7/K15, and the residue path's ``_residue_columns`` (where
+``approximant_table`` looks it up) wrapped to count its (point, lambda)
+cells.  A tree without a residue path counts 0 of those.  The counts do
+not depend on the machine, and the wrappers do not depend on whether
+``_gk15`` takes one panel or a stack of them, so two source trees can be
+compared.  Prints one JSON object: workload -> {"calls", "panels",
+"points", "trapezoid_calls", "nodes", "residue_cells", and per
+experiment its counts and exit code}.
 """
 
 import argparse
@@ -37,7 +40,7 @@ import patil.approximant as approximant  # noqa: E402
 import patil.cli  # noqa: E402
 import patil.quadrature as quadrature  # noqa: E402
 
-COUNTS = ("calls", "panels", "points", "trapezoid_calls", "nodes")
+COUNTS = ("calls", "panels", "points", "trapezoid_calls", "nodes", "residue_cells")
 
 
 def counted(gk15, tally):
@@ -66,6 +69,13 @@ def counted_trapezoid(trapezoid, tally):
     return wrapper
 
 
+def counted_residues(residues, tally):
+    def wrapper(zs, lams, *args):
+        tally["residue_cells"] += len(zs) * len(lams)
+        return residues(zs, lams, *args)
+    return wrapper
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=1)
@@ -74,6 +84,7 @@ def main(argv=None):
     result = {}
     gk15 = quadrature._gk15
     trapezoid = approximant.strip_trapezoid
+    residues = getattr(approximant, "_residue_columns", None)
     try:
         with tempfile.TemporaryDirectory() as tmp:
             for name in args.workload:
@@ -82,6 +93,8 @@ def main(argv=None):
                     tally = total[exp.name] = dict.fromkeys(COUNTS + ("in_gk15",), 0)
                     quadrature._gk15 = counted(gk15, tally)
                     approximant.strip_trapezoid = counted_trapezoid(trapezoid, tally)
+                    if residues:
+                        approximant._residue_columns = counted_residues(residues, tally)
                     cfg = os.path.join(tmp, f"{exp.name}.json")
                     with open(cfg, "w") as fh:
                         json.dump(exp.config, fh)
@@ -95,6 +108,8 @@ def main(argv=None):
     finally:
         quadrature._gk15 = gk15
         approximant.strip_trapezoid = trapezoid
+        if residues:
+            approximant._residue_columns = residues
     print(json.dumps(result))
     return 0
 
