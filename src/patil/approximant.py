@@ -11,6 +11,7 @@ nodes every lambda shares, or directly in the t-domain.
 """
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -172,32 +173,27 @@ def _kernel(u, alpha):
 
 def _clusters(locations, near):
     """The poles at ``locations`` as groups of indices: a group joins another
-    that has a pole within ``near`` of one of its own or within four times
-    its spread of its centre, so that a circle can enclose it alone."""
+    that has a pole within ``near`` of one of its own or, once it has two,
+    within four times its spread of its centre, so that a circle can
+    enclose it alone."""
     groups = [[i] for i in range(len(locations))]
-
-    def reach(group):
-        points = [locations[i] for i in group]
-        centre = sum(points) / len(points)
-        return centre, 4.0 * max(abs(b - centre) for b in points)
 
     def joined(a, b):
         if min(abs(locations[i] - locations[j]) for i in a for j in b) < near:
             return True
-        return any(any(abs(locations[j] - centre) < radius for j in other)
-                   for (centre, radius), other in ((reach(a), b), (reach(b), a)))
-    merged = True
-    while merged:
-        merged = False
-        for a in range(len(groups)):
-            for b in range(a + 1, len(groups)):
-                if joined(groups[a], groups[b]):
-                    groups[a] += groups.pop(b)
-                    merged = True
-                    break
-            if merged:
-                break
-    return groups
+        for group, other in ((a, b), (b, a)):
+            if len(group) > 1:
+                centre = sum(locations[i] for i in group) / len(group)
+                reach = 4.0 * max(abs(locations[i] - centre) for i in group)
+                if any(abs(locations[j] - centre) < reach for j in other):
+                    return True
+        return False
+    while True:
+        pair = next(((a, b) for a, b in itertools.combinations(range(len(groups)), 2)
+                     if joined(groups[a], groups[b])), None)
+        if pair is None:
+            return groups
+        groups[pair[0]] += groups.pop(pair[1])
 
 
 def _residue_sum(poles, q, e, period, lam):
