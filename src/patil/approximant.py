@@ -53,11 +53,12 @@ class BoundarySignal:
     ``|g(c + r tanh(u/2))| <= bound_M exp(delta |u|)``, which fixes
     where the u-integral is truncated.  ``strip_pullback``, when
     present, analytically extends the pullback of g through the tanh
-    map of ``interval`` to the strip ``0 <= Im z <= 3 pi / 2``;
-    ``singularities`` lists its poles there, ``0 < Im z <= 3 pi / 2``.
-    With a ``period`` T, a multiple of 2 pi, the pullback is defined on
-    the whole plane with p(z + iT) = p(z), it takes numbers as well as
-    arrays, and ``singularities`` lists every pole with 0 < Im z < T.
+    map to the strip ``0 <= Im z <= 3 pi / 2``; ``singularities`` lists
+    its poles there, ``0 < Im z <= 3 pi / 2``.  A ``period`` T, a
+    multiple of 2 pi, declares p(z + iT) = p(z) for the tanh map of
+    ``interval``: then the pullback takes numbers as well as arrays
+    anywhere in the plane, and ``singularities`` lists every pole with
+    0 < Im z < T.
     ``strip_below`` is the distance (> 0, pi by default) below the real
     line to the pullback's nearest singularity.  Listed poles below
     Im z = pi and ``strip_below`` set the trapezoid step of the u-path.
@@ -196,18 +197,28 @@ def _clusters(locations, near):
         groups[pair[0]] += groups.pop(pair[1])
 
 
+def _expm1(z):
+    """``e^z - 1`` for a complex ``z``, without cancellation near 0."""
+    return complex(math.expm1(z.real) * math.cos(z.imag)
+                   - 2.0 * math.sin(0.5 * z.imag) ** 2, math.exp(z.real) * math.sin(z.imag))
+
+
 def _residue_sum(poles, q, e, period, lam):
     """g_lambda at one lambda from the ``poles`` of Q and Q itself, ``q``,
     E being ``e`` (see ``_residue_columns``)."""
     xi = xi_of_lambda(lam)
-    # ln(lambda / (sqrt(1 + lambda) (1 - e^{-xi T}))), added to each exponent
-    log_scale = math.log(lam) - 0.5 * math.log1p(lam) - math.log(-math.expm1(-xi * period))
+    reach = 1.0 / xi if xi else math.inf
+    # ln(lambda / (sqrt(1 + lambda) (1 - e^{-xi T}))), xi T without underflow
+    log_scale = math.log(lam) - 0.5 * math.log1p(lam) \
+        - math.log(-math.expm1(-math.log1p(lam) * period / (2.0 * math.pi)))
     locations = [pole[0] for pole in poles]
-    total = 0j
-    for group in _clusters(locations, min(_NEAR, 1.0 / xi)):
+    # (phase point, weight): a lone simple pole's residue of Q, or a circle
+    # node's share of the contour integral of Q round its group
+    terms = []
+    for group in _clusters(locations, min(_NEAR, reach)):
         if len(group) == 1 and poles[group[0]][1] == 1:
             _, _, residue, phase = poles[group[0]]
-            total += cmath.exp(1j * xi * phase + log_scale) * residue()
+            terms.append((phase, residue()))
             continue
         # one circle round the group, clear of every other pole and image
         members = [locations[i] for i in group]
@@ -217,12 +228,17 @@ def _residue_sum(poles, q, e, period, lam):
                   for image in (0.0, 1j * period, -1j * period)
                   if image or j not in group]
         radius = min(0.5 * min(abs(b - centre) for b in others),
-                     max(2.0 * spread, min(0.2, 2.0 / xi)))
+                     max(2.0 * spread, min(0.2, 2.0 * reach)))
         for k in range(_RING):
             step = radius * cmath.exp(2j * math.pi * k / _RING)
-            u = centre + step
-            total += cmath.exp(1j * xi * (e + u) + log_scale) * q(u) * step / _RING
-    return total
+            terms.append((e + centre + step, q(centre + step) * step / _RING))
+    if xi * max(abs(phase) for phase, _ in terms) > 1.0:
+        return sum(cmath.exp(1j * xi * phase + log_scale) * weight
+                   for phase, weight in terms)
+    # the weights sum to 0 (at xi = 0 the strip's top and bottom cancel), so
+    # at small xi each term keeps only its e^{i xi phase} - 1
+    return math.exp(log_scale) * sum(_expm1(1j * xi * phase) * weight
+                                     for phase, weight in terms)
 
 
 def _residue_columns(zs, lams, interval, signal):
@@ -241,7 +257,9 @@ def _residue_columns(zs, lams, interval, signal):
     with t(u0) = z, where it is p(u), as (2r/(hi - z))/(1 - alpha) = 1;
     there E + u is i pi (2k + 1) exactly.  A simple pole alone takes its
     closed form (``residue_kernel_pole``, ``residue_strip_pole``), each
-    term with its own exponential, so nothing overflows.  Poles whose
+    term with its own exponential, so nothing overflows; where xi |E + u|
+    <= 1 for every term, e^{i xi (E + u)} - 1 stands for it, as the
+    residues of Q sum to 0, so small lambdas keep their digits.  Poles whose
     closed-form residues would cancel, nearer each other than
     min(0.05, 1/xi), and merged or higher-order poles share a 64-point
     circle rule of radius at most 0.2, 2/xi and half the distance to

@@ -543,6 +543,20 @@ class TestResiduePath:
                 want = oracle.approximant(z, lam, interval.lo, interval.hi, c, w)
                 assert abs(value - want) <= 1e-12 * abs(want), (z, lam)
 
+    @pytest.mark.parametrize("name", ["example2", "h2pole"])
+    def test_small_lambda_keeps_digits(self, name):
+        # g is about lambda times the data there, while each residue is of
+        # the data's size: e^{i xi phase} - 1 keeps what e^{i xi phase} loses
+        c, w = oracle.RATIONAL_ENTRIES[name]
+        interval = Interval(-0.5, 2.0)
+        signal = get_entry(name, interval=interval).signal
+        points = self.points(interval)
+        lams = [1e-12, 1e-8, 1e-4, 1e-2, 1.0]
+        for lam, row in zip(lams, approximant_table(points, lams, interval, signal)):
+            for z, value in zip(points, row):
+                want = oracle.approximant(z, lam, interval.lo, interval.hi, c, w)
+                assert abs(value - want) <= 1e-12 * abs(want), (z, lam)
+
     @pytest.mark.parametrize("a", [1.0, 2.5])
     def test_example1_matches_u_path(self, a):
         # its pole at i pi merges with the kernel's: one circle rule there
