@@ -263,7 +263,7 @@ def _residue_columns(zs, lams, interval, signal):
     closed-form residues would cancel, nearer each other than
     min(0.05, 1/xi), and merged or higher-order poles share a 64-point
     circle rule of radius at most 0.2, 2/xi and half the distance to
-    any other pole.
+    any other pole or image.
     """
     sheets = round(signal.period / (2.0 * math.pi))
     p = signal.strip_pullback
