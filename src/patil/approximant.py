@@ -6,8 +6,8 @@ oscillation is a pure linear phase ``exp(i xi u)``.  When the signal
 declares the period of its pullback, g_lambda is by default a finite sum
 of residues over one period strip, in closed form and without numpy.
 Otherwise, and as the cross-checks ``method="u"`` and ``"t"``, the
-integral is evaluated in the u-domain by a strip trapezoid rule whose
-nodes every lambda shares, or directly in the t-domain.
+integral is evaluated by G7/K15 batches in the u-domain, one batch per
+point for every lambda, or directly in the t-domain.
 """
 
 import cmath
@@ -24,7 +24,6 @@ from .quadrature import (
     integrate_batch,
     integrate_real_line,  # noqa: F401 -- perfbench/tracing.py wraps it here
     pv_integrate,  # noqa: F401 -- perfbench/tracing.py wraps it here
-    strip_trapezoid,
 )
 from .quench import Interval, _quench_exponent, xi_of_lambda
 from .quench import phase_G  # noqa: F401 -- perfbench/tracing.py wraps it
@@ -59,22 +58,16 @@ class BoundarySignal:
     ``interval``: then the pullback takes numbers as well as arrays
     anywhere in the plane, and ``singularities`` lists every pole with
     0 < Im z < T.
-    ``strip_below`` is the distance (> 0, pi by default) below the real
-    line to the pullback's nearest singularity.  Listed poles below
-    Im z = pi and ``strip_below`` set the trapezoid step of the u-path.
     """
 
     eval_on_I: callable
     decay_cert: DecayCertificate
     strip_pullback: callable = None
     singularities: tuple = ()
-    strip_below: float = math.pi
     period: float = None
     interval: Interval = None
 
     def __post_init__(self):
-        if not self.strip_below > 0:
-            raise DomainError(f"need strip_below > 0, got {self.strip_below!r}")
         top = STRIP_TOP
         if self.period is not None:
             sheets = round(self.period / (2.0 * math.pi))
@@ -106,12 +99,13 @@ def _cauchy_weighted_u(zs, lams, interval, signal, tol):
     ``alpha = (z - lo)/(z - hi)`` (complex above I, > 0 beside I, < 0 inside
     I) ``t - z = (hi - z)(e^u + alpha)/(e^u + 1)``, so the Jacobian over
     ``t - z`` is ``K(u) = 2 r k(u, 0, alpha) / (hi - z)``, k of :func:`kernel_k`.
-    Each z is one ``strip_trapezoid`` call on ``g(t(u)) K(u)``, its strip
-    bounded by K's poles off the real line, the data's listed singularities
-    and ``strip_below``.  A real x inside I takes the limit from above: with
-    ``v = Log(-alpha) = interval.to_u(x)``, ``w(u) = exp(i xi u) g(t(u))``
-    and ``K = cosh(v/2) / (2 cosh(u/2) sinh((u - v)/2))``, whose principal
-    value is -v, it is ``int (w - w(v)) K du + (i pi - v) w(v)``.
+    Each z is one ``integrate_batch`` call on ``exp(i xi u) g(t(u)) K(u)``
+    over [-U, U], one integral per xi.  A real x inside I takes the limit
+    from above: with ``v = Log(-alpha) = interval.to_u(x)``,
+    ``w(u) = exp(i xi u) g(t(u))`` and
+    ``K = cosh(v/2) / (2 cosh(u/2) sinh((u - v)/2))``, whose principal
+    value is -v, it is ``int (w - w(v)) K du + (i pi - v) w(v)``, the
+    integral split at v so that no node lands on it.
     Tail: for ``|u| >= |v| + 2``, ``|u - v| >= 2``, so ``|sinh((u - v)/2)|
     >= (1 - e^-2) e^{|u - v|/2} / 2``; with ``cosh(u/2) >= e^{|u|/2} / 2``,
     ``cosh(v/2) <= e^{|v|/2}`` and ``|u - v| >= |u| - |v|``, ``|K| < 3
@@ -119,12 +113,11 @@ def _cauchy_weighted_u(zs, lams, interval, signal, tol):
     ``|g(t(u))| <= M e^{delta |u|}``, the integrand is below
     ``6 M e^{(1 + delta)|v|} e^{(delta - 1)|u|}``.
     """
+    np = numpy()
     c, r = interval.center, interval.half_width
     g = signal.eval_on_I
     cert = signal.decay_cert
-    xis = [xi_of_lambda(lam) for lam in lams]
-    above = min([math.pi] + [complex(s.beta).imag for s in signal.singularities])
-    below = min(math.pi, signal.strip_below)
+    xis = np.array([xi_of_lambda(lam) for lam in lams])
 
     def cut(bound):
         return DecayCertificate(cert.delta, bound).truncation_point(tol.abs_tol)
@@ -137,25 +130,29 @@ def _cauchy_weighted_u(zs, lams, interval, signal, tol):
             gv = complex(g(z.real))
             u_max = max(abs(v) + 2.0, cut(6.0 * cert.bound_M * math.exp(
                 (1.0 + cert.delta) * abs(v))))
-            strip = (above, below)
+            ends = [-u_max, v, u_max]
         else:
             v = None
             dist = math.hypot(max(abs(z.real - c) - r, 0.0), z.imag)
             u_max = cut(2.0 * r * cert.bound_M / dist)
-            strip = (min(above, abs(cmath.phase(-alpha))), below)
+            ends = [-u_max, u_max]
+        n = len(ends) - 1  # pieces per lambda; integral m belongs to lambda m // n
 
-        def integrand(u):
+        def integrand(u, m):
+            xi = xis[m // n]
             kernel = 2.0 * r / (interval.hi - z) * kernel_k(u, 0.0, alpha)
-            a = g(interval.from_u(u)) * kernel
-            return a if v is None else (a, gv * kernel)
+            wave = np.exp(1j * xi * u) * (g(interval.from_u(u)) * kernel)
+            return wave if v is None else wave - np.exp(1j * xi * v) * (gv * kernel)
         try:
-            sums = strip_trapezoid(integrand, xis, u_max, strip, tol, pole=v)
+            pieces = integrate_batch(integrand, ends[:-1] * len(lams),
+                                     ends[1:] * len(lams), tol)
         except NonConvergence as exc:
             piece = "u" if v is None else "u-PV"
-            raise in_cell(exc, _cell(lams[exc.index], z, piece)) from exc
+            raise in_cell(exc, _cell(lams[exc.index // n], z, piece)) from exc
+        sums = [sum(pieces[m * n:(m + 1) * n]) for m in range(len(lams))]
         if v is not None:
             sums = [s + (1j * math.pi - v) * cmath.exp(1j * xi * v) * gv
-                    for s, xi in zip(sums, xis)]
+                    for s, xi in zip(sums, xis.tolist())]
         columns.append(sums)
     return columns
 
@@ -329,8 +326,8 @@ def approximant_table(points, lambdas, interval, signal, tol=QuadTolerance(),
     By default a signal that declares the period of its pullback for this
     ``interval`` gets the residue sum over one period strip, exact and
     without quadrature (``tol`` unused); any other signal, and ``method``
-    "u", gets one u-domain Cauchy integral per point on one trapezoid grid
-    shared by every lambda.  ``method`` "t" integrates directly in the t
+    "u", gets one u-domain Cauchy integral per point and lambda, each point
+    one G7/K15 batch for every lambda.  ``method`` "t" integrates directly in the t
     variable instead (the dual-path oracle) and takes points with
     Im z > 0 only.  Each row is what its lambda alone gives.
     """

@@ -8,9 +8,7 @@ one period strip and the decay certificate:
   gives the one pole ``2 artanh((w - c0)/r)`` and exponent
   ``theta_w / (2 pi)``, with ``theta_w`` the angle I subtends at w; for
   Im w < 0 the data is its own Hardy-class reference, with exponent 0
-  and the pole ``2 artanh((w - c0)/r) + 2 pi i``; then
-  ``2 artanh((w - c0)/r)`` itself is the pole nearest below the real
-  line, and ``strip_below`` is its distance.
+  and the pole ``2 artanh((w - c0)/r) + 2 pi i``.
 * ``example2 = rational(-i, i)``, exponent 1/4 on (-1, 1), and
   ``h2_reference_pole = rational(1, w)`` with Im w < 0.
 * ``example1`` -- semicircle-plus-linear data on I = (-a, a) only, period
@@ -70,16 +68,13 @@ def rational(c, w, interval=UNIT, name="rational"):
     # tanh(beta/2) = s; the residue is c over dt/dz = r (1 - s^2) / 2
     s = (w - c0) / r
     beta = 2.0 * cmath.atanh(s)  # Im beta in (0, pi) for Im w > 0, else (-pi, 0)
-    below = PI  # beta - 2 pi i lies below -i pi, the Jacobian's pole
     if w.imag < 0:
-        below = -beta.imag
         beta += 2j * PI
     signal = BoundarySignal(
         eval_on_I=evaluate,
         strip_pullback=evaluator(pullback),
         singularities=(StripSingularity(beta=beta,
                                         coeff=2.0 * c / (r * (1.0 - s * s))),),
-        strip_below=below,
         period=2.0 * PI,
         interval=interval,
         # |c / (t - w)| <= |c| / |Im w| on the real line
@@ -116,7 +111,6 @@ def example1(interval=UNIT):
         # pole of the pullback at i pi, order 1: sech and -i tanh each
         # contribute -2i a there; sech(z/2) changes sign under z + 2 pi i
         singularities=(StripSingularity(beta=1j * PI, order=1, coeff=-4j * a),),
-        strip_below=PI,  # the mirror pole at -i pi
         period=4.0 * PI,
         interval=interval,
         decay_cert=DecayCertificate(delta=0.51, bound_M=8.0 * max(a, 1.0)),

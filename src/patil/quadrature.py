@@ -7,9 +7,6 @@
   interior Cauchy singularity, by singularity subtraction.
 * :func:`integrate_real_line` -- a truncated real-line integral whose
   truncation point comes from a decay certificate.
-* :func:`strip_trapezoid` -- truncated real-line integrals of
-  ``exp(i xi u)`` times one integrand analytic in a strip, for many xi on
-  one nested trapezoid grid.
 
 Integrands must accept numpy arrays of abscissae and return arrays of
 the same shape (complex or real).  Real and imaginary parts are summed
@@ -35,7 +32,6 @@ __all__ = [
     "integrate_adaptive",
     "pv_integrate",
     "integrate_real_line",
-    "strip_trapezoid",
 ]
 
 
@@ -125,13 +121,6 @@ def _tables():
     gauss[1:14:2] = _WG[:-1] + _WG[::-1]
     return {"_NODES": np.array([-x for x in _XGK[:-1]] + list(_XGK[::-1])),
             "_WK_FULL": np.array(_WGK[:-1] + _WGK[::-1]), "_WG_FULL": gauss}
-
-
-def __getattr__(name):
-    """The arrays of ``_tables`` as module attributes, built on first use."""
-    if name in ("_NODES", "_WK_FULL", "_WG_FULL"):
-        return _tables()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _gk15(f, k, lo, hi):
@@ -247,94 +236,3 @@ def integrate_real_line(f, cert, tol=QuadTolerance()):
     # initial panels: one per two units, at least 8
     return integrate_adaptive(f, -u_max, u_max, tol, max(8, math.ceil(u_max)))
 
-
-def strip_trapezoid(f, xis, u_max, strip, tol=QuadTolerance(), pole=None):
-    """``int_{-u_max}^{u_max} exp(i xi u) a(u) du`` for each finite xi >= 0 of ``xis``.
-
-    ``a`` is analytic in ``-d_below < Im u < d_above``, ``strip`` being
-    ``(d_above, d_below)``.  With d 0.9 times each and L = ln(1e3 /
-    abs_tol), the trapezoid step h = min(2 pi d_above / L, 2 pi d_below /
-    (L + xi d_below)) errs by about e^-L (Trefethen & Weideman, SIAM
-    Review 56, 2014).  All xi share one nested grid ``p + h0/3 + i
-    h0/2^k``, |u| <= u_max + h0/2, with h0 the step at xi = 0 and p the
-    real ``pole`` or 0, on which no node lands.  Each xi starts on the
-    coarsest ``h0/2^k`` below 2h and halves it until ``|S_h - S_{h/2}|
-    <= max(abs_tol, rel_tol |S_{h/2}|)``; it returns ``S_{h/2}``.
-    ``f(u)``, evaluated once per node for all xi, returns ``a(u)``, or
-    with ``pole`` ``(a, b)`` for the integrand ``exp(i xi u) a(u) -
-    exp(i xi pole) b(u)``.  A xi whose sums are not finite, or whose next
-    grid would pass ``15 * max_subdivisions`` nodes, goes to
-    :func:`integrate_batch` instead, split at ``pole``; so each result
-    depends on its own xi only.  That fallback may raise NonConvergence,
-    its ``index`` the position of the xi.
-    """
-    np = numpy()
-    d_above, d_below = (0.9 * d for d in strip)
-    big_l = max(math.log(1e3 / tol.abs_tol), 1.0)
-    h0 = 2.0 * math.pi * min(d_above, d_below) / big_l
-    origin = (pole or 0.0) + h0 / 3.0
-    reach = u_max + 0.5 * h0  # the cells of every node cover [-u_max, u_max]
-    xis = np.asarray(xis, dtype=float)
-    bad = xis[~((xis >= 0) & (xis < math.inf))]
-    if bad.size:
-        raise DomainError(f"need finite xi >= 0, got xi={bad[0]}")
-    # the coarsest level each xi compares, its running sum and last S_h
-    start = [int(math.log2(h0 / min(2.0 * math.pi * d_above / big_l,
-                                    2.0 * math.pi * d_below / (big_l + xi * d_below))))
-             for xi in xis.tolist()]
-    totals = [0j] * len(start)
-    prev = [None] * len(start)
-    results = [None] * len(start)
-    pending = list(range(len(start)))
-    k = 0
-    while pending:
-        # every pending xi needs level k's new nodes, the odd ones of its grid
-        h = math.ldexp(h0, -k)
-        first, last = math.ceil((-reach - origin) / h), math.floor((reach - origin) / h)
-        if last - first + 1 > 15 * tol.max_subdivisions:
-            break
-        u = origin + np.arange(first | 1 if k else first, last + 1, 2 if k else 1) * h
-        # a NaN or inf sends its xi to the fallback, not a warning
-        with np.errstate(all="ignore"):
-            a, b = f(u) if pole is not None else (f(u), None)
-            rows = np.array(pending)
-            step = max(1, 2 ** 16 // max(len(u), 1))  # bounds each (xi, node) block
-            for j in range(0, len(rows), step):
-                chunk = xis[rows[j:j + step]]
-                block = (np.exp(1j * np.outer(chunk, u)) * a).sum(axis=1)
-                if pole is not None:
-                    block -= np.exp(1j * chunk * pole) * b.sum()
-                for i, total in zip(rows[j:j + step].tolist(), block.tolist()):
-                    totals[i] += total
-        for i in list(pending):
-            fine = h * totals[i]
-            if k > start[i]:
-                error = abs(prev[i] - fine)
-                if not math.isfinite(error) or \
-                        error <= max(tol.abs_tol, tol.rel_tol * abs(fine)):
-                    results[i] = fine if math.isfinite(error) else None
-                    pending.remove(i)
-            prev[i] = fine
-        k += 1
-
-    failed = [i for i, result in enumerate(results) if result is None]
-    if failed:
-        ends = [-u_max, u_max] if pole is None else [-u_max, pole, u_max]
-        n = len(ends) - 1  # pieces per xi; integral m belongs to failed[m // n]
-
-        def integrand(u, m):
-            xi = xis[failed][m // n]
-            if pole is None:
-                return np.exp(1j * xi * u) * f(u)
-            a, b = f(u)
-            return np.exp(1j * xi * u) * a - np.exp(1j * xi * pole) * b
-
-        try:
-            pieces = integrate_batch(integrand, ends[:-1] * len(failed),
-                                     ends[1:] * len(failed), tol)
-        except NonConvergence as exc:
-            exc.index = failed[exc.index // n]
-            raise
-        for m, i in enumerate(failed):
-            results[i] = sum(pieces[m * n:(m + 1) * n])
-    return results

@@ -23,7 +23,6 @@ from patil.approximant import (
 )
 from patil.catalog import example1, example2, get_entry, h2_reference_pole, rational
 import patil.approximant as approximant
-import patil.quadrature as quadrature
 from patil.errors import DomainError, NonConvergence
 from patil.quadrature import QuadTolerance
 from patil.quench import Interval, QuenchParams
@@ -263,9 +262,8 @@ class TestBatches:
             approximant_values([0.3, 1.0, 2.0], QuenchParams(10.0), SYM,
                                H2.signal)
 
-    # a budget of 8 or 9 is 120 or 135 trapezoid nodes, fewer than any
-    # first grid here, so each u integral goes to the G7/K15 fallback,
-    # which stops at its first refinement (8) or second (9); points are
+    # every u and t integral starts on 8 G7/K15 panels, so a budget of 8
+    # stops it at its first refinement and 9 at its second; points are
     # integrated in order, so the first point's integral fails first
     @pytest.mark.parametrize("points,method,budget,cell", [
         ([2.0, 0.3], "u", 9, "x=2.0, u integral"),
@@ -330,37 +328,21 @@ class TestTable:
                 want = closed_form(x, lam, self.NONSYM, c, w)
                 assert abs(value - want) <= 1e-12 * abs(want) + extra, (x, lam)
 
-    @staticmethod
-    def fallbacks(monkeypatch):
-        """The number of u integrals handed to the G7/K15 fallback, as it grows."""
-        calls = []
-        batch = quadrature.integrate_batch
-
-        def counted(f, lo, hi, *args):
-            calls.append(len(lo))
-            return batch(f, lo, hi, *args)
-        monkeypatch.setattr(quadrature, "integrate_batch", counted)
-        return calls
-
     @pytest.mark.parametrize("entry", [example2(), h2_reference_pole(-1j)])
-    def test_near_interval_matches_t_path(self, entry, monkeypatch):
-        # d_above is about 0.2 at 0.1 + 0.1i: a fine grid, still no fallback
+    def test_near_interval_matches_t_path(self, entry):
+        # the kernel's pole at 0.1 + 0.1i lies about 0.2 from the real u-line
         z, lams = 0.1 + 0.1j, [10.0, 1e4, 1e8]
-        fallbacks = self.fallbacks(monkeypatch)
         u_rows = approximant_table([z], lams, SYM, entry.signal, TOL)
-        assert fallbacks == []
         t_rows = approximant_table([z], lams, SYM, entry.signal, TOL, "t")
         for (vu,), (vt,) in zip(u_rows, t_rows):
             assert abs(vu - vt) < 10 * TOL.abs_tol * (1 + abs(vu))
 
-    def test_kinked_data_falls_back_and_matches_t_path(self, monkeypatch):
-        # example1's data on (-0.5, 2) has a kink at x = 1: no strip of
-        # analyticity, so the trapezoid runs out of nodes and G7/K15 takes over
+    def test_kinked_data_falls_back_and_matches_t_path(self):
+        # example1's data on (-0.5, 2) has a kink at x = 1 and no period for
+        # this interval: the u-path's G7/K15 panels refine round the kink
         lams = [10.0, 1e4]
         signal = example1().signal
-        fallbacks = self.fallbacks(monkeypatch)
         u_rows = approximant_table([0.3 + 0.7j], lams, self.NONSYM, signal, TOL)
-        assert fallbacks == [2]
         t_rows = approximant_table([0.3 + 0.7j], lams, self.NONSYM, signal, TOL, "t")
         for (vu,), (vt,) in zip(u_rows, t_rows):
             assert abs(vu - vt) < 10 * TOL.abs_tol * (1 + abs(vu))
@@ -531,8 +513,8 @@ class TestResiduePath:
     @pytest.mark.parametrize("interval", [SYM, Interval(-0.5, 2.0)])
     @pytest.mark.parametrize("name", ["example2", "h2pole"])
     def test_matches_oracle(self, name, interval, monkeypatch):
-        # no integral at all: the u-path's trapezoid would raise here
-        monkeypatch.setattr("patil.approximant.strip_trapezoid", None)
+        # no integral at all: any quadrature would raise here
+        monkeypatch.setattr("patil.approximant.integrate_batch", None)
         c, w = oracle.RATIONAL_ENTRIES[name]
         signal = (example2 if name == "example2" else h2_reference_pole)(
             interval=interval).signal
@@ -589,12 +571,12 @@ class TestResiduePath:
     def test_other_interval_takes_u_path(self, monkeypatch):
         # the period and poles belong to the signal's own interval
         calls = []
-        trapezoid = approximant.strip_trapezoid
+        batch = approximant.integrate_batch
 
         def counted(*args, **kwargs):
             calls.append(1)
-            return trapezoid(*args, **kwargs)
-        monkeypatch.setattr(approximant, "strip_trapezoid", counted)
+            return batch(*args, **kwargs)
+        monkeypatch.setattr(approximant, "integrate_batch", counted)
         signal = example2().signal
         approximant_table([2.0], [10.0], SYM, signal)
         assert calls == []
@@ -612,3 +594,8 @@ class TestResiduePath:
             assert tally["default"] == {"right": 40, "typed": 0, "wrong": 0,
                                         "other": 0}, (lam_max, decades)
             assert worst["default"] < 1e-12
+            if lam_max <= 1e8:
+                # the u-path's G7/K15 batches; at larger lambdas it can still
+                # return wrong values without an error
+                assert tally["u"] == {"right": 40, "typed": 0, "wrong": 0,
+                                      "other": 0}, (lam_max, decades)

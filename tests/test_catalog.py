@@ -182,22 +182,6 @@ class TestRational:
                 pytest.approx(c / (2j * w.conjugate().imag))
 
     @pytest.mark.parametrize("interval", [Interval(-1.0, 1.0), NONSYM])
-    @pytest.mark.parametrize("w", [1j, 0.3 + 0.2j, -4.0 + 2j, -1j, 0.3 - 0.2j,
-                                   5.0 - 0.5j])
-    def test_strip_below(self, w, interval):
-        # the distance from the real line down to the pullback's nearest pole
-        below = rational(1.0, w, interval).signal.strip_below
-        beta = 2.0 * cmath.atanh((w - interval.center) / interval.half_width)
-        if w.imag < 0:
-            # t(beta) = w with -pi < Im beta < 0: the pole itself
-            assert interval.from_u(beta) == pytest.approx(w, rel=1e-9, abs=1e-9)
-            assert below == -beta.imag and 0 < below < PI
-        else:
-            # the pole below, beta - 2 pi i, is past the Jacobian's at -i pi
-            assert beta.imag - 2.0 * PI < -PI
-            assert below == PI
-
-    @pytest.mark.parametrize("interval", [Interval(-1.0, 1.0), NONSYM])
     @pytest.mark.parametrize("build", [example2, h2_reference_pole])
     def test_pullback_far_out(self, build, interval):
         # c / (t - w) tends to c / (hi - w) = scale as Re z -> +inf and to
@@ -211,17 +195,6 @@ class TestRational:
             assert pullback(complex(x, y)) == pytest.approx(scale, rel=1e-14)
             assert pullback(complex(-x, y)) == \
                 pytest.approx(scale / ratio, rel=1e-14)
-
-    def test_example1_strip_below(self):
-        assert example1().signal.strip_below == PI
-
-    @pytest.mark.parametrize("below", [-0.5, 0.0, math.nan])
-    def test_bad_strip_below_refused(self, below):
-        # a strip of width <= 0 or NaN would set a wrong trapezoid step
-        with pytest.raises(DomainError, match=f"got {below!r}"):
-            dataclasses.replace(example2().signal, strip_below=below)
-        for name in entry_names():
-            assert get_entry(name).signal.strip_below > 0
 
     @pytest.mark.parametrize("w", [0.5, 2.0 + 0j, complex("nanj"), complex("-infj")])
     def test_pole_off_the_real_line(self, w):

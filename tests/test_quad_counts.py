@@ -1,10 +1,10 @@
 """``tools/quad_counts.py`` runs and counts quadrature work.
 
-Its counts are the record that a change kept the panels and nodes the
+Its counts are the record that a change kept the panels and points the
 same, so it runs here as a subprocess, with ``src`` on PYTHONPATH, as it
 is run by hand.  Every workload's totals are pinned: growth and converge
-take the residue path for every (point, lambda) cell, with no trapezoid
-node and no G7/K15 panel, and the contour identity's G7/K15 panels must
+take the residue path for every (point, lambda) cell, with no G7/K15
+panel, and the contour identity's G7/K15 panels must
 keep doing exactly this much work.
 """
 
@@ -17,13 +17,13 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-COUNTS = ("calls", "panels", "points", "trapezoid_calls", "nodes", "residue_cells")
+COUNTS = ("calls", "panels", "points", "residue_cells")
 GK15 = COUNTS[:3]
-# G7/K15 calls, panels, points, trapezoid calls, nodes and residue-path
-# cells of perfbench's seed-1 experiments: growth's 572 rows, converge's
-# (4 + 101) x 8 + (1 + 101) x 3 points and lambdas
-PINNED = {"growth": (0, 0, 0, 0, 0, 572), "converge": (0, 0, 0, 0, 0, 1146),
-          "contour": (280, 17088, 256320, 0, 0, 0)}
+# G7/K15 calls, panels, points and residue-path cells of perfbench's
+# seed-1 experiments: growth's 572 rows, converge's (4 + 101) x 8 +
+# (1 + 101) x 3 points and lambdas
+PINNED = {"growth": (0, 0, 0, 572), "converge": (0, 0, 0, 1146),
+          "contour": (280, 17088, 256320, 0)}
 
 
 @pytest.fixture(scope="module")

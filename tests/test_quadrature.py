@@ -16,11 +16,9 @@ from patil.quadrature import (
     integrate_batch,
     integrate_real_line,
     pv_integrate,
-    strip_trapezoid,
 )
 
 TOL = QuadTolerance()
-PI = math.pi
 
 
 def const_one(t):
@@ -119,9 +117,9 @@ def reference_adaptive(f, lo, hi, tol, initial_panels=8):
     def add_panel(a, b):
         nonlocal total, total_err
         half, mid = 0.5 * (b - a), 0.5 * (b + a)
-        fv = np.asarray(f(mid + half * quadrature._NODES))
-        est = half * np.sum(quadrature._WK_FULL * fv)
-        err = abs(est - half * np.sum(quadrature._WG_FULL * fv))
+        fv = np.asarray(f(mid + half * quadrature._tables()["_NODES"]))
+        est = half * np.sum(quadrature._tables()["_WK_FULL"] * fv)
+        err = abs(est - half * np.sum(quadrature._tables()["_WG_FULL"] * fv))
         total += est
         total_err += err
         heapq.heappush(heap, (-err, a, b, est))
@@ -304,83 +302,6 @@ class TestIntegrateRealLine:
             DecayCertificate(1.2, 1.0)
         with pytest.raises(DomainError, match="bound_M must be > 0"):
             DecayCertificate(0.5, -1.0)
-
-
-def quarter_sech2(u):
-    # sech^2(u/2) / 4, poles at +-i pi; int e^{i xi u} of it is pi xi / sinh(pi xi)
-    return 0.25 / np.cosh(0.5 * u) ** 2
-
-
-def sech2_transform(xi):
-    return 1.0 if xi == 0 else math.pi * xi / math.sinh(math.pi * xi)
-
-
-class TestStripTrapezoid:
-    XIS = [0.0, 0.5, 2.0, 5.0]
-
-    def test_fourier_transform(self):
-        calls = []
-
-        def f(u):
-            calls.append(u)
-            return quarter_sech2(u)
-
-        values = strip_trapezoid(f, self.XIS, 40.0, (PI, PI), TOL)
-        for xi, value in zip(self.XIS, values):
-            assert abs(value - sech2_transform(xi)) < 1e-12
-        # one evaluation per grid level, shared by every xi
-        assert all(u.ndim == 1 for u in calls)
-        assert len(np.unique(np.concatenate(calls))) == sum(u.size for u in calls)
-
-    def test_each_xi_as_alone(self):
-        together = strip_trapezoid(quarter_sech2, self.XIS, 40.0, (PI, PI), TOL)
-        for xi, value in zip(self.XIS, together):
-            alone, = strip_trapezoid(quarter_sech2, [xi], 40.0, (PI, PI), TOL)
-            assert (alone.real, alone.imag) == (value.real, value.imag)
-
-    def test_subtracted_pole(self):
-        # exp(i xi u) a - exp(i xi v) b with a = b = u - v: the integrand
-        # (exp(i xi u) - exp(i xi v)) (u - v) sech^2(u/2)/4; at xi = 0 it is 0
-        v = 0.7
-
-        def f(u):
-            a = (u - v) * quarter_sech2(u)
-            return a, a
-        zero, = strip_trapezoid(f, [0.0], 40.0, (PI, PI), TOL, pole=v)
-        assert abs(zero) < 1e-14
-
-    def test_kink_falls_back_to_gk15(self):
-        # e^{-|u|} has no strip; its transform is 2 / (1 + xi^2)
-        values = strip_trapezoid(lambda u: np.exp(-np.abs(u)), self.XIS, 40.0,
-                                 (PI, PI), TOL)
-        for xi, value in zip(self.XIS, values):
-            assert abs(value - 2.0 / (1.0 + xi * xi)) < 1e-9
-
-    def test_fallback_failure_names_xi(self):
-        # 20 panels do for xi = 0, not for the oscillation at xi = 20
-        stingy = QuadTolerance(max_subdivisions=20)
-        with pytest.raises(NonConvergence, match="after 20 panels") as info:
-            strip_trapezoid(lambda u: np.exp(-np.abs(u)), [0.0, 20.0], 40.0,
-                            (PI, PI), stingy)
-        assert info.value.index == 1
-
-    @pytest.mark.parametrize("xi", [-50.0, -1.0, math.nan, math.inf])
-    def test_negative_xi_refused(self, xi):
-        # the step rule assumes decay below the real line; xi = -50 on a
-        # narrow lower strip gave 0.0 for any integrand
-        with pytest.raises(DomainError, match=f"need finite xi >= 0, got xi={xi}"):
-            strip_trapezoid(quarter_sech2, [1.0, xi], 40.0, (3.0, 0.5), TOL)
-
-    def test_nonfinite_falls_back(self):
-        # a NaN on a trapezoid grid (1-D nodes) only: G7/K15 never meets it
-        def f(u):
-            values = quarter_sech2(u)
-            if u.ndim == 1:
-                values[0] = math.nan
-            return values
-
-        value, = strip_trapezoid(f, [1.0], 40.0, (PI, PI), TOL)
-        assert abs(value - sech2_transform(1.0)) < 1e-9
 
 
 class TestQuadTolerance:

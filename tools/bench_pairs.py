@@ -119,8 +119,7 @@ def main(argv=None):
                      "first in odd pairs",
         "counts_method": "PYTHONPATH=src python3 tools/quad_counts.py --seed 1 W in "
                          "each tree: calls = G7/K15 integrand calls, panels = G7/K15 "
-                         "panels, points = nodes passed to them, trapezoid_calls "
-                         "and nodes = the same for strip_trapezoid grids, "
+                         "panels, points = nodes passed to them, "
                          "residue_cells = (point, lambda) cells of the residue "
                          "path, where the tree counts them",
         "workloads": {**workloads,

@@ -1,4 +1,4 @@
-"""Quadrature work per perfbench workload: integrand calls, panels, nodes.
+"""Quadrature work per perfbench workload: integrand calls, panels, points.
 
 Usage, from the root of a source tree::
 
@@ -8,18 +8,13 @@ Runs each experiment of the workloads (perfbench/workloads.py, the same
 seed-drawn inputs) once, in-process, through ``patil.cli.main``, with
 ``patil.quadrature._gk15`` wrapped to count its integrand calls, the
 panels it evaluates (one per entry of its last argument, the panel right
-ends) and the nodes passed to the integrand, and the u-path's
-``strip_trapezoid`` (``patil.approximant.strip_trapezoid``, where the
-u-path looks it up) wrapped to count the calls of its integrand and the
-trapezoid nodes they evaluate, apart from its G7/K15 fallback, which
-counts as G7/K15, and the residue path's ``_residue_columns`` (where
-``approximant_table`` looks it up) wrapped to count its (point, lambda)
-cells.  A tree without a residue path counts 0 of those.  The counts do
-not depend on the machine, and the wrappers do not depend on whether
-``_gk15`` takes one panel or a stack of them, so two source trees can be
-compared.  Prints one JSON object: workload -> {"calls", "panels",
-"points", "trapezoid_calls", "nodes", "residue_cells", and per
-experiment its counts and exit code}.
+ends) and the nodes passed to the integrand, and the residue path's
+``_residue_columns`` (where ``approximant_table`` looks it up) wrapped
+to count its (point, lambda) cells.  A tree without a residue path
+counts 0 of those.  The counts do not depend on the machine, and the
+wrappers do not depend on whether ``_gk15`` takes one panel or a stack
+of them, so two source trees can be compared.  Prints one JSON object: workload -> {"calls", "panels",
+"points", "residue_cells", and per experiment its counts and exit code}.
 """
 
 import argparse
@@ -40,7 +35,7 @@ import patil.approximant as approximant  # noqa: E402
 import patil.cli  # noqa: E402
 import patil.quadrature as quadrature  # noqa: E402
 
-COUNTS = ("calls", "panels", "points", "trapezoid_calls", "nodes", "residue_cells")
+COUNTS = ("calls", "panels", "points", "residue_cells")
 
 
 def counted(gk15, tally):
@@ -50,22 +45,7 @@ def counted(gk15, tally):
             tally["points"] += np.size(u)
             return f(u, *rest)
         tally["panels"] += np.size(args[-1])
-        tally["in_gk15"] += 1
-        try:
-            return gk15(integrand, *args)
-        finally:
-            tally["in_gk15"] -= 1
-    return wrapper
-
-
-def counted_trapezoid(trapezoid, tally):
-    def wrapper(f, *args, **kwargs):
-        def integrand(u):
-            if not tally["in_gk15"]:
-                tally["trapezoid_calls"] += 1
-                tally["nodes"] += np.size(u)
-            return f(u)
-        return trapezoid(integrand, *args, **kwargs)
+        return gk15(integrand, *args)
     return wrapper
 
 
@@ -83,16 +63,14 @@ def main(argv=None):
     args = parser.parse_args(argv)
     result = {}
     gk15 = quadrature._gk15
-    trapezoid = approximant.strip_trapezoid
     residues = getattr(approximant, "_residue_columns", None)
     try:
         with tempfile.TemporaryDirectory() as tmp:
             for name in args.workload:
                 total = result[name] = dict.fromkeys(COUNTS, 0)
                 for exp in workloads.WORKLOADS[name](args.seed):
-                    tally = total[exp.name] = dict.fromkeys(COUNTS + ("in_gk15",), 0)
+                    tally = total[exp.name] = dict.fromkeys(COUNTS, 0)
                     quadrature._gk15 = counted(gk15, tally)
-                    approximant.strip_trapezoid = counted_trapezoid(trapezoid, tally)
                     if residues:
                         approximant._residue_columns = counted_residues(residues, tally)
                     cfg = os.path.join(tmp, f"{exp.name}.json")
@@ -102,12 +80,10 @@ def main(argv=None):
                         tally["exit"] = patil.cli.main(
                             [exp.command, "--config", cfg,
                              "--out", os.path.join(tmp, "out.csv")])
-                    del tally["in_gk15"]
                     for key in COUNTS:
                         total[key] += tally[key]
     finally:
         quadrature._gk15 = gk15
-        approximant.strip_trapezoid = trapezoid
         if residues:
             approximant._residue_columns = residues
     print(json.dumps(result))
