@@ -327,8 +327,8 @@ def approximant_table(points, lambdas, interval, signal, tol=QuadTolerance(),
     ``interval`` gets the residue sum over one period strip, exact and
     without quadrature (``tol`` unused); any other signal, and ``method``
     "u", gets one u-domain Cauchy integral per point and lambda, each point
-    one G7/K15 batch for every lambda.  ``method`` "t" integrates directly in the t
-    variable instead (the dual-path oracle) and takes points with
+    one G7/K15 batch for every lambda.  ``method`` "t" integrates directly
+    in the t variable instead (the dual-path oracle) and takes points with
     Im z > 0 only.  Each row is what its lambda alone gives.
     """
     paths = {"u": _cauchy_weighted_u, "t": _cauchy_weighted_t}

@@ -235,4 +235,3 @@ def integrate_real_line(f, cert, tol=QuadTolerance()):
     u_max = cert.truncation_point(tol.abs_tol)
     # initial panels: one per two units, at least 8
     return integrate_adaptive(f, -u_max, u_max, tol, max(8, math.ceil(u_max)))
-

@@ -310,6 +310,15 @@ class TestTable:
                                        TOL, "t")
             assert bits(row) == bits(alone), lam
 
+    def test_u_rows_equal_values_bit_for_bit(self):
+        lams = self.LAMBDAS[:4]
+        signal = h2_reference_pole(interval=self.NONSYM).signal
+        table = approximant_table(self.POINTS, lams, self.NONSYM, signal, TOL, "u")
+        for lam, row in zip(lams, table):
+            alone = approximant_values(self.POINTS, QuenchParams(lam), self.NONSYM,
+                                       signal, TOL, "u")
+            assert bits(row) == bits(alone), lam
+
     @settings(max_examples=30, deadline=None)
     @given(entry=st.sampled_from(["h2pole", "example2"]),
            inside=st.floats(-0.49, 1.99), left=st.floats(0.01, 3.0),

@@ -13,8 +13,9 @@ ends) and the nodes passed to the integrand, and the residue path's
 to count its (point, lambda) cells.  A tree without a residue path
 counts 0 of those.  The counts do not depend on the machine, and the
 wrappers do not depend on whether ``_gk15`` takes one panel or a stack
-of them, so two source trees can be compared.  Prints one JSON object: workload -> {"calls", "panels",
-"points", "residue_cells", and per experiment its counts and exit code}.
+of them, so two source trees can be compared.  Prints one JSON object:
+workload -> {"calls", "panels", "points", "residue_cells", and per
+experiment its counts and exit code}.
 """
 
 import argparse
