@@ -321,15 +321,15 @@ def approximant_table(points, lambdas, interval, signal, tol=QuadTolerance(),
     """g_lambda at each point of the closed upper half plane, for each lambda:
     one row (a list) per lambda of ``lambdas``, one value per point.
 
-    A point is either in Im z > 0 or real and off the endpoints of I; a
-    real point gets the boundary trace, inside I the limit from above.
-    By default a signal that declares the period of its pullback for this
-    ``interval`` gets the residue sum over one period strip, exact and
-    without quadrature (``tol`` unused); any other signal, and ``method``
-    "u", gets one u-domain Cauchy integral per point and lambda, each point
-    one G7/K15 batch for every lambda.  ``method`` "t" integrates directly
-    in the t variable instead (the dual-path oracle) and takes points with
-    Im z > 0 only.  Each row is what its lambda alone gives.
+    A point is in Im z > 0 or real, and over 1e-300 (hi - lo) from each
+    endpoint, nearer which E(z) overflows; a real point gets the boundary
+    trace, inside I the limit from above.  By default a signal that declares
+    the period of its pullback for this ``interval`` gets the residue sum
+    over one period strip, exact and without quadrature (``tol`` unused); any
+    other signal, and ``method`` "u", gets one u-domain Cauchy integral per
+    point and lambda, each point one G7/K15 batch for every lambda.
+    ``method`` "t", the dual-path oracle, integrates in t instead and takes
+    points with Im z > 0 only.  Each row is what its lambda alone gives.
     """
     paths = {"u": _cauchy_weighted_u, "t": _cauchy_weighted_t}
     if method is not None and method not in paths:
@@ -340,9 +340,9 @@ def approximant_table(points, lambdas, interval, signal, tol=QuadTolerance(),
             raise DomainError(f"need a finite point, got z={z}")
         if not (z.imag > 0 or z.imag == 0 and method != "t"):
             raise DomainError(f"need Im z > 0, got z={z}")
-        if z.imag == 0 and interval.is_endpoint(z.real):
-            raise DomainError(
-                f"g_lambda boundary trace undefined at endpoint x={z.real}")
+        for end in (interval.lo, interval.hi):
+            if abs(z - end) <= 2e-300 * interval.half_width:
+                raise DomainError(f"z={z} is within 1e-300*|I| of endpoint x={end}")
     # a real point as complex(x, 0.0): h_lambda takes its limit from above
     zs = [z if z.imag else complex(z.real, 0.0) for z in zs]
     lams = [float(lam) for lam in lambdas]

@@ -57,7 +57,7 @@ class Interval:
 
     @property
     def guard(self):
-        """Distance from an endpoint inside which points are nudged or refused."""
+        """Endpoint distance of window samples' nudge and ``pv_integrate``'s refusal."""
         return 1e-6 * (self.hi - self.lo)
 
     def is_endpoint(self, x):

@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import json
 import math
 import warnings
@@ -21,6 +22,12 @@ from patil.cli import (
     ExperimentConfig,
     main,
 )
+
+# the benchmark's mpmath oracle, loaded read-only from its file
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_oracle", Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py")
+oracle = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(oracle)
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -74,15 +81,25 @@ class TestGrowthCommand:
         assert main(["growth", "--config", cfg]) == EXIT_CONFIG
         assert "outside" in capsys.readouterr().err
 
-    def test_point_at_endpoint(self, tmp_path):
-        cfg = write_config(tmp_path, eval_points=[1.0])
+    @pytest.mark.parametrize("x", [-1.0, 1.0])
+    def test_point_at_endpoint(self, tmp_path, capsys, x):
+        cfg = write_config(tmp_path, eval_points=[x])
         assert main(["growth", "--config", cfg]) == EXIT_CONFIG
+        assert "outside the closed interval" in capsys.readouterr().err
 
-    def test_point_within_guard_of_endpoint(self, tmp_path, capsys):
-        # outside I, yet within interval.guard = 2e-6 of hi
-        cfg = write_config(tmp_path, eval_points=[1.0 + 1e-7])
-        assert main(["growth", "--config", cfg]) == EXIT_CONFIG
-        assert "too close to interval endpoint" in capsys.readouterr().err
+    @pytest.mark.parametrize("entry", ["example2", "h2pole"])
+    def test_point_beside_endpoint_matches_oracle(self, tmp_path, entry):
+        # the residue path takes points as near an endpoint as a double goes
+        points = [-1.0 - 1e-12, 1.0 + 1e-7]
+        cfg = write_config(tmp_path, entry=entry, eval_points=points)
+        out = str(tmp_path / "o.csv")
+        assert main(["growth", "--config", cfg, "--out", out]) == EXIT_OK
+        _, rows = read_csv(out)
+        assert [float(r[1]) for r in rows[:2]] == points
+        c, w = oracle.RATIONAL_ENTRIES[entry]
+        for lam, x, mag, *_ in rows:
+            want = abs(oracle.approximant(float(x), float(lam), -1.0, 1.0, c, w))
+            assert abs(float(mag) - want) <= 1e-12 * want, (lam, x)
 
     def test_no_eval_points(self, tmp_path, capsys):
         cfg = write_config(tmp_path, eval_points=[])
@@ -195,12 +212,30 @@ class TestConvergeCommand:
                            lambda_grid=[1e2, 1e4])
         assert main(["converge", "--config", cfg]) == EXIT_CONFIG
 
-    def test_point_within_guard_of_endpoint(self, tmp_path, capsys):
-        # in Im z > 0, yet within interval.guard = 2e-6 of lo
-        cfg = write_config(tmp_path, entry="h2pole", eval_points=[[-1.0, 1e-7]],
-                           lambda_grid=[1e2])
-        assert main(["converge", "--config", cfg]) == EXIT_CONFIG
-        assert "too close to interval endpoint" in capsys.readouterr().err
+    def test_point_beside_endpoint_matches_oracle(self, tmp_path):
+        # sup_error against the same aggregate of oracle values, to 1e-12
+        # of the reference's scale on the points, as perfbench checks it
+        points = [[-1.0, 1e-7], [1.0, 1e-12]]
+        cfg = write_config(tmp_path, entry="h2pole", eval_points=points,
+                           n_samples=11)
+        out = str(tmp_path / "o.csv")
+        assert main(["converge", "--config", cfg, "--out", out]) == EXIT_OK
+        _, rows = read_csv(out)
+        c, w = oracle.RATIONAL_ENTRIES["h2pole"]
+        zs = [complex(*p) for p in points]
+        scale = max(abs(oracle.data(z, c, w)) for z in zs)
+        assert len(rows) == 8
+        for lam, sup, _ in rows:
+            want = max(abs(oracle.deviation(z, float(lam), -1.0, 1.0, c, w)) for z in zs)
+            assert abs(float(sup) - want) <= 1e-12 * scale, lam
+
+    def test_point_where_doubles_end_refused(self, tmp_path, capsys):
+        # (z - hi)/(z - lo) overflows a double there: a typed refusal, no NaN row
+        cfg = write_config(tmp_path, entry="h2pole", eval_points=[[-1.0, 1e-310]])
+        out = tmp_path / "o.csv"
+        assert main(["converge", "--config", cfg, "--out", str(out)]) == EXIT_SEMANTIC
+        assert "within 1e-300*|I| of endpoint x=-1.0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_zero_samples_rejected(self, tmp_path):
         cfg = write_config(tmp_path, entry="h2pole", eval_points=[[0.0, 1.0]],

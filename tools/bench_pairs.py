@@ -121,7 +121,7 @@ def main(argv=None):
                          "each tree: calls = G7/K15 integrand calls, panels = G7/K15 "
                          "panels, points = nodes passed to them, "
                          "residue_cells = (point, lambda) cells of the residue "
-                         "path, where the tree counts them",
+                         "path",
         "workloads": {**workloads,
                       args.workload: workloads.get(args.workload, []) + [entry]},
     }

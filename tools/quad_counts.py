@@ -10,10 +10,10 @@ seed-drawn inputs) once, in-process, through ``patil.cli.main``, with
 panels it evaluates (one per entry of its last argument, the panel right
 ends) and the nodes passed to the integrand, and the residue path's
 ``_residue_columns`` (where ``approximant_table`` looks it up) wrapped
-to count its (point, lambda) cells.  A tree without a residue path
-counts 0 of those.  The counts do not depend on the machine, and the
-wrappers do not depend on whether ``_gk15`` takes one panel or a stack
-of them, so two source trees can be compared.  Prints one JSON object:
+to count its (point, lambda) cells.  The counts do not depend on the
+machine, and the wrappers do not depend on whether ``_gk15`` takes one
+panel or a stack of them, so two source trees can be compared.  Prints
+one JSON object:
 workload -> {"calls", "panels", "points", "residue_cells", and per
 experiment its counts and exit code}.
 """
@@ -64,7 +64,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     result = {}
     gk15 = quadrature._gk15
-    residues = getattr(approximant, "_residue_columns", None)
+    residues = approximant._residue_columns
     try:
         with tempfile.TemporaryDirectory() as tmp:
             for name in args.workload:
@@ -72,8 +72,7 @@ def main(argv=None):
                 for exp in workloads.WORKLOADS[name](args.seed):
                     tally = total[exp.name] = dict.fromkeys(COUNTS, 0)
                     quadrature._gk15 = counted(gk15, tally)
-                    if residues:
-                        approximant._residue_columns = counted_residues(residues, tally)
+                    approximant._residue_columns = counted_residues(residues, tally)
                     cfg = os.path.join(tmp, f"{exp.name}.json")
                     with open(cfg, "w") as fh:
                         json.dump(exp.config, fh)
@@ -85,8 +84,7 @@ def main(argv=None):
                         total[key] += tally[key]
     finally:
         quadrature._gk15 = gk15
-        if residues:
-            approximant._residue_columns = residues
+        approximant._residue_columns = residues
     print(json.dumps(result))
     return 0
 
