@@ -11,12 +11,11 @@ point for every lambda, or directly in the t-domain.
 """
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 
 from .arrays import numpy
-from .asymptotics import STRIP_TOP, _mobius, kernel_k
+from .asymptotics import STRIP_TOP, kernel_k, residue_terms, terms_key
 from .errors import DomainError, NonConvergence, in_cell
 from .quadrature import (
     DecayCertificate,
@@ -157,78 +156,18 @@ def _cauchy_weighted_u(zs, lams, interval, signal, tol):
     return columns
 
 
-# nodes of the circle rule round a merged pole or a cluster of poles
-_RING = 64
-# poles nearer each other than min(this, 1/xi) share one circle
-_NEAR = 0.05
-
-
-def _kernel(u, alpha):
-    """``k(u, 0, alpha)`` of :func:`kernel_k` at a complex number ``u``."""
-    em, den = _mobius(u, alpha)
-    return em / ((1.0 + em) * den)
-
-
-def _clusters(locations, near):
-    """The poles at ``locations`` as groups of indices: a group joins another
-    that has a pole within ``near`` of one of its own or, once it has two,
-    within four times its spread of its centre, so that a circle can
-    enclose it alone."""
-    groups = [[i] for i in range(len(locations))]
-
-    def joined(a, b):
-        if min(abs(locations[i] - locations[j]) for i in a for j in b) < near:
-            return True
-        for group, other in ((a, b), (b, a)):
-            if len(group) > 1:
-                centre = sum(locations[i] for i in group) / len(group)
-                reach = 4.0 * max(abs(locations[i] - centre) for i in group)
-                if any(abs(locations[j] - centre) < reach for j in other):
-                    return True
-        return False
-    while True:
-        pair = next(((a, b) for a, b in itertools.combinations(range(len(groups)), 2)
-                     if joined(groups[a], groups[b])), None)
-        if pair is None:
-            return groups
-        groups[pair[0]] += groups.pop(pair[1])
-
-
 def _expm1(z):
     """``e^z - 1`` for a complex ``z``, without cancellation near 0."""
     return complex(math.expm1(z.real) * math.cos(z.imag)
                    - 2.0 * math.sin(0.5 * z.imag) ** 2, math.exp(z.real) * math.sin(z.imag))
 
 
-def _residue_sum(poles, q, e, period, lam):
-    """g_lambda at one lambda from the ``poles`` of Q and Q itself, ``q``,
-    E being ``e`` (see ``_residue_columns``)."""
+def _residue_sum(terms, period, lam):
+    """g_lambda at one lambda from a point's ``terms`` (see ``_residue_columns``)."""
     xi = xi_of_lambda(lam)
-    reach = 1.0 / xi if xi else math.inf
     # ln(lambda / (sqrt(1 + lambda) (1 - e^{-xi T}))), xi T without underflow
     log_scale = math.log(lam) - 0.5 * math.log1p(lam) \
         - math.log(-math.expm1(-math.log1p(lam) * period / (2.0 * math.pi)))
-    locations = [pole[0] for pole in poles]
-    # (phase point, weight): a lone simple pole's residue of Q, or a circle
-    # node's share of the contour integral of Q round its group
-    terms = []
-    for group in _clusters(locations, min(_NEAR, reach)):
-        if len(group) == 1 and poles[group[0]][1] == 1:
-            _, _, residue, phase = poles[group[0]]
-            terms.append((phase, residue()))
-            continue
-        # one circle round the group, clear of every other pole and image
-        members = [locations[i] for i in group]
-        centre = sum(members) / len(members)
-        spread = max(abs(b - centre) for b in members)
-        others = [b + image for j, b in enumerate(locations)
-                  for image in (0.0, 1j * period, -1j * period)
-                  if image or j not in group]
-        radius = min(0.5 * min(abs(b - centre) for b in others),
-                     max(2.0 * spread, min(0.2, 2.0 * reach)))
-        for k in range(_RING):
-            step = radius * cmath.exp(2j * math.pi * k / _RING)
-            terms.append((e + centre + step, q(centre + step) * step / _RING))
     if xi * max(abs(phase) for phase, _ in terms) > 1.0:
         return sum(cmath.exp(1j * xi * phase + log_scale) * weight
                    for phase, weight in terms)
@@ -249,21 +188,13 @@ def _residue_columns(zs, lams, interval, signal):
     with 0 <= Im u < T, a pole on the real line (x inside I) counting as
     just above it, and
     g = lambda e^{i xi E} sum res / (sqrt(1 + lambda) (1 - e^{-xi T})).
-    Q's poles are p's listed poles and two kernel poles per 2 pi of T:
-    u = i pi (2k + 1), where the residue of Q is -p(u), and u0 + 2 pi i k
-    with t(u0) = z, where it is p(u), as (2r/(hi - z))/(1 - alpha) = 1;
-    there E + u is i pi (2k + 1) exactly.  A simple pole alone takes its
-    closed form (``residue_kernel_pole``, ``residue_strip_pole``), each
-    term with its own exponential, so nothing overflows; where xi |E + u|
-    <= 1 for every term, e^{i xi (E + u)} - 1 stands for it, as the
-    residues of Q sum to 0, so small lambdas keep their digits.  Poles whose
-    closed-form residues would cancel, nearer each other than
-    min(0.05, 1/xi), and merged or higher-order poles share a 64-point
-    circle rule of radius at most 0.2, 2/xi and half the distance to
-    any other pole or image.
+    ``asymptotics.residue_terms`` lists them, u0 being the pole with
+    t(u0) = z, where E + u0 is i pi exactly, and builds a point's terms
+    once per ``terms_key(xi)``.  Each term has its own exponential, so
+    nothing overflows; where xi |E + u| <= 1 for every term, e^{i xi (E +
+    u)} - 1 stands for it, as the residues of Q sum to 0, so small
+    lambdas keep their digits.
     """
-    sheets = round(signal.period / (2.0 * math.pi))
-    p = signal.strip_pullback
     columns = []
     for z in zs:
         alpha = (z - interval.lo) / (z - interval.hi)
@@ -274,23 +205,11 @@ def _residue_columns(zs, lams, interval, signal):
             u0 = complex(interval.to_u(z.real))
         else:
             u0 = complex(math.log(alpha.real), math.pi)
-        e = _quench_exponent(z, interval)
-        # (location, order, residue of Q, phase point E + location)
-        poles = []
-        for k in range(sheets):
-            at_pi, at_z = 1j * math.pi * (2 * k + 1), u0 + 2j * math.pi * k
-            poles += [(at_pi, 1, lambda u=at_pi: -p(u), e + at_pi),
-                      (at_z, 1, lambda u=at_z: p(u), at_pi)]
-        for s in signal.singularities:
-            beta = complex(s.beta)
-            poles.append((beta, s.order,
-                          lambda b=beta, c=s.coeff: scale * _kernel(b, alpha) * c,
-                          e + beta))
-
-        def q(u):
-            return scale * _kernel(u, alpha) * p(u)
-        columns.append([_residue_sum(poles, q, e, signal.period, lam)
-                        for lam in lams])
+        terms = residue_terms(signal.strip_pullback, alpha, u0, scale,
+                              signal.singularities, signal.period,
+                              e=_quench_exponent(z, interval), e_u0=1j * math.pi)
+        columns.append([_residue_sum(terms(terms_key(xi_of_lambda(lam))),
+                                     signal.period, lam) for lam in lams])
     return columns
 
 

@@ -8,9 +8,18 @@ Closing the contour with a rectangle of height ``b in (pi, 3 pi/2]``
 expresses the integral through residues, whose ``exp(-xi Im beta)``
 decay against the ``exp(xi pi)`` prefactor of g_lambda dictates the
 power-law growth exponent in ``1 + lambda``.
+
+One engine, :func:`residue_terms`, sums those residues for g_lambda's
+period strip and for the contour check's rectangle alike: a window and
+the images of its poles, a closed form for each lone simple pole and a
+64-point circle rule for merged, clustered or higher-order poles.
+``residue_kernel_pole``, ``residue_strip_pole`` and ``residue_merged``
+compute the same residues independently, as cross-checks.
 """
 
 import cmath
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -18,19 +27,10 @@ from .arrays import numpy
 from .errors import DomainError, NonConvergence, in_cell
 from .quadrature import QuadTolerance, integrate_batch
 
-__all__ = [
-    "StripSingularity",
-    "ContourSpec",
-    "kernel_k",
-    "residue_kernel_pole",
-    "residue_merged",
-    "residue_strip_pole",
-    "contour_residuals",
-    "contour_identity_check",
-    "predict_growth_exponent",
-    "check_growth_grid",
-    "fit_growth_exponent",
-]
+__all__ = ["StripSingularity", "ContourSpec", "kernel_k", "residue_kernel_pole",
+           "residue_merged", "residue_strip_pole", "terms_key", "residue_terms",
+           "enclosed_residues", "contour_residuals", "contour_identity_check",
+           "predict_growth_exponent", "check_growth_grid", "fit_growth_exponent"]
 
 PI = math.pi
 STRIP_TOP = 1.5 * PI  # strip_pullback is declared on 0 <= Im z <= STRIP_TOP
@@ -67,9 +67,7 @@ class ContourSpec:
         if not self.R > 0:
             raise DomainError("R must be > 0")
         if not PI < self.height <= STRIP_TOP:
-            raise DomainError(
-                f"height must lie in (pi, 3 pi/2], got {self.height}"
-            )
+            raise DomainError(f"height must lie in (pi, 3 pi/2], got {self.height}")
 
     def check(self, xi, alpha):
         """Refuse a (xi, alpha) whose residue identity this rectangle cannot close."""
@@ -114,6 +112,12 @@ def kernel_k(z, xi, alpha):
     return np.asarray(value)
 
 
+def _kernel(u, alpha):
+    """``k(u, 0, alpha)`` of :func:`kernel_k` at a complex number ``u``."""
+    em, den = _mobius(u, alpha)
+    return em / ((1.0 + em) * den)
+
+
 def _kernel_poles(alpha):
     """Name -> location of the two kernel poles on Im z = pi."""
     if not (alpha > 0 and abs(alpha - 1.0) > ALPHA_ONE_TOL):
@@ -142,22 +146,10 @@ def residue_kernel_pole(which, xi, alpha, g_strip):
     # pole; an analytic p there is the mean of its values on the ring
     if not (math.isfinite(value.real) and math.isfinite(value.imag)) \
             or abs(value) > 1e6 * np.max(np.abs(values[1:])):
-        raise DomainError(
-            f"pullback singular at {pole}; use residue_merged instead"
-        )
+        raise DomainError(f"pullback singular at {pole}; use residue_merged instead")
     if which == "at_ipi":
         return math.exp(-xi * PI) / (alpha - 1.0) * value
     return math.exp(-xi * PI) * cmath.exp(1j * xi * pole.real) / (1.0 - alpha) * value
-
-
-def _other_kernel_poles(pole, alpha):
-    """(distance, location) of the kernel poles ``i pi (2k + 1)`` and
-    ``i pi (2k + 1) + ln(alpha)``, k = -1, 0, 1, other than ``pole``."""
-    for k in (-1, 0, 1):
-        for base in _kernel_poles(alpha).values():
-            cand = base + 2j * PI * k
-            if abs(cand - pole) > 1e-12:
-                yield abs(cand - pole), cand
 
 
 def residue_merged(pole, xi, alpha, g_strip, radius=None, n_points=256):
@@ -168,14 +160,15 @@ def residue_merged(pole, xi, alpha, g_strip, radius=None, n_points=256):
     pullback collides with a kernel pole.
     """
     pole = complex(pole)
-    others = list(_other_kernel_poles(pole, alpha))
+    # the kernel poles of the strips k = -1, 0, 1, other than the pole
+    others = [base + 2j * PI * k for k in (-1, 0, 1)
+              for base in _kernel_poles(alpha).values()]
+    others = [cand for cand in others if abs(cand - pole) > 1e-12]
     if radius is None:
-        radius = min(0.2, 0.5 * min(dist for dist, _ in others))
-    for dist, cand in others:
-        if dist <= radius:
-            raise DomainError(
-                f"singularity {cand} inside residue circle of radius {radius}"
-            )
+        radius = min(0.2, 0.5 * min(abs(cand - pole) for cand in others))
+    for cand in others:
+        if abs(cand - pole) <= radius:
+            raise DomainError(f"singularity {cand} inside residue circle of radius {radius}")
     np = numpy()
     theta = 2.0 * PI * np.arange(n_points) / n_points
     ring = np.exp(1j * theta)
@@ -191,9 +184,7 @@ def residue_strip_pole(s, xi, alpha):
     constant times ``exp(-xi Im beta)``.
     """
     if s.order != 1:
-        raise DomainError(
-            "closed form covers simple poles only; use residue_merged"
-        )
+        raise DomainError("closed form covers simple poles only; use residue_merged")
     beta = complex(s.beta)
     if abs(beta.imag - PI) < 1e-9:
         raise DomainError("closed form requires Im beta != pi; use residue_merged")
@@ -202,37 +193,125 @@ def residue_strip_pole(s, xi, alpha):
     return num / ((1.0 + emb) * (1.0 + alpha * emb)) * complex(s.coeff)
 
 
+# nodes of the circle rule round a merged pole or a cluster of poles
+_RING = 64
+# poles nearer each other than min(this, 1/xi) share one circle
+_NEAR = 0.05
+
+
+def _clusters(locations, near):
+    """The poles at ``locations`` as groups of indices: a group joins another
+    that has a pole within ``near`` of one of its own or, once it has two,
+    within four times its spread of its centre, so that a circle can
+    enclose it alone."""
+    groups = [[i] for i in range(len(locations))]
+
+    def joined(a, b):
+        if min(abs(locations[i] - locations[j]) for i in a for j in b) < near:
+            return True
+        for group, other in ((a, b), (b, a)):
+            if len(group) > 1:
+                centre = sum(locations[i] for i in group) / len(group)
+                reach = 4.0 * max(abs(locations[i] - centre) for i in group)
+                if any(abs(locations[j] - centre) < reach for j in other):
+                    return True
+        return False
+    while True:
+        pair = next(((a, b) for a, b in itertools.combinations(range(len(groups)), 2)
+                     if joined(groups[a], groups[b])), None)
+        if pair is None:
+            return groups
+        groups[pair[0]] += groups.pop(pair[1])
+
+
+def terms_key(xi):
+    """``min(0.1, 1/xi)``, the one way :func:`residue_terms` depends on xi."""
+    return min(0.1, 1.0 / xi) if xi else 0.1
+
+
+def residue_terms(p, alpha, u0, scale, singularities, period, top=None,
+                  R=math.inf, e=0.0, e_u0=None):
+    """The residues of ``e^{i xi u} Q(u)``, ``Q = scale k(u, 0, alpha) p(u)``,
+    in the window Im u < ``top`` (default ``period``), |Re u| < ``R``, as
+    ``terms(terms_key(xi))``, built once per key: (phase point, weight)
+    pairs whose ``e^{i xi phase} weight`` sum to those residues times
+    ``e^{i xi e}``.  Q's poles are p's listed ``singularities`` and the
+    kernel's, ``i pi (2k + 1)`` and ``u0 + 2 pi i k``, where with ``scale
+    = 1 - alpha`` (g_lambda's ``2r/(hi - z)``) the residues are ``-p`` and
+    ``p``.  A lone simple pole takes its closed form, phase point ``e``
+    plus its location (``e_u0 + 2 pi i k`` at ``u0 + 2 pi i k``; ``e_u0``
+    is ``e + u0`` unless given exactly).  Poles nearer each other than
+    min(0.05, 1/xi), whose closed forms would cancel, and merged or
+    higher-order poles share a 64-point circle rule of radius at most 0.2,
+    2/xi and half the distance to any other pole, to a listed pole outside
+    the window and to any ``+-i period`` image.
+    """
+    top = period if top is None else top
+    e_u0 = e + u0 if e_u0 is None else e_u0
+    # (location, order, residue of Q, phase point)
+    candidates = []
+    for k in range(math.ceil(top / (2.0 * PI))):
+        shift = 2j * PI * k
+        at_pi, at_u0 = 1j * PI + shift, u0 + shift
+        candidates += [(at_pi, 1, lambda u=at_pi: -p(u), e + at_pi),
+                       (at_u0, 1, lambda u=at_u0: p(u), e_u0 + shift)]
+    for s in singularities:
+        beta = complex(s.beta)
+        candidates.append((beta, s.order,
+                           lambda b=beta, c=s.coeff: scale * _kernel(b, alpha) * c,
+                           e + beta))
+    poles = [pole for pole in candidates if pole[0].imag < top and abs(pole[0].real) < R]
+    locations = [pole[0] for pole in poles]
+    # what a circle keeps clear of beside the other poles: their images, and
+    # the listed poles outside the window
+    images = [b + image for b in locations for image in (1j * period, -1j * period)]
+    images += [pole[0] for pole in candidates if pole not in poles]
+
+    def q(u):
+        return scale * _kernel(u, alpha) * p(u)
+
+    @functools.cache
+    def terms(key):
+        # a lone simple pole's residue of Q, or a circle node's share of the
+        # contour integral of Q round its group
+        out = []
+        for group in _clusters(locations, min(_NEAR, key)):
+            if len(group) == 1 and poles[group[0]][1] == 1:
+                _, _, residue, phase = poles[group[0]]
+                out.append((phase, residue()))
+                continue
+            # one circle round the group, clear of every other pole and image
+            members = [locations[i] for i in group]
+            centre = sum(members) / len(members)
+            spread = max(abs(b - centre) for b in members)
+            others = [b for j, b in enumerate(locations) if j not in group] + images
+            radius = min(0.5 * min(abs(b - centre) for b in others),
+                         max(2.0 * spread, 2.0 * key))
+            for k in range(_RING):
+                step = radius * cmath.exp(2j * PI * k / _RING)
+                out.append((e + centre + step, q(centre + step) * step / _RING))
+        return out
+    return terms
+
+
+def enclosed_residues(g_strip, cells, spec, singularities=()):
+    """Sum of the residues of ``k p`` in the rectangle ``spec`` per (xi, alpha)
+    of ``cells``: :func:`residue_terms` of ``(1 - alpha) k p``, with the
+    ``2 pi i`` images of the kernel, over ``1 - alpha``."""
+    lists, sums = {}, []
+    for xi, alpha in cells:
+        if alpha not in lists:
+            lists[alpha] = residue_terms(lambda u: complex(g_strip(u)), alpha,
+                                         complex(math.log(alpha), PI),
+                                         1.0 - alpha, singularities, 2.0 * PI,
+                                         spec.height, spec.R)
+        terms = lists[alpha](terms_key(xi))
+        sums.append(sum(cmath.exp(1j * xi * phase) * weight
+                        for phase, weight in terms) / (1.0 - alpha))
+    return sums
+
+
 _CONTOUR_GUARD = 1e-6
-
-
-def _enclosed_residues(g_strip, xi, alpha, spec, singularities):
-    """Sum of the residues of k * p inside the rectangle ``spec``; a residue
-    by quadrature keeps its circle clear of every listed pole."""
-    listed = [complex(s.beta) for s in singularities]
-
-    def merged(pole):
-        near = [dist for dist, _ in _other_kernel_poles(pole, alpha)]
-        near += [abs(b - pole) for b in listed if abs(b - pole) > 1e-9]
-        return residue_merged(pole, xi, alpha, g_strip,
-                              radius=min(0.2, 0.5 * min(near)))
-
-    kernel_poles = _kernel_poles(alpha)
-    total = 0.0 + 0.0j
-    for which, kp in kernel_poles.items():
-        if any(abs(b - kp) < 1e-9 for b in listed):
-            total += merged(kp)
-        else:
-            total += residue_kernel_pole(which, xi, alpha, g_strip)
-    for s, beta in zip(singularities, listed):
-        if beta.imag >= spec.height or abs(beta.real) >= spec.R:
-            continue  # not enclosed
-        if any(abs(beta - kp) < 1e-9 for kp in kernel_poles.values()):
-            continue  # already handled as a merged kernel pole
-        if abs(beta.imag - PI) < 1e-9 or s.order != 1:
-            total += merged(beta)
-        else:
-            total += residue_strip_pole(s, xi, alpha)
-    return total
 
 
 def contour_residuals(g_strip, cells, spec, singularities=(),
@@ -242,7 +321,9 @@ def contour_residuals(g_strip, cells, spec, singularities=(),
     Numerically integrates k * p over the four rectangle edges of every
     cell, one batch for all of them, and returns ``|contour integral -
     2 pi i * sum of enclosed residues|`` per cell; a listed pole counts
-    only inside the rectangle, below its top and between its sides.
+    only inside the rectangle, below its top and between its sides.  A
+    pole of ``g_strip`` left off ``singularities`` is not refused: its
+    residue is missing, or p is evaluated at it, and the residual is large.
     """
     for xi, alpha in cells:
         spec.check(xi, alpha)
@@ -278,12 +359,10 @@ def contour_residuals(g_strip, cells, spec, singularities=(),
         edge = ("bottom", "top", "right", "left")[exc.index % 4]
         raise in_cell(exc, f"contour at xi={float(xi)!r}, "
                            f"alpha={float(alpha)!r}, {edge} edge") from exc
-    residuals = []
-    for c, (xi, alpha) in enumerate(cells):
-        bottom, top, right, left = edges[4 * c:4 * c + 4]
-        residues = _enclosed_residues(g_strip, xi, alpha, spec, singularities)
-        residuals.append(abs(bottom + right - top - left - 2j * PI * residues))
-    return residuals
+    residues = enclosed_residues(g_strip, cells, spec, singularities)
+    return [abs(bottom + right - top - left - 2j * PI * res)
+            for bottom, top, right, left, res
+            in zip(edges[::4], edges[1::4], edges[2::4], edges[3::4], residues)]
 
 
 def contour_identity_check(g_strip, xi, alpha, spec, singularities=(),

@@ -68,8 +68,9 @@ def rational(c, w, interval=UNIT, name="rational"):
     # tanh(beta/2) = s; the residue is c over dt/dz = r (1 - s^2) / 2
     s = (w - c0) / r
     beta = 2.0 * cmath.atanh(s)  # Im beta in (0, pi) for Im w > 0, else (-pi, 0)
-    if w.imag < 0:
+    if w.imag < 0:  # kept below 2 pi, onto which it rounds for |w - c0| << r
         beta += 2j * PI
+        beta = complex(beta.real, min(beta.imag, math.nextafter(2.0 * PI, 0.0)))
     signal = BoundarySignal(
         eval_on_I=evaluate,
         strip_pullback=evaluator(pullback),

@@ -23,6 +23,7 @@ from patil.approximant import (
 )
 from patil.catalog import example1, example2, get_entry, h2_reference_pole, rational
 import patil.approximant as approximant
+import patil.asymptotics as asymptotics
 from patil.errors import DomainError, NonConvergence
 from patil.quadrature import QuadTolerance
 from patil.quench import Interval, QuenchParams
@@ -604,6 +605,38 @@ class TestResiduePath:
                 for z, value in zip(points, row):
                     want = oracle.approximant(z, lam, interval.lo, interval.hi, c, w)
                     assert abs(value - want) <= 1e-11 * abs(want), (name, z, lam)
+
+    @pytest.mark.parametrize("H", [1e19, 1e20, 1e300])
+    def test_h2pole_on_wide_interval(self, H):
+        # w = -i puts beta within an ulp of 2 pi on (-H, H): it is kept one
+        # ulp below, where the signal's period strip ends
+        interval = Interval(-H, H)
+        signal = h2_reference_pole(interval=interval).signal
+        assert signal.singularities[0].beta.imag == math.nextafter(2.0 * math.pi, 0.0)
+        points = [1.5 * H, 0.3 * H, complex(0.2 * H, 0.5 * H)]
+        lams = [10.0, 1e8, 1e100]
+        for lam, row in zip(lams, approximant_table(points, lams, interval, signal)):
+            for z, value in zip(points, row):
+                want = oracle.approximant(z, lam, -H, H, 1, -1j)
+                assert abs(value - want) <= 1e-12 * abs(want), (z, lam)
+
+    def test_terms_built_once_per_key(self, monkeypatch):
+        # a point's terms depend on lambda only through terms_key(xi):
+        # lambdas up to e^{20 pi} - 1 share the key 0.1, larger ones have their own
+        builds = []
+        clusters = asymptotics._clusters
+
+        def counted(*args):
+            builds.append(args[1])
+            return clusters(*args)
+        monkeypatch.setattr(asymptotics, "_clusters", counted)
+        lams = [10.0, 1e4, 1e8, 1e30, 1e40]
+        table = approximant_table([2.0, 0.5 + 1j], lams, SYM, example1().signal)
+        assert len(builds) == 2 * 3
+        monkeypatch.setattr(asymptotics, "_clusters", clusters)
+        for lam, row in zip(lams, table):
+            assert row == approximant_table([2.0, 0.5 + 1j], [lam], SYM,
+                                            example1().signal)[0]
 
     def test_other_interval_takes_u_path(self, monkeypatch):
         # the period and poles belong to the signal's own interval

@@ -19,7 +19,14 @@ evaluated by the default path of ``approximant_table`` and by
 * other: any other exception.
 
 Prints one line per set and path with the counts and the largest
-relative error among the values, and exits 0 whatever it finds.
+relative error among the values.  Then a contour set draws ``--n`` cells
+(an entry, xi, alpha and rectangle height) and compares the residue
+engine's sum of the residues of ``k p`` inside the rectangle
+(``asymptotics.enclosed_residues``) with the same sum from the closed
+forms and, at a merged or higher-order pole, a 1,024-point
+``residue_merged``; it prints the largest gap, relative to the sum of the
+residues' moduli, and how many cells are over 1e-12.  Exits 0 whatever
+it finds.
 """
 
 import argparse
@@ -32,7 +39,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import oracle  # noqa: E402
 
 from patil.approximant import approximant_table  # noqa: E402
-from patil.catalog import get_entry  # noqa: E402
+from patil.asymptotics import (  # noqa: E402
+    ContourSpec,
+    enclosed_residues,
+    residue_kernel_pole,
+    residue_merged,
+    residue_strip_pole,
+)
+from patil.catalog import example1, example2, get_entry, h2_reference_pole  # noqa: E402
 from patil.errors import PatilError  # noqa: E402
 from patil.quench import Interval  # noqa: E402
 
@@ -40,6 +54,7 @@ WRONG = 1e-8
 # (largest lambda, decades of half-width either side of 1)
 SETS = [(1e8, 0), (1e8, 3), (1e16, 0), (1e16, 6), (1e100, 0)]
 KINDS = ("right", "typed", "wrong", "other")
+GAP = 1e-12  # the contour set's bound, relative to the residues' moduli
 
 
 def draw(rng, lam_max, decades):
@@ -93,6 +108,63 @@ def run_set(seed, n, lam_max, decades):
     return tally, worst
 
 
+def closed_form_residues(g_strip, singularities, xi, alpha, spec):
+    """The residues of ``k p`` inside ``spec``, one per pole: the closed
+    forms, and a 1,024-point ``residue_merged`` at a pole where a listed pole
+    meets a kernel pole, on Im z = pi or of higher order, its circle half
+    as far as the nearest other pole."""
+    listed = [complex(s.beta) for s in singularities]
+    kernel = {"at_ipi": 1j * math.pi,
+              "at_ipi_plus_ln_alpha": complex(math.log(alpha), math.pi)}
+
+    def merged(pole):
+        # the listed and kernel poles and their 2 pi i images, but this one
+        near = [abs(b + image - pole) for b in listed + list(kernel.values())
+                for image in (0.0, 2j * math.pi, -2j * math.pi)]
+        return residue_merged(pole, xi, alpha, g_strip,
+                              radius=min(0.2, 0.5 * min(d for d in near if d > 1e-9)),
+                              n_points=1024)
+    parts = [merged(kp) if any(abs(b - kp) < 1e-9 for b in listed)
+             else residue_kernel_pole(which, xi, alpha, g_strip)
+             for which, kp in kernel.items()]
+    for s, beta in zip(singularities, listed):
+        if beta.imag >= spec.height or abs(beta.real) >= spec.R \
+                or any(abs(beta - kp) < 1e-9 for kp in kernel.values()):
+            continue  # outside, or merged with a kernel pole above
+        parts.append(merged(beta) if s.order != 1 or abs(beta.imag - math.pi) < 1e-9
+                     else residue_strip_pole(s, xi, alpha))
+    return parts
+
+
+def draw_contour(rng):
+    """One contour cell: entry name, signal, xi, alpha, rectangle."""
+    name = rng.choice(("example1", "example2", "h2pole"))
+    if name == "h2pole":
+        w = complex(rng.uniform(-3.0, 3.0), -(10.0 ** rng.uniform(-1.0, 1.0)))
+        signal = h2_reference_pole(w).signal
+        name = f"h2pole({w:.3g})"
+    else:
+        signal = (example1 if name == "example1" else example2)().signal
+    xi = 0.0 if rng.random() < 0.1 else 10.0 ** rng.uniform(-2.0, math.log10(16.0))
+    alpha = 10.0 ** rng.uniform(math.log10(0.02), math.log10(50.0))
+    return name, signal, xi, alpha, ContourSpec(20.0, math.pi * rng.uniform(1.01, 1.5))
+
+
+def contour_set(seed, n):
+    """The largest gap of the n cells, relative to the sum of the residues'
+    moduli, and the number of cells over GAP."""
+    rng = random.Random(f"fuzz/{seed}/contour")
+    worst, over = 0.0, 0
+    for _ in range(n):
+        name, signal, xi, alpha, spec = draw_contour(rng)
+        g_strip, sing = signal.strip_pullback, signal.singularities
+        parts = closed_form_residues(g_strip, sing, xi, alpha, spec)
+        got = enclosed_residues(g_strip, [(xi, alpha)], spec, sing)[0]
+        gap = abs(got - sum(parts)) / sum(map(abs, parts))
+        worst, over = max(worst, gap), over + (gap > GAP)
+    return worst, over
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=7)
@@ -108,6 +180,9 @@ def main(argv=None):
             print(f"{lam_max:>12g} {scale:>6s} {path:>8s} "
                   + " ".join(f"{tally[path][k]:>6d}" for k in KINDS)
                   + f" {worst[path]:>9.1e}", flush=True)
+    worst, over = contour_set(args.seed, args.n)
+    print(f"contour: {args.n} cells, worst gap {worst:.1e} of the residues' "
+          f"moduli, {over} over {GAP:g}")
     return 0
 
 
