@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .arrays import numpy
-from .asymptotics import STRIP_TOP, kernel_k, residue_terms, terms_key
+from .asymptotics import STRIP_TOP, kernel_k, residue_terms
 from .errors import DomainError, NonConvergence, in_cell
 from .quadrature import (
     DecayCertificate,
@@ -190,7 +190,7 @@ def _residue_columns(zs, lams, interval, signal):
     g = lambda e^{i xi E} sum res / (sqrt(1 + lambda) (1 - e^{-xi T})).
     ``asymptotics.residue_terms`` lists them, u0 being the pole with
     t(u0) = z, where E + u0 is i pi exactly, and builds a point's terms
-    once per ``terms_key(xi)``.  Each term has its own exponential, so
+    once per min(0.1, 1/xi).  Each term has its own exponential, so
     nothing overflows; where xi |E + u| <= 1 for every term, e^{i xi (E +
     u)} - 1 stands for it, as the residues of Q sum to 0, so small
     lambdas keep their digits.
@@ -208,8 +208,8 @@ def _residue_columns(zs, lams, interval, signal):
         terms = residue_terms(signal.strip_pullback, alpha, u0, scale,
                               signal.singularities, signal.period,
                               e=_quench_exponent(z, interval), e_u0=1j * math.pi)
-        columns.append([_residue_sum(terms(terms_key(xi_of_lambda(lam))),
-                                     signal.period, lam) for lam in lams])
+        columns.append([_residue_sum(terms(xi_of_lambda(lam)), signal.period, lam)
+                        for lam in lams])
     return columns
 
 

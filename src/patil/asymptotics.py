@@ -12,7 +12,8 @@ power-law growth exponent in ``1 + lambda``.
 One engine, :func:`residue_terms`, sums those residues for g_lambda's
 period strip and for the contour check's rectangle alike: a window and
 the images of its poles, a closed form for each lone simple pole and a
-64-point circle rule for merged, clustered or higher-order poles.
+64-point circle rule for merged, clustered or higher-order poles; a
+pullback singular at a lone kernel pole, its pole not listed, is refused.
 ``residue_kernel_pole``, ``residue_strip_pole`` and ``residue_merged``
 compute the same residues independently, as cross-checks.
 """
@@ -27,10 +28,21 @@ from .arrays import numpy
 from .errors import DomainError, NonConvergence, in_cell
 from .quadrature import QuadTolerance, integrate_batch
 
-__all__ = ["StripSingularity", "ContourSpec", "kernel_k", "residue_kernel_pole",
-           "residue_merged", "residue_strip_pole", "terms_key", "residue_terms",
-           "enclosed_residues", "contour_residuals", "contour_identity_check",
-           "predict_growth_exponent", "check_growth_grid", "fit_growth_exponent"]
+__all__ = [
+    "StripSingularity",
+    "ContourSpec",
+    "kernel_k",
+    "residue_kernel_pole",
+    "residue_merged",
+    "residue_strip_pole",
+    "residue_terms",
+    "enclosed_residues",
+    "contour_residuals",
+    "contour_identity_check",
+    "predict_growth_exponent",
+    "check_growth_grid",
+    "fit_growth_exponent",
+]
 
 PI = math.pi
 STRIP_TOP = 1.5 * PI  # strip_pullback is declared on 0 <= Im z <= STRIP_TOP
@@ -67,7 +79,9 @@ class ContourSpec:
         if not self.R > 0:
             raise DomainError("R must be > 0")
         if not PI < self.height <= STRIP_TOP:
-            raise DomainError(f"height must lie in (pi, 3 pi/2], got {self.height}")
+            raise DomainError(
+                f"height must lie in (pi, 3 pi/2], got {self.height}"
+            )
 
     def check(self, xi, alpha):
         """Refuse a (xi, alpha) whose residue identity this rectangle cannot close."""
@@ -126,6 +140,21 @@ def _kernel_poles(alpha):
     return {"at_ipi": 1j * PI, "at_ipi_plus_ln_alpha": 1j * PI + math.log(alpha)}
 
 
+def _at_kernel_pole(p, pole):
+    """``p(pole)`` at a kernel pole, where p must be analytic.
+
+    A pole of p there shows up as a non-finite value, or one far above p
+    on a ring of radius 1e-3, at the floating-point image of the pole; an
+    analytic p there is the mean of its values on the ring.
+    """
+    value = p(pole)
+    ring = max(abs(p(pole + 1e-3 * cmath.exp(0.25j * PI * k))) for k in range(8))
+    if not cmath.isfinite(value) or abs(value) > 1e6 * ring:
+        raise DomainError(f"pullback singular at {pole}; list its pole there, "
+                          f"or use residue_merged")
+    return value
+
+
 def residue_kernel_pole(which, xi, alpha, g_strip):
     """Closed-form residue of k * p at one of the two kernel poles.
 
@@ -136,17 +165,7 @@ def residue_kernel_pole(which, xi, alpha, g_strip):
     if which not in poles:
         raise DomainError(f"which must be one of {tuple(poles)}")
     pole = poles[which]
-    np = numpy()
-    # p at the pole, then at eight points of a ring of radius 1e-3 around it
-    ring = pole + 1e-3 * np.exp(0.25j * PI * np.arange(8))
-    values = np.asarray(g_strip(np.append(pole, ring)), dtype=complex)
-    value = complex(values[0])
-    # a pullback pole at the kernel pole shows up as a non-finite value,
-    # or one far above p on the ring, at the floating-point image of the
-    # pole; an analytic p there is the mean of its values on the ring
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)) \
-            or abs(value) > 1e6 * np.max(np.abs(values[1:])):
-        raise DomainError(f"pullback singular at {pole}; use residue_merged instead")
+    value = _at_kernel_pole(lambda u: complex(g_strip(u)), pole)
     if which == "at_ipi":
         return math.exp(-xi * PI) / (alpha - 1.0) * value
     return math.exp(-xi * PI) * cmath.exp(1j * xi * pole.real) / (1.0 - alpha) * value
@@ -168,7 +187,9 @@ def residue_merged(pole, xi, alpha, g_strip, radius=None, n_points=256):
         radius = min(0.2, 0.5 * min(abs(cand - pole) for cand in others))
     for cand in others:
         if abs(cand - pole) <= radius:
-            raise DomainError(f"singularity {cand} inside residue circle of radius {radius}")
+            raise DomainError(
+                f"singularity {cand} inside residue circle of radius {radius}"
+            )
     np = numpy()
     theta = 2.0 * PI * np.arange(n_points) / n_points
     ring = np.exp(1j * theta)
@@ -184,7 +205,9 @@ def residue_strip_pole(s, xi, alpha):
     constant times ``exp(-xi Im beta)``.
     """
     if s.order != 1:
-        raise DomainError("closed form covers simple poles only; use residue_merged")
+        raise DomainError(
+            "closed form covers simple poles only; use residue_merged"
+        )
     beta = complex(s.beta)
     if abs(beta.imag - PI) < 1e-9:
         raise DomainError("closed form requires Im beta != pi; use residue_merged")
@@ -224,27 +247,24 @@ def _clusters(locations, near):
         groups[pair[0]] += groups.pop(pair[1])
 
 
-def terms_key(xi):
-    """``min(0.1, 1/xi)``, the one way :func:`residue_terms` depends on xi."""
-    return min(0.1, 1.0 / xi) if xi else 0.1
-
-
 def residue_terms(p, alpha, u0, scale, singularities, period, top=None,
                   R=math.inf, e=0.0, e_u0=None):
     """The residues of ``e^{i xi u} Q(u)``, ``Q = scale k(u, 0, alpha) p(u)``,
     in the window Im u < ``top`` (default ``period``), |Re u| < ``R``, as
-    ``terms(terms_key(xi))``, built once per key: (phase point, weight)
-    pairs whose ``e^{i xi phase} weight`` sum to those residues times
-    ``e^{i xi e}``.  Q's poles are p's listed ``singularities`` and the
-    kernel's, ``i pi (2k + 1)`` and ``u0 + 2 pi i k``, where with ``scale
-    = 1 - alpha`` (g_lambda's ``2r/(hi - z)``) the residues are ``-p`` and
-    ``p``.  A lone simple pole takes its closed form, phase point ``e``
-    plus its location (``e_u0 + 2 pi i k`` at ``u0 + 2 pi i k``; ``e_u0``
-    is ``e + u0`` unless given exactly).  Poles nearer each other than
-    min(0.05, 1/xi), whose closed forms would cancel, and merged or
-    higher-order poles share a 64-point circle rule of radius at most 0.2,
-    2/xi and half the distance to any other pole, to a listed pole outside
-    the window and to any ``+-i period`` image.
+    ``terms(xi)``: (phase point, weight) pairs whose ``e^{i xi phase}
+    weight`` sum to those residues times ``e^{i xi e}``, built once per
+    min(0.1, 1/xi), the one way they depend on xi.  Q's poles are p's
+    listed ``singularities`` and the kernel's, ``i pi (2k + 1)`` and
+    ``u0 + 2 pi i k``, where with ``scale = 1 - alpha`` (g_lambda's
+    ``2r/(hi - z)``) the residues are ``-p`` and ``p``.  A lone simple
+    pole takes its closed form, phase point ``e`` plus its location
+    (``e_u0 + 2 pi i k`` at ``u0 + 2 pi i k``; ``e_u0`` is ``e + u0``
+    unless given exactly); at a lone kernel pole p must be analytic, or
+    ``_at_kernel_pole`` raises :class:`DomainError`.  Poles nearer each
+    other than min(0.05, 1/xi), whose closed forms would cancel, and
+    merged or higher-order poles share a 64-point circle rule of radius
+    at most 0.2, 2/xi and half the distance to any other pole, to a
+    listed pole outside the window and to any ``+-i period`` image.
     """
     top = period if top is None else top
     e_u0 = e + u0 if e_u0 is None else e_u0
@@ -253,8 +273,10 @@ def residue_terms(p, alpha, u0, scale, singularities, period, top=None,
     for k in range(math.ceil(top / (2.0 * PI))):
         shift = 2j * PI * k
         at_pi, at_u0 = 1j * PI + shift, u0 + shift
-        candidates += [(at_pi, 1, lambda u=at_pi: -p(u), e + at_pi),
-                       (at_u0, 1, lambda u=at_u0: p(u), e_u0 + shift)]
+        candidates += [(at_pi, 1, lambda u=at_pi: -_at_kernel_pole(p, u),
+                        e + at_pi),
+                       (at_u0, 1, lambda u=at_u0: _at_kernel_pole(p, u),
+                        e_u0 + shift)]
     for s in singularities:
         beta = complex(s.beta)
         candidates.append((beta, s.order,
@@ -291,7 +313,7 @@ def residue_terms(p, alpha, u0, scale, singularities, period, top=None,
                 step = radius * cmath.exp(2j * PI * k / _RING)
                 out.append((e + centre + step, q(centre + step) * step / _RING))
         return out
-    return terms
+    return lambda xi: terms(min(0.1, 1.0 / xi) if xi else 0.1)
 
 
 def enclosed_residues(g_strip, cells, spec, singularities=()):
@@ -305,9 +327,8 @@ def enclosed_residues(g_strip, cells, spec, singularities=()):
                                          complex(math.log(alpha), PI),
                                          1.0 - alpha, singularities, 2.0 * PI,
                                          spec.height, spec.R)
-        terms = lists[alpha](terms_key(xi))
         sums.append(sum(cmath.exp(1j * xi * phase) * weight
-                        for phase, weight in terms) / (1.0 - alpha))
+                        for phase, weight in lists[alpha](xi)) / (1.0 - alpha))
     return sums
 
 
@@ -322,8 +343,9 @@ def contour_residuals(g_strip, cells, spec, singularities=(),
     cell, one batch for all of them, and returns ``|contour integral -
     2 pi i * sum of enclosed residues|`` per cell; a listed pole counts
     only inside the rectangle, below its top and between its sides.  A
-    pole of ``g_strip`` left off ``singularities`` is not refused: its
-    residue is missing, or p is evaluated at it, and the residual is large.
+    pole of ``g_strip`` left off ``singularities`` is refused where it meets
+    a lone kernel pole (see :func:`residue_terms`); elsewhere its residue
+    is missing and the residual shows it.
     """
     for xi, alpha in cells:
         spec.check(xi, alpha)

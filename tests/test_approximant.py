@@ -621,7 +621,7 @@ class TestResiduePath:
                 assert abs(value - want) <= 1e-12 * abs(want), (z, lam)
 
     def test_terms_built_once_per_key(self, monkeypatch):
-        # a point's terms depend on lambda only through terms_key(xi):
+        # a point's terms depend on lambda only through min(0.1, 1/xi):
         # lambdas up to e^{20 pi} - 1 share the key 0.1, larger ones have their own
         builds = []
         clusters = asymptotics._clusters

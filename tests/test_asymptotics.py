@@ -475,6 +475,15 @@ class TestContourResiduals:
         assert str(batch.value) == str(alone.value)
 
 
+@pytest.fixture(scope="module")
+def fuzz():
+    """``tools/fuzz_oracle.py`` as a module."""
+    spec = importlib.util.spec_from_file_location(
+        "fuzz_oracle", Path(__file__).resolve().parents[1] / "tools" / "fuzz_oracle.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
 
 class TestResidueEngine:
     """``enclosed_residues``, the engine g_lambda's residue path also sums,
@@ -486,64 +495,48 @@ class TestResidueEngine:
     BETA = 0.5 + 0.5j * PI  # the synthetic order-two pole
 
     def case(self, name):
-        """The pullback, its listed poles, and the cross-check's residues
-        inside SPEC at one (xi, alpha)."""
+        """The pullback and its listed poles."""
         if name == "order-two":
             def g_strip(z):
                 return 1.0 / (np.asarray(z, dtype=complex) - self.BETA) ** 2
-            sing = (StripSingularity(beta=self.BETA, order=2),)
-        else:
-            signal = {"example1": example1, "example2": example2,
-                      "h2pole(-2j)": lambda: h2_reference_pole(-2j)}[name]().signal
-            g_strip, sing = signal.strip_pullback, signal.singularities
-
-        def parts(xi, alpha):
-            if name == "example1":  # its pole merges with the kernel's at i pi
-                return [residue_merged(1j * PI, xi, alpha, g_strip),
-                        residue_kernel_pole("at_ipi_plus_ln_alpha", xi, alpha, g_strip)]
-            s = sing[0]
-            return [residue_kernel_pole(which, xi, alpha, g_strip)
-                    for which in ("at_ipi", "at_ipi_plus_ln_alpha")] + [
-                residue_merged(s.beta, xi, alpha, g_strip) if s.order > 1
-                else residue_strip_pole(s, xi, alpha)]
-        return g_strip, sing, parts
+            return g_strip, (StripSingularity(beta=self.BETA, order=2),)
+        signal = {"example1": example1, "example2": example2,
+                  "h2pole(-2j)": lambda: h2_reference_pole(-2j)}[name]().signal
+        return signal.strip_pullback, signal.singularities
 
     @pytest.mark.parametrize("name", ["example1", "example2", "h2pole(-2j)", "order-two"])
-    def test_matches_cross_checks(self, name):
-        g_strip, sing, parts = self.case(name)
+    def test_matches_cross_checks(self, name, fuzz):
+        g_strip, sing = self.case(name)
         got = enclosed_residues(g_strip, self.CELLS, self.SPEC, sing)
         for (xi, alpha), value in zip(self.CELLS, got):
-            want = parts(xi, alpha)
+            want = fuzz.closed_form_residues(g_strip, sing, xi, alpha, self.SPEC)
             # at xi = 0 a rational entry's residues cancel exactly: there the
             # scale is the size of what is summed
             scale = abs(sum(want)) if xi else sum(map(abs, want))
             assert abs(value - sum(want)) <= 1e-12 * scale, (xi, alpha)
 
-    def test_fuzz_contour_set(self):
+    def test_cells_alone(self):
+        g_strip, sing = self.case("example1")
+        got = enclosed_residues(g_strip, self.CELLS, self.SPEC, sing)
+        assert got == [enclosed_residues(g_strip, [cell], self.SPEC, sing)[0]
+                       for cell in self.CELLS]
+
+    def test_fuzz_contour_set(self, fuzz):
         # tools/fuzz_oracle.py's contour set, fewer cells
-        spec = importlib.util.spec_from_file_location(
-            "fuzz_oracle", Path(__file__).resolve().parents[1] / "tools" / "fuzz_oracle.py")
-        fuzz = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(fuzz)
         worst, over = fuzz.contour_set(7, 60)
         assert over == 0 and worst < 1e-12
 
-    # at xi = 16, alpha = 50 the missing residue is e^{-16 pi} times the
-    # pullback's 1.6e16 at the kernel pole: 3.1e-7, below the tolerance
-    UNLISTED = [cell for cell in CELLS if cell != (16.0, 50.0)]
-
     @pytest.mark.parametrize("height", [1.25 * PI, 1.5 * PI])
-    def test_unlisted_pole_reads_above_tolerance(self, height):
-        # example1's pole at i pi, not listed: no error, a large residual
+    def test_unlisted_pole_never_passes(self, height):
+        # example1's pole at i pi, not listed, is refused at the kernel pole
+        # wherever it stands alone: its missing residue, e^{-xi pi} times the
+        # pullback's 1.6e16 at the floating-point i pi, would read only
+        # 3.1e-7 at xi = 16, alpha = 50, below the 1e-6 residual tolerance
         g_strip = example1().signal.strip_pullback
-        residuals = contour_residuals(g_strip, self.UNLISTED, ContourSpec(20.0, height))
-        assert min(residuals) >= 1e-6
+        for cell in self.CELLS:
+            with pytest.raises(DomainError, match=r"pullback singular at 3\.14"):
+                contour_residuals(g_strip, [cell], ContourSpec(20.0, height))
 
-    @pytest.mark.xfail(strict=True, reason="an absolute residual tolerance cannot "
-                       "see a missing residue scaled by e^{-xi pi}")
-    def test_unlisted_pole_at_large_xi(self):
-        g_strip = example1().signal.strip_pullback
-        assert contour_residuals(g_strip, [(16.0, 50.0)], self.SPEC)[0] >= 1e-6
 
 class TestGrowthPrediction:
     def test_empty(self):
