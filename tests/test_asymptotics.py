@@ -515,12 +515,6 @@ class TestResidueEngine:
             scale = abs(sum(want)) if xi else sum(map(abs, want))
             assert abs(value - sum(want)) <= 1e-12 * scale, (xi, alpha)
 
-    def test_cells_alone(self):
-        g_strip, sing = self.case("example1")
-        got = enclosed_residues(g_strip, self.CELLS, self.SPEC, sing)
-        assert got == [enclosed_residues(g_strip, [cell], self.SPEC, sing)[0]
-                       for cell in self.CELLS]
-
     def test_fuzz_contour_set(self, fuzz):
         # tools/fuzz_oracle.py's contour set, fewer cells
         worst, over = fuzz.contour_set(7, 60)
