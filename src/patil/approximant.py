@@ -240,8 +240,8 @@ def approximant_table(points, lambdas, interval, signal, tol=QuadTolerance(),
     """g_lambda at each point of the closed upper half plane, for each lambda:
     one row (a list) per lambda of ``lambdas``, one value per point.
 
-    A point is in Im z > 0 or real, and over 1e-300 (hi - lo) from each
-    endpoint, nearer which E(z) overflows; a real point gets the boundary
+    ``Interval.point`` admits each point: finite, in Im z > 0 or real, and over
+    1e-300 (hi - lo) from each endpoint; a real point gets the boundary
     trace, inside I the limit from above.  By default a signal that declares
     the period of its pullback for this ``interval`` gets the residue sum
     over one period strip, exact and without quadrature (``tol`` unused); any
@@ -253,17 +253,8 @@ def approximant_table(points, lambdas, interval, signal, tol=QuadTolerance(),
     paths = {"u": _cauchy_weighted_u, "t": _cauchy_weighted_t}
     if method is not None and method not in paths:
         raise DomainError(f'method must be None, "u" or "t", got {method!r}')
-    zs = [complex(z) for z in points]
-    for z in zs:
-        if not cmath.isfinite(z):
-            raise DomainError(f"need a finite point, got z={z}")
-        if not (z.imag > 0 or z.imag == 0 and method != "t"):
-            raise DomainError(f"need Im z > 0, got z={z}")
-        for end in (interval.lo, interval.hi):
-            if abs(z - end) <= 2e-300 * interval.half_width:
-                raise DomainError(f"z={z} is within 1e-300*|I| of endpoint x={end}")
     # a real point as complex(x, 0.0): h_lambda takes its limit from above
-    zs = [z if z.imag else complex(z.real, 0.0) for z in zs]
+    zs = [interval.point(z, interior=(method == "t")) for z in points]
     lams = [float(lam) for lam in lambdas]
     xis = [xi_of_lambda(lam) for lam in lams]
     table = [[0.0 + 0.0j] * len(zs) for _ in lams]
@@ -297,9 +288,8 @@ def approximant_values(points, params, interval, signal, tol=QuadTolerance(),
 def approximant_interior(z, params, interval, signal, tol=QuadTolerance(),
                          method=None):
     """g_lambda at a point of the open upper half plane (see approximant_table)."""
-    if not complex(z).imag > 0:
-        raise DomainError(f"need Im z > 0, got z={complex(z)}")
-    return approximant_values([z], params, interval, signal, tol, method)[0]
+    return approximant_values([interval.point(z, interior=True)], params, interval,
+                              signal, tol, method)[0]
 
 
 def approximant_boundary(x, params, interval, signal, tol=QuadTolerance()):
@@ -350,8 +340,7 @@ def sup_error_on_compact(pts, params, interval, signal, ref,
                          tol=QuadTolerance()):
     """Max deviation of g_lambda from the reference F at points with Im z > 0."""
     for z in pts:
-        if not complex(z).imag > 0:
-            raise DomainError(f"need Im z > 0, got z={complex(z)}")
+        interval.point(z, interior=True)
     return sup_error(approximant_values(pts, params, interval, signal, tol),
                      pts, ref)
 

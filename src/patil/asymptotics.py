@@ -3,7 +3,7 @@
 The tanh change of variable (``Interval.from_u``) sends the weighted
 Cauchy integral over I to a real-line integral of ``k(u, xi) * p(u)``
 where p is the pullback of the data and k carries poles at ``i pi`` and
-``i pi + ln(alpha)``, ``alpha = Interval.alpha(x)`` (modulo 2 pi i).
+``i pi + ln(alpha)``, ``alpha = (x - lo)/(x - hi)`` (modulo 2 pi i).
 Closing the contour with a rectangle of height ``b in (pi, 3 pi/2]``
 expresses the integral through residues, whose ``exp(-xi Im beta)``
 decay against the ``exp(xi pi)`` prefactor of g_lambda dictates the
@@ -76,8 +76,8 @@ class ContourSpec:
     height: float = STRIP_TOP
 
     def __post_init__(self):
-        if not self.R > 0:
-            raise DomainError("R must be > 0")
+        if not 0 < self.R < math.inf:
+            raise DomainError(f"R must be finite and > 0, got {self.R}")
         if not PI < self.height <= STRIP_TOP:
             raise DomainError(
                 f"height must lie in (pi, 3 pi/2], got {self.height}"
@@ -218,8 +218,6 @@ def residue_strip_pole(s, xi, alpha):
 
 # nodes of the circle rule round a merged pole or a cluster of poles
 _RING = 64
-# poles nearer each other than min(this, 1/xi) share one circle
-_NEAR = 0.05
 
 
 def _clusters(locations, near):
@@ -261,7 +259,7 @@ def residue_terms(p, alpha, u0, scale, singularities, period, top=None,
     (``e_u0 + 2 pi i k`` at ``u0 + 2 pi i k``; ``e_u0`` is ``e + u0``
     unless given exactly); at a lone kernel pole p must be analytic, or
     ``_at_kernel_pole`` raises :class:`DomainError`.  Poles nearer each
-    other than min(0.05, 1/xi), whose closed forms would cancel, and
+    other than min(0.1, 1/xi), whose closed forms would cancel, and
     merged or higher-order poles share a 64-point circle rule of radius
     at most 0.2, 2/xi and half the distance to any other pole, to a
     listed pole outside the window and to any ``+-i period`` image.
@@ -297,7 +295,7 @@ def residue_terms(p, alpha, u0, scale, singularities, period, top=None,
         # a lone simple pole's residue of Q, or a circle node's share of the
         # contour integral of Q round its group
         out = []
-        for group in _clusters(locations, min(_NEAR, key)):
+        for group in _clusters(locations, key):
             if len(group) == 1 and poles[group[0]][1] == 1:
                 _, _, residue, phase = poles[group[0]]
                 out.append((phase, residue()))

@@ -60,10 +60,19 @@ class Interval:
         """Endpoint distance of window samples' nudge and ``pv_integrate``'s refusal."""
         return 1e-6 * (self.hi - self.lo)
 
-    def is_endpoint(self, x):
-        """True if ``x`` (or any element of an array ``x``) is an endpoint."""
-        hit = (x == self.lo) | (x == self.hi)
-        return bool(hit.any() if hasattr(hit, "any") else hit)
+    def point(self, z, interior=False):
+        """``z`` as a complex number, a real x as ``complex(x, 0.0)``, if finite,
+        with Im z > 0 or (unless ``interior``) Im z = 0, and over 1e-300 (hi - lo)
+        from each endpoint, nearer which E(z) overflows; else a DomainError."""
+        z = complex(z)
+        if not cmath.isfinite(z):
+            raise DomainError(f"need a finite point, got z={z}")
+        if not (z.imag > 0 or z.imag == 0 and not interior):
+            raise DomainError(f"need Im z > 0, got z={z}")
+        for end in (self.lo, self.hi):
+            if abs(z - end) <= 2e-300 * self.half_width:
+                raise DomainError(f"z={z} is within 1e-300*|I| of endpoint x={end}")
+        return z if z.imag else complex(z.real, 0.0)
 
     def from_u(self, u):
         """``center + half_width tanh(u/2)``, for real or complex ``u``, or arrays."""
@@ -74,12 +83,6 @@ class Interval:
         if not self.contains(x):
             raise DomainError(f"to_u needs x in ({self.lo}, {self.hi}), got x={x}")
         return math.log((x - self.lo) / (self.hi - x))
-
-    def alpha(self, x):
-        """Kernel parameter of real ``x`` off [lo, hi]: from_u(i pi + ln alpha) = x."""
-        if self.lo <= x <= self.hi:
-            raise DomainError(f"alpha needs x off [{self.lo}, {self.hi}], got x={x}")
-        return (x - self.lo) / (x - self.hi)
 
 
 def xi_of_lambda(lam):
@@ -108,13 +111,13 @@ def _log_weight_ratio(interval):
 def phase_G(x, params, interval):
     """Boundary phase of h_lambda at real points off the endpoints.
 
-    ``x`` is a float or an array.  Unified over symmetric and
-    nonsymmetric intervals; the weight-ratio term vanishes identically
-    when ``lo == -hi``.
+    ``x`` is a float or an array of points that ``Interval.point`` admits.
+    Unified over symmetric and nonsymmetric intervals; the weight-ratio
+    term vanishes identically when ``lo == -hi``.
     """
-    if interval.is_endpoint(x):
-        raise DomainError(f"phase undefined at interval endpoint x={x}")
     np = numpy()
+    for point in np.ravel(x):
+        interval.point(point)
     ratio = np.log(np.abs((interval.hi - x) / (interval.lo - x)))
     return params.xi * (ratio - 0.5 * _log_weight_ratio(interval))
 
@@ -138,15 +141,11 @@ def _quench(z, params, interval):
 
 
 def quench_interior(z, params, interval):
-    """h_lambda(z) for Im z > 0, in closed form."""
-    z = complex(z)
-    if not z.imag > 0:
-        raise DomainError(f"need Im z > 0, got z={z}")
-    return _quench(z, params, interval)
+    """h_lambda(z) for Im z > 0, in closed form (see ``Interval.point``)."""
+    return _quench(interval.point(z, interior=True), params, interval)
 
 
 def quench_boundary(x, params, interval):
-    """h_lambda at a real point off the endpoints: its limit from above."""
-    if interval.is_endpoint(x):
-        raise DomainError(f"h_lambda undefined at interval endpoint x={x}")
-    return _quench(complex(x, 0.0), params, interval)
+    """h_lambda at a real point off the endpoints: its limit from above (see
+    ``Interval.point``)."""
+    return _quench(interval.point(x), params, interval)

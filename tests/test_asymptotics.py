@@ -70,15 +70,6 @@ class TestChangeOfVariable:
         iv = Interval(-2.0, 2.0)
         assert iv.to_u(iv.from_u(u)) == pytest.approx(u, abs=1e-12)
 
-    def test_alpha_values(self):
-        assert UNIT.alpha(3.0) == pytest.approx(2.0)
-        assert UNIT.alpha(-3.0) == pytest.approx(0.5)
-        assert UNIT.alpha(-5.0) == pytest.approx(1.0 / UNIT.alpha(5.0), rel=1e-14)
-
-    def test_alpha_domain(self):
-        with pytest.raises(DomainError):
-            UNIT.alpha(0.5)
-
 
 class TestKernel:
     def test_origin(self):
@@ -515,6 +506,20 @@ class TestResidueEngine:
             scale = abs(sum(want)) if xi else sum(map(abs, want))
             assert abs(value - sum(want)) <= 1e-12 * scale, (xi, alpha)
 
+    @pytest.mark.parametrize("xi, alpha", [(0.505, 1.076), (0.3, 1.06)])
+    def test_near_kernel_poles_share_one_circle(self, xi, alpha):
+        # example1's double pole at i pi and the kernel pole ln(alpha) (0.073
+        # and 0.058) from it, nearer than min(0.1, 1/xi): one circle rule,
+        # against an 8,192-point circle of radius 0.6 round both
+        signal = example1().signal
+        got = enclosed_residues(signal.strip_pullback, [(xi, alpha)], self.SPEC,
+                                signal.singularities)[0]
+        centre, n = 1j * PI, 8192
+        nodes = centre + 0.6 * np.exp(2j * PI * np.arange(n) / n)
+        want = np.mean(kernel_k(nodes, xi, alpha) * signal.strip_pullback(nodes)
+                       * (nodes - centre))
+        assert abs(got - want) <= 1e-13 * abs(want)
+
     def test_fuzz_contour_set(self, fuzz):
         # tools/fuzz_oracle.py's contour set, fewer cells
         worst, over = fuzz.contour_set(7, 60)
@@ -647,3 +652,9 @@ class TestDataTypes:
             ContourSpec(R=-1.0)
         with pytest.raises(DomainError):
             ContourSpec(R=10.0, height=2.0 * PI)
+
+    @pytest.mark.parametrize("R", [math.inf, math.nan])
+    def test_contour_spec_refuses_nonfinite_r(self, R):
+        # contour_residuals starts int(R) panels on each horizontal edge
+        with pytest.raises(DomainError, match="R must be finite and > 0"):
+            ContourSpec(R=R)

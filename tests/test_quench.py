@@ -1,6 +1,7 @@
 import cmath
 import importlib.util
 import math
+import re
 from pathlib import Path
 
 import mpmath
@@ -9,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from patil.approximant import approximant_interior, approximant_table
+from patil.catalog import example2
 from patil.errors import DomainError
 from patil.quadrature import QuadTolerance, integrate_adaptive
 from patil.quench import (
@@ -92,7 +95,7 @@ class TestPhaseG:
     @given(a=st.floats(0.1, 5.0), x=st.floats(-10, 10), lam=st.floats(0.01, 1e6))
     def test_symmetric_reduction(self, a, x, lam):
         interval = Interval(-a, a)
-        if interval.is_endpoint(x):
+        if abs(x) == a:  # an endpoint
             return
         p = QuenchParams(lam)
         expected = p.xi * math.log(abs((a - x) / (a + x)))
@@ -262,8 +265,10 @@ class TestInterval:
         assert iv.contains(0.5) is True
         assert iv.contains(np.array([-1.0, 0.0, 0.5, 2.0, 3.0])).tolist() == \
             [False, False, True, False, False]
-        assert iv.is_endpoint(0.0)
-        assert not iv.is_endpoint(np.array([0.5, 1.5]))
+        assert iv.point(0.5) == complex(0.5, 0.0)
+        assert iv.point(1.5 + 1j, interior=True) == 1.5 + 1j
+        with pytest.raises(DomainError, match="endpoint x=0.0"):
+            iv.point(0.0)
         assert iv.guard == pytest.approx(2e-6)
 
     @settings(max_examples=60, deadline=None)
@@ -277,7 +282,7 @@ class TestInterval:
         assert iv.from_u(iv.to_u(x)) == pytest.approx(x, rel=1e-12, abs=1e-12)
         # the second kernel pole i pi + ln(alpha) is the preimage of x off I
         x = iv.hi + gap if right else iv.lo - gap
-        assert iv.from_u(1j * math.pi + math.log(iv.alpha(x))) == \
+        assert iv.from_u(1j * math.pi + math.log((x - lo) / (x - iv.hi))) == \
             pytest.approx(x, rel=1e-9, abs=1e-9)
 
     def test_tanh_map_domains(self):
@@ -286,6 +291,65 @@ class TestInterval:
         for x in (-0.5, 2.0, 3.0):
             with pytest.raises(DomainError, match="to_u needs x in"):
                 iv.to_u(x)
-        for x in (-0.5, 0.75, 2.0):
-            with pytest.raises(DomainError, match="alpha needs x off"):
-                iv.alpha(x)
+
+
+class TestPointRule:
+    """``Interval.point`` is the one rule for h_lambda, G and g_lambda: each
+    refuses a point it refuses, with its message, where a weaker rule let
+    NaN, inf or a bare ValueError through."""
+
+    UNIT01 = Interval(0.0, 1.0)
+    PARAMS = QuenchParams(10.0)
+    SIGNAL = example2(interval=UNIT01).signal
+
+    def closed(self, z):
+        """h_lambda, G and g_lambda at ``z`` on the closed upper half plane."""
+        iv, p = self.UNIT01, self.PARAMS
+        calls = [lambda: quench_boundary(z, p, iv),
+                 lambda: approximant_table([0.5, z], [10.0], iv, self.SIGNAL)]
+        if isinstance(z, float):
+            calls += [lambda: phase_G(z, p, iv),
+                      lambda: phase_G(np.array([0.5, z]), p, iv)]
+        return calls
+
+    def interior(self, z):
+        """h_lambda and g_lambda at ``z`` on the open upper half plane."""
+        iv, p = self.UNIT01, self.PARAMS
+        return [lambda: quench_interior(z, p, iv),
+                lambda: approximant_interior(z, p, iv, self.SIGNAL),
+                lambda: approximant_table([0.5j, z], [10.0], iv, self.SIGNAL,
+                                          method="t")]
+
+    @pytest.mark.parametrize("z, interior, message", [
+        (math.nan, False, "need a finite point, got z=(nan+0j)"),
+        (math.inf, False, "need a finite point, got z=(inf+0j)"),
+        (-math.inf, False, "need a finite point, got z=(-inf+0j)"),
+        (complex(math.inf, 1.0), True, "need a finite point, got z=(inf+1j)"),
+        (complex(math.nan, 1.0), True, "need a finite point, got z=(nan+1j)"),
+        (complex(1.0, math.inf), True, "need a finite point, got z=(1+infj)"),
+        (0.5 - 1j, False, "need Im z > 0, got z=(0.5-1j)"),
+        (0.5 - 1j, True, "need Im z > 0, got z=(0.5-1j)"),
+        (complex(0.5, 0.0), True, "need Im z > 0, got z=(0.5+0j)"),
+        (0.0, False, "z=0j is within 1e-300*|I| of endpoint x=0.0"),
+        (1.0, False, "z=(1+0j) is within 1e-300*|I| of endpoint x=1.0"),
+        (1e-310, False, "z=(1e-310+0j) is within 1e-300*|I| of endpoint x=0.0"),
+        (-1e-310, False, "z=(-1e-310+0j) is within 1e-300*|I| of endpoint x=0.0"),
+        (1e-310j, True, "z=1e-310j is within 1e-300*|I| of endpoint x=0.0"),
+        (complex(1.0, 5e-324), True,
+         "z=(1+5e-324j) is within 1e-300*|I| of endpoint x=1.0"),
+    ])
+    def test_refused_by_every_function(self, z, interior, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            self.UNIT01.point(z, interior)
+        for call in self.interior(z) if interior else self.closed(z):
+            with pytest.raises(DomainError, match=re.escape(message)):
+                call()
+
+    @pytest.mark.parametrize("z", [1e-299, -1e-299, 1e-299j, complex(1.0, 1e-299)])
+    def test_finite_beyond_the_margin(self, z):
+        # the t-path oracle, last, cannot integrate 1/(t - z) this near an endpoint
+        calls = self.interior(z)[:-1] if isinstance(z, complex) else self.closed(z)
+        for call in calls:
+            value = call()
+            value = value[0][1] if isinstance(value, list) else value
+            assert np.all(np.isfinite(value)), (z, value)

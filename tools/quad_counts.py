@@ -10,12 +10,14 @@ seed-drawn inputs) once, in-process, through ``patil.cli.main``, with
 panels it evaluates (one per entry of its last argument, the panel right
 ends) and the nodes passed to the integrand, and the residue path's
 ``_residue_columns`` (where ``approximant_table`` looks it up) wrapped
-to count its (point, lambda) cells.  The counts do not depend on the
+to count its (point, lambda) cells, and ``asymptotics._clusters`` wrapped
+to count the residue terms built, one set per point (or contour alpha)
+and memo key min(0.1, 1/xi).  The counts do not depend on the
 machine, and the wrappers do not depend on whether ``_gk15`` takes one
 panel or a stack of them, so two source trees can be compared.  Prints
 one JSON object:
-workload -> {"calls", "panels", "points", "residue_cells", and per
-experiment its counts and exit code}.
+workload -> {"calls", "panels", "points", "residue_cells", "term_builds",
+and per experiment its counts and exit code}.
 """
 
 import argparse
@@ -33,10 +35,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
 
 import patil.approximant as approximant  # noqa: E402
+import patil.asymptotics as asymptotics  # noqa: E402
 import patil.cli  # noqa: E402
 import patil.quadrature as quadrature  # noqa: E402
 
-COUNTS = ("calls", "panels", "points", "residue_cells")
+COUNTS = ("calls", "panels", "points", "residue_cells", "term_builds")
 
 
 def counted(gk15, tally):
@@ -57,6 +60,13 @@ def counted_residues(residues, tally):
     return wrapper
 
 
+def counted_builds(clusters, tally):
+    def wrapper(*args):
+        tally["term_builds"] += 1
+        return clusters(*args)
+    return wrapper
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=1)
@@ -65,6 +75,7 @@ def main(argv=None):
     result = {}
     gk15 = quadrature._gk15
     residues = approximant._residue_columns
+    clusters = asymptotics._clusters
     try:
         with tempfile.TemporaryDirectory() as tmp:
             for name in args.workload:
@@ -73,6 +84,7 @@ def main(argv=None):
                     tally = total[exp.name] = dict.fromkeys(COUNTS, 0)
                     quadrature._gk15 = counted(gk15, tally)
                     approximant._residue_columns = counted_residues(residues, tally)
+                    asymptotics._clusters = counted_builds(clusters, tally)
                     cfg = os.path.join(tmp, f"{exp.name}.json")
                     with open(cfg, "w") as fh:
                         json.dump(exp.config, fh)
@@ -85,6 +97,7 @@ def main(argv=None):
     finally:
         quadrature._gk15 = gk15
         approximant._residue_columns = residues
+        asymptotics._clusters = clusters
     print(json.dumps(result))
     return 0
 
