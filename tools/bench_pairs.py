@@ -121,7 +121,8 @@ def main(argv=None):
                          "each tree: calls = G7/K15 integrand calls, panels = G7/K15 "
                          "panels, points = nodes passed to them, "
                          "residue_cells = (point, lambda) cells of the residue "
-                         "path",
+                         "path, term_builds = residue term builds (calls of "
+                         "asymptotics._clusters)",
         "workloads": {**workloads,
                       args.workload: workloads.get(args.workload, []) + [entry]},
     }
