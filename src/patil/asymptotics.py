@@ -22,11 +22,12 @@ import cmath
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .arrays import numpy
 from .errors import DomainError, NonConvergence, in_cell
-from .quadrature import QuadTolerance, integrate_batch
+from .quadrature import _NODES, QuadTolerance, integrate_rows
 
 __all__ = [
     "StripSingularity",
@@ -47,6 +48,8 @@ __all__ = [
 PI = math.pi
 STRIP_TOP = 1.5 * PI  # strip_pullback is declared on 0 <= Im z <= STRIP_TOP
 ALPHA_ONE_TOL = 1e-6  # |alpha - 1| at or below this puts x at infinity
+# beyond this |Re z| the kernel's e^{-|Re z|} is below the least double
+R_MAX = -math.log(math.ulp(0.0))
 
 
 @dataclass(frozen=True)
@@ -78,6 +81,10 @@ class ContourSpec:
     def __post_init__(self):
         if not 0 < self.R < math.inf:
             raise DomainError(f"R must be finite and > 0, got {self.R}")
+        # the bottom and top start int(R) panels; a wider rectangle adds zeros
+        if self.R > R_MAX:
+            raise DomainError(f"R must be at most {R_MAX:.2f}, where the kernel "
+                              f"underflows to 0, got {self.R}")
         if not PI < self.height <= STRIP_TOP:
             raise DomainError(
                 f"height must lie in (pi, 3 pi/2], got {self.height}"
@@ -337,9 +344,12 @@ def contour_residuals(g_strip, cells, spec, singularities=(),
                       tol=QuadTolerance()):
     """Residuals of the residue identity, one per ``(xi, alpha)`` in ``cells``.
 
-    Numerically integrates k * p over the four rectangle edges of every
-    cell, one batch for all of them, and returns ``|contour integral -
-    2 pi i * sum of enclosed residues|`` per cell; a listed pole counts
+    Numerically integrates k * p, ``g_strip`` being p as a function of one
+    complex number, over the four rectangle edges of every cell, one
+    numpy-free batch (:func:`integrate_rows`) for all of them, and returns
+    ``|contour integral - 2 pi i * sum of enclosed residues|`` per cell; a
+    ZeroDivisionError, OverflowError or cmath ValueError at a node is a
+    non-finite panel (:class:`NonConvergence`); a listed pole counts
     only inside the rectangle, below its top and between its sides.  A
     pole of ``g_strip`` left off ``singularities`` is refused where it meets
     a lone kernel pole (see :func:`residue_terms`); elsewhere its residue
@@ -358,27 +368,65 @@ def contour_residuals(g_strip, cells, spec, singularities=(),
     if abs(b - PI) < _CONTOUR_GUARD:
         raise DomainError("kernel poles lie on Im z = pi")
 
-    np = numpy()
-    # integral k is edge e = k % 4, z = start[e] + step[e] s, of cell k // 4;
-    # the product with step is taken last, where multiplying by 1 or i is exact
-    start = np.array([0.0, 1j * b, R, -R])
-    step = np.array([1.0, 1.0, 1j, 1j])
-    xis, alphas = np.array(cells, dtype=float).reshape(-1, 2).T
+    # integral k is edge k % 4 (bottom, top, right, left) of cell k // 4, on
+    # which z = s + i b (b = 0 at the bottom) or z = +-R + i s.  The cells
+    # share each edge's panels, which come from one bisection tree, so a
+    # panel's nodes and pullback, its kernel per alpha and its phase per xi
+    # are each evaluated once, and a cell's row is a product of two lists.
+    cells = [(float(xi), float(alpha)) for xi, alpha in cells]
+    keys = [(edge, xi, alpha) for xi, alpha in cells for edge in range(4)]
 
-    def f(s, k):
-        edge, cell = k % 4, k // 4
-        z = start[edge] + step[edge] * s
-        return step[edge] * (kernel_k(z, xis[cell], alphas[cell]) * g_strip(z))
+    @functools.cache
+    def side(edge, a, c):
+        # the nodes z and per node (q, d0, d1), so that dz/ds k(z, 0, alpha) p(z)
+        # is q / (d0 + alpha d1) at every alpha, the form of _mobius: em is
+        # e^{-z} where Re z > 0, else e^z, q = dz/ds p(z) em / (1 + em), and
+        # the den is 1 + alpha em, or em + alpha; dz/ds is 1 or i
+        half, mid = 0.5 * (c - a), 0.5 * (c + a)
+        s = [mid + half * x for x in _NODES]
+        if edge < 2:
+            z, dzds = [complex(v, (0.0, b)[edge]) for v in s], 1.0
+        else:
+            z, dzds = [complex((R, -R)[edge - 2], v) for v in s], 1j
+        parts = []
+        for u in z:
+            em = cmath.exp(-u if u.real > 0 else u)
+            q = dzds * complex(g_strip(u)) * em / (1.0 + em)
+            parts.append((q, 1.0, em) if u.real > 0 else (q, em, 1.0))
+        return z, parts
+
+    @functools.cache
+    def weighted(edge, a, c, alpha):
+        return [q / (d0 + alpha * d1) for q, d0, d1 in side(edge, a, c)[1]]
+
+    @functools.cache
+    def wave(edge, a, c, xi):
+        return [cmath.exp(1j * xi * u) for u in side(edge, a, c)[0]]
+
+    def rows(ks, los, his):
+        out = []
+        for k, a, c in zip(ks, los, his):
+            edge, xi, alpha = keys[k]
+            try:
+                out.append(list(map(operator.mul, weighted(edge, a, c, alpha),
+                                    wave(edge, a, c, xi))))
+            except DomainError:
+                raise
+            except (ZeroDivisionError, OverflowError, ValueError):
+                # a pole on a node, or a phase beyond the doubles (cmath's
+                # domain error): a NaN row, which integrate_rows names
+                out.append([complex(math.nan, math.nan)] * len(_NODES))
+        return out
 
     n = len(cells)
     try:
-        edges = integrate_batch(f, [-R, -R, 0.0, 0.0] * n, [R, R, b, b] * n, tol,
-                                [max(8, int(R)), max(8, int(R)), 8, 8] * n)
+        edges = integrate_rows(rows, [-R, -R, 0.0, 0.0] * n, [R, R, b, b] * n, tol,
+                               [max(8, int(R)), max(8, int(R)), 8, 8] * n)
     except NonConvergence as exc:
         xi, alpha = cells[exc.index // 4]
         edge = ("bottom", "top", "right", "left")[exc.index % 4]
-        raise in_cell(exc, f"contour at xi={float(xi)!r}, "
-                           f"alpha={float(alpha)!r}, {edge} edge") from exc
+        raise in_cell(exc, f"contour at xi={xi!r}, alpha={alpha!r}, "
+                           f"{edge} edge") from exc
     residues = enclosed_residues(g_strip, cells, spec, singularities)
     return [abs(bottom + right - top - left - 2j * PI * res)
             for bottom, top, right, left, res

@@ -1,20 +1,26 @@
 """Adaptive quadrature for complex-valued integrands.
 
-* :func:`integrate_batch` -- many globally adaptive Gauss-Kronrod
-  (G7/K15) integrals on finite intervals, sharing integrand calls;
+* :func:`integrate_rows` -- many globally adaptive Gauss-Kronrod
+  (G7/K15) integrals on finite intervals, sharing integrand calls, in
+  plain Python;
+* :func:`integrate_batch` -- the same for an integrand on numpy arrays;
   :func:`integrate_adaptive` is a batch of one.
 * :func:`pv_integrate` -- the principal value of ``w(t)/(x - t)`` at an
   interior Cauchy singularity, by singularity subtraction.
 * :func:`integrate_real_line` -- a truncated real-line integral whose
   truncation point comes from a decay certificate.
 
-Integrands must accept numpy arrays of abscissae and return arrays of
-the same shape (complex or real).  Real and imaginary parts are summed
-from the same nodes, so both parts always see identical grids.  numpy is
-loaded by the first integral, not by the import.
+Two integrand contracts share one adaptive loop and one G7/K15 sum.  The
+loop's own, ``rows(k, a, b)``, returns the 15 node values of each panel
+it is given, as lists or any sequences (the contour identity's cached
+rows).  The array one, ``f(u, k)`` of :func:`integrate_batch`, and
+``f(u)`` of the functions built on it, takes a numpy array of abscissae
+and returns an array of the same shape (complex or real); that adapter
+is the only place the engine loads numpy, at its first call.  Real and
+imaginary parts are summed from the same nodes, so both parts always
+see identical grids.
 """
 
-import functools
 import heapq
 import itertools
 import math
@@ -28,6 +34,7 @@ from .quench import Interval
 __all__ = [
     "QuadTolerance",
     "DecayCertificate",
+    "integrate_rows",
     "integrate_batch",
     "integrate_adaptive",
     "pv_integrate",
@@ -107,47 +114,53 @@ _WG = (
     0.381830050505118944950369775488975,
     0.417959183673469387755102040816327,
 )
+# the 15 Kronrod nodes, left to right: node j and node 14 - j are -+_XGK[j],
+# the Gauss nodes are the odd-indexed ones
+_NODES = tuple(-x for x in _XGK[:-1]) + _XGK[::-1]
 # panels per integrand call at most, which bounds memory for any batch size
 _SLICE = 512
 
 
-@functools.cache
-def _tables():
-    """``{"_NODES", "_WK_FULL", "_WG_FULL"}``: all 15 Kronrod nodes on
-    [-1, 1], symmetric about 0, with their Kronrod and Gauss-7 weights
-    (the Gauss nodes are the odd-indexed ones), as arrays."""
-    np = numpy()
-    gauss = np.zeros(15)
-    gauss[1:14:2] = _WG[:-1] + _WG[::-1]
-    return {"_NODES": np.array([-x for x in _XGK[:-1]] + list(_XGK[::-1])),
-            "_WK_FULL": np.array(_WGK[:-1] + _WGK[::-1]), "_WG_FULL": gauss}
+def _gk15(rows, k, lo, hi):
+    """G7/K15 on panels ``[lo[j], hi[j]]`` of integrals ``k[j]``, from one
+    call ``rows(k, lo, hi)``: lists of Kronrod estimates and of error
+    estimates.  As in QUADPACK's dqk15, both sums weigh the values at each
+    pair of nodes symmetric about the midpoint together."""
+    k0, k1, k2, k3, k4, k5, k6, k7 = _WGK
+    g1, g3, g5, g7 = _WG
+    ests, errs = [], []
+    for a, b, (f0, f1, f2, f3, f4, f5, f6, f7, f8, f9, f10, f11, f12, f13, f14) \
+            in zip(lo, hi, rows(k, lo, hi)):
+        half = 0.5 * (b - a)
+        p1, p3, p5 = f1 + f13, f3 + f11, f5 + f9
+        kronrod = half * (k0 * (f0 + f14) + k1 * p1 + k2 * (f2 + f12) + k3 * p3
+                          + k4 * (f4 + f10) + k5 * p5 + k6 * (f6 + f8) + k7 * f7)
+        gauss = half * (g1 * p1 + g3 * p3 + g5 * p5 + g7 * f7)
+        ests.append(kronrod)
+        errs.append(abs(kronrod - gauss))
+    return ests, errs
 
 
-def _gk15(f, k, lo, hi):
-    """G7/K15 on panels ``[lo[j], hi[j]]`` of integrals ``k[j]``, in one
-    integrand call: lists of Kronrod estimates and of error estimates."""
-    np, tables = numpy(), _tables()
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    # a NaN or inf becomes NonConvergence in integrate_batch, not a warning
-    with np.errstate(divide="ignore", invalid="ignore"):
-        fv = np.asarray(f(mid[:, None] + half[:, None] * tables["_NODES"], k[:, None]))
-    kronrod = half * np.sum(tables["_WK_FULL"] * fv, axis=1)
-    gauss = half * np.sum(tables["_WG_FULL"] * fv, axis=1)
-    # abs of each scalar: numpy's array abs of a complex can differ in the last bit
-    return kronrod.tolist(), [abs(d) for d in (kronrod - gauss).tolist()]
+def _partition(a, b, n):
+    """The ``n`` equal panels of [a, b], their ends ``a + j (b - a)/n`` and
+    ``b``, bit for bit what numpy's ``linspace(a, b, n + 1)`` gives."""
+    step = (b - a) / n
+    return itertools.pairwise([a + j * step for j in range(n)] + [b])
 
 
-def integrate_batch(f, lo, hi, tol=QuadTolerance(), initial_panels=8):
-    """Integrate many functions at once, integral ``i`` over ``[lo[i], hi[i]]``.
+def integrate_rows(rows, lo, hi, tol, initial_panels):
+    """Integrate many functions at once, integral ``i`` over ``[lo[i], hi[i]]``
+    from ``initial_panels[i]`` equal panels, without numpy.
 
-    ``f(u, k)`` gets a ``(panels, 15)`` array of nodes, at most 512
-    panels a call, and the ``(panels, 1)`` indices of their integrals;
-    ``initial_panels`` is one count or one per integral.  Each integral
-    bisects its own worst G7/K15 panel until its summed error is below
-    ``max(abs_tol, rel_tol * |result|)``, within its own budget; they
-    share only the integrand calls, so each result (a list of complex)
-    is what it alone would give.
+    ``rows(k, a, b)`` gets the integral ``k[j]`` and the ends ``a[j] <
+    b[j]`` of each panel to evaluate, at most 512 of them a call, and
+    returns for each panel its integrand values at the 15 nodes
+    ``mid + half * x`` for ``x`` in ``_NODES``, ``mid`` and ``half`` being
+    the panel's midpoint and half-width.  Each integral bisects its own
+    worst G7/K15 panel until its summed error is below ``max(abs_tol,
+    rel_tol * |result|)``, within its own budget; they share only the
+    integrand calls, so each result (a list of complex) is what it alone
+    would give.
 
     Raises
     ------
@@ -156,10 +169,7 @@ def integrate_batch(f, lo, hi, tol=QuadTolerance(), initial_panels=8):
         panel whose estimate or error is not finite; its ``index`` is
         that integral's.
     """
-    np = numpy()
-    lo = np.atleast_1d(np.asarray(lo, dtype=float))
-    hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    panels = np.broadcast_to(initial_panels, lo.shape).tolist()
+    panels = list(initial_panels)
     for a, b in zip(lo, hi):
         if not a < b:
             raise DomainError(f"need lo < hi, got [{a}, {b}]")
@@ -168,13 +178,13 @@ def integrate_batch(f, lo, hi, tol=QuadTolerance(), initial_panels=8):
     errors = [0.0] * len(panels)
 
     # every pending panel as (integral, left, right)
-    todo = [(i, a, b) for i, n in enumerate(panels)
-            for a, b in itertools.pairwise(np.linspace(lo[i], hi[i], n + 1).tolist())]
+    todo = [(i, a, b) for i, n in enumerate(panels) for a, b in _partition(lo[i], hi[i], n)]
     while todo:
         ests, errs = [], []
         for j in range(0, len(todo), _SLICE):
-            est, err = _gk15(f, *map(np.array, zip(*todo[j:j + _SLICE])))
-            ests, errs = ests + est, errs + err
+            est, err = _gk15(rows, *zip(*todo[j:j + _SLICE]))
+            ests += est
+            errs += err
         for (i, a, b), est, err in zip(todo, ests, errs):
             if not math.isfinite(err):
                 raise NonConvergence(f"non-finite integrand on panel [{a}, {b}]",
@@ -198,6 +208,30 @@ def integrate_batch(f, lo, hi, tol=QuadTolerance(), initial_panels=8):
             todo += [(i, a, mid), (i, mid, b)]
             panels[i] += 1
     return [complex(t) for t in totals]
+
+
+def integrate_batch(f, lo, hi, tol=QuadTolerance(), initial_panels=8):
+    """:func:`integrate_rows` for an integrand on arrays: ``f(u, k)`` gets a
+    ``(panels, 15)`` array of nodes, at most 512 panels a call, and the
+    ``(panels, 1)`` indices of their integrals, and returns an array of
+    that shape; ``lo``, ``hi`` and ``initial_panels`` (one count or one per
+    integral) may be numbers, lists or arrays.  This adapter is the one
+    place where the engine loads numpy.
+    """
+    np = numpy()
+    lo = np.atleast_1d(np.asarray(lo, dtype=float))
+    hi = np.atleast_1d(np.asarray(hi, dtype=float))
+    nodes = np.array(_NODES)
+
+    def rows(k, a, b):
+        a, b = np.array(a), np.array(b)
+        half, mid = 0.5 * (b - a), 0.5 * (b + a)
+        # a NaN or inf becomes NonConvergence in integrate_rows, not a warning
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.asarray(f(mid[:, None] + half[:, None] * nodes,
+                                np.array(k)[:, None])).tolist()
+    return integrate_rows(rows, lo.tolist(), hi.tolist(), tol,
+                          np.broadcast_to(initial_panels, lo.shape).tolist())
 
 
 def integrate_adaptive(f, lo, hi, tol=QuadTolerance(), initial_panels=8):

@@ -430,9 +430,24 @@ class TestContourResiduals:
         def no_integration(*args, **kwargs):
             raise AssertionError("an edge was integrated")
 
-        monkeypatch.setattr(asymptotics, "integrate_batch", no_integration)
+        monkeypatch.setattr(asymptotics, "integrate_rows", no_integration)
         with pytest.raises(DomainError, match="xi >= 0"):
             contour_residuals(ones, [(1.0, 2.0), (-1.0, 2.0)], ContourSpec(20.0))
+
+    @pytest.mark.parametrize("g_strip,xi,panel", [
+        # a pole on the bottom edge's node -19: ZeroDivisionError in the row
+        (lambda z: 1 / (z + 19.0), 1.0, "[-20.0, -18.0]"),
+        # OverflowError from the pullback past Re z = 0.71
+        (lambda z: cmath.exp(1000.0 * z), 1.0, "[0.0, 2.0]"),
+        # xi Re z beyond the doubles: cmath's ValueError from the phase
+        (lambda z: 1.0, 1e307, "[-20.0, -18.0]"),
+    ])
+    def test_arithmetic_fault_named(self, g_strip, xi, panel):
+        # no bare arithmetic exception: the non-finite panel, its cell and edge
+        with pytest.raises(NonConvergence) as fault:
+            contour_residuals(g_strip, [(xi, 2.0)], ContourSpec(20.0))
+        assert str(fault.value) == (f"contour at xi={xi!r}, alpha=2.0, bottom edge: "
+                                    f"non-finite integrand on panel {panel}")
 
     @pytest.mark.parametrize("case,budget,cell,edge", [
         ("example2", 40, (8.0, 5.0), "bottom"),
@@ -652,6 +667,20 @@ class TestDataTypes:
             ContourSpec(R=-1.0)
         with pytest.raises(DomainError):
             ContourSpec(R=10.0, height=2.0 * PI)
+
+    @pytest.mark.parametrize("R", [math.nextafter(asymptotics.R_MAX, math.inf),
+                                   1e9, 1e300])
+    def test_contour_spec_refuses_huge_r(self, R):
+        # beyond R_MAX e^-R is below the least double: more panels, no more digits
+        with pytest.raises(DomainError, match=r"R must be at most 744\.44"):
+            ContourSpec(R=R)
+
+    def test_contour_at_largest_r(self):
+        signal = example2().signal
+        at_max = contour_identity_check(signal.strip_pullback, 1.0, 2.0,
+                                        ContourSpec(asymptotics.R_MAX),
+                                        signal.singularities)
+        assert math.exp(-asymptotics.R_MAX) > 0.0 and at_max < 1e-10
 
     @pytest.mark.parametrize("R", [math.inf, math.nan])
     def test_contour_spec_refuses_nonfinite_r(self, R):

@@ -2,6 +2,7 @@ import csv
 import importlib.util
 import json
 import math
+import time
 import warnings
 from pathlib import Path
 
@@ -270,6 +271,17 @@ class TestContourCommand:
                               "bottom edge: error ")
         assert err.rstrip().endswith("after 20 panels (max_subdivisions=9)")
 
+    @pytest.mark.parametrize("R", [1e9, 1e300])
+    def test_huge_r_refused(self, tmp_path, capsys, R):
+        # refused before any of its int(R) initial panels is made
+        cfg = write_config(tmp_path, contour={"xi": [1.0], "alpha": [2.0], "R": R})
+        start = time.perf_counter()
+        assert main(["contour", "--config", cfg]) == EXIT_CONFIG
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "R must be at most 744.44" in err
+        assert err.count("\n") == 1
+
     def test_example2_identity(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -453,15 +465,19 @@ class TestConfigErrors:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command,overrides,fault", [
-        # R = 1e300 asks for more initial panels than numpy can allocate
-        ("contour", {"contour": {"alpha": [1e300], "R": 1e300}}, "ValueError"),
+        # a runner that fails as no config can make it fail, a fault of the program
+        ("contour", {"contour": {"xi": [1.0], "alpha": [2.0]}}, "ValueError"),
     ])
-    def test_unexpected_error_exits_internal(self, tmp_path, capsys, command,
-                                             overrides, fault):
+    def test_unexpected_error_exits_internal(self, tmp_path, capsys, monkeypatch,
+                                             command, overrides, fault):
+        def runner(cfg):
+            raise ValueError("a fault of the runner")
+        monkeypatch.setattr(cli, "run_contour_check", runner)
         cfg = write_config(tmp_path, **overrides)
         assert main([command, "--config", cfg]) == EXIT_INTERNAL
         err = capsys.readouterr().err
         assert err.startswith(f"internal error: {fault}: ")
+        assert err.count("\n") == 1
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command,overrides,key", [

@@ -3,8 +3,8 @@ freezes the objects the imports made and then returns ``main()``'s code.
 
 A process writes the same bytes and exits with the same code as ``main``
 called in-process, an output that cannot be written, a closed pipe or a
-full device, is one line on stderr and exit 2, and growth and converge
-never import numpy.
+full device, is one line on stderr and exit 2, and no command imports
+numpy.
 """
 
 import gc
@@ -114,16 +114,15 @@ def _perfbench_configs(command):
 
 
 def _import_runs(tmp_path):
-    """(command, name, config path) of every golden growth and converge config,
-    perfbench's seed-1 ones, and one contour config."""
-    runs = [(p.stem.split("_")[0], p.stem, p) for p in CONFIGS
-            if p.stem.split("_")[0] in ("growth", "converge")]
-    for command in ("growth", "converge"):
+    """(command, name, config path) of every golden config and of perfbench's
+    seed-1 ones."""
+    runs = [(p.stem.split("_")[0], p.stem, p) for p in CONFIGS]
+    for command in ("growth", "converge", "contour"):
         for name, config in _perfbench_configs(command):
             path = tmp_path / f"{command}-{name}.json"
             path.write_text(json.dumps(config))
             runs.append((command, name, path))
-    return runs + [("contour", "contour_example2", ROOT / "tests/golden/contour_example2.json")]
+    return runs
 
 
 def test_numpy_only_for_arrays(tmp_path):
@@ -138,8 +137,7 @@ def test_numpy_only_for_arrays(tmp_path):
                    if line.startswith("import time:")}
         assert "patil.approximant" in modules, name
         seen[command, name] = "numpy" in modules
-    assert len(seen) == 14
-    assert seen.pop(("contour", "contour_example2")) is True
+    assert len(seen) == 19
     assert not any(seen.values()), seen
 
 

@@ -8,14 +8,14 @@ Runs each experiment of the workloads (perfbench/workloads.py, the same
 seed-drawn inputs) once, in-process, through ``patil.cli.main``, with
 ``patil.quadrature._gk15`` wrapped to count its integrand calls, the
 panels it evaluates (one per entry of its last argument, the panel right
-ends) and the nodes passed to the integrand, and the residue path's
-``_residue_columns`` (where ``approximant_table`` looks it up) wrapped
-to count its (point, lambda) cells, and ``asymptotics._clusters`` wrapped
-to count the residue terms built, one set per point (or contour alpha)
-and memo key min(0.1, 1/xi).  The counts do not depend on the
-machine, and the wrappers do not depend on whether ``_gk15`` takes one
-panel or a stack of them, so two source trees can be compared.  Prints
-one JSON object:
+ends) and the node values the integrand returns (15 per panel row), the
+residue path's ``_residue_columns`` (where ``approximant_table`` looks
+it up) wrapped to count its (point, lambda) cells, and
+``asymptotics._clusters`` wrapped to count the residue terms built, one
+set per point (or contour alpha) and memo key min(0.1, 1/xi).  The
+counts do not depend on the machine, and the wrappers do not depend on
+whether ``_gk15`` takes one panel or a stack of them, so two source
+trees can be compared.  Prints one JSON object:
 workload -> {"calls", "panels", "points", "residue_cells", "term_builds",
 and per experiment its counts and exit code}.
 """
@@ -29,8 +29,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
 
@@ -43,12 +41,13 @@ COUNTS = ("calls", "panels", "points", "residue_cells", "term_builds")
 
 
 def counted(gk15, tally):
-    def wrapper(f, *args):
-        def integrand(u, *rest):
+    def wrapper(rows, *args):
+        def integrand(*panels):
             tally["calls"] += 1
-            tally["points"] += np.size(u)
-            return f(u, *rest)
-        tally["panels"] += np.size(args[-1])
+            values = rows(*panels)
+            tally["points"] += sum(map(len, values))
+            return values
+        tally["panels"] += len(args[-1])
         return gk15(integrand, *args)
     return wrapper
 
