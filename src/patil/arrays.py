@@ -1,8 +1,13 @@
 """numpy, loaded on first use, and evaluators that follow their input.
 
-Only array work needs numpy: the u- and t-paths of g_lambda, the G7/K15
-engine, the contour identity and evaluators given arrays.  ``import
-patil``, the residue path of g_lambda and the growth fit load none of it.
+Only array work needs numpy: the u- and t-paths of g_lambda, the array
+adapter of the G7/K15 engine (``quadrature.integrate_batch``, whose
+integrand takes and returns arrays, and the functions built on it),
+``kernel_k``, ``residue_merged``, ``Interval.from_u``, ``phase_G`` and
+evaluators given arrays.  ``import patil``, the engine itself
+(``quadrature.integrate_rows``, whose integrand returns lists of node
+values), the contour identity, the residue path of g_lambda and the
+growth fit load none of it.
 """
 
 import os

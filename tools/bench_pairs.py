@@ -119,7 +119,7 @@ def main(argv=None):
                      "first in odd pairs",
         "counts_method": "PYTHONPATH=src python3 tools/quad_counts.py --seed 1 W in "
                          "each tree: calls = G7/K15 integrand calls, panels = G7/K15 "
-                         "panels, points = nodes passed to them, "
+                         "panels, points = node values they return, "
                          "residue_cells = (point, lambda) cells of the residue "
                          "path, term_builds = residue term builds (calls of "
                          "asymptotics._clusters)",
