@@ -130,7 +130,7 @@ def _gk15(rows, k, lo, hi):
     g1, g3, g5, g7 = _WG
     ests, errs = [], []
     for a, b, (f0, f1, f2, f3, f4, f5, f6, f7, f8, f9, f10, f11, f12, f13, f14) \
-            in zip(lo, hi, rows(k, lo, hi)):
+            in zip(lo, hi, rows(k, lo, hi), strict=True):
         half = 0.5 * (b - a)
         p1, p3, p5 = f1 + f13, f3 + f11, f5 + f9
         kronrod = half * (k0 * (f0 + f14) + k1 * p1 + k2 * (f2 + f12) + k3 * p3

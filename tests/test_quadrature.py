@@ -211,6 +211,11 @@ class TestIntegrateBatch:
         assert same(quadrature.integrate_rows(rows, [-1.0, 0.0], [2.0, 3.0], tol, [8, 3]),
                     integrate_batch(f, [-1.0, 0.0], [2.0, 3.0], tol, [8, 3]))
 
+    def test_rows_one_per_panel(self):
+        # a row integrand that drops a panel is refused, not summed short
+        with pytest.raises(ValueError):
+            quadrature.integrate_rows(lambda k, a, b: [[1.0] * 15], [0.0], [1.0], TOL, [2])
+
     @pytest.mark.parametrize("lo,hi,n", [(-20.0, 20.0, 20), (0.0, 1.5 * math.pi, 8),
                                          (-744.0, 744.0, 744), (-1e-3, 3.3, 7),
                                          (0.1, 0.7, 1)])
