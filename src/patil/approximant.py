@@ -256,24 +256,22 @@ def approximant_table(points, lambdas, interval, signal, tol=QuadTolerance(),
     # a real point as complex(x, 0.0): h_lambda takes its limit from above
     zs = [interval.point(z, interior=(method == "t")) for z in points]
     lams = [float(lam) for lam in lambdas]
-    xis = [xi_of_lambda(lam) for lam in lams]
-    table = [[0.0 + 0.0j] * len(zs) for _ in lams]
     live = [k for k, lam in enumerate(lams) if lam != 0]
-    if not (live and zs):
-        return table
+    live_lams = [lams[k] for k in live]
     if method is None and signal.period is not None and signal.interval == interval:
-        columns = _residue_columns(zs, [lams[k] for k in live], interval, signal)
-        for j, column in enumerate(columns):
-            for k, value in zip(live, column):
-                table[k][j] = value
-        return table
-    columns = paths[method or "u"](zs, [lams[k] for k in live], interval, signal, tol)
-    for j, (z, column) in enumerate(zip(zs, columns)):
-        exponent = _quench_exponent(z, interval)
-        for k, integral in zip(live, column):
-            lam = lams[k]
-            table[k][j] = (lam * cmath.exp(1j * xis[k] * exponent) / (2j * math.pi)
-                           * integral / math.sqrt(1.0 + lam))
+        columns = _residue_columns(zs, live_lams, interval, signal)
+    else:
+        integrals = paths[method or "u"](zs, live_lams, interval, signal, tol)
+        columns = []
+        for z, column in zip(zs, integrals):
+            exponent = _quench_exponent(z, interval)
+            columns.append([lam * cmath.exp(1j * xi_of_lambda(lam) * exponent)
+                            / (2j * math.pi) * integral / math.sqrt(1.0 + lam)
+                            for lam, integral in zip(live_lams, column)])
+    table = [[0.0 + 0.0j] * len(zs) for _ in lams]
+    for j, column in enumerate(columns):
+        for k, value in zip(live, column):
+            table[k][j] = value
     return table
 
 

@@ -50,6 +50,8 @@ STRIP_TOP = 1.5 * PI  # strip_pullback is declared on 0 <= Im z <= STRIP_TOP
 ALPHA_ONE_TOL = 1e-6  # |alpha - 1| at or below this puts x at infinity
 # beyond this |Re z| the kernel's e^{-|Re z|} is below the least double
 R_MAX = -math.log(math.ulp(0.0))
+# least distance of a pole, the kernel poles on Im z = pi too, from a contour edge
+_CONTOUR_GUARD = 1e-6
 
 
 @dataclass(frozen=True)
@@ -85,10 +87,10 @@ class ContourSpec:
         if self.R > R_MAX:
             raise DomainError(f"R must be at most {R_MAX:.2f}, where the kernel "
                               f"underflows to 0, got {self.R}")
-        if not PI < self.height <= STRIP_TOP:
-            raise DomainError(
-                f"height must lie in (pi, 3 pi/2], got {self.height}"
-            )
+        # the kernel poles lie on Im z = pi
+        if not PI < self.height <= STRIP_TOP or self.height - PI < _CONTOUR_GUARD:
+            raise DomainError(f"height must lie in (pi, 3 pi/2], at least "
+                              f"{_CONTOUR_GUARD} above pi, got {self.height}")
 
     def check(self, xi, alpha):
         """Refuse a (xi, alpha) whose residue identity this rectangle cannot close."""
@@ -100,18 +102,18 @@ class ContourSpec:
             raise DomainError(f"need R > |ln(alpha)| + 1 for alpha={alpha}")
 
 
-def _mobius(z, c):
-    """``(em, den)``: ``e^{-z}`` and ``1 + c e^{-z}`` where Re z > 0, else
-    ``e^z`` and ``e^z + c``, so ``(1 + em) / den = (e^z + 1) / (e^z + c)``
-    on both sides and neither exponential overflows; ``z`` is a complex
-    number or an array."""
+def _mobius(z):
+    """``(em, d0, d1)``: ``e^{-z}``, 1 and ``e^{-z}`` where Re z > 0, else
+    ``e^z``, ``e^z`` and 1, so that ``(1 + em) / (d0 + c d1) = (e^z + 1) /
+    (e^z + c)`` for every ratio c, on both sides, from one exponential
+    that never overflows; ``z`` is a complex number or an array."""
     if isinstance(z, complex):
         em = cmath.exp(-z if z.real > 0 else z)
-        return em, 1.0 + c * em if z.real > 0 else em + c
+        return (em, 1.0, em) if z.real > 0 else (em, em, 1.0)
     np = numpy()
     right_half = z.real > 0
     em = np.exp(np.where(right_half, -z, z))
-    return em, np.where(right_half, 1.0 + c * em, em + c)
+    return em, np.where(right_half, 1.0, em), np.where(right_half, em, 1.0)
 
 
 def kernel_k(z, xi, alpha):
@@ -125,8 +127,8 @@ def kernel_k(z, xi, alpha):
     np = numpy()
     z = np.asarray(z, dtype=complex)
     with np.errstate(invalid="ignore", divide="ignore"):
-        em, den = _mobius(z, alpha)
-        value = np.exp(1j * xi * z) * em / ((1.0 + em) * den)
+        em, d0, d1 = _mobius(z)
+        value = np.exp(1j * xi * z) * em / ((1.0 + em) * (d0 + alpha * d1))
     if not np.all(np.isfinite(value)):
         raise DomainError(
             "kernel pole at i pi (2k + 1) or Log(-alpha) + 2 pi i k")
@@ -135,8 +137,8 @@ def kernel_k(z, xi, alpha):
 
 def _kernel(u, alpha):
     """``k(u, 0, alpha)`` of :func:`kernel_k` at a complex number ``u``."""
-    em, den = _mobius(u, alpha)
-    return em / ((1.0 + em) * den)
+    em, d0, d1 = _mobius(u)
+    return em / ((1.0 + em) * (d0 + alpha * d1))
 
 
 def _kernel_poles(alpha):
@@ -337,9 +339,6 @@ def enclosed_residues(g_strip, cells, spec, singularities=()):
     return sums
 
 
-_CONTOUR_GUARD = 1e-6
-
-
 def contour_residuals(g_strip, cells, spec, singularities=(),
                       tol=QuadTolerance()):
     """Residuals of the residue identity, one per ``(xi, alpha)`` in ``cells``.
@@ -365,8 +364,6 @@ def contour_residuals(g_strip, cells, spec, singularities=(),
         if abs(y) < _CONTOUR_GUARD and x <= _CONTOUR_GUARD or \
                 abs(x) < _CONTOUR_GUARD and y <= _CONTOUR_GUARD:
             raise DomainError(f"singularity {beta} on a contour edge")
-    if abs(b - PI) < _CONTOUR_GUARD:
-        raise DomainError("kernel poles lie on Im z = pi")
 
     # integral k is edge k % 4 (bottom, top, right, left) of cell k // 4, on
     # which z = s + i b (b = 0 at the bottom) or z = +-R + i s.  The cells
@@ -378,10 +375,9 @@ def contour_residuals(g_strip, cells, spec, singularities=(),
 
     @functools.cache
     def side(edge, a, c):
-        # the nodes z and per node (q, d0, d1), so that dz/ds k(z, 0, alpha) p(z)
-        # is q / (d0 + alpha d1) at every alpha, the form of _mobius: em is
-        # e^{-z} where Re z > 0, else e^z, q = dz/ds p(z) em / (1 + em), and
-        # the den is 1 + alpha em, or em + alpha; dz/ds is 1 or i
+        # the nodes z and per node (q, d0, d1), with (em, d0, d1) of _mobius
+        # and q = dz/ds p(z) em / (1 + em), so that dz/ds k(z, 0, alpha) p(z)
+        # is q / (d0 + alpha d1) at every alpha; dz/ds is 1 or i
         half, mid = 0.5 * (c - a), 0.5 * (c + a)
         s = [mid + half * x for x in _NODES]
         if edge < 2:
@@ -390,9 +386,8 @@ def contour_residuals(g_strip, cells, spec, singularities=(),
             z, dzds = [complex((R, -R)[edge - 2], v) for v in s], 1j
         parts = []
         for u in z:
-            em = cmath.exp(-u if u.real > 0 else u)
-            q = dzds * complex(g_strip(u)) * em / (1.0 + em)
-            parts.append((q, 1.0, em) if u.real > 0 else (q, em, 1.0))
+            em, d0, d1 = _mobius(u)
+            parts.append((dzds * complex(g_strip(u)) * em / (1.0 + em), d0, d1))
         return z, parts
 
     @functools.cache

@@ -12,8 +12,9 @@ one period strip and the decay certificate:
 * ``example2 = rational(-i, i)``, exponent 1/4 on (-1, 1), and
   ``h2_reference_pole = rational(1, w)`` with Im w < 0.
 * ``example1`` -- semicircle-plus-linear data on I = (-a, a) only, period
-  4 pi i; its one pole sits on Im z = pi (merged with the kernel pole),
-  so its exponent is 0.
+  4 pi i, with the one pullback formula ``-i a tanh((z + i pi)/4)`` for
+  numbers and arrays; its one pole sits on Im z = pi (merged with the
+  kernel pole), so its exponent is 0.
 
 Every evaluator follows its input (``patil.arrays.evaluator``): a number
 gives a complex, a list a list, an array an ndarray of its shape.
@@ -62,8 +63,8 @@ def rational(c, w, interval=UNIT, name="rational"):
     evaluate = evaluator(lambda z: c / (z - w))
 
     def pullback(z):
-        em, den = _mobius(z, ratio)
-        return scale * (1.0 + em) / den
+        em, d0, d1 = _mobius(z)
+        return scale * (1.0 + em) / (d0 + ratio * d1)
 
     # tanh(beta/2) = s; the residue is c over dt/dz = r (1 - s^2) / 2
     s = (w - c0) / r
@@ -99,16 +100,14 @@ def example1(interval=UNIT):
         np = numpy()
         return np.sqrt(np.maximum(a * a - x * x, 0.0)) - 1j * x
 
-    def strip_pullback(z):
-        np = numpy()
-        return a * (1.0 / np.cosh(0.5 * z) - 1j * np.tanh(0.5 * z))
+    def strip_pullback(z, tanh=cmath.tanh):
+        # a (sech(z/2) - i tanh(z/2)), exact at its zero 3 pi i, finite for finite z
+        return -1j * a * tanh(0.25 * (z + 1j * PI))
 
     signal = BoundarySignal(
         eval_on_I=evaluator(eval_on_I, eval_on_I_array, float),
-        # sech(z/2) - i tanh(z/2) = -i tanh((z + i pi)/4): the number form,
-        # which the residue path takes, is exact at the zero 3 pi i
-        strip_pullback=evaluator(lambda z: -1j * a * cmath.tanh(0.25 * (z + 1j * PI)),
-                                 strip_pullback),
+        strip_pullback=evaluator(strip_pullback,
+                                 lambda z: strip_pullback(z, numpy().tanh)),
         # pole of the pullback at i pi, order 1: sech and -i tanh each
         # contribute -2i a there; sech(z/2) changes sign under z + 2 pi i
         singularities=(StripSingularity(beta=1j * PI, order=1, coeff=-4j * a),),

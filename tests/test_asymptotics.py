@@ -378,10 +378,12 @@ class TestContourIdentity:
         assert contour_identity_check(g_strip, 1.0, 2.0, spec, sing) < 1e-12
 
     def test_height_near_pi_rejected(self):
-        # ContourSpec takes a height above pi; the kernel poles still sit on it
-        spec = ContourSpec(R=20.0, height=PI + 1e-7)
-        with pytest.raises(DomainError, match="kernel poles lie on Im z = pi"):
-            contour_identity_check(ones, 1.0, 2.0, spec)
+        # within 1e-6 above pi the kernel poles still sit on the top edge, so
+        # the rectangle itself is refused, before any cell runs
+        for height in (PI + 1e-7, PI + 5e-7):
+            with pytest.raises(DomainError, match="at least 1e-06 above pi"):
+                ContourSpec(20.0, height)
+        assert ContourSpec(20.0, PI + 1e-6).height == PI + 1e-6
 
     @pytest.mark.parametrize("xi,alpha,message", [
         (-50.0, 2.0, "xi >= 0"),

@@ -292,6 +292,18 @@ class TestRegistry:
         # example1's one pole in its period: 3 pi i is a zero, not a pole
         assert [s.beta for s in example1().signal.singularities] == [1j * PI]
 
+    def test_example1_pullback_far_out(self):
+        # one formula, -i a tanh((z + i pi)/4), for numbers and arrays: they
+        # agree far out, where cosh(z/2) would overflow, and tend to -+ia
+        pullback = example1().signal.strip_pullback
+        for re, im in itertools.product((-1500.0, -700.0, 700.0, 1500.0),
+                                        (0.0, 0.5, 2.0)):
+            number = pullback(complex(re, im))
+            array = complex(pullback(np.array([complex(re, im)]))[0])
+            assert abs(array - number) <= 1e-15 * abs(number), (re, im)
+            if abs(re) == 1500.0:
+                assert number == -1j * math.copysign(1.0, re), (re, im)
+
     @pytest.mark.parametrize("period", [PI, 3.0, -2.0 * PI, 0.0])
     def test_period_must_be_whole_turns(self, period):
         with pytest.raises(DomainError, match="multiple of 2 pi"):

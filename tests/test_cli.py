@@ -366,8 +366,9 @@ class TestContourCommand:
         assert criterion_met
         assert capsys.readouterr().out == ""
 
-    def test_bad_height(self, tmp_path):
-        cfg = write_config(tmp_path, contour={"height": math.pi})
+    @pytest.mark.parametrize("height", [math.pi, math.pi + 5e-7])
+    def test_bad_height(self, tmp_path, height):
+        cfg = write_config(tmp_path, contour={"height": height})
         assert main(["contour", "--config", cfg]) == EXIT_CONFIG
 
     def test_r_too_small(self, tmp_path):
