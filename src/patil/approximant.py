@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .arrays import numpy
 from .asymptotics import STRIP_TOP, kernel_k, residue_terms
-from .errors import DomainError, NonConvergence, in_cell
+from .errors import DomainError
 from .quadrature import (
     DecayCertificate,
     QuadTolerance,
@@ -142,12 +142,9 @@ def _cauchy_weighted_u(zs, lams, interval, signal, tol):
             kernel = 2.0 * r / (interval.hi - z) * kernel_k(u, 0.0, alpha)
             wave = np.exp(1j * xi * u) * (g(interval.from_u(u)) * kernel)
             return wave if v is None else wave - np.exp(1j * xi * v) * (gv * kernel)
-        try:
-            pieces = integrate_batch(integrand, ends[:-1] * len(lams),
-                                     ends[1:] * len(lams), tol)
-        except NonConvergence as exc:
-            piece = "u" if v is None else "u-PV"
-            raise in_cell(exc, _cell(lams[exc.index // n], z, piece)) from exc
+        piece = "u" if v is None else "u-PV"
+        pieces = integrate_batch(integrand, ends[:-1] * len(lams), ends[1:] * len(lams),
+                                 tol, cell=lambda m: _cell(lams[m // n], z, piece))
         sums = [sum(pieces[m * n:(m + 1) * n]) for m in range(len(lams))]
         if v is not None:
             sums = [s + (1j * math.pi - v) * cmath.exp(1j * xi * v) * gv
@@ -188,24 +185,18 @@ def _residue_columns(zs, lams, interval, signal):
     with 0 <= Im u < T, a pole on the real line (x inside I) counting as
     just above it, and
     g = lambda e^{i xi E} sum res / (sqrt(1 + lambda) (1 - e^{-xi T})).
-    ``asymptotics.residue_terms`` lists them, u0 being the pole with
-    t(u0) = z, where E + u0 is i pi exactly, and builds a point's terms
-    once per min(0.1, 1/xi).  Each term has its own exponential, so
-    nothing overflows; where xi |E + u| <= 1 for every term, e^{i xi (E +
-    u)} - 1 stands for it, as the residues of Q sum to 0, so small
-    lambdas keep their digits.
+    ``asymptotics.residue_terms`` lists them from alpha, its u0 =
+    Log(-alpha) being the pole with t(u0) = z, where E + u0 is i pi
+    exactly, and builds a point's terms once per min(0.1, 1/xi).  Each term
+    has its own exponential, so nothing overflows; where xi |E + u| <= 1
+    for every term, e^{i xi (E + u)} - 1 stands for it, as the residues of
+    Q sum to 0, so small lambdas keep their digits.
     """
     columns = []
     for z in zs:
         alpha = (z - interval.lo) / (z - interval.hi)
         scale = 2.0 * interval.half_width / (interval.hi - z)
-        if z.imag > 0:
-            u0 = cmath.log(-alpha)
-        elif interval.contains(z.real):
-            u0 = complex(interval.to_u(z.real))
-        else:
-            u0 = complex(math.log(alpha.real), math.pi)
-        terms = residue_terms(signal.strip_pullback, alpha, u0, scale,
+        terms = residue_terms(signal.strip_pullback, alpha, scale,
                               signal.singularities, signal.period,
                               e=_quench_exponent(z, interval), e_u0=1j * math.pi)
         columns.append([_residue_sum(terms(xi_of_lambda(lam)), signal.period, lam)
@@ -228,10 +219,8 @@ def _cauchy_weighted_t(zs, lams, interval, signal, tol):
         phase = np.exp(1j * xis[k // n] * np.log((t - lo) / (hi - t)))
         return phase * g(t) / (t - zs[k % n])
 
-    try:
-        values = integrate_batch(integrand, [lo] * count, [hi] * count, tol)
-    except NonConvergence as exc:
-        raise in_cell(exc, _cell(lams[exc.index // n], zs[exc.index % n], "t")) from exc
+    values = integrate_batch(integrand, [lo] * count, [hi] * count, tol,
+                             cell=lambda k: _cell(lams[k // n], zs[k % n], "t"))
     return [values[j::n] for j in range(n)]
 
 

@@ -26,7 +26,7 @@ import operator
 from dataclasses import dataclass
 
 from .arrays import numpy
-from .errors import DomainError, NonConvergence, in_cell
+from .errors import DomainError
 from .quadrature import _NODES, QuadTolerance, integrate_rows
 
 __all__ = [
@@ -120,15 +120,13 @@ def kernel_k(z, xi, alpha):
     """Transformed Cauchy kernel ``e^{i xi z} e^z / ((e^z+1)(e^z+alpha))``.
 
     alpha may be complex; the poles are ``i pi (2k + 1)`` and ``Log(-alpha)
-    + 2 pi i k``.  One form for both half planes: where Re z > 0,
-    ``_mobius`` divides the quotient through by e^{2z}, so it never
-    overflows; the phase ``e^{i xi z}`` multiplies the whole quotient.
+    + 2 pi i k``.  The phase ``e^{i xi z}`` times the quotient of
+    :func:`_kernel`, which never overflows.
     """
     np = numpy()
     z = np.asarray(z, dtype=complex)
     with np.errstate(invalid="ignore", divide="ignore"):
-        em, d0, d1 = _mobius(z)
-        value = np.exp(1j * xi * z) * em / ((1.0 + em) * (d0 + alpha * d1))
+        value = np.exp(1j * xi * z) * _kernel(z, alpha)
     if not np.all(np.isfinite(value)):
         raise DomainError(
             "kernel pole at i pi (2k + 1) or Log(-alpha) + 2 pi i k")
@@ -136,7 +134,8 @@ def kernel_k(z, xi, alpha):
 
 
 def _kernel(u, alpha):
-    """``k(u, 0, alpha)`` of :func:`kernel_k` at a complex number ``u``."""
+    """``k(u, 0, alpha)`` of :func:`kernel_k` at a number or an array ``u``,
+    in ``_mobius``'s one form for both half planes."""
     em, d0, d1 = _mobius(u)
     return em / ((1.0 + em) * (d0 + alpha * d1))
 
@@ -254,7 +253,7 @@ def _clusters(locations, near):
         groups[pair[0]] += groups.pop(pair[1])
 
 
-def residue_terms(p, alpha, u0, scale, singularities, period, top=None,
+def residue_terms(p, alpha, scale, singularities, period, top=None,
                   R=math.inf, e=0.0, e_u0=None):
     """The residues of ``e^{i xi u} Q(u)``, ``Q = scale k(u, 0, alpha) p(u)``,
     in the window Im u < ``top`` (default ``period``), |Re u| < ``R``, as
@@ -262,18 +261,23 @@ def residue_terms(p, alpha, u0, scale, singularities, period, top=None,
     weight`` sum to those residues times ``e^{i xi e}``, built once per
     min(0.1, 1/xi), the one way they depend on xi.  Q's poles are p's
     listed ``singularities`` and the kernel's, ``i pi (2k + 1)`` and
-    ``u0 + 2 pi i k``, where with ``scale = 1 - alpha`` (g_lambda's
-    ``2r/(hi - z)``) the residues are ``-p`` and ``p``.  A lone simple
-    pole takes its closed form, phase point ``e`` plus its location
-    (``e_u0 + 2 pi i k`` at ``u0 + 2 pi i k``; ``e_u0`` is ``e + u0``
-    unless given exactly); at a lone kernel pole p must be analytic, or
-    ``_at_kernel_pole`` raises :class:`DomainError`.  Poles nearer each
-    other than min(0.1, 1/xi), whose closed forms would cancel, and
-    merged or higher-order poles share a 64-point circle rule of radius
-    at most 0.2, 2/xi and half the distance to any other pole, to a
-    listed pole outside the window and to any ``+-i period`` image.
+    ``u0 + 2 pi i k``, with ``u0 = Log(-alpha)``, 0 <= Im u0 <= pi (the
+    real ln(-alpha) for alpha < 0, ln(alpha) + i pi for alpha > 0), where
+    with ``scale = 1 - alpha`` (g_lambda's ``2r/(hi - z)``) the residues
+    are ``-p`` and ``p``.  A lone simple pole takes its closed form, phase
+    point ``e`` plus its location (``e_u0 + 2 pi i k`` at ``u0 + 2 pi i
+    k``; ``e_u0`` is ``e + u0`` unless given exactly); at a lone kernel
+    pole p must be analytic, or ``_at_kernel_pole`` raises
+    :class:`DomainError`.  Poles nearer each other than min(0.1, 1/xi),
+    whose closed forms would cancel, and merged or higher-order poles
+    share a 64-point circle rule of radius at most 0.2, 2/xi and half the
+    distance to any other pole, to a listed pole outside the window and to
+    any ``+-i period`` image.
     """
     top = period if top is None else top
+    a = complex(alpha)
+    u0 = cmath.log(-a) if a.imag else complex(math.log(-a.real)) if a.real < 0 \
+        else complex(math.log(a.real), PI)
     e_u0 = e + u0 if e_u0 is None else e_u0
     # (location, order, residue of Q, phase point)
     candidates = []
@@ -325,13 +329,12 @@ def residue_terms(p, alpha, u0, scale, singularities, period, top=None,
 
 def enclosed_residues(g_strip, cells, spec, singularities=()):
     """Sum of the residues of ``k p`` in the rectangle ``spec`` per (xi, alpha)
-    of ``cells``: :func:`residue_terms` of ``(1 - alpha) k p``, with the
-    ``2 pi i`` images of the kernel, over ``1 - alpha``."""
+    of ``cells``: :func:`residue_terms` of ``(1 - alpha) k p``, its kernel
+    pole ln(alpha) + i pi and the ``2 pi i`` images, over ``1 - alpha``."""
     lists, sums = {}, []
     for xi, alpha in cells:
         if alpha not in lists:
             lists[alpha] = residue_terms(lambda u: complex(g_strip(u)), alpha,
-                                         complex(math.log(alpha), PI),
                                          1.0 - alpha, singularities, 2.0 * PI,
                                          spec.height, spec.R)
         sums.append(sum(cmath.exp(1j * xi * phase) * weight
@@ -413,15 +416,14 @@ def contour_residuals(g_strip, cells, spec, singularities=(),
                 out.append([complex(math.nan, math.nan)] * len(_NODES))
         return out
 
+    def cell(k):
+        edge, xi, alpha = keys[k]
+        edge = ("bottom", "top", "right", "left")[edge]
+        return f"contour at xi={xi!r}, alpha={alpha!r}, {edge} edge"
+
     n = len(cells)
-    try:
-        edges = integrate_rows(rows, [-R, -R, 0.0, 0.0] * n, [R, R, b, b] * n, tol,
-                               [max(8, int(R)), max(8, int(R)), 8, 8] * n)
-    except NonConvergence as exc:
-        xi, alpha = cells[exc.index // 4]
-        edge = ("bottom", "top", "right", "left")[exc.index % 4]
-        raise in_cell(exc, f"contour at xi={xi!r}, alpha={alpha!r}, "
-                           f"{edge} edge") from exc
+    edges = integrate_rows(rows, [-R, -R, 0.0, 0.0] * n, [R, R, b, b] * n, tol,
+                           [max(8, int(R)), max(8, int(R)), 8, 8] * n, cell)
     residues = enclosed_residues(g_strip, cells, spec, singularities)
     return [abs(bottom + right - top - left - 2j * PI * res)
             for bottom, top, right, left, res

@@ -148,7 +148,7 @@ def _partition(a, b, n):
     return itertools.pairwise([a + j * step for j in range(n)] + [b])
 
 
-def integrate_rows(rows, lo, hi, tol, initial_panels):
+def integrate_rows(rows, lo, hi, tol, initial_panels, cell=None):
     """Integrate many functions at once, integral ``i`` over ``[lo[i], hi[i]]``
     from ``initial_panels[i]`` equal panels, without numpy.
 
@@ -166,9 +166,10 @@ def integrate_rows(rows, lo, hi, tol, initial_panels):
     ------
     NonConvergence
         At the first integral found to exhaust its budget or to have a
-        panel whose estimate or error is not finite; its ``index`` is
-        that integral's.
+        panel whose estimate or error is not finite, its message headed
+        ``f"{cell(i)}: "`` when ``cell(i)`` names integral ``i``.
     """
+    name = (lambda i: "") if cell is None else (lambda i: f"{cell(i)}: ")
     panels = list(initial_panels)
     for a, b in zip(lo, hi):
         if not a < b:
@@ -187,8 +188,8 @@ def integrate_rows(rows, lo, hi, tol, initial_panels):
             errs += err
         for (i, a, b), est, err in zip(todo, ests, errs):
             if not math.isfinite(err):
-                raise NonConvergence(f"non-finite integrand on panel [{a}, {b}]",
-                                     estimate=est, error=err, index=i)
+                raise NonConvergence(f"{name(i)}non-finite integrand on panel [{a}, {b}]",
+                                     estimate=est, error=err)
             totals[i] += est
             errors[i] += err
             heapq.heappush(heaps[i], (-err, a, b, est))
@@ -198,9 +199,9 @@ def integrate_rows(rows, lo, hi, tol, initial_panels):
         for i in refine:
             if panels[i] >= tol.max_subdivisions:
                 raise NonConvergence(
-                    f"error {errors[i]:.3e} above target after {panels[i]} "
+                    f"{name(i)}error {errors[i]:.3e} above target after {panels[i]} "
                     f"panels (max_subdivisions={tol.max_subdivisions})",
-                    estimate=totals[i], error=errors[i], index=i)
+                    estimate=totals[i], error=errors[i])
             neg_err, a, b, est = heapq.heappop(heaps[i])
             totals[i] -= est
             errors[i] += neg_err  # neg_err == -err
@@ -210,13 +211,14 @@ def integrate_rows(rows, lo, hi, tol, initial_panels):
     return [complex(t) for t in totals]
 
 
-def integrate_batch(f, lo, hi, tol=QuadTolerance(), initial_panels=8):
+def integrate_batch(f, lo, hi, tol=QuadTolerance(), initial_panels=8, cell=None):
     """:func:`integrate_rows` for an integrand on arrays: ``f(u, k)`` gets a
     ``(panels, 15)`` array of nodes, at most 512 panels a call, and the
     ``(panels, 1)`` indices of their integrals, and returns an array of
     that shape; ``lo``, ``hi`` and ``initial_panels`` (one count or one per
-    integral) may be numbers, lists or arrays.  This adapter is the one
-    place where the engine loads numpy.
+    integral) may be numbers, lists or arrays, and ``cell``, as there,
+    names the integral a failure heads its message with.  This adapter is
+    the one place where the engine loads numpy.
     """
     np = numpy()
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
@@ -231,7 +233,7 @@ def integrate_batch(f, lo, hi, tol=QuadTolerance(), initial_panels=8):
             return np.asarray(f(mid[:, None] + half[:, None] * nodes,
                                 np.array(k)[:, None])).tolist()
     return integrate_rows(rows, lo.tolist(), hi.tolist(), tol,
-                          np.broadcast_to(initial_panels, lo.shape).tolist())
+                          np.broadcast_to(initial_panels, lo.shape).tolist(), cell)
 
 
 def integrate_adaptive(f, lo, hi, tol=QuadTolerance(), initial_panels=8):

@@ -88,6 +88,11 @@ class TestKernel:
             reference = abs(kernel_k(u + 1j * b, 0.0, 2.0))
             assert damped == pytest.approx(math.exp(-xi * b) * reference, rel=1e-12)
 
+    def test_pole_refused(self):
+        # alpha = -1 puts the pole Log(-alpha) at z = 0 itself
+        with pytest.raises(DomainError, match="kernel pole at"):
+            kernel_k(np.array([0.0]), 0.0, -1.0)
+
     def test_near_pole_blowup(self):
         # the floating-point images of the poles give huge finite values
         assert abs(kernel_k(1j * PI, 1.0, 2.0)) > 1e12
@@ -451,6 +456,17 @@ class TestContourResiduals:
         assert str(fault.value) == (f"contour at xi={xi!r}, alpha=2.0, bottom edge: "
                                     f"non-finite integrand on panel {panel}")
 
+    def test_domain_error_at_node_surfaces(self):
+        # a DomainError is a ValueError, but the pullback's own refusal: not
+        # a NaN row, so not a NonConvergence
+        def g_strip(z):
+            if z.real > 10.0:
+                raise DomainError(f"no pullback at {z}")
+            return 1.0
+
+        with pytest.raises(DomainError, match="no pullback at"):
+            contour_residuals(g_strip, [(1.0, 2.0)], ContourSpec(20.0))
+
     @pytest.mark.parametrize("case,budget,cell,edge", [
         ("example2", 40, (8.0, 5.0), "bottom"),
         ("pole right of R", 16, (0.5, 2.0), "right"),
@@ -536,6 +552,12 @@ class TestResidueEngine:
         want = np.mean(kernel_k(nodes, xi, alpha) * signal.strip_pullback(nodes)
                        * (nodes - centre))
         assert abs(got - want) <= 1e-13 * abs(want)
+
+    @pytest.mark.parametrize("third, groups", [(0.2, [[0, 1, 2]]), (0.3, [[0, 1], [2]])])
+    def test_cluster_spread_rule(self, third, groups):
+        # 0.2 is 0.11 from the pair (0, 0.09), over the distance 0.1, but
+        # 0.155 from its centre, within four times its spread 0.045; 0.3 is not
+        assert asymptotics._clusters([0.0, 0.09, third], 0.1) == groups
 
     def test_fuzz_contour_set(self, fuzz):
         # tools/fuzz_oracle.py's contour set, fewer cells

@@ -1,4 +1,5 @@
 import csv
+import datetime
 import importlib.util
 import json
 import math
@@ -400,6 +401,15 @@ class TestOutputFormats:
         assert main(["contour", "--config", cfg, "--out", out]) == EXIT_OK
         assert Path(out).read_text().startswith("# generated ")
 
+    def test_nonreproducible_json_has_timestamp(self, tmp_path):
+        cfg = write_config(tmp_path, contour={"xi": [1.0], "alpha": [2.0]})
+        out = str(tmp_path / "c.json")
+        assert main(["contour", "--config", cfg, "--out", out,
+                     "--format", "json"]) == EXIT_OK
+        doc = json.loads(Path(out).read_text())
+        assert datetime.datetime.fromisoformat(doc["generated"])
+        assert len(doc["rows"]) == 1
+
     @pytest.mark.parametrize("where", ["missing/o.csv", "."])
     def test_unwritable_out_refused_before_any_cell(self, tmp_path, capsys,
                                                     monkeypatch, where):
@@ -522,6 +532,11 @@ class TestConfigErrors:
         ("converge", {"entry": "h2pole", "eval_points": [[0, 1]],
                       "n_samples": 0},
          "bad n_samples: need a whole number >= 1, got 0.0"),
+        # json reads NaN and Infinity, and json.dumps writes them
+        ("growth", {"slope_tolerance": math.nan},
+         "bad slope_tolerance: need a finite number, got nan"),
+        ("growth", {"lambda_grid": [10, math.inf]},
+         "bad lambda_grid: need a finite number, got inf"),
     ])
     def test_malformed_value_named(self, tmp_path, capsys, command, overrides,
                                    message):
