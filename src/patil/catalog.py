@@ -12,9 +12,9 @@ one period strip and the decay certificate:
 * ``example2 = rational(-i, i)``, exponent 1/4 on (-1, 1), and
   ``h2_reference_pole = rational(1, w)`` with Im w < 0.
 * ``example1`` -- semicircle-plus-linear data on I = (-a, a) only, period
-  4 pi i, with the one pullback formula ``-i a tanh((z + i pi)/4)`` for
-  numbers and arrays; its one pole sits on Im z = pi (merged with the
-  kernel pole), so its exponent is 0.
+  4 pi i, with one data formula and one pullback formula
+  ``-i a tanh((z + i pi)/4)`` for numbers and arrays; its one pole sits
+  on Im z = pi (merged with the kernel pole), so its exponent is 0.
 
 Every evaluator follows its input (``patil.arrays.evaluator``): a number
 gives a complex, a list a list, an array an ndarray of its shape.
@@ -93,19 +93,16 @@ def example1(interval=UNIT):
     if interval.lo != -a:
         raise DomainError(f"example1 needs I = (-a, a), got {interval}")
 
-    def eval_on_I(x):
-        return math.sqrt(max(a * a - x * x, 0.0)) - 1j * x
-
-    def eval_on_I_array(x):
-        np = numpy()
-        return np.sqrt(np.maximum(a * a - x * x, 0.0)) - 1j * x
+    def eval_on_I(x, sqrt=math.sqrt, maximum=max):
+        return sqrt(maximum(a * a - x * x, 0.0)) - 1j * x
 
     def strip_pullback(z, tanh=cmath.tanh):
         # a (sech(z/2) - i tanh(z/2)), exact at its zero 3 pi i, finite for finite z
         return -1j * a * tanh(0.25 * (z + 1j * PI))
 
     signal = BoundarySignal(
-        eval_on_I=evaluator(eval_on_I, eval_on_I_array, float),
+        eval_on_I=evaluator(eval_on_I, lambda x: eval_on_I(
+            x, numpy().sqrt, numpy().maximum), float),
         strip_pullback=evaluator(strip_pullback,
                                  lambda z: strip_pullback(z, numpy().tanh)),
         # pole of the pullback at i pi, order 1: sech and -i tanh each

@@ -129,12 +129,6 @@ def _point(value):
     return _finite(value)
 
 
-def _format(value):
-    if value not in ("csv", "json"):
-        raise ValueError(f"need 'csv' or 'json', got {value!r}")
-    return value
-
-
 def _object(value):
     """A copy of the JSON object ``value``."""
     if not isinstance(value, dict):
@@ -170,7 +164,6 @@ _CONFIG = {"entry": (str, None), "entry_args": (_object, {}),
            "eval_points": (lambda v: _tuple(v, _point), []),
            "tolerances": (lambda v: QuadTolerance(
                **_section(v, "tolerances", _TOLERANCES)), {}),
-           "output_path": (os.fspath, "-"), "format": (_format, "csv"),
            "slope_tolerance": (_finite, 0.05),
            "window": (_interval, [-5.0, 5.0]), "n_samples": (_whole, 101),
            "contour": (_contour, {})}
@@ -196,11 +189,11 @@ class ExperimentConfig(types.SimpleNamespace):
 
 
 def _load_config(args):
-    """The config file, then ``--out`` and ``--format`` in place of its values."""
+    """The config file, once ``--out`` is known to be writable ("" is
+    standard output, as "-" is)."""
     with open(args.config) as fh:
         cfg = ExperimentConfig.from_dict(json.load(fh))
-    out = cfg.output_path = args.out or cfg.output_path
-    cfg.format = args.format or cfg.format
+    out = args.out = args.out or "-"
     folder = os.path.dirname(out) or "."  # checked before any cell is computed
     if out != "-" and (os.path.isdir(out) or not os.path.isdir(folder) or not
                        os.access(out if os.path.exists(out) else folder, os.W_OK)):
@@ -226,19 +219,19 @@ def _write(path, text):
     return None
 
 
-def _format_rows(cfg, reproducible, header, rows):
-    """The rows as the text of the output file, in ``cfg.format``."""
+def _format_rows(args, header, rows):
+    """The rows as the text of the output file, in ``--format``."""
     rows = [[format(v, ".17g") if isinstance(v, float) else v for v in r] for r in rows]
     stamp = datetime.datetime.now().isoformat()
     out = io.StringIO(newline="")
-    if cfg.format == "json":
+    if args.format == "json":
         doc = {"schema_version": SCHEMA_VERSION, "columns": header, "rows": rows}
-        if not reproducible:
+        if not args.reproducible:
             doc["generated"] = stamp
         json.dump(doc, out, indent=2)
         out.write("\n")
     else:
-        if not reproducible:
+        if not args.reproducible:
             out.write(f"# generated {stamp}\n")
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
@@ -329,8 +322,8 @@ def build_parser():
             ("contour", "residue-identity residuals on rectangles")]:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True)
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=["csv", "json"], default=None)
+        p.add_argument("--out", default="-")
+        p.add_argument("--format", choices=["csv", "json"], default="csv")
         p.add_argument("--reproducible", action="store_true")
     cat = sub.add_parser("catalog", help="catalog utilities")
     cat.add_argument("action", choices=["list"])
@@ -348,8 +341,8 @@ def main(argv=None):
     try:
         cfg = _load_config(args)
         header, rows, criterion_met = runners[args.command](cfg)
-        text = _format_rows(cfg, args.reproducible, header, rows)
-        return _write(cfg.output_path, text) or \
+        text = _format_rows(args, header, rows)
+        return _write(args.out, text) or \
             (EXIT_OK if criterion_met else EXIT_CRITERION)
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

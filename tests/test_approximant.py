@@ -38,6 +38,12 @@ _spec = importlib.util.spec_from_file_location(
 oracle = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(oracle)
 
+# example1's mpmath oracle, from its u-integral by quadrature
+_spec = importlib.util.spec_from_file_location(
+    "example1_oracle", Path(__file__).resolve().parents[1] / "tools" / "example1_oracle.py")
+example1_oracle = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(example1_oracle)
+
 
 def closed_form(x, lam, interval, c, w):
     """g_lambda(x) for data c/(t - w): F(x) (1 - h_lambda(x) / H_lambda(w)).
@@ -575,6 +581,13 @@ class TestResiduePath:
         for lam, row, u_row in zip(lams, table, u_table):
             for z, value, want in zip(points, row, u_row):
                 assert abs(value - want) <= 1e-10 * abs(want), (z, lam)
+
+    @pytest.mark.parametrize("lam", [10.0, 1e4, 1e8])
+    @pytest.mark.parametrize("z", [2.0, -1.5, 0.3 + 0.5j])
+    def test_example1_matches_mpmath(self, z, lam):
+        want = example1_oracle.approximant(z, lam)
+        value = approximant_table([z], [lam], SYM, example1().signal)[0][0]
+        assert abs(value - want) <= 1e-12 * abs(want)
 
     def test_example1_beside_endpoint_matches_u_path(self):
         # 1e-9 beside hi, real and above: the u-path needs a 1e-12 target

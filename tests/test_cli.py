@@ -395,6 +395,15 @@ class TestOutputFormats:
         assert a == b
         assert not a.startswith("#")
 
+    @pytest.mark.parametrize("flags", [[], ["--out", "-"], ["--out", ""]])
+    def test_default_is_csv_on_stdout(self, tmp_path, capsys, flags):
+        cfg = write_config(tmp_path, contour={"xi": [1.0], "alpha": [2.0]})
+        out = tmp_path / "c.csv"
+        assert main(["contour", "--config", cfg, "--reproducible", "--out", str(out),
+                     "--format", "csv"]) == EXIT_OK
+        assert main(["contour", "--config", cfg, "--reproducible", *flags]) == EXIT_OK
+        assert capsys.readouterr().out == out.read_text()
+
     def test_nonreproducible_csv_has_timestamp(self, tmp_path):
         cfg = write_config(tmp_path, contour={"xi": [1.0], "alpha": [2.0]})
         out = str(tmp_path / "c.csv")
@@ -555,19 +564,19 @@ class TestConfigErrors:
         assert capsys.readouterr().err.startswith(
             "config error: bad interval: interval center or width overflows")
 
-    @pytest.mark.parametrize("overrides,flags,message", [
-        ({"format": "xml"}, ["--format", "json"],
-         "bad format: need 'csv' or 'json', got 'xml'"),
-        ({"output_path": 5}, ["--out", "c.csv"], "bad output_path: "),
+    @pytest.mark.parametrize("overrides,flags,key", [
+        ({"format": "json"}, ["--format", "json"], "format"),
+        ({"output_path": "c.csv"}, ["--out", "c.csv"], "output_path"),
     ])
-    def test_overridden_value_still_checked(self, tmp_path, capsys, monkeypatch,
-                                            overrides, flags, message):
-        """--format and --out replace a config value only once it is valid."""
+    def test_output_keys_unknown(self, tmp_path, capsys, monkeypatch,
+                                 overrides, flags, key):
+        """The output path and format come from --out and --format only."""
         monkeypatch.chdir(tmp_path)
         cfg = write_config(tmp_path, contour={"xi": [1.0], "alpha": [2.0]},
                            **overrides)
         assert main(["contour", "--config", cfg, *flags]) == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert capsys.readouterr().err == \
+            f"config error: unknown config keys: [{key!r}]\n"
         assert not (tmp_path / "c.csv").exists()
 
     @pytest.mark.parametrize("raw,message", [
@@ -624,8 +633,6 @@ _CONFIG = st.fixed_dictionaries(
         "eval_points": st.lists(_NUMBERS | st.floats(), max_size=3) | _JSON,
         "tolerances": _json_object(["abs_tol", "rel_tol", "max_subdivisions"])
         | _JSON,
-        "output_path": _JSON,
-        "format": st.sampled_from(["csv", "json"]) | _JSON,
         "slope_tolerance": _JSON,
         "window": st.just([-5.0, 5.0]) | _NUMBERS | _JSON,
         "n_samples": _JSON,

@@ -19,7 +19,10 @@ evaluated by the default path of ``approximant_table`` and by
 * other: any other exception.
 
 Prints one line per set and path with the counts and the largest
-relative error among the values.  Then a contour set draws ``--n`` cells
+relative error among the values.  An ``example1`` set follows, against
+``tools/example1_oracle.py``: 20 cells on (-a, a), a log-uniform in
+[0.1, 10], a point beyond an end or in Im z > 0 and lambda up to 1e8,
+sorted the same way.  Then a contour set draws ``--n`` cells
 (an entry, xi, alpha and rectangle height) and compares the residue
 engine's sum of the residues of ``k p`` inside the rectangle
 (``asymptotics.enclosed_residues``) with the same sum from the closed
@@ -35,7 +38,9 @@ import random
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+TOOLS = Path(__file__).resolve().parent
+sys.path[:0] = [str(TOOLS.parent / "perfbench"), str(TOOLS)]
+import example1_oracle  # noqa: E402
 import oracle  # noqa: E402
 
 from patil.approximant import approximant_table  # noqa: E402
@@ -55,6 +60,8 @@ WRONG = 1e-8
 SETS = [(1e8, 0), (1e8, 3), (1e16, 0), (1e16, 6), (1e100, 0)]
 KINDS = ("right", "typed", "wrong", "other")
 GAP = 1e-12  # the contour set's bound, relative to the residues' moduli
+# example1's set: its mpmath oracle takes about 0.3 s a cell
+EXAMPLE1_N, EXAMPLE1_LAM = 20, 1e8
 
 
 def draw(rng, lam_max, decades):
@@ -63,7 +70,15 @@ def draw(rng, lam_max, decades):
     r = 10.0 ** rng.uniform(-decades, decades)
     centre = rng.uniform(-2.0, 2.0)
     interval = Interval(centre - r, centre + r)
-    region = rng.choice(("outside", "inside", "upper"))
+    z = draw_point(rng, interval, centre, r, ("outside", "inside", "upper"))
+    lam = 10.0 ** rng.uniform(1.0, math.log10(lam_max))
+    return name, interval, z, lam
+
+
+def draw_point(rng, interval, centre, r, regions):
+    """A point of ``interval`` (its ``centre`` and half-width ``r``) in one
+    of ``regions``: real beyond an end, real inside, or in Im z > 0."""
+    region = rng.choice(regions)
     if region == "outside":
         gap = r * 10.0 ** rng.uniform(-3.0, 1.0)
         z = interval.hi + gap if rng.random() < 0.5 else interval.lo - gap
@@ -72,8 +87,7 @@ def draw(rng, lam_max, decades):
     else:
         z = complex(centre + r * rng.uniform(-3.0, 3.0),
                     r * 10.0 ** rng.uniform(-3.0, 1.0))
-    lam = 10.0 ** rng.uniform(1.0, math.log10(lam_max))
-    return name, interval, z, lam
+    return z
 
 
 def sort(value, want):
@@ -88,13 +102,39 @@ def sort(value, want):
 
 def run_set(seed, n, lam_max, decades):
     rng = random.Random(f"fuzz/{seed}/{lam_max:g}/{decades}")
+
+    def cells():
+        for _ in range(n):
+            name, interval, z, lam = draw(rng, lam_max, decades)
+            want = oracle.approximant(z, lam, interval.lo, interval.hi,
+                                      *oracle.RATIONAL_ENTRIES[name])
+            yield interval, get_entry(name, interval=interval).signal, z, lam, want
+    return tally_cells(cells())
+
+
+def example1_set(seed):
+    """``run_set`` for ``example1`` against ``example1_oracle``: EXAMPLE1_N
+    cells on (-a, a), a log-uniform in [0.1, 10], a point beyond an end or
+    in Im z > 0, and lambda up to EXAMPLE1_LAM."""
+    rng = random.Random(f"fuzz/{seed}/example1")
+
+    def cells():
+        for _ in range(EXAMPLE1_N):
+            a = 10.0 ** rng.uniform(-1.0, 1.0)
+            interval = Interval(-a, a)
+            z = draw_point(rng, interval, 0.0, a, ("outside", "upper"))
+            lam = 10.0 ** rng.uniform(1.0, math.log10(EXAMPLE1_LAM))
+            yield (interval, example1(interval).signal, z, lam,
+                   example1_oracle.approximant(z, lam, a))
+    return tally_cells(cells())
+
+
+def tally_cells(cells):
+    """Per path, the count of each kind and the largest relative error over
+    ``cells``, each (interval, signal, point, lambda, oracle value)."""
     tally = {path: dict.fromkeys(KINDS, 0) for path in ("default", "u")}
     worst = {path: 0.0 for path in tally}
-    for _ in range(n):
-        name, interval, z, lam = draw(rng, lam_max, decades)
-        want = oracle.approximant(z, lam, interval.lo, interval.hi,
-                                  *oracle.RATIONAL_ENTRIES[name])
-        signal = get_entry(name, interval=interval).signal
+    for interval, signal, z, lam, want in cells:
         for path, method in (("default", None), ("u", "u")):
             try:
                 value = approximant_table([z], [lam], interval, signal,
@@ -165,6 +205,14 @@ def contour_set(seed, n):
     return worst, over
 
 
+def report(lam_max, scale, tally, worst):
+    """One line per path of a set: its counts and largest relative error."""
+    for path in tally:
+        print(f"{lam_max:>12g} {scale:>6s} {path:>8s} "
+              + " ".join(f"{tally[path][k]:>6d}" for k in KINDS)
+              + f" {worst[path]:>9.1e}", flush=True)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=7)
@@ -174,12 +222,10 @@ def main(argv=None):
     print(f"{'lambda up to':>12s} {'scale':>6s} {'path':>8s} "
           + " ".join(f"{k:>6s}" for k in KINDS) + f" {'worst':>9s}")
     for lam_max, decades in SETS:
-        tally, worst = run_set(args.seed, args.n, lam_max, decades)
-        scale = f"1e±{decades}" if decades else "1"
-        for path in tally:
-            print(f"{lam_max:>12g} {scale:>6s} {path:>8s} "
-                  + " ".join(f"{tally[path][k]:>6d}" for k in KINDS)
-                  + f" {worst[path]:>9.1e}", flush=True)
+        report(lam_max, f"1e±{decades}" if decades else "1",
+               *run_set(args.seed, args.n, lam_max, decades))
+    print(f"example1, {EXAMPLE1_N} cells against tools/example1_oracle.py:")
+    report(EXAMPLE1_LAM, "1e±1", *example1_set(args.seed))
     worst, over = contour_set(args.seed, args.n)
     print(f"contour: {args.n} cells, worst gap {worst:.1e} of the residues' "
           f"moduli, {over} over {GAP:g}")
