@@ -4,24 +4,27 @@ g_lambda weighs the data with the conjugate quench phase and applies a
 Cauchy integral over I.  After the tanh change of variable the quench
 oscillation is a pure linear phase ``exp(i xi u)``.  When the signal
 declares the period of its pullback, g_lambda is by default a finite sum
-of residues over one period strip, in closed form and without numpy.
-Otherwise, and as the cross-checks ``method="u"`` and ``"t"``, the
-integral is evaluated by G7/K15 batches in the u-domain, one batch per
-point for every lambda, or directly in the t-domain.
+of residues over one period strip, in closed form.  Otherwise, and as
+the cross-checks ``method="u"`` and ``"t"``, the integral is evaluated by
+G7/K15 batches in the u-domain, one batch per point for every lambda, or
+directly in the t-domain; each caches the lambda-free parts of a panel's
+nodes once and computes a phase once per xi.  All of it is plain Python.
 """
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
-from .arrays import numpy
 from .asymptotics import STRIP_TOP, kernel_k, residue_terms
 from .errors import DomainError
 from .quadrature import (
     DecayCertificate,
     QuadTolerance,
-    integrate_batch,
+    _nodes,
+    _rows,
     integrate_real_line,  # noqa: F401 -- perfbench/tracing.py wraps it here
+    integrate_rows,
     pv_integrate,  # noqa: F401 -- perfbench/tracing.py wraps it here
 )
 from .quench import Interval, _quench_exponent, xi_of_lambda
@@ -46,17 +49,16 @@ __all__ = [
 class BoundarySignal:
     """Boundary data g on I, optionally with analytic strip metadata.
 
-    ``eval_on_I`` must accept numpy arrays.  ``decay_cert`` bounds the
-    data pulled back through the tanh map,
+    ``eval_on_I`` is a function of one real number.  ``decay_cert`` bounds
+    the data pulled back through the tanh map,
     ``|g(c + r tanh(u/2))| <= bound_M exp(delta |u|)``, which fixes
     where the u-integral is truncated.  ``strip_pullback``, when
     present, analytically extends the pullback of g through the tanh
     map to the strip ``0 <= Im z <= 3 pi / 2``; ``singularities`` lists
     its poles there, ``0 < Im z <= 3 pi / 2``.  A ``period`` T, a
     multiple of 2 pi, declares p(z + iT) = p(z) for the tanh map of
-    ``interval``: then the pullback takes numbers as well as arrays
-    anywhere in the plane, and ``singularities`` lists every pole with
-    0 < Im z < T.
+    ``interval``: then the pullback takes any complex number, and
+    ``singularities`` lists every pole with 0 < Im z < T.
     """
 
     eval_on_I: callable
@@ -98,9 +100,10 @@ def _cauchy_weighted_u(zs, lams, interval, signal, tol):
     ``alpha = (z - lo)/(z - hi)`` (complex above I, > 0 beside I, < 0 inside
     I) ``t - z = (hi - z)(e^u + alpha)/(e^u + 1)``, so the Jacobian over
     ``t - z`` is ``K(u) = 2 r k(u, 0, alpha) / (hi - z)``, k of :func:`kernel_k`.
-    Each z is one ``integrate_batch`` call on ``exp(i xi u) g(t(u)) K(u)``
-    over [-U, U], one integral per xi.  A real x inside I takes the limit
-    from above: with ``v = Log(-alpha) = interval.to_u(x)``,
+    Each z is one ``integrate_rows`` call on ``exp(i xi u) g(t(u)) K(u)``
+    over [-U, U], one integral per xi; a panel's nodes, K(u) and g(t(u))
+    K(u) are computed once for every xi.  A real x inside I takes the
+    limit from above: with ``v = Log(-alpha) = interval.to_u(x)``,
     ``w(u) = exp(i xi u) g(t(u))`` and
     ``K = cosh(v/2) / (2 cosh(u/2) sinh((u - v)/2))``, whose principal
     value is -v, it is ``int (w - w(v)) K du + (i pi - v) w(v)``, the
@@ -112,11 +115,10 @@ def _cauchy_weighted_u(zs, lams, interval, signal, tol):
     ``|g(t(u))| <= M e^{delta |u|}``, the integrand is below
     ``6 M e^{(1 + delta)|v|} e^{(delta - 1)|u|}``.
     """
-    np = numpy()
     c, r = interval.center, interval.half_width
     g = signal.eval_on_I
     cert = signal.decay_cert
-    xis = np.array([xi_of_lambda(lam) for lam in lams])
+    xis = [xi_of_lambda(lam) for lam in lams]
 
     def cut(bound):
         return DecayCertificate(cert.delta, bound).truncation_point(tol.abs_tol)
@@ -124,12 +126,14 @@ def _cauchy_weighted_u(zs, lams, interval, signal, tol):
     columns = []
     for z in zs:
         alpha = (z - interval.lo) / (z - interval.hi)
+        scale = 2.0 * r / (interval.hi - z)
         if z.imag == 0 and interval.contains(z.real):
             v = interval.to_u(z.real)
             gv = complex(g(z.real))
             u_max = max(abs(v) + 2.0, cut(6.0 * cert.bound_M * math.exp(
                 (1.0 + cert.delta) * abs(v))))
             ends = [-u_max, v, u_max]
+            at_v = [cmath.exp(1j * xi * v) for xi in xis]
         else:
             v = None
             dist = math.hypot(max(abs(z.real - c) - r, 0.0), z.imag)
@@ -137,18 +141,27 @@ def _cauchy_weighted_u(zs, lams, interval, signal, tol):
             ends = [-u_max, u_max]
         n = len(ends) - 1  # pieces per lambda; integral m belongs to lambda m // n
 
-        def integrand(u, m):
+        @functools.cache
+        def panel(a, b):
+            # the nodes u, and per node K(u) and g(t(u)) K(u)
+            us = _nodes(a, b)
+            kernels = [scale * kernel_k(u, 0.0, alpha) for u in us]
+            return us, kernels, [g(interval.from_u(u)) * k for u, k in zip(us, kernels)]
+
+        def row(m, a, b):
+            us, kernels, data = panel(a, b)
             xi = xis[m // n]
-            kernel = 2.0 * r / (interval.hi - z) * kernel_k(u, 0.0, alpha)
-            wave = np.exp(1j * xi * u) * (g(interval.from_u(u)) * kernel)
-            return wave if v is None else wave - np.exp(1j * xi * v) * (gv * kernel)
+            waves = [cmath.exp(1j * xi * u) * d for u, d in zip(us, data)]
+            if v is None:
+                return waves
+            return [w - at_v[m // n] * (gv * k) for w, k in zip(waves, kernels)]
         piece = "u" if v is None else "u-PV"
-        pieces = integrate_batch(integrand, ends[:-1] * len(lams), ends[1:] * len(lams),
-                                 tol, cell=lambda m: _cell(lams[m // n], z, piece))
+        pieces = integrate_rows(_rows(row), ends[:-1] * len(lams), ends[1:] * len(lams),
+                                tol, [8] * (n * len(lams)),
+                                lambda m: _cell(lams[m // n], z, piece))
         sums = [sum(pieces[m * n:(m + 1) * n]) for m in range(len(lams))]
         if v is not None:
-            sums = [s + (1j * math.pi - v) * cmath.exp(1j * xi * v) * gv
-                    for s, xi in zip(sums, xis.tolist())]
+            sums = [s + (1j * math.pi - v) * phase * gv for s, phase in zip(sums, at_v)]
         columns.append(sums)
     return columns
 
@@ -206,21 +219,32 @@ def _residue_columns(zs, lams, interval, signal):
 
 def _cauchy_weighted_t(zs, lams, interval, signal, tol):
     """Same integrals, evaluated directly in the t variable (oracle path):
-    the integrand is exp(i xi ln((t - lo)/(hi - t))) g(t) / (t - z)."""
+    the integrand is exp(i xi ln((t - lo)/(hi - t))) g(t) / (t - z).  A
+    panel's nodes, logarithms and data are computed once, and their phase
+    times the data once per xi, for every point."""
     g = signal.eval_on_I
     lo, hi = interval.lo, interval.hi
-    np = numpy()
     # integral k is lambda k // n at point k % n
-    n, zs = len(zs), np.array(zs, dtype=complex)
-    xis = np.array([xi_of_lambda(lam) for lam in lams])
+    n = len(zs)
+    xis = [xi_of_lambda(lam) for lam in lams]
     count = n * len(lams)
 
-    def integrand(t, k):
-        phase = np.exp(1j * xis[k // n] * np.log((t - lo) / (hi - t)))
-        return phase * g(t) / (t - zs[k % n])
+    @functools.cache
+    def panel(a, b):
+        ts = _nodes(a, b)
+        return ts, [math.log((t - lo) / (hi - t)) for t in ts], [g(t) for t in ts]
 
-    values = integrate_batch(integrand, [lo] * count, [hi] * count, tol,
-                             cell=lambda k: _cell(lams[k // n], zs[k % n], "t"))
+    @functools.cache
+    def weighted(a, b, xi):
+        _, logs, data = panel(a, b)
+        return [cmath.exp(1j * xi * log) * d for log, d in zip(logs, data)]
+
+    def row(k, a, b):
+        z = zs[k % n]
+        return [w / (t - z) for w, t in zip(weighted(a, b, xis[k // n]), panel(a, b)[0])]
+
+    values = integrate_rows(_rows(row), [lo] * count, [hi] * count, tol, [8] * count,
+                            lambda k: _cell(lams[k // n], zs[k % n], "t"))
     return [values[j::n] for j in range(n)]
 
 
@@ -302,10 +326,10 @@ def window_samples(interval, window, n_samples):
 
 def _deviations(values, pts, ref):
     """|g_lambda - F| at each of ``pts``, as a list, the reference called
-    once on ``pts``; no points is a DomainError."""
+    once per point; no points is a DomainError."""
     if len(pts) == 0:
         raise DomainError("an error measure needs at least one point")
-    return [abs(v - f) for v, f in zip(values, ref(pts))]
+    return [abs(v - ref(p)) for v, p in zip(values, pts)]
 
 
 def sup_error(values, pts, ref):

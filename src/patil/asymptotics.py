@@ -25,9 +25,8 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .arrays import numpy
 from .errors import DomainError
-from .quadrature import _NODES, QuadTolerance, integrate_rows
+from .quadrature import QuadTolerance, _nodes, _rows, integrate_rows
 
 __all__ = [
     "StripSingularity",
@@ -106,36 +105,33 @@ def _mobius(z):
     """``(em, d0, d1)``: ``e^{-z}``, 1 and ``e^{-z}`` where Re z > 0, else
     ``e^z``, ``e^z`` and 1, so that ``(1 + em) / (d0 + c d1) = (e^z + 1) /
     (e^z + c)`` for every ratio c, on both sides, from one exponential
-    that never overflows; ``z`` is a complex number or an array."""
-    if isinstance(z, complex):
-        em = cmath.exp(-z if z.real > 0 else z)
-        return (em, 1.0, em) if z.real > 0 else (em, em, 1.0)
-    np = numpy()
-    right_half = z.real > 0
-    em = np.exp(np.where(right_half, -z, z))
-    return em, np.where(right_half, 1.0, em), np.where(right_half, em, 1.0)
+    that never overflows."""
+    em = cmath.exp(-z if z.real > 0 else z)
+    return (em, 1.0, em) if z.real > 0 else (em, em, 1.0)
 
 
 def kernel_k(z, xi, alpha):
-    """Transformed Cauchy kernel ``e^{i xi z} e^z / ((e^z+1)(e^z+alpha))``.
+    """Transformed Cauchy kernel ``e^{i xi z} e^z / ((e^z+1)(e^z+alpha))``
+    at a number ``z``, as a complex.
 
     alpha may be complex; the poles are ``i pi (2k + 1)`` and ``Log(-alpha)
     + 2 pi i k``.  The phase ``e^{i xi z}`` times the quotient of
     :func:`_kernel`, which never overflows.
     """
-    np = numpy()
-    z = np.asarray(z, dtype=complex)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        value = np.exp(1j * xi * z) * _kernel(z, alpha)
-    if not np.all(np.isfinite(value)):
+    z = complex(z)
+    try:
+        value = cmath.exp(1j * xi * z) * _kernel(z, alpha)
+    except (ZeroDivisionError, OverflowError, ValueError):
+        value = cmath.nan  # on a pole, or a phase beyond the doubles
+    if not cmath.isfinite(value):
         raise DomainError(
             "kernel pole at i pi (2k + 1) or Log(-alpha) + 2 pi i k")
-    return np.asarray(value)
+    return value
 
 
 def _kernel(u, alpha):
-    """``k(u, 0, alpha)`` of :func:`kernel_k` at a number or an array ``u``,
-    in ``_mobius``'s one form for both half planes."""
+    """``k(u, 0, alpha)`` of :func:`kernel_k`, in ``_mobius``'s one form for
+    both half planes."""
     em, d0, d1 = _mobius(u)
     return em / ((1.0 + em) * (d0 + alpha * d1))
 
@@ -198,12 +194,12 @@ def residue_merged(pole, xi, alpha, g_strip, radius=None, n_points=256):
             raise DomainError(
                 f"singularity {cand} inside residue circle of radius {radius}"
             )
-    np = numpy()
-    theta = 2.0 * PI * np.arange(n_points) / n_points
-    ring = np.exp(1j * theta)
-    z = pole + radius * ring
-    values = kernel_k(z, xi, alpha) * g_strip(z)
-    return complex(radius * np.mean(values * ring))
+    total = 0.0
+    for j in range(n_points):
+        ring = cmath.exp(1j * (2.0 * PI * j / n_points))
+        z = pole + radius * ring
+        total += kernel_k(z, xi, alpha) * g_strip(z) * ring
+    return complex(radius * (total / n_points))
 
 
 def residue_strip_pole(s, xi, alpha):
@@ -348,11 +344,11 @@ def contour_residuals(g_strip, cells, spec, singularities=(),
 
     Numerically integrates k * p, ``g_strip`` being p as a function of one
     complex number, over the four rectangle edges of every cell, one
-    numpy-free batch (:func:`integrate_rows`) for all of them, and returns
+    batch (:func:`integrate_rows`) for all of them, and returns
     ``|contour integral - 2 pi i * sum of enclosed residues|`` per cell; a
-    ZeroDivisionError, OverflowError or cmath ValueError at a node is a
-    non-finite panel (:class:`NonConvergence`); a listed pole counts
-    only inside the rectangle, below its top and between its sides.  A
+    fault at a node is a non-finite panel (:class:`NonConvergence`, see
+    ``quadrature._rows``); a listed pole counts only inside the
+    rectangle, below its top and between its sides.  A
     pole of ``g_strip`` left off ``singularities`` is refused where it meets
     a lone kernel pole (see :func:`residue_terms`); elsewhere its residue
     is missing and the residual shows it.
@@ -381,8 +377,7 @@ def contour_residuals(g_strip, cells, spec, singularities=(),
         # the nodes z and per node (q, d0, d1), with (em, d0, d1) of _mobius
         # and q = dz/ds p(z) em / (1 + em), so that dz/ds k(z, 0, alpha) p(z)
         # is q / (d0 + alpha d1) at every alpha; dz/ds is 1 or i
-        half, mid = 0.5 * (c - a), 0.5 * (c + a)
-        s = [mid + half * x for x in _NODES]
+        s = _nodes(a, c)
         if edge < 2:
             z, dzds = [complex(v, (0.0, b)[edge]) for v in s], 1.0
         else:
@@ -401,20 +396,9 @@ def contour_residuals(g_strip, cells, spec, singularities=(),
     def wave(edge, a, c, xi):
         return [cmath.exp(1j * xi * u) for u in side(edge, a, c)[0]]
 
-    def rows(ks, los, his):
-        out = []
-        for k, a, c in zip(ks, los, his):
-            edge, xi, alpha = keys[k]
-            try:
-                out.append(list(map(operator.mul, weighted(edge, a, c, alpha),
-                                    wave(edge, a, c, xi))))
-            except DomainError:
-                raise
-            except (ZeroDivisionError, OverflowError, ValueError):
-                # a pole on a node, or a phase beyond the doubles (cmath's
-                # domain error): a NaN row, which integrate_rows names
-                out.append([complex(math.nan, math.nan)] * len(_NODES))
-        return out
+    def row(k, a, c):
+        edge, xi, alpha = keys[k]
+        return list(map(operator.mul, weighted(edge, a, c, alpha), wave(edge, a, c, xi)))
 
     def cell(k):
         edge, xi, alpha = keys[k]
@@ -422,7 +406,7 @@ def contour_residuals(g_strip, cells, spec, singularities=(),
         return f"contour at xi={xi!r}, alpha={alpha!r}, {edge} edge"
 
     n = len(cells)
-    edges = integrate_rows(rows, [-R, -R, 0.0, 0.0] * n, [R, R, b, b] * n, tol,
+    edges = integrate_rows(_rows(row), [-R, -R, 0.0, 0.0] * n, [R, R, b, b] * n, tol,
                            [max(8, int(R)), max(8, int(R)), 8, 8] * n, cell)
     residues = enclosed_residues(g_strip, cells, spec, singularities)
     return [abs(bottom + right - top - left - 2j * PI * res)

@@ -12,12 +12,10 @@ one period strip and the decay certificate:
 * ``example2 = rational(-i, i)``, exponent 1/4 on (-1, 1), and
   ``h2_reference_pole = rational(1, w)`` with Im w < 0.
 * ``example1`` -- semicircle-plus-linear data on I = (-a, a) only, period
-  4 pi i, with one data formula and one pullback formula
-  ``-i a tanh((z + i pi)/4)`` for numbers and arrays; its one pole sits
-  on Im z = pi (merged with the kernel pole), so its exponent is 0.
+  4 pi i, with the pullback ``-i a tanh((z + i pi)/4)``; its one pole
+  sits on Im z = pi (merged with the kernel pole), so its exponent is 0.
 
-Every evaluator follows its input (``patil.arrays.evaluator``): a number
-gives a complex, a list a list, an array an ndarray of its shape.
+Every evaluator is a function of one number.
 """
 
 import cmath
@@ -25,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 from .approximant import BoundarySignal
-from .arrays import evaluator, numpy
 from .asymptotics import StripSingularity, _mobius, predict_growth_exponent
 from .errors import DomainError
 from .quadrature import DecayCertificate
@@ -60,7 +57,8 @@ def rational(c, w, interval=UNIT, name="rational"):
     # under t = c0 + r tanh(z/2): t - w = (d + r)(1 + ratio e^{-z}) / (1 + e^{-z})
     scale, ratio = c / (d + r), (d - r) / (d + r)
 
-    evaluate = evaluator(lambda z: c / (z - w))
+    def evaluate(z):
+        return c / (z - w)
 
     def pullback(z):
         em, d0, d1 = _mobius(z)
@@ -74,7 +72,7 @@ def rational(c, w, interval=UNIT, name="rational"):
         beta = complex(beta.real, min(beta.imag, math.nextafter(2.0 * PI, 0.0)))
     signal = BoundarySignal(
         eval_on_I=evaluate,
-        strip_pullback=evaluator(pullback),
+        strip_pullback=pullback,
         singularities=(StripSingularity(beta=beta,
                                         coeff=2.0 * c / (r * (1.0 - s * s))),),
         period=2.0 * PI,
@@ -93,18 +91,16 @@ def example1(interval=UNIT):
     if interval.lo != -a:
         raise DomainError(f"example1 needs I = (-a, a), got {interval}")
 
-    def eval_on_I(x, sqrt=math.sqrt, maximum=max):
-        return sqrt(maximum(a * a - x * x, 0.0)) - 1j * x
+    def eval_on_I(x):
+        return math.sqrt(max(a * a - x * x, 0.0)) - 1j * x
 
-    def strip_pullback(z, tanh=cmath.tanh):
+    def strip_pullback(z):
         # a (sech(z/2) - i tanh(z/2)), exact at its zero 3 pi i, finite for finite z
-        return -1j * a * tanh(0.25 * (z + 1j * PI))
+        return -1j * a * cmath.tanh(0.25 * (z + 1j * PI))
 
     signal = BoundarySignal(
-        eval_on_I=evaluator(eval_on_I, lambda x: eval_on_I(
-            x, numpy().sqrt, numpy().maximum), float),
-        strip_pullback=evaluator(strip_pullback,
-                                 lambda z: strip_pullback(z, numpy().tanh)),
+        eval_on_I=eval_on_I,
+        strip_pullback=strip_pullback,
         # pole of the pullback at i pi, order 1: sech and -i tanh each
         # contribute -2i a there; sech(z/2) changes sign under z + 2 pi i
         singularities=(StripSingularity(beta=1j * PI, order=1, coeff=-4j * a),),

@@ -1,24 +1,21 @@
-"""Adaptive quadrature for complex-valued integrands.
+"""Adaptive quadrature for complex-valued integrands, in plain Python.
 
 * :func:`integrate_rows` -- many globally adaptive Gauss-Kronrod
-  (G7/K15) integrals on finite intervals, sharing integrand calls, in
-  plain Python;
-* :func:`integrate_batch` -- the same for an integrand on numpy arrays;
-  :func:`integrate_adaptive` is a batch of one.
+  (G7/K15) integrals on finite intervals, sharing integrand calls;
+  :func:`integrate_adaptive` is one integral of a function of a number.
 * :func:`pv_integrate` -- the principal value of ``w(t)/(x - t)`` at an
   interior Cauchy singularity, by singularity subtraction.
 * :func:`integrate_real_line` -- a truncated real-line integral whose
   truncation point comes from a decay certificate.
 
-Two integrand contracts share one adaptive loop and one G7/K15 sum.  The
-loop's own, ``rows(k, a, b)``, returns the 15 node values of each panel
-it is given, as lists or any sequences (the contour identity's cached
-rows).  The array one, ``f(u, k)`` of :func:`integrate_batch`, and
-``f(u)`` of the functions built on it, takes a numpy array of abscissae
-and returns an array of the same shape (complex or real); that adapter
-is the only place the engine loads numpy, at its first call.  Real and
-imaginary parts are summed from the same nodes, so both parts always
-see identical grids.
+The loop's integrand, ``rows(k, a, b)``, returns the 15 node values of
+each panel it is given, as lists or any sequences.  Every caller builds
+it with ``_rows`` from one panel's row, so a fault at a node has one
+rule: a ZeroDivisionError, OverflowError or ValueError other than a
+DomainError (a pole on a node, a value beyond the doubles) makes the
+row NaN, which :func:`integrate_rows` reports as a NonConvergence naming
+the integral and the panel.  Real and imaginary parts are summed from
+the same nodes, so both parts always see identical grids.
 """
 
 import heapq
@@ -27,7 +24,6 @@ import math
 import numbers
 from dataclasses import dataclass
 
-from .arrays import numpy
 from .errors import DomainError, NonConvergence
 from .quench import Interval
 
@@ -35,7 +31,6 @@ __all__ = [
     "QuadTolerance",
     "DecayCertificate",
     "integrate_rows",
-    "integrate_batch",
     "integrate_adaptive",
     "pv_integrate",
     "integrate_real_line",
@@ -83,7 +78,9 @@ class DecayCertificate:
     def truncation_point(self, abs_tol):
         """Half-width U with tail bound below ``abs_tol / 2``."""
         rate = 1.0 - self.delta
-        u = math.log(2.0 * self.bound_M / (rate * abs_tol)) / rate
+        # ln(2 M / (rate abs_tol)) as a sum, which no large M overflows
+        u = (math.log(2.0) + math.log(self.bound_M) - math.log(rate)
+             - math.log(abs_tol)) / rate
         return max(u, 1.0)
 
 
@@ -119,6 +116,8 @@ _WG = (
 _NODES = tuple(-x for x in _XGK[:-1]) + _XGK[::-1]
 # panels per integrand call at most, which bounds memory for any batch size
 _SLICE = 512
+# the row of a panel with a fault at a node (see _rows)
+_NAN_ROW = [complex(math.nan, math.nan)] * len(_NODES)
 
 
 def _gk15(rows, k, lo, hi):
@@ -137,8 +136,34 @@ def _gk15(rows, k, lo, hi):
                           + k4 * (f4 + f10) + k5 * p5 + k6 * (f6 + f8) + k7 * f7)
         gauss = half * (g1 * p1 + g3 * p3 + g5 * p5 + g7 * f7)
         ests.append(kronrod)
-        errs.append(abs(kronrod - gauss))
+        try:
+            errs.append(abs(kronrod - gauss))
+        except OverflowError:  # a modulus beyond the doubles; after an overflow
+            errs.append(math.inf)  # at a node, complex abs may raise on NaN too
     return ests, errs
+
+
+def _nodes(a, b):
+    """The 15 nodes ``mid + half * x``, ``x`` in ``_NODES``, of the panel [a, b]."""
+    half, mid = 0.5 * (b - a), 0.5 * (b + a)
+    return [mid + half * x for x in _NODES]
+
+
+def _rows(row):
+    """The ``rows`` of :func:`integrate_rows` from ``row(k, a, b)``, the node
+    values of one panel of integral ``k``: a ZeroDivisionError, OverflowError
+    or ValueError other than a DomainError in it gives a NaN row."""
+    def rows(ks, los, his):
+        out = []
+        for k, a, b in zip(ks, los, his):
+            try:
+                out.append(row(k, a, b))
+            except DomainError:
+                raise
+            except (ZeroDivisionError, OverflowError, ValueError):
+                out.append(_NAN_ROW)
+        return out
+    return rows
 
 
 def _partition(a, b, n):
@@ -150,13 +175,12 @@ def _partition(a, b, n):
 
 def integrate_rows(rows, lo, hi, tol, initial_panels, cell=None):
     """Integrate many functions at once, integral ``i`` over ``[lo[i], hi[i]]``
-    from ``initial_panels[i]`` equal panels, without numpy.
+    from ``initial_panels[i]`` equal panels.
 
     ``rows(k, a, b)`` gets the integral ``k[j]`` and the ends ``a[j] <
     b[j]`` of each panel to evaluate, at most 512 of them a call, and
     returns for each panel its integrand values at the 15 nodes
-    ``mid + half * x`` for ``x`` in ``_NODES``, ``mid`` and ``half`` being
-    the panel's midpoint and half-width.  Each integral bisects its own
+    ``_nodes(a[j], b[j])``.  Each integral bisects its own
     worst G7/K15 panel until its summed error is below ``max(abs_tol,
     rel_tol * |result|)``, within its own budget; they share only the
     integrand calls, so each result (a list of complex) is what it alone
@@ -211,34 +235,11 @@ def integrate_rows(rows, lo, hi, tol, initial_panels, cell=None):
     return [complex(t) for t in totals]
 
 
-def integrate_batch(f, lo, hi, tol=QuadTolerance(), initial_panels=8, cell=None):
-    """:func:`integrate_rows` for an integrand on arrays: ``f(u, k)`` gets a
-    ``(panels, 15)`` array of nodes, at most 512 panels a call, and the
-    ``(panels, 1)`` indices of their integrals, and returns an array of
-    that shape; ``lo``, ``hi`` and ``initial_panels`` (one count or one per
-    integral) may be numbers, lists or arrays, and ``cell``, as there,
-    names the integral a failure heads its message with.  This adapter is
-    the one place where the engine loads numpy.
-    """
-    np = numpy()
-    lo = np.atleast_1d(np.asarray(lo, dtype=float))
-    hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    nodes = np.array(_NODES)
-
-    def rows(k, a, b):
-        a, b = np.array(a), np.array(b)
-        half, mid = 0.5 * (b - a), 0.5 * (b + a)
-        # a NaN or inf becomes NonConvergence in integrate_rows, not a warning
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.asarray(f(mid[:, None] + half[:, None] * nodes,
-                                np.array(k)[:, None])).tolist()
-    return integrate_rows(rows, lo.tolist(), hi.tolist(), tol,
-                          np.broadcast_to(initial_panels, lo.shape).tolist(), cell)
-
-
 def integrate_adaptive(f, lo, hi, tol=QuadTolerance(), initial_panels=8):
-    """Integrate ``f(u)`` on ``[lo, hi]``: a batch of one (:func:`integrate_batch`)."""
-    return integrate_batch(lambda u, k: f(u), lo, hi, tol, initial_panels)[0]
+    """Integrate ``f(u)``, a function of one number, on ``[lo, hi]``: an
+    :func:`integrate_rows` of one."""
+    return integrate_rows(_rows(lambda k, a, b: [f(u) for u in _nodes(a, b)]),
+                          [lo], [hi], tol, [initial_panels])[0]
 
 
 def pv_integrate(w, lo, hi, x, tol=QuadTolerance()):
@@ -256,9 +257,11 @@ def pv_integrate(w, lo, hi, x, tol=QuadTolerance()):
         raise DomainError(f"x={x} within guard distance of an endpoint "
                           f"of [{lo}, {hi}]")
     wx = w(x)
-    left, right = integrate_batch(lambda t, k: (w(t) - wx) / (x - t),
-                                  [lo, x], [x, hi], tol)
-    return left + right + wx * interval.to_u(x)
+
+    def smooth(t):
+        return (w(t) - wx) / (x - t)
+    return integrate_adaptive(smooth, lo, x, tol) + integrate_adaptive(smooth, x, hi, tol) \
+        + wx * interval.to_u(x)
 
 
 def integrate_real_line(f, cert, tol=QuadTolerance()):

@@ -12,7 +12,6 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-from .arrays import numpy
 from .errors import DomainError
 
 __all__ = [
@@ -52,8 +51,8 @@ class Interval:
         return 0.5 * (self.hi - self.lo)
 
     def contains(self, x):
-        """Whether ``x`` lies in (lo, hi); elementwise for an array ``x``."""
-        return (self.lo < x) & (x < self.hi)
+        """Whether the real ``x`` lies in (lo, hi)."""
+        return self.lo < x < self.hi
 
     @property
     def guard(self):
@@ -75,8 +74,9 @@ class Interval:
         return z if z.imag else complex(z.real, 0.0)
 
     def from_u(self, u):
-        """``center + half_width tanh(u/2)``, for real or complex ``u``, or arrays."""
-        return self.center + self.half_width * numpy().tanh(0.5 * u)
+        """``center + half_width tanh(u/2)`` for a real or complex number ``u``."""
+        tanh = cmath.tanh if isinstance(u, complex) else math.tanh
+        return self.center + self.half_width * tanh(0.5 * u)
 
     def to_u(self, x):
         """The preimage ``ln((x - lo)/(hi - x))`` of a real ``x`` in I."""
@@ -111,14 +111,12 @@ def _log_weight_ratio(interval):
 def phase_G(x, params, interval):
     """Boundary phase of h_lambda at real points off the endpoints.
 
-    ``x`` is a float or an array of points that ``Interval.point`` admits.
-    Unified over symmetric and nonsymmetric intervals; the weight-ratio
-    term vanishes identically when ``lo == -hi``.
+    ``x`` is a real number that ``Interval.point`` admits.  Unified over
+    symmetric and nonsymmetric intervals; the weight-ratio term vanishes
+    identically when ``lo == -hi``.
     """
-    np = numpy()
-    for point in np.ravel(x):
-        interval.point(point)
-    ratio = np.log(np.abs((interval.hi - x) / (interval.lo - x)))
+    interval.point(x)
+    ratio = math.log(abs((interval.hi - x) / (interval.lo - x)))
     return params.xi * (ratio - 0.5 * _log_weight_ratio(interval))
 
 

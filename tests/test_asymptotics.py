@@ -76,10 +76,9 @@ class TestKernel:
         assert kernel_k(0.0, 0.7, 2.0) == pytest.approx(1.0 / 6.0, rel=1e-14)
 
     def test_real_positive_at_zero_frequency(self):
-        u = np.linspace(-30, 30, 41)
-        values = kernel_k(u.astype(complex), 0.0, 2.0)
-        assert np.all(values.real > 0)
-        assert np.allclose(values.imag, 0.0)
+        values = [kernel_k(complex(u), 0.0, 2.0) for u in np.linspace(-30, 30, 41)]
+        assert all(value.real > 0 for value in values)
+        assert np.allclose([value.imag for value in values], 0.0)
 
     def test_height_damping_factor(self):
         xi, b = 1.3, 4.0
@@ -91,7 +90,7 @@ class TestKernel:
     def test_pole_refused(self):
         # alpha = -1 puts the pole Log(-alpha) at z = 0 itself
         with pytest.raises(DomainError, match="kernel pole at"):
-            kernel_k(np.array([0.0]), 0.0, -1.0)
+            kernel_k(0.0, 0.0, -1.0)
 
     def test_near_pole_blowup(self):
         # the floating-point images of the poles give huge finite values
@@ -104,9 +103,17 @@ class TestKernel:
                              ids=["float", "complex", "complex128", "0-d", "list",
                                   "2x3"])
     def test_returns_array_of_input_shape(self, z):
+        # kernel_k takes numbers only: a number of any type gives a complex,
+        # a list or an array of points is refused rather than mapped
+        if np.ndim(z):
+            with pytest.raises(TypeError):
+                kernel_k(z, 0.7, 2.0)
+            return
         value = kernel_k(z, 0.7, 2.0)
-        assert isinstance(value, np.ndarray)
-        assert value.shape == np.shape(z)
+        ez = cmath.exp(complex(z))
+        assert type(value) is complex
+        assert value == pytest.approx(cmath.exp(0.7j * complex(z)) * ez
+                                      / ((ez + 1.0) * (ez + 2.0)), rel=1e-14)
 
     def test_large_argument_stability(self):
         # e^{700} is within a factor 2e4 of overflow; k tends to e^{i u - |u|}
@@ -141,10 +148,10 @@ class TestKernel:
         interval = Interval(-0.5, 2.0)
         r = interval.half_width
         alpha = (z - interval.lo) / (z - interval.hi)
-        u = np.linspace(-40.0, 40.0, 81)
-        values = 2.0 * r * kernel_k(u, 0.0, alpha) / (interval.hi - z)
+        u = np.linspace(-40.0, 40.0, 81).tolist()
+        values = [2.0 * r * kernel_k(uk, 0.0, alpha) / (interval.hi - z) for uk in u]
         with mpmath.workdps(50):
-            for uk, value in zip(u.tolist(), values.tolist()):
+            for uk, value in zip(u, values):
                 half = mpmath.mpf(uk) / 2
                 t = mpmath.mpf(interval.center) + r * mpmath.tanh(half)
                 want = complex(r / (2 * mpmath.cosh(half) ** 2)
@@ -548,9 +555,11 @@ class TestResidueEngine:
         got = enclosed_residues(signal.strip_pullback, [(xi, alpha)], self.SPEC,
                                 signal.singularities)[0]
         centre, n = 1j * PI, 8192
-        nodes = centre + 0.6 * np.exp(2j * PI * np.arange(n) / n)
-        want = np.mean(kernel_k(nodes, xi, alpha) * signal.strip_pullback(nodes)
-                       * (nodes - centre))
+        nodes = [centre + 0.6 * cmath.exp(2j * PI * k / n) for k in range(n)]
+        terms = [kernel_k(u, xi, alpha) * signal.strip_pullback(u) * (u - centre)
+                 for u in nodes]
+        want = complex(math.fsum(t.real for t in terms),
+                       math.fsum(t.imag for t in terms)) / n
         assert abs(got - want) <= 1e-13 * abs(want)
 
     @pytest.mark.parametrize("third, groups", [(0.2, [[0, 1, 2]]), (0.3, [[0, 1], [2]])])

@@ -1,7 +1,7 @@
 """``import patil`` loads neither numpy nor any module of the package, and
 ``import patil.<module>`` loads that module and what it imports, not the
-rest: each name has one import path, from its module.  numpy is loaded
-only where arrays are used (patil.arrays)."""
+rest: each name has one import path, from its module.  No function of
+patil loads numpy: it computes in plain Python."""
 
 import json
 import os
@@ -50,6 +50,42 @@ def test_package_loads_no_numpy_and_no_module(env):
 def test_modules_load_no_numpy(module):
     # the CLI imports every module of the package; none imports numpy
     assert loaded(module)["numpy"] is False
+
+
+# Run in a fresh interpreter: the u- and t-paths of g_lambda, the
+# quadrature functions and the helpers that once took arrays, on numbers.
+CALLS = """
+import math
+import sys
+
+from patil.approximant import approximant_table
+from patil.asymptotics import kernel_k, residue_merged
+from patil.catalog import example2
+from patil.quadrature import (DecayCertificate, integrate_adaptive,
+                              integrate_real_line, pv_integrate)
+from patil.quench import Interval, QuenchParams, phase_G
+
+iv = Interval(-1.0, 1.0)
+signal = example2().signal
+approximant_table([0.5 + 1j, 2.0, 0.3], [10.0], iv, signal, method="u")
+approximant_table([0.5 + 1j], [10.0], iv, signal, method="t")
+integrate_adaptive(lambda t: 1j * t * t, 0.0, 1.0)
+pv_integrate(lambda t: 1.0 + t, -1.0, 1.0, 0.3)
+integrate_real_line(lambda u: 1.0 / (1.0 + u * u) ** 8, DecayCertificate(0.5, 1.0))
+kernel_k(0.3 + 0.2j, 0.7, 2.0)
+residue_merged(1j * math.pi, 1.0, 2.0, signal.strip_pullback)
+phase_G(2.0, QuenchParams(10.0), iv)
+iv.from_u(0.5)
+iv.from_u(0.5 + 0.25j)
+print("numpy" in sys.modules)
+"""
+
+
+def test_no_function_loads_numpy():
+    proc = subprocess.run([sys.executable, "-c", CALLS],
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, check=True,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stdout == "False\n"
 
 
 def test_module_loads_only_what_it_imports():

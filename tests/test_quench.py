@@ -81,15 +81,16 @@ class TestPhaseG:
         with pytest.raises(DomainError):
             phase_G(1.0, QuenchParams(2.0), SYM)
         with pytest.raises(DomainError):
-            phase_G(np.array([0.5, -1.0]), QuenchParams(2.0), SYM)
+            phase_G(-1.0, QuenchParams(2.0), SYM)
 
     def test_array_matches_scalar(self):
         p = QuenchParams(1e4)
         iv = Interval(-0.5, 2.0)
+        # G takes numbers only; the numpy scalars of an array are numbers
         xs = np.array([-3.0, -0.2, 0.7, 1.9, 4.5])
-        values = phase_G(xs, p, iv)
-        assert values.shape == xs.shape
-        assert list(values) == [phase_G(float(x), p, iv) for x in xs]
+        values = [phase_G(x, p, iv) for x in xs]
+        assert all(type(phase_G(float(x), p, iv)) is float for x in xs)
+        assert values == [phase_G(float(x), p, iv) for x in xs]
 
     @settings(max_examples=40, deadline=None)
     @given(a=st.floats(0.1, 5.0), x=st.floats(-10, 10), lam=st.floats(0.01, 1e6))
@@ -263,7 +264,7 @@ class TestInterval:
         assert iv.contains(0.5)
         assert not iv.contains(2.0)
         assert iv.contains(0.5) is True
-        assert iv.contains(np.array([-1.0, 0.0, 0.5, 2.0, 3.0])).tolist() == \
+        assert [iv.contains(x) for x in (-1.0, 0.0, 0.5, 2.0, 3.0)] == \
             [False, False, True, False, False]
         assert iv.point(0.5) == complex(0.5, 0.0)
         assert iv.point(1.5 + 1j, interior=True) == 1.5 + 1j
@@ -287,7 +288,9 @@ class TestInterval:
 
     def test_tanh_map_domains(self):
         iv = Interval(-0.5, 2.0)
-        assert iv.from_u(np.zeros(3)).tolist() == [0.75] * 3
+        # a real u gives a float, a complex u a complex
+        assert type(iv.from_u(0.0)) is float and iv.from_u(0.0) == 0.75
+        assert type(iv.from_u(0j)) is complex and iv.from_u(0j) == 0.75
         for x in (-0.5, 2.0, 3.0):
             with pytest.raises(DomainError, match="to_u needs x in"):
                 iv.to_u(x)
@@ -308,8 +311,7 @@ class TestPointRule:
         calls = [lambda: quench_boundary(z, p, iv),
                  lambda: approximant_table([0.5, z], [10.0], iv, self.SIGNAL)]
         if isinstance(z, float):
-            calls += [lambda: phase_G(z, p, iv),
-                      lambda: phase_G(np.array([0.5, z]), p, iv)]
+            calls.append(lambda: phase_G(z, p, iv))
         return calls
 
     def interior(self, z):
@@ -352,4 +354,4 @@ class TestPointRule:
         for call in calls:
             value = call()
             value = value[0][1] if isinstance(value, list) else value
-            assert np.all(np.isfinite(value)), (z, value)
+            assert cmath.isfinite(value), (z, value)

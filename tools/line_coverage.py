@@ -11,9 +11,8 @@ code object's ``co_lines()``) that none reached, then their count.
 Extra arguments go to pytest, e.g. ``-k contour`` or ``-x``.
 
 Child processes are not traced, so the lines that only the subprocess
-tests run are listed too: ``arrays.numpy``'s OpenBLAS pin (numpy is
-already loaded in this process), ``cli.run``, ``_write``'s branch for a
-stdout that is closed, and the ``__main__`` guard of ``patil.cli``.
+tests run are listed too: ``cli.run``, ``_write``'s branch for a stdout
+that is closed, and the ``__main__`` guard of ``patil.cli``.
 """
 
 import sys
