@@ -2,13 +2,12 @@
 
 g_lambda weighs the data with the conjugate quench phase and applies a
 Cauchy integral over I.  After the tanh change of variable the quench
-oscillation is a pure linear phase ``exp(i xi u)``.  When the signal
-declares the period of its pullback, g_lambda is by default a finite sum
-of residues over one period strip, in closed form.  Otherwise, and as
-the cross-checks ``method="u"`` and ``"t"``, the integral is evaluated by
-G7/K15 batches in the u-domain, one batch per point for every lambda, or
-directly in the t-domain; each caches the lambda-free parts of a panel's
-nodes once and computes a phase once per xi.  All of it is plain Python.
+oscillation is a pure linear phase ``exp(i xi u)``, and the signal's
+pullback has a declared period, so g_lambda is a finite sum of residues
+over one period strip, in closed form.  The cross-check ``method="t"``
+evaluates the integral by G7/K15 batches in the t-domain instead,
+caching the lambda-free parts of a panel's nodes once and computing a
+phase once per xi.  All of it is plain Python.
 """
 
 import cmath
@@ -16,10 +15,9 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .asymptotics import STRIP_TOP, kernel_k, residue_terms
+from .asymptotics import residue_terms
 from .errors import DomainError
 from .quadrature import (
-    DecayCertificate,
     QuadTolerance,
     _nodes,
     _rows,
@@ -47,123 +45,29 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BoundarySignal:
-    """Boundary data g on I, optionally with analytic strip metadata.
+    """Boundary data g on I with the analytic metadata of its pullback.
 
-    ``eval_on_I`` is a function of one real number.  ``decay_cert`` bounds
-    the data pulled back through the tanh map,
-    ``|g(c + r tanh(u/2))| <= bound_M exp(delta |u|)``, which fixes
-    where the u-integral is truncated.  ``strip_pullback``, when
-    present, analytically extends the pullback of g through the tanh
-    map to the strip ``0 <= Im z <= 3 pi / 2``; ``singularities`` lists
-    its poles there, ``0 < Im z <= 3 pi / 2``.  A ``period`` T, a
-    multiple of 2 pi, declares p(z + iT) = p(z) for the tanh map of
-    ``interval``: then the pullback takes any complex number, and
-    ``singularities`` lists every pole with 0 < Im z < T.
+    ``eval_on_I`` is a function of one real number.  ``strip_pullback``
+    analytically extends the pullback of g through the tanh map of
+    ``interval``, p(z) = g(c + r tanh(z/2)), to any complex number; its
+    ``period`` T, a multiple of 2 pi, declares p(z + iT) = p(z), and
+    ``singularities`` lists every pole of p with 0 < Im z < T.
     """
 
     eval_on_I: callable
-    decay_cert: DecayCertificate
-    strip_pullback: callable = None
+    strip_pullback: callable
+    period: float
+    interval: Interval
     singularities: tuple = ()
-    period: float = None
-    interval: Interval = None
 
     def __post_init__(self):
-        top = STRIP_TOP
-        if self.period is not None:
-            sheets = round(self.period / (2.0 * math.pi))
-            if not (sheets >= 1 and self.period == sheets * 2.0 * math.pi
-                    and self.strip_pullback and self.interval):
-                raise DomainError(f"a period must be a multiple of 2 pi, with a "
-                                  f"pullback and its interval, got {self.period!r}")
-            top = math.nextafter(self.period, 0.0)
+        sheets = round(self.period / (2.0 * math.pi))
+        if not (sheets >= 1 and self.period == sheets * 2.0 * math.pi):
+            raise DomainError(f"a period must be a multiple of 2 pi, got {self.period!r}")
+        top = math.nextafter(self.period, 0.0)
         for s in self.singularities:
             if not complex(s.beta).imag <= top:
                 raise DomainError(f"need Im beta <= {top!r}, got beta={s.beta}")
-
-
-def _cell(lam, z, piece):
-    """The cell of the ``piece`` integral of g_lambda at ``z``: lambda, the
-    point and the piece."""
-    z = complex(z)
-    point = f"x={z.real!r}" if z.imag == 0 else f"z={z!r}"
-    return f"g_lambda at lambda={float(lam)!r}, {point}, {piece} integral"
-
-
-def _cauchy_weighted_u(zs, lams, interval, signal, tol):
-    """int_I exp(i xi ln((t - lo)/(hi - t))) g(t) / (t - z) dt, exp(-iG(t))
-    without its constant (see ``_quench_exponent``), for each z of ``zs``:
-    per z, a list with one value per lambda of ``lams``.
-
-    Under the tanh substitution ``t = interval.from_u(u)`` the phase becomes
-    exactly ``exp(i xi u)``, and with
-    ``alpha = (z - lo)/(z - hi)`` (complex above I, > 0 beside I, < 0 inside
-    I) ``t - z = (hi - z)(e^u + alpha)/(e^u + 1)``, so the Jacobian over
-    ``t - z`` is ``K(u) = 2 r k(u, 0, alpha) / (hi - z)``, k of :func:`kernel_k`.
-    Each z is one ``integrate_rows`` call on ``exp(i xi u) g(t(u)) K(u)``
-    over [-U, U], one integral per xi; a panel's nodes, K(u) and g(t(u))
-    K(u) are computed once for every xi.  A real x inside I takes the
-    limit from above: with ``v = Log(-alpha) = interval.to_u(x)``,
-    ``w(u) = exp(i xi u) g(t(u))`` and
-    ``K = cosh(v/2) / (2 cosh(u/2) sinh((u - v)/2))``, whose principal
-    value is -v, it is ``int (w - w(v)) K du + (i pi - v) w(v)``, the
-    integral split at v so that no node lands on it.
-    Tail: for ``|u| >= |v| + 2``, ``|u - v| >= 2``, so ``|sinh((u - v)/2)|
-    >= (1 - e^-2) e^{|u - v|/2} / 2``; with ``cosh(u/2) >= e^{|u|/2} / 2``,
-    ``cosh(v/2) <= e^{|v|/2}`` and ``|u - v| >= |u| - |v|``, ``|K| < 3
-    e^{|v| - |u|}``.  As ``|w(u) - w(v)| <= 2 M e^{delta (|u| + |v|)}`` for
-    ``|g(t(u))| <= M e^{delta |u|}``, the integrand is below
-    ``6 M e^{(1 + delta)|v|} e^{(delta - 1)|u|}``.
-    """
-    c, r = interval.center, interval.half_width
-    g = signal.eval_on_I
-    cert = signal.decay_cert
-    xis = [xi_of_lambda(lam) for lam in lams]
-
-    def cut(bound):
-        return DecayCertificate(cert.delta, bound).truncation_point(tol.abs_tol)
-
-    columns = []
-    for z in zs:
-        alpha = (z - interval.lo) / (z - interval.hi)
-        scale = 2.0 * r / (interval.hi - z)
-        if z.imag == 0 and interval.contains(z.real):
-            v = interval.to_u(z.real)
-            gv = complex(g(z.real))
-            u_max = max(abs(v) + 2.0, cut(6.0 * cert.bound_M * math.exp(
-                (1.0 + cert.delta) * abs(v))))
-            ends = [-u_max, v, u_max]
-            at_v = [cmath.exp(1j * xi * v) for xi in xis]
-        else:
-            v = None
-            dist = math.hypot(max(abs(z.real - c) - r, 0.0), z.imag)
-            u_max = cut(2.0 * r * cert.bound_M / dist)
-            ends = [-u_max, u_max]
-        n = len(ends) - 1  # pieces per lambda; integral m belongs to lambda m // n
-
-        @functools.cache
-        def panel(a, b):
-            # the nodes u, and per node K(u) and g(t(u)) K(u)
-            us = _nodes(a, b)
-            kernels = [scale * kernel_k(u, 0.0, alpha) for u in us]
-            return us, kernels, [g(interval.from_u(u)) * k for u, k in zip(us, kernels)]
-
-        def row(m, a, b):
-            us, kernels, data = panel(a, b)
-            xi = xis[m // n]
-            waves = [cmath.exp(1j * xi * u) * d for u, d in zip(us, data)]
-            if v is None:
-                return waves
-            return [w - at_v[m // n] * (gv * k) for w, k in zip(waves, kernels)]
-        piece = "u" if v is None else "u-PV"
-        pieces = integrate_rows(_rows(row), ends[:-1] * len(lams), ends[1:] * len(lams),
-                                tol, [8] * (n * len(lams)),
-                                lambda m: _cell(lams[m // n], z, piece))
-        sums = [sum(pieces[m * n:(m + 1) * n]) for m in range(len(lams))]
-        if v is not None:
-            sums = [s + (1j * math.pi - v) * phase * gv for s, phase in zip(sums, at_v)]
-        columns.append(sums)
-    return columns
 
 
 def _expm1(z):
@@ -191,8 +95,12 @@ def _residue_columns(zs, lams, interval, signal):
     """g_lambda at each z of ``zs`` by the residue sum over one period strip:
     per z, a list with one value per lambda of ``lams``.
 
-    The u-integrand of ``_cauchy_weighted_u`` is f(u) = e^{i xi u} Q(u),
-    Q(u) = (2r/(hi - z)) k(u, 0, alpha) p(u).  With p of period iT,
+    Under ``t = interval.from_u(u)`` the phase exp(i xi ln((t - lo)/(hi - t)))
+    is exactly e^{i xi u}, and with alpha = (z - lo)/(z - hi) (complex above
+    I, > 0 beside I, < 0 inside I) t - z = (hi - z)(e^u + alpha)/(e^u + 1),
+    so the Cauchy integral over I (see ``_cauchy_weighted_t``) is int_R f,
+    f(u) = e^{i xi u} Q(u), Q(u) = (2r/(hi - z)) k(u, 0, alpha) p(u), k of
+    ``asymptotics.kernel_k`` and p the pullback.  With p of period iT,
     f(u + iT) = e^{-xi T} f(u), and Q decays like e^{-|u|}; so
     (1 - e^{-xi T}) int_R f = 2 pi i times the sum of the residues of f
     with 0 <= Im u < T, a pole on the real line (x inside I) counting as
@@ -218,10 +126,12 @@ def _residue_columns(zs, lams, interval, signal):
 
 
 def _cauchy_weighted_t(zs, lams, interval, signal, tol):
-    """Same integrals, evaluated directly in the t variable (oracle path):
-    the integrand is exp(i xi ln((t - lo)/(hi - t))) g(t) / (t - z).  A
-    panel's nodes, logarithms and data are computed once, and their phase
-    times the data once per xi, for every point."""
+    """int_I exp(i xi ln((t - lo)/(hi - t))) g(t) / (t - z) dt, exp(-iG(t))
+    without its constant (see ``_quench_exponent``), for each z of ``zs``
+    with Im z > 0, by G7/K15 batches in t (the oracle path): per z, a list
+    with one value per lambda of ``lams``.  A panel's nodes, logarithms and
+    data are computed once, and their phase times the data once per xi,
+    for every point."""
     g = signal.eval_on_I
     lo, hi = interval.lo, interval.hi
     # integral k is lambda k // n at point k % n
@@ -244,7 +154,8 @@ def _cauchy_weighted_t(zs, lams, interval, signal, tol):
         return [w / (t - z) for w, t in zip(weighted(a, b, xis[k // n]), panel(a, b)[0])]
 
     values = integrate_rows(_rows(row), [lo] * count, [hi] * count, tol, [8] * count,
-                            lambda k: _cell(lams[k // n], zs[k % n], "t"))
+                            lambda k: f"g_lambda at lambda={lams[k // n]!r}, "
+                                      f"z={zs[k % n]!r}, t integral")
     return [values[j::n] for j in range(n)]
 
 
@@ -255,26 +166,27 @@ def approximant_table(points, lambdas, interval, signal, tol=QuadTolerance(),
 
     ``Interval.point`` admits each point: finite, in Im z > 0 or real, and over
     1e-300 (hi - lo) from each endpoint; a real point gets the boundary
-    trace, inside I the limit from above.  By default a signal that declares
-    the period of its pullback for this ``interval`` gets the residue sum
-    over one period strip, exact and without quadrature (``tol`` unused); any
-    other signal, and ``method`` "u", gets one u-domain Cauchy integral per
-    point and lambda, each point one G7/K15 batch for every lambda.
-    ``method`` "t", the dual-path oracle, integrates in t instead and takes
-    points with Im z > 0 only.  Each row is what its lambda alone gives.
+    trace, inside I the limit from above.  By default g_lambda is the
+    residue sum over one period strip, exact and without quadrature (``tol``
+    unused); it needs the ``interval`` the signal's metadata belongs to.
+    ``method`` "t", the dual-path oracle, integrates in t instead, on any
+    interval, and takes points with Im z > 0 only.  Each row is what its
+    lambda alone gives.
     """
-    paths = {"u": _cauchy_weighted_u, "t": _cauchy_weighted_t}
-    if method is not None and method not in paths:
-        raise DomainError(f'method must be None, "u" or "t", got {method!r}')
+    if method not in (None, "t"):
+        raise DomainError(f'method must be None or "t", got {method!r}')
+    if method is None and signal.interval != interval:
+        raise DomainError(f"the signal's period and poles belong to "
+                          f"{signal.interval}, got {interval}")
     # a real point as complex(x, 0.0): h_lambda takes its limit from above
     zs = [interval.point(z, interior=(method == "t")) for z in points]
     lams = [float(lam) for lam in lambdas]
     live = [k for k, lam in enumerate(lams) if lam != 0]
     live_lams = [lams[k] for k in live]
-    if method is None and signal.period is not None and signal.interval == interval:
+    if method is None:
         columns = _residue_columns(zs, live_lams, interval, signal)
     else:
-        integrals = paths[method or "u"](zs, live_lams, interval, signal, tol)
+        integrals = _cauchy_weighted_t(zs, live_lams, interval, signal, tol)
         columns = []
         for z, column in zip(zs, integrals):
             exponent = _quench_exponent(z, interval)

@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 PI = math.pi
-STRIP_TOP = 1.5 * PI  # strip_pullback is declared on 0 <= Im z <= STRIP_TOP
+STRIP_TOP = 1.5 * PI  # the highest top edge of a contour rectangle
 ALPHA_ONE_TOL = 1e-6  # |alpha - 1| at or below this puts x at infinity
 # beyond this |Re z| the kernel's e^{-|Re z|} is below the least double
 R_MAX = -math.log(math.ulp(0.0))

@@ -1,8 +1,8 @@
 """Reference boundary signals with full analytic metadata.
 
 Each builder takes the interval I = (c0 - r, c0 + r) and derives for it
-the pullback through ``t = c0 + r tanh(z/2)``, its period, its poles in
-one period strip and the decay certificate:
+the pullback through ``t = c0 + r tanh(z/2)``, its period and its poles
+in one period strip:
 
 * ``rational(c, w)`` -- data ``c / (z - w)``, period 2 pi i.  Im w > 0
   gives the one pole ``2 artanh((w - c0)/r)`` and exponent
@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from .approximant import BoundarySignal
 from .asymptotics import StripSingularity, _mobius, predict_growth_exponent
 from .errors import DomainError
-from .quadrature import DecayCertificate
 from .quench import Interval
 
 __all__ = ["CatalogEntry", "rational", "example1", "example2",
@@ -77,9 +76,6 @@ def rational(c, w, interval=UNIT, name="rational"):
                                         coeff=2.0 * c / (r * (1.0 - s * s))),),
         period=2.0 * PI,
         interval=interval,
-        # |c / (t - w)| <= |c| / |Im w| on the real line
-        decay_cert=DecayCertificate(delta=0.1, bound_M=2.0 * abs(c)
-                                    * (1.0 + 1.0 / abs(w.imag))),
     )
     return CatalogEntry(name=name, signal=signal,
                         reference=evaluate if w.imag < 0 else None)
@@ -106,7 +102,6 @@ def example1(interval=UNIT):
         singularities=(StripSingularity(beta=1j * PI, order=1, coeff=-4j * a),),
         period=4.0 * PI,
         interval=interval,
-        decay_cert=DecayCertificate(delta=0.51, bound_M=8.0 * max(a, 1.0)),
     )
     return CatalogEntry(name="example1", signal=signal)
 

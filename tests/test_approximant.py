@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from patil.approximant import (
-    BoundarySignal,
     approximant_boundary,
     approximant_interior,
     approximant_table,
@@ -22,7 +21,6 @@ from patil.approximant import (
     window_samples,
 )
 from patil.catalog import example1, example2, get_entry, h2_reference_pole, rational
-import patil.approximant as approximant
 import patil.asymptotics as asymptotics
 from patil.errors import DomainError, NonConvergence
 from patil.quadrature import QuadTolerance
@@ -38,7 +36,7 @@ _spec = importlib.util.spec_from_file_location(
 oracle = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(oracle)
 
-# example1's mpmath oracle, from its u-integral by quadrature
+# example1's mpmath oracle, from its u-integral by quadrature, inside I too
 _spec = importlib.util.spec_from_file_location(
     "example1_oracle", Path(__file__).resolve().parents[1] / "tools" / "example1_oracle.py")
 example1_oracle = importlib.util.module_from_spec(_spec)
@@ -81,26 +79,23 @@ class TestInterior:
 
     def test_dual_path_fixed_point(self):
         p = QuenchParams(100.0)
-        vu = approximant_interior(0.5 + 0.5j, p, SYM, example1().signal, TOL, "u")
+        value = approximant_interior(0.5 + 0.5j, p, SYM, example1().signal, TOL)
         vt = approximant_interior(0.5 + 0.5j, p, SYM, example1().signal, TOL, "t")
-        assert abs(vu - vt) < 1e-8
+        assert abs(value - vt) < 1e-8
 
     @pytest.mark.parametrize("entry", [example1(), example2(), h2_reference_pole(-1j)])
     @pytest.mark.parametrize("lam", [10.0, 1e4, 1e8])
     def test_dual_path_catalog(self, entry, lam):
         p = QuenchParams(lam)
         z = 0.4 + 0.6j
-        vu = approximant_interior(z, p, SYM, entry.signal, TOL, "u")
+        value = approximant_interior(z, p, SYM, entry.signal, TOL)
         vt = approximant_interior(z, p, SYM, entry.signal, TOL, "t")
-        assert abs(vu - vt) < 10 * TOL.abs_tol * (1 + abs(vu))
+        assert abs(value - vt) < 10 * TOL.abs_tol * (1 + abs(value))
 
     def test_linear_in_signal(self):
-        base = example2().signal
+        base = example2().signal  # -i / (x - i)
         c = 2.5 - 1.0j
-        scaled = BoundarySignal(
-            eval_on_I=lambda x: c * base.eval_on_I(x),
-            decay_cert=base.decay_cert,
-        )
+        scaled = rational(c * -1j, 1j).signal
         p = QuenchParams(1e3)
         v1 = approximant_interior(0.2 + 0.9j, p, SYM, base, TOL)
         v2 = approximant_interior(0.2 + 0.9j, p, SYM, scaled, TOL)
@@ -203,11 +198,13 @@ def bits(values):
 
 class TestBatches:
     NONSYM = Interval(-0.5, 2.0)
+    # example1 needs I = (-a, a); this one keeps XS off its endpoints
+    WIDE = Interval(-1.5, 1.5)
     # inside I, and outside it on both sides, in no particular order
     XS = [3.1, -0.49, 0.0, -2.0, 1.999, 0.7, -0.6, 2.5, 1.2]
     ZS = [0.3 + 0.7j, -1.4 + 0.2j, 2.6 + 1.5j, 0.9 + 0.05j]
 
-    @pytest.mark.parametrize("entry", [example2(), h2_reference_pole(-1j)])
+    @pytest.mark.parametrize("entry", [example2(NONSYM), h2_reference_pole(-1j, NONSYM)])
     @pytest.mark.parametrize("lam", [1e2, 1e7])
     def test_boundary_batch_equals_each_point(self, entry, lam):
         p = QuenchParams(lam)
@@ -216,24 +213,24 @@ class TestBatches:
                  for x in self.XS]
         assert bits(batch) == bits(alone)
 
-    @pytest.mark.parametrize("method", ["u", "t"])
+    @pytest.mark.parametrize("method", [None, "t"], ids=["default", "t"])
     def test_interior_batch_equals_each_point(self, method):
         p = QuenchParams(1e3)
-        signal = example1().signal
-        batch = approximant_values(self.ZS, p, self.NONSYM, signal, TOL, method)
-        alone = [approximant_interior(z, p, self.NONSYM, signal, TOL, method)
+        signal = example1(self.WIDE).signal
+        batch = approximant_values(self.ZS, p, self.WIDE, signal, TOL, method)
+        alone = [approximant_interior(z, p, self.WIDE, signal, TOL, method)
                  for z in self.ZS]
         assert bits(batch) == bits(alone)
 
-    @pytest.mark.parametrize("entry", [example1(), h2_reference_pole(-1j)])
+    @pytest.mark.parametrize("entry", [example1(WIDE), h2_reference_pole(-1j, NONSYM)])
     def test_mixed_batch_equals_each_point(self, entry):
         # interior points, and real points inside I and outside it
-        p = QuenchParams(1e3)
+        p, interval = QuenchParams(1e3), entry.signal.interval
         points = [z for pair in zip(self.ZS, self.XS) for z in pair]
-        batch = approximant_values(points, p, self.NONSYM, entry.signal, TOL)
-        alone = [approximant_interior(z, p, self.NONSYM, entry.signal, TOL)
+        batch = approximant_values(points, p, interval, entry.signal, TOL)
+        alone = [approximant_interior(z, p, interval, entry.signal, TOL)
                  if isinstance(z, complex) else
-                 approximant_boundary(z, p, self.NONSYM, entry.signal, TOL)
+                 approximant_boundary(z, p, interval, entry.signal, TOL)
                  for z in points]
         assert bits(batch) == bits(alone)
 
@@ -249,10 +246,10 @@ class TestBatches:
 
     @pytest.mark.parametrize("method", ["closed", "U"])
     def test_unknown_method_rejected(self, method):
-        with pytest.raises(DomainError, match='"u" or "t"'):
+        with pytest.raises(DomainError, match='None or "t"'):
             approximant_values([0.5 + 1j], QuenchParams(10.0), SYM, H2.signal,
                                method=method)
-        with pytest.raises(DomainError, match='"u" or "t"'):
+        with pytest.raises(DomainError, match='None or "t"'):
             approximant_interior(0.5 + 1j, QuenchParams(10.0), SYM, H2.signal,
                                  method=method)
 
@@ -282,21 +279,14 @@ class TestBatches:
         near = complex(z.real, d) if isinstance(z, complex) else lo - d
         assert cmath.isfinite(approximant_table([near], [10.0], interval, signal)[0][0])
 
-    # every u and t integral starts on 8 G7/K15 panels, so a budget of 8
-    # stops it at its first refinement and 9 at its second; points are
-    # integrated in order, so the first point's integral fails first
-    @pytest.mark.parametrize("points,method,budget,cell", [
-        ([2.0, 0.3], "u", 9, "x=2.0, u integral"),
-        ([0.3], "u", 8, "x=0.3, u-PV integral"),
-        ([0.5 + 1j], "u", 8, r"z=\(0\.5\+1j\), u integral"),
-        ([0.5 + 1j], "t", 8, r"z=\(0\.5\+1j\), t integral"),
-    ])
-    def test_nonconvergence_names_cell(self, points, method, budget, cell):
-        stingy = QuadTolerance(max_subdivisions=budget)
-        with pytest.raises(NonConvergence,
-                           match=rf"^g_lambda at lambda=10\.0, {cell}: error"):
-            approximant_values(points, QuenchParams(10.0), SYM, H2.signal,
-                               stingy, method)
+    def test_nonconvergence_names_cell(self):
+        # every t integral starts on 8 G7/K15 panels, so a budget of 8 stops
+        # it at its first refinement
+        stingy = QuadTolerance(max_subdivisions=8)
+        with pytest.raises(NonConvergence, match=r"^g_lambda at lambda=10\.0, "
+                                                 r"z=\(0\.5\+1j\), t integral: error"):
+            approximant_values([0.5 + 1j], QuenchParams(10.0), SYM, H2.signal,
+                               stingy, "t")
 
     def test_empty_batches(self):
         p = QuenchParams(10.0)
@@ -330,15 +320,6 @@ class TestTable:
                                        TOL, "t")
             assert bits(row) == bits(alone), lam
 
-    def test_u_rows_equal_values_bit_for_bit(self):
-        lams = self.LAMBDAS[:4]
-        signal = h2_reference_pole(interval=self.NONSYM).signal
-        table = approximant_table(self.POINTS, lams, self.NONSYM, signal, TOL, "u")
-        for lam, row in zip(lams, table):
-            alone = approximant_values(self.POINTS, QuenchParams(lam), self.NONSYM,
-                                       signal, TOL, "u")
-            assert bits(row) == bits(alone), lam
-
     @settings(max_examples=30, deadline=None)
     @given(entry=st.sampled_from(["h2pole", "example2"]),
            inside=st.floats(-0.49, 1.99), left=st.floats(0.01, 3.0),
@@ -368,25 +349,15 @@ class TestTable:
 
     def test_kinked_data_falls_back_and_matches_t_path(self):
         # example1's data on (-0.5, 2) has a kink at x = 1 and no period for
-        # this interval: the u-path's G7/K15 panels refine round the kink
+        # this interval: the default path refuses it, and the t-path, which
+        # reads the data alone, refines its G7/K15 panels round the kink
         lams = [10.0, 1e4]
         signal = example1().signal
-        u_rows = approximant_table([0.3 + 0.7j], lams, self.NONSYM, signal, TOL)
+        with pytest.raises(DomainError, match=re.escape(
+                f"belong to {SYM}, got {self.NONSYM}")):
+            approximant_table([0.3 + 0.7j], lams, self.NONSYM, signal, TOL)
         t_rows = approximant_table([0.3 + 0.7j], lams, self.NONSYM, signal, TOL, "t")
-        for (vu,), (vt,) in zip(u_rows, t_rows):
-            assert abs(vu - vt) < 10 * TOL.abs_tol * (1 + abs(vu))
-
-    def test_one_failing_lambda_is_named(self):
-        # on the u-path at lambda = 1e30 the integral is about 1e-15 of its
-        # integrand, so rel_tol 1e-12 asks for more than rounding allows;
-        # lambda = 10 is fine
-        tol = QuadTolerance(abs_tol=1e-30, rel_tol=1e-12, max_subdivisions=200)
-        assert approximant_table([2.0], [10.0], SYM, H2.signal, tol, "u")[0][0] != 0
-        named = (r"^g_lambda at lambda=1e\+30, x=2\.0, u integral: "
-                 r"error .* after 200 panels \(max_subdivisions=200\)$")
-        with pytest.raises(NonConvergence, match=named):
-            approximant_table([2.0, 3.0], [10.0, 1e30, 1e31], SYM, H2.signal, tol,
-                              "u")
+        assert all(cmath.isfinite(vt) and vt != 0 for (vt,) in t_rows)
 
     @pytest.mark.parametrize("points", [[0.5 + 1j, 0.3 + 0.05j],
                                         [0.3 + 0.05j, 0.5 + 1j]])
@@ -566,17 +537,18 @@ class TestResiduePath:
 
     @pytest.mark.parametrize("a", [1.0, 2.5])
     def test_example1_matches_u_path(self, a):
-        # its pole at i pi merges with the kernel's: one circle rule there
+        # its pole at i pi merges with the kernel's: one circle rule there;
+        # the oracle takes 0.3 a, inside I, on a path below its pole
         interval = Interval(-a, a)
         signal = example1(interval).signal
         points = [2.0 * a, 5.0 * a, -1.5 * a, 0.3 * a, (0.3 + 0.7j) * a,
                   complex(-0.5 * a, 0.05 * a), a * (1.0 + 1e-3)]
-        lams = [10.0 ** k for k in range(1, 9)]
+        lams = [10.0, 1e4, 1e8]
         table = approximant_table(points, lams, interval, signal)
-        u_table = approximant_table(points, lams, interval, signal, method="u")
-        for lam, row, u_row in zip(lams, table, u_table):
-            for z, value, want in zip(points, row, u_row):
-                assert abs(value - want) <= 1e-10 * abs(want), (z, lam)
+        for lam, row in zip(lams, table):
+            for z, value in zip(points, row):
+                want = example1_oracle.approximant(z, lam, a)
+                assert abs(value - want) <= 1e-12 * abs(want), (z, lam)
 
     @pytest.mark.parametrize("lam", [10.0, 1e4, 1e8])
     @pytest.mark.parametrize("z", [2.0, -1.5, 0.3 + 0.5j])
@@ -586,33 +558,30 @@ class TestResiduePath:
         assert abs(value - want) <= 1e-12 * abs(want)
 
     def test_example1_beside_endpoint_matches_u_path(self):
-        # 1e-9 beside hi, real and above: the u-path needs a 1e-12 target
-        # there to come within 1e-10 (it is 1.4e-10 off at the default; on
-        # (-2.5, 2.5) that target is below its rounding floor)
+        # 1e-9 beside hi, real and above
         interval = Interval(-1.0, 1.0)
         signal = example1(interval).signal
         points = [1.0 + 1e-9, 1.0 + 1e-9j]
         lams = [10.0, 1e4, 1e8]
-        tol = QuadTolerance(abs_tol=1e-12, rel_tol=1e-12)
         table = approximant_table(points, lams, interval, signal)
-        u_table = approximant_table(points, lams, interval, signal, tol, method="u")
-        for lam, row, u_row in zip(lams, table, u_table):
-            for z, value, want in zip(points, row, u_row):
-                assert abs(value - want) <= 1e-10 * abs(want), (z, lam)
+        for lam, row in zip(lams, table):
+            for z, value in zip(points, row):
+                want = example1_oracle.approximant(z, lam)
+                assert abs(value - want) <= 1e-12 * abs(want), (z, lam)
 
     @pytest.mark.parametrize("name", ["example2", "h2pole"])
     def test_u_path_within_1e_299_of_an_endpoint(self, name):
-        # at z = 1 + 1e-299i on (0, 1) the decay bound reads 4e299, and
-        # 2 M / (rate abs_tol) itself is beyond the doubles: the truncation
-        # point, a sum of logs, stays finite, and the u-path agrees with the
-        # residue path (the t-path cannot: a node rounds onto hi there)
+        # z = 1 + 1e-299i on (0, 1), which Interval.point admits: the residue
+        # path agrees with the oracle there (the t-path cannot: a node
+        # rounds onto hi there)
+        c, w = oracle.RATIONAL_ENTRIES[name]
         interval = Interval(0.0, 1.0)
         signal = get_entry(name, interval=interval).signal
         z, lams = complex(1.0, 1e-299), [10.0, 1e4]
         table = approximant_table([z], lams, interval, signal)
-        u_table = approximant_table([z], lams, interval, signal, method="u")
-        for lam, (value,), (want,) in zip(lams, table, u_table):
-            assert abs(value - want) <= 1e-10 * abs(want), lam
+        for lam, (value,) in zip(lams, table):
+            want = oracle.approximant(z, lam, interval.lo, interval.hi, c, w)
+            assert abs(value - want) <= 1e-12 * abs(want), lam
 
     def test_tiny_interval_cluster(self):
         # on I of half-width 1e-6 the data's pole, the kernel pole i pi and
@@ -661,20 +630,17 @@ class TestResiduePath:
             assert row == approximant_table([2.0, 0.5 + 1j], [lam], SYM,
                                             example1().signal)[0]
 
-    def test_other_interval_takes_u_path(self, monkeypatch):
-        # the period and poles belong to the signal's own interval
-        calls = []
-        rows = approximant.integrate_rows
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return rows(*args, **kwargs)
-        monkeypatch.setattr(approximant, "integrate_rows", counted)
-        signal = example2().signal
-        approximant_table([2.0], [10.0], SYM, signal)
-        assert calls == []
-        approximant_table([2.0], [10.0], Interval(-1.0, 1.5), signal)
-        assert calls == [1]
+    def test_other_interval_takes_u_path(self):
+        # the period and poles belong to the signal's own interval: the
+        # default path refuses another, the t-path reads only the data
+        signal, other = example2().signal, Interval(-1.0, 1.5)
+        with pytest.raises(DomainError, match=re.escape(
+                "the signal's period and poles belong to Interval(lo=-1.0, hi=1.0), "
+                "got Interval(lo=-1.0, hi=1.5)")):
+            approximant_table([2.0], [10.0], other, signal)
+        (value,), = approximant_table([2.0 + 1j], [10.0], other, signal, TOL, "t")
+        want = oracle.approximant(2.0 + 1j, 10.0, -1.0, 1.5, -1j, 1j)
+        assert abs(value - want) < 10 * TOL.abs_tol * (1 + abs(want))
 
     def test_fuzz_counts_no_silent_wrong_value(self):
         # tools/fuzz_oracle.py's five sets, fewer cells each
@@ -684,11 +650,6 @@ class TestResiduePath:
         spec.loader.exec_module(fuzz)
         for lam_max, decades in fuzz.SETS:
             tally, worst = fuzz.run_set(7, 40, lam_max, decades)
-            assert tally["default"] == {"right": 40, "typed": 0, "wrong": 0,
-                                        "other": 0}, (lam_max, decades)
-            assert worst["default"] < 1e-12
-            if lam_max <= 1e8:
-                # the u-path's G7/K15 batches; at larger lambdas it can still
-                # return wrong values without an error
-                assert tally["u"] == {"right": 40, "typed": 0, "wrong": 0,
-                                      "other": 0}, (lam_max, decades)
+            assert tally == {"right": 40, "typed": 0, "wrong": 0, "other": 0}, \
+                (lam_max, decades)
+            assert worst < 1e-12

@@ -474,8 +474,6 @@ class TestConfigErrors:
         ("growth", {"entry": "nosuch"}),
         ("contour", {"contour": {"alpha": [1.0]}}),
         ("contour", {"contour": {"xi": [-50.0]}}),
-        # |Im w| so small that the decay bound 2 (1 + 1/|Im w|) is inf
-        ("growth", {"entry": "h2pole", "entry_args": {"w": "-1e-320j"}}),
     ])
     def test_bad_value_exits_config(self, tmp_path, capsys, command, overrides):
         cfg = write_config(tmp_path, **{"eval_points": [2.0], **overrides})

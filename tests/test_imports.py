@@ -52,8 +52,9 @@ def test_modules_load_no_numpy(module):
     assert loaded(module)["numpy"] is False
 
 
-# Run in a fresh interpreter: the u- and t-paths of g_lambda, the
-# quadrature functions and the helpers that once took arrays, on numbers.
+# Run in a fresh interpreter: the residue and t-paths of g_lambda, the
+# quadrature functions and the helpers that once took arrays, on numbers;
+# method "u" is refused.
 CALLS = """
 import math
 import sys
@@ -61,14 +62,20 @@ import sys
 from patil.approximant import approximant_table
 from patil.asymptotics import kernel_k, residue_merged
 from patil.catalog import example2
+from patil.errors import DomainError
 from patil.quadrature import (DecayCertificate, integrate_adaptive,
                               integrate_real_line, pv_integrate)
 from patil.quench import Interval, QuenchParams, phase_G
 
 iv = Interval(-1.0, 1.0)
 signal = example2().signal
-approximant_table([0.5 + 1j, 2.0, 0.3], [10.0], iv, signal, method="u")
+approximant_table([0.5 + 1j, 2.0, 0.3], [10.0], iv, signal)
 approximant_table([0.5 + 1j], [10.0], iv, signal, method="t")
+try:
+    approximant_table([2.0], [10.0], iv, signal, method="u")
+    raise AssertionError('method "u" was taken')
+except DomainError as exc:
+    assert str(exc).startswith('method must be None or "t"'), exc
 integrate_adaptive(lambda t: 1j * t * t, 0.0, 1.0)
 pv_integrate(lambda t: 1.0 + t, -1.0, 1.0, 0.3)
 integrate_real_line(lambda u: 1.0 / (1.0 + u * u) ** 8, DecayCertificate(0.5, 1.0))

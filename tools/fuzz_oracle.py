@@ -10,26 +10,25 @@ half-widths below) it draws ``--n`` cells from ``--seed``: an entry of
 uniform in [-2, 2], half-width log-uniform over the set's spread), a
 point (real beyond an end, real inside I, or in Im z > 0, a third each),
 and a log-uniform lambda from 10 up to the set's largest.  Each cell is
-evaluated by the default path of ``approximant_table`` and by
-``method="u"``, and each value sorted into one kind:
+evaluated by the default (residue) path of ``approximant_table``, and
+each value sorted into one kind:
 
 * right: within 1e-8 relative of the oracle;
 * typed: a ``PatilError`` (a refusal with an exit code);
 * wrong: a value more than 1e-8 from the oracle (a silent wrong answer);
 * other: any other exception.
 
-Prints one line per set and path with the counts and the largest
-relative error among the values.  An ``example1`` set follows, against
+Prints one line per set with the counts and the largest relative error
+among the values.  An ``example1`` set follows, against
 ``tools/example1_oracle.py``: 20 cells on (-a, a), a log-uniform in
-[0.1, 10], a point beyond an end or in Im z > 0 and lambda up to 1e8,
-sorted the same way.  Then a contour set draws ``--n`` cells
-(an entry, xi, alpha and rectangle height) and compares the residue
-engine's sum of the residues of ``k p`` inside the rectangle
-(``asymptotics.enclosed_residues``) with the same sum from the closed
-forms and, at a merged or higher-order pole, a 1,024-point
-``residue_merged``; it prints the largest gap, relative to the sum of the
-residues' moduli, and how many cells are over 1e-12.  Exits 0 whatever
-it finds.
+[0.1, 10], a point drawn as above and lambda up to 1e8, sorted the same
+way.  Then a contour set draws ``--n`` cells (an entry, xi, alpha and
+rectangle height) and compares the residue engine's sum of the residues
+of ``k p`` inside the rectangle (``asymptotics.enclosed_residues``) with
+the same sum from the closed forms and, at a merged or higher-order pole,
+a 1,024-point ``residue_merged``; it prints the largest gap, relative to
+the sum of the residues' moduli, and how many cells are over 1e-12.
+Exits 0 whatever it finds.
 """
 
 import argparse
@@ -114,15 +113,15 @@ def run_set(seed, n, lam_max, decades):
 
 def example1_set(seed):
     """``run_set`` for ``example1`` against ``example1_oracle``: EXAMPLE1_N
-    cells on (-a, a), a log-uniform in [0.1, 10], a point beyond an end or
-    in Im z > 0, and lambda up to EXAMPLE1_LAM."""
+    cells on (-a, a), a log-uniform in [0.1, 10], a point beyond an end,
+    inside I or in Im z > 0, and lambda up to EXAMPLE1_LAM."""
     rng = random.Random(f"fuzz/{seed}/example1")
 
     def cells():
         for _ in range(EXAMPLE1_N):
             a = 10.0 ** rng.uniform(-1.0, 1.0)
             interval = Interval(-a, a)
-            z = draw_point(rng, interval, 0.0, a, ("outside", "upper"))
+            z = draw_point(rng, interval, 0.0, a, ("outside", "inside", "upper"))
             lam = 10.0 ** rng.uniform(1.0, math.log10(EXAMPLE1_LAM))
             yield (interval, example1(interval).signal, z, lam,
                    example1_oracle.approximant(z, lam, a))
@@ -130,21 +129,18 @@ def example1_set(seed):
 
 
 def tally_cells(cells):
-    """Per path, the count of each kind and the largest relative error over
+    """The default path's count of each kind and largest relative error over
     ``cells``, each (interval, signal, point, lambda, oracle value)."""
-    tally = {path: dict.fromkeys(KINDS, 0) for path in ("default", "u")}
-    worst = {path: 0.0 for path in tally}
+    tally, worst = dict.fromkeys(KINDS, 0), 0.0
     for interval, signal, z, lam, want in cells:
-        for path, method in (("default", None), ("u", "u")):
-            try:
-                value = approximant_table([z], [lam], interval, signal,
-                                          method=method)[0][0]
-            except Exception as exc:  # sorted, not raised: counting them is the point
-                value = exc
-            kind, err = sort(value, want)
-            tally[path][kind] += 1
-            if not math.isnan(err):
-                worst[path] = max(worst[path], err)
+        try:
+            value = approximant_table([z], [lam], interval, signal)[0][0]
+        except Exception as exc:  # sorted, not raised: counting them is the point
+            value = exc
+        kind, err = sort(value, want)
+        tally[kind] += 1
+        if not math.isnan(err):
+            worst = max(worst, err)
     return tally, worst
 
 
@@ -206,11 +202,9 @@ def contour_set(seed, n):
 
 
 def report(lam_max, scale, tally, worst):
-    """One line per path of a set: its counts and largest relative error."""
-    for path in tally:
-        print(f"{lam_max:>12g} {scale:>6s} {path:>8s} "
-              + " ".join(f"{tally[path][k]:>6d}" for k in KINDS)
-              + f" {worst[path]:>9.1e}", flush=True)
+    """The line of a set: the default path's counts and largest relative error."""
+    print(f"{lam_max:>12g} {scale:>6s} {'default':>8s} "
+          + " ".join(f"{tally[k]:>6d}" for k in KINDS) + f" {worst:>9.1e}", flush=True)
 
 
 def main(argv=None):
