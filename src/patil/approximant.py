@@ -19,6 +19,7 @@ from .asymptotics import residue_terms
 from .errors import DomainError
 from .quadrature import (
     QuadTolerance,
+    _linspace,
     _nodes,
     _rows,
     integrate_real_line,  # noqa: F401 -- perfbench/tracing.py wraps it here
@@ -32,7 +33,6 @@ from .quench import quench_interior  # noqa: F401 -- perfbench/tracing.py wraps 
 __all__ = [
     "BoundarySignal",
     "approximant_table",
-    "approximant_values",
     "approximant_interior",
     "approximant_boundary",
     "window_samples",
@@ -200,36 +200,24 @@ def approximant_table(points, lambdas, interval, signal, tol=QuadTolerance(),
     return table
 
 
-def approximant_values(points, params, interval, signal, tol=QuadTolerance(),
-                       method=None):
-    """g_lambda at each point, as a list: the table of one lambda
-    (see approximant_table)."""
-    return approximant_table(points, [params.lam], interval, signal, tol,
-                             method)[0]
-
-
 def approximant_interior(z, params, interval, signal, tol=QuadTolerance(),
                          method=None):
     """g_lambda at a point of the open upper half plane (see approximant_table)."""
-    return approximant_values([interval.point(z, interior=True)], params, interval,
-                              signal, tol, method)[0]
+    return approximant_table([interval.point(z, interior=True)], [params.lam],
+                             interval, signal, tol, method)[0][0]
 
 
 def approximant_boundary(x, params, interval, signal, tol=QuadTolerance()):
     """Boundary trace of g_lambda at one real point (see approximant_table)."""
-    return approximant_values([x], params, interval, signal, tol)[0]
+    return approximant_table([x], [params.lam], interval, signal, tol)[0][0]
 
 
 def window_samples(interval, window, n_samples):
-    """The L2 sample points, as a list: equispaced over the window, as
-    numpy's ``linspace`` places them (``lo + i * step``, the last at
-    ``hi``), and nudged off the interval endpoints by the quadrature guard
-    margin."""
-    lo, hi, guard = window.lo, window.hi, interval.guard
-    step = (hi - lo) / (n_samples - 1) if n_samples > 1 else 0.0
-    pts = [lo + i * step for i in range(n_samples)]
-    if n_samples > 1:
-        pts[-1] = hi
+    """The L2 sample points, as a list: ``n_samples`` equispaced over the
+    window (``quadrature._linspace``), nudged off the interval endpoints by
+    the quadrature guard margin."""
+    guard = interval.guard
+    pts = _linspace(window.lo, window.hi, n_samples)
     for end in (interval.lo, interval.hi):
         pts = [end + 2.0 * guard * (1.0 if p >= end else -1.0)
                if abs(p - end) < guard else p for p in pts]
@@ -264,7 +252,7 @@ def sup_error_on_compact(pts, params, interval, signal, ref,
     """Max deviation of g_lambda from the reference F at points with Im z > 0."""
     for z in pts:
         interval.point(z, interior=True)
-    return sup_error(approximant_values(pts, params, interval, signal, tol),
+    return sup_error(approximant_table(pts, [params.lam], interval, signal, tol)[0],
                      pts, ref)
 
 
@@ -273,5 +261,5 @@ def l2_error_on_window(params, interval, signal, ref, window, n_samples,
     """Discrete L2 norm of (g_lambda - F) over a real window, at its
     ``window_samples``."""
     pts = window_samples(interval, window, n_samples)
-    return l2_error(approximant_values(pts, params, interval, signal, tol),
+    return l2_error(approximant_table(pts, [params.lam], interval, signal, tol)[0],
                     pts, ref, window)

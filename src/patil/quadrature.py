@@ -166,11 +166,18 @@ def _rows(row):
     return rows
 
 
+def _linspace(a, b, n):
+    """``n`` equispaced points ``a + j (b - a)/(n - 1)``, the last at ``b``,
+    bit for bit what numpy's ``linspace(a, b, n)`` gives; ``[a]`` for one."""
+    if n < 2:
+        return [a][:n]
+    step = (b - a) / (n - 1)
+    return [a + j * step for j in range(n - 1)] + [b]
+
+
 def _partition(a, b, n):
-    """The ``n`` equal panels of [a, b], their ends ``a + j (b - a)/n`` and
-    ``b``, bit for bit what numpy's ``linspace(a, b, n + 1)`` gives."""
-    step = (b - a) / n
-    return itertools.pairwise([a + j * step for j in range(n)] + [b])
+    """The ``n`` equal panels of [a, b], between the ends ``_linspace(a, b, n + 1)``."""
+    return itertools.pairwise(_linspace(a, b, n + 1))
 
 
 def integrate_rows(rows, lo, hi, tol, initial_panels, cell=None):
@@ -195,9 +202,11 @@ def integrate_rows(rows, lo, hi, tol, initial_panels, cell=None):
     """
     name = (lambda i: "") if cell is None else (lambda i: f"{cell(i)}: ")
     panels = list(initial_panels)
-    for a, b in zip(lo, hi):
+    for a, b, n in zip(lo, hi, panels):
         if not a < b:
             raise DomainError(f"need lo < hi, got [{a}, {b}]")
+        if not n >= 1:
+            raise DomainError(f"need at least one initial panel, got {n}")
     heaps = [[] for _ in panels]
     totals = [0.0 + 0.0j] * len(panels)
     errors = [0.0] * len(panels)

@@ -109,15 +109,16 @@ def _log_weight_ratio(interval):
 
 
 def phase_G(x, params, interval):
-    """Boundary phase of h_lambda at real points off the endpoints.
+    """Boundary phase of h_lambda at real points off the endpoints:
+    xi (Re E(x) - L/2), so that exp(i phase_G(x)) is ``quench_boundary(x)``
+    bit for bit outside I (see ``_quench_exponent``).
 
     ``x`` is a real number that ``Interval.point`` admits.  Unified over
     symmetric and nonsymmetric intervals; the weight-ratio term vanishes
     identically when ``lo == -hi``.
     """
-    interval.point(x)
-    ratio = math.log(abs((interval.hi - x) / (interval.lo - x)))
-    return params.xi * (ratio - 0.5 * _log_weight_ratio(interval))
+    exponent = _quench_exponent(interval.point(x), interval).real
+    return params.xi * (exponent - 0.5 * _log_weight_ratio(interval))
 
 
 def _quench_exponent(z, interval):

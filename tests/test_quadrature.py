@@ -248,6 +248,12 @@ class TestIntegrateBatch:
     def test_empty_batch(self):
         assert integrate_rows(batch_rows, [], [], TOL, []) == []
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_initial_panel_refused(self, n):
+        # no panel would integrate to 0 without a word
+        with pytest.raises(DomainError, match=f"need at least one initial panel, got {n}"):
+            integrate_rows(batch_rows, [0.0], [1.0], TOL, [n])
+
     def test_nonfinite_member_named(self):
         def f(u, k):
             return math.nan if k == 1 and u > 0.5 else u

@@ -1,6 +1,7 @@
 import cmath
 import importlib.util
 import math
+import random
 import re
 from pathlib import Path
 
@@ -91,6 +92,18 @@ class TestPhaseG:
         values = [phase_G(x, p, iv) for x in xs]
         assert all(type(phase_G(float(x), p, iv)) is float for x in xs)
         assert values == [phase_G(float(x), p, iv) for x in xs]
+
+    def test_exp_is_quench_boundary_bit_for_bit(self):
+        # G takes h_lambda's one Log, so off the closure of I e^{iG} is h_lambda
+        rng = random.Random(40)
+        for _ in range(2000):
+            lo = rng.uniform(-10.0, 10.0)
+            iv = Interval(lo, lo + 10.0 ** rng.uniform(-3.0, 2.0))
+            p = QuenchParams(10.0 ** rng.uniform(-2.0, 12.0))
+            gap = (iv.hi - iv.lo) * 10.0 ** rng.uniform(-6.0, 3.0)
+            x = iv.hi + gap if rng.random() < 0.5 else iv.lo - gap
+            assert cmath.exp(1j * phase_G(x, p, iv)) == quench_boundary(x, p, iv), \
+                (x, p.lam, iv)
 
     @settings(max_examples=40, deadline=None)
     @given(a=st.floats(0.1, 5.0), x=st.floats(-10, 10), lam=st.floats(0.01, 1e6))

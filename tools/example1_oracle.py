@@ -27,6 +27,8 @@ for the library's default (residue) path.  It takes a point z with
 Im z > 0 or a real z other than -a and a.
 """
 
+import functools
+
 import mpmath
 
 DPS = 30
@@ -35,17 +37,23 @@ DIP = 0.5  # how far the path passes below Q's pole u0
 
 def approximant(z, lam, a=1.0):
     """g_lambda(z) of ``example1`` on (-a, a), as a Python complex."""
+    return approximants(z, [lam], a)[0]
+
+
+def approximants(z, lams, a=1.0):
+    """g_lambda(z) of ``example1`` on (-a, a) for each lambda of ``lams``, as
+    a list of Python complex.  Q is evaluated once per quadrature node and
+    only e^{i xi u} once per lambda: the integrals share the nodes."""
     with mpmath.workdps(DPS):
-        z, lam, a = mpmath.mpc(z), mpmath.mpf(lam), mpmath.mpf(a)
+        z, a = mpmath.mpc(z), mpmath.mpf(a)
         if z.imag < 0 or z.imag == 0 and abs(z.real) == a:
             raise ValueError(f"need Im z > 0 or a real z other than -a and a, got {z}")
-        xi = mpmath.log1p(lam) / (2 * mpmath.pi)
 
-        def integrand(u):
+        @functools.cache
+        def q(u):
             t = a * mpmath.tanh(u / 2)
             data = a * mpmath.sech(u / 2) - 1j * t
-            return mpmath.expj(xi * u) * data * (a / 2) * mpmath.sech(u / 2) ** 2 \
-                / (t - z)
+            return data * (a / 2) * mpmath.sech(u / 2) ** 2 / (t - z)
 
         v = mpmath.log(abs((z + a) / (a - z)))  # Re u0
         splits = [-mpmath.inf, -20, -5, 5, 20, mpmath.inf]
@@ -59,6 +67,12 @@ def approximant(z, lam, a=1.0):
         else:
             # a real z outside [-a, a] gives a ratio > 0: its limit from above
             log_ratio = mpmath.log(ratio)
-        integral = mpmath.quad(integrand, splits)
-        h = mpmath.exp(1j * xi * log_ratio)
-        return complex(lam * h / (2j * mpmath.pi * mpmath.sqrt(1 + lam)) * integral)
+        values = []
+        for lam in lams:
+            lam = mpmath.mpf(lam)
+            xi = mpmath.log1p(lam) / (2 * mpmath.pi)
+            integral = mpmath.quad(lambda u: mpmath.expj(xi * u) * q(u), splits)
+            h = mpmath.exp(1j * xi * log_ratio)
+            values.append(complex(lam * h / (2j * mpmath.pi * mpmath.sqrt(1 + lam))
+                                  * integral))
+        return values
