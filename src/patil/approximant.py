@@ -5,9 +5,10 @@ Cauchy integral over I.  After the tanh change of variable the quench
 oscillation is a pure linear phase ``exp(i xi u)``, and the signal's
 pullback has a declared period, so g_lambda is a finite sum of residues
 over one period strip, in closed form.  The cross-check ``method="t"``
-evaluates the integral by G7/K15 batches in the t-domain instead,
-caching the lambda-free parts of a panel's nodes once and computing a
-phase once per xi.  All of it is plain Python.
+evaluates the integral in the t-domain instead, one adaptive G7/K15
+integral per (point, lambda) cell, caching the lambda-free parts of a
+panel's nodes once and computing a phase once per xi.  All of it is
+plain Python.
 """
 
 import cmath
@@ -21,9 +22,8 @@ from .quadrature import (
     QuadTolerance,
     _linspace,
     _nodes,
-    _rows,
+    integrate_panels,
     integrate_real_line,  # noqa: F401 -- perfbench/tracing.py wraps it here
-    integrate_rows,
     pv_integrate,  # noqa: F401 -- perfbench/tracing.py wraps it here
 )
 from .quench import Interval, _quench_exponent, xi_of_lambda
@@ -98,7 +98,7 @@ def _residue_columns(zs, lams, interval, signal):
     Under ``t = interval.from_u(u)`` the phase exp(i xi ln((t - lo)/(hi - t)))
     is exactly e^{i xi u}, and with alpha = (z - lo)/(z - hi) (complex above
     I, > 0 beside I, < 0 inside I) t - z = (hi - z)(e^u + alpha)/(e^u + 1),
-    so the Cauchy integral over I (see ``_cauchy_weighted_t``) is int_R f,
+    so the Cauchy integral over I (see ``_t_columns``) is int_R f,
     f(u) = e^{i xi u} Q(u), Q(u) = (2r/(hi - z)) k(u, 0, alpha) p(u), k of
     ``asymptotics.kernel_k`` and p the pullback.  With p of period iT,
     f(u + iT) = e^{-xi T} f(u), and Q decays like e^{-|u|}; so
@@ -125,19 +125,19 @@ def _residue_columns(zs, lams, interval, signal):
     return columns
 
 
-def _cauchy_weighted_t(zs, lams, interval, signal, tol):
-    """int_I exp(i xi ln((t - lo)/(hi - t))) g(t) / (t - z) dt, exp(-iG(t))
-    without its constant (see ``_quench_exponent``), for each z of ``zs``
-    with Im z > 0, by G7/K15 batches in t (the oracle path): per z, a list
-    with one value per lambda of ``lams``.  A panel's nodes, logarithms and
-    data are computed once, and their phase times the data once per xi,
-    for every point."""
+def _t_columns(zs, lams, interval, signal, tol):
+    """g_lambda at each z of ``zs`` with Im z > 0 by G7/K15 quadrature in t
+    (the oracle path): per z, a list with one value per lambda of ``lams``.
+
+    g = c int_I exp(i xi ln((t - lo)/(hi - t))) g(t) / (t - z) dt, the
+    integral being exp(-iG(t)) without its constant (see
+    ``_quench_exponent``) and c = lambda e^{i xi E(z)} / (2 pi i
+    sqrt(1 + lambda)).  Each (z, lambda) cell is one integral of c times
+    that integrand, so ``tol`` acts in g's units.  A panel's nodes,
+    logarithms and data are computed once, and their phase times the data
+    once per xi, for every point."""
     g = signal.eval_on_I
     lo, hi = interval.lo, interval.hi
-    # integral k is lambda k // n at point k % n
-    n = len(zs)
-    xis = [xi_of_lambda(lam) for lam in lams]
-    count = n * len(lams)
 
     @functools.cache
     def panel(a, b):
@@ -149,14 +149,20 @@ def _cauchy_weighted_t(zs, lams, interval, signal, tol):
         _, logs, data = panel(a, b)
         return [cmath.exp(1j * xi * log) * d for log, d in zip(logs, data)]
 
-    def row(k, a, b):
-        z = zs[k % n]
-        return [w / (t - z) for w, t in zip(weighted(a, b, xis[k // n]), panel(a, b)[0])]
+    def cell(z, exponent, lam):
+        xi = xi_of_lambda(lam)
+        c = lam * cmath.exp(1j * xi * exponent) / (2j * math.pi * math.sqrt(1.0 + lam))
 
-    values = integrate_rows(_rows(row), [lo] * count, [hi] * count, tol, [8] * count,
-                            lambda k: f"g_lambda at lambda={lams[k // n]!r}, "
-                                      f"z={zs[k % n]!r}, t integral")
-    return [values[j::n] for j in range(n)]
+        def row(a, b):
+            return [c * w / (t - z) for w, t in zip(weighted(a, b, xi), panel(a, b)[0])]
+        return integrate_panels(row, lo, hi, tol, 8,
+                                f"g_lambda at lambda={lam!r}, z={z!r}, t integral")
+
+    columns = []
+    for z in zs:
+        exponent = _quench_exponent(z, interval)
+        columns.append([cell(z, exponent, lam) for lam in lams])
+    return columns
 
 
 def approximant_table(points, lambdas, interval, signal, tol=QuadTolerance(),
@@ -186,13 +192,7 @@ def approximant_table(points, lambdas, interval, signal, tol=QuadTolerance(),
     if method is None:
         columns = _residue_columns(zs, live_lams, interval, signal)
     else:
-        integrals = _cauchy_weighted_t(zs, live_lams, interval, signal, tol)
-        columns = []
-        for z, column in zip(zs, integrals):
-            exponent = _quench_exponent(z, interval)
-            columns.append([lam * cmath.exp(1j * xi_of_lambda(lam) * exponent)
-                            / (2j * math.pi) * integral / math.sqrt(1.0 + lam)
-                            for lam, integral in zip(live_lams, column)])
+        columns = _t_columns(zs, live_lams, interval, signal, tol)
     table = [[0.0 + 0.0j] * len(zs) for _ in lams]
     for j, column in enumerate(columns):
         for k, value in zip(live, column):

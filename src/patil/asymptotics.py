@@ -26,7 +26,7 @@ import operator
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .quadrature import QuadTolerance, _nodes, _rows, integrate_rows
+from .quadrature import QuadTolerance, _nodes, integrate_panels
 
 __all__ = [
     "StripSingularity",
@@ -344,10 +344,10 @@ def contour_residuals(g_strip, cells, spec, singularities=(),
 
     Numerically integrates k * p, ``g_strip`` being p as a function of one
     complex number, over the four rectangle edges of every cell, one
-    batch (:func:`integrate_rows`) for all of them, and returns
-    ``|contour integral - 2 pi i * sum of enclosed residues|`` per cell; a
-    fault at a node is a non-finite panel (:class:`NonConvergence`, see
-    ``quadrature._rows``); a listed pole counts only inside the
+    :func:`integrate_panels` per edge and cell in the cells' order, and
+    returns ``|contour integral - 2 pi i * sum of enclosed residues|`` per
+    cell; a fault at a node is a non-finite panel (:class:`NonConvergence`,
+    see ``quadrature._gk15``); a listed pole counts only inside the
     rectangle, below its top and between its sides.  A
     pole of ``g_strip`` left off ``singularities`` is refused where it meets
     a lone kernel pole (see :func:`residue_terms`); elsewhere its residue
@@ -364,13 +364,12 @@ def contour_residuals(g_strip, cells, spec, singularities=(),
                 abs(x) < _CONTOUR_GUARD and y <= _CONTOUR_GUARD:
             raise DomainError(f"singularity {beta} on a contour edge")
 
-    # integral k is edge k % 4 (bottom, top, right, left) of cell k // 4, on
-    # which z = s + i b (b = 0 at the bottom) or z = +-R + i s.  The cells
-    # share each edge's panels, which come from one bisection tree, so a
-    # panel's nodes and pullback, its kernel per alpha and its phase per xi
-    # are each evaluated once, and a cell's row is a product of two lists.
+    # edge 0 to 3 (bottom, top, right, left) of a cell, on which z = s + i b
+    # (b = 0 at the bottom) or z = +-R + i s.  The cells share each edge's
+    # panels, which come from one bisection tree, so a panel's nodes and
+    # pullback, its kernel per alpha and its phase per xi are each
+    # evaluated once, and a cell's row is a product of two lists.
     cells = [(float(xi), float(alpha)) for xi, alpha in cells]
-    keys = [(edge, xi, alpha) for xi, alpha in cells for edge in range(4)]
 
     @functools.cache
     def side(edge, a, c):
@@ -396,27 +395,23 @@ def contour_residuals(g_strip, cells, spec, singularities=(),
     def wave(edge, a, c, xi):
         return [cmath.exp(1j * xi * u) for u in side(edge, a, c)[0]]
 
-    def row(k, a, c):
-        edge, xi, alpha = keys[k]
-        return list(map(operator.mul, weighted(edge, a, c, alpha), wave(edge, a, c, xi)))
+    def integral(edge, xi, alpha):
+        def row(a, c):
+            return list(map(operator.mul, weighted(edge, a, c, alpha), wave(edge, a, c, xi)))
+        lo, hi, panels = (-R, R, max(8, int(R))) if edge < 2 else (0.0, b, 8)
+        name = ("bottom", "top", "right", "left")[edge]
+        return integrate_panels(row, lo, hi, tol, panels,
+                                f"contour at xi={xi!r}, alpha={alpha!r}, {name} edge")
 
-    def cell(k):
-        edge, xi, alpha = keys[k]
-        edge = ("bottom", "top", "right", "left")[edge]
-        return f"contour at xi={xi!r}, alpha={alpha!r}, {edge} edge"
-
-    n = len(cells)
-    edges = integrate_rows(_rows(row), [-R, -R, 0.0, 0.0] * n, [R, R, b, b] * n, tol,
-                           [max(8, int(R)), max(8, int(R)), 8, 8] * n, cell)
+    edges = [[integral(edge, xi, alpha) for edge in range(4)] for xi, alpha in cells]
     residues = enclosed_residues(g_strip, cells, spec, singularities)
     return [abs(bottom + right - top - left - 2j * PI * res)
-            for bottom, top, right, left, res
-            in zip(edges[::4], edges[1::4], edges[2::4], edges[3::4], residues)]
+            for (bottom, top, right, left), res in zip(edges, residues)]
 
 
 def contour_identity_check(g_strip, xi, alpha, spec, singularities=(),
                            tol=QuadTolerance()):
-    """Residual at one ``(xi, alpha)``: a batch of one (:func:`contour_residuals`)."""
+    """Residual at one ``(xi, alpha)``: :func:`contour_residuals` of one cell."""
     return contour_residuals(g_strip, [(xi, alpha)], spec, singularities, tol)[0]
 
 

@@ -1,21 +1,21 @@
 """Adaptive quadrature for complex-valued integrands, in plain Python.
 
-* :func:`integrate_rows` -- many globally adaptive Gauss-Kronrod
-  (G7/K15) integrals on finite intervals, sharing integrand calls;
-  :func:`integrate_adaptive` is one integral of a function of a number.
+* :func:`integrate_panels` -- one globally adaptive Gauss-Kronrod
+  (G7/K15) integral on a finite interval, of a function given by its
+  node values per panel; :func:`integrate_adaptive` is one of a function
+  of a number.
 * :func:`pv_integrate` -- the principal value of ``w(t)/(x - t)`` at an
   interior Cauchy singularity, by singularity subtraction.
 * :func:`integrate_real_line` -- a truncated real-line integral whose
   truncation point comes from a decay certificate.
 
-The loop's integrand, ``rows(k, a, b)``, returns the 15 node values of
-each panel it is given, as lists or any sequences.  Every caller builds
-it with ``_rows`` from one panel's row, so a fault at a node has one
-rule: a ZeroDivisionError, OverflowError or ValueError other than a
-DomainError (a pole on a node, a value beyond the doubles) makes the
-row NaN, which :func:`integrate_rows` reports as a NonConvergence naming
-the integral and the panel.  Real and imaginary parts are summed from
-the same nodes, so both parts always see identical grids.
+The integrand, ``row(a, b)``, returns the 15 node values of the panel
+[a, b].  A fault at a node has one rule, in ``_gk15``: a
+ZeroDivisionError, OverflowError or ValueError other than a DomainError
+(a pole on a node, a value beyond the doubles) makes the row NaN, which
+:func:`integrate_panels` reports as a NonConvergence naming the panel.
+Real and imaginary parts are summed from the same nodes, so both parts
+always see identical grids.
 """
 
 import heapq
@@ -30,7 +30,7 @@ from .quench import Interval
 __all__ = [
     "QuadTolerance",
     "DecayCertificate",
-    "integrate_rows",
+    "integrate_panels",
     "integrate_adaptive",
     "pv_integrate",
     "integrate_real_line",
@@ -114,56 +114,40 @@ _WG = (
 # the 15 Kronrod nodes, left to right: node j and node 14 - j are -+_XGK[j],
 # the Gauss nodes are the odd-indexed ones
 _NODES = tuple(-x for x in _XGK[:-1]) + _XGK[::-1]
-# panels per integrand call at most, which bounds memory for any batch size
-_SLICE = 512
-# the row of a panel with a fault at a node (see _rows)
+# the row of a panel with a fault at a node (see _gk15)
 _NAN_ROW = [complex(math.nan, math.nan)] * len(_NODES)
 
 
-def _gk15(rows, k, lo, hi):
-    """G7/K15 on panels ``[lo[j], hi[j]]`` of integrals ``k[j]``, from one
-    call ``rows(k, lo, hi)``: lists of Kronrod estimates and of error
-    estimates.  As in QUADPACK's dqk15, both sums weigh the values at each
-    pair of nodes symmetric about the midpoint together."""
+def _gk15(row, a, b):
+    """G7/K15 on the panel [a, b] from its node values ``row(a, b)``: the
+    Kronrod estimate and the error estimate.  A ZeroDivisionError,
+    OverflowError or ValueError other than a DomainError in ``row`` makes
+    the row NaN.  As in QUADPACK's dqk15, both sums weigh the values at
+    each pair of nodes symmetric about the midpoint together."""
+    try:
+        values = row(a, b)
+    except DomainError:
+        raise
+    except (ZeroDivisionError, OverflowError, ValueError):
+        values = _NAN_ROW
+    f0, f1, f2, f3, f4, f5, f6, f7, f8, f9, f10, f11, f12, f13, f14 = values
     k0, k1, k2, k3, k4, k5, k6, k7 = _WGK
     g1, g3, g5, g7 = _WG
-    ests, errs = [], []
-    for a, b, (f0, f1, f2, f3, f4, f5, f6, f7, f8, f9, f10, f11, f12, f13, f14) \
-            in zip(lo, hi, rows(k, lo, hi), strict=True):
-        half = 0.5 * (b - a)
-        p1, p3, p5 = f1 + f13, f3 + f11, f5 + f9
-        kronrod = half * (k0 * (f0 + f14) + k1 * p1 + k2 * (f2 + f12) + k3 * p3
-                          + k4 * (f4 + f10) + k5 * p5 + k6 * (f6 + f8) + k7 * f7)
-        gauss = half * (g1 * p1 + g3 * p3 + g5 * p5 + g7 * f7)
-        ests.append(kronrod)
-        try:
-            errs.append(abs(kronrod - gauss))
-        except OverflowError:  # a modulus beyond the doubles; after an overflow
-            errs.append(math.inf)  # at a node, complex abs may raise on NaN too
-    return ests, errs
+    half = 0.5 * (b - a)
+    p1, p3, p5 = f1 + f13, f3 + f11, f5 + f9
+    kronrod = half * (k0 * (f0 + f14) + k1 * p1 + k2 * (f2 + f12) + k3 * p3
+                      + k4 * (f4 + f10) + k5 * p5 + k6 * (f6 + f8) + k7 * f7)
+    gauss = half * (g1 * p1 + g3 * p3 + g5 * p5 + g7 * f7)
+    try:
+        return kronrod, abs(kronrod - gauss)
+    except OverflowError:  # a modulus beyond the doubles; after an overflow
+        return kronrod, math.inf  # at a node, complex abs may raise on NaN too
 
 
 def _nodes(a, b):
     """The 15 nodes ``mid + half * x``, ``x`` in ``_NODES``, of the panel [a, b]."""
     half, mid = 0.5 * (b - a), 0.5 * (b + a)
     return [mid + half * x for x in _NODES]
-
-
-def _rows(row):
-    """The ``rows`` of :func:`integrate_rows` from ``row(k, a, b)``, the node
-    values of one panel of integral ``k``: a ZeroDivisionError, OverflowError
-    or ValueError other than a DomainError in it gives a NaN row."""
-    def rows(ks, los, his):
-        out = []
-        for k, a, b in zip(ks, los, his):
-            try:
-                out.append(row(k, a, b))
-            except DomainError:
-                raise
-            except (ZeroDivisionError, OverflowError, ValueError):
-                out.append(_NAN_ROW)
-        return out
-    return rows
 
 
 def _linspace(a, b, n):
@@ -180,75 +164,58 @@ def _partition(a, b, n):
     return itertools.pairwise(_linspace(a, b, n + 1))
 
 
-def integrate_rows(rows, lo, hi, tol, initial_panels, cell=None):
-    """Integrate many functions at once, integral ``i`` over ``[lo[i], hi[i]]``
-    from ``initial_panels[i]`` equal panels.
+def integrate_panels(row, lo, hi, tol, initial_panels=8, name=None):
+    """Integrate on ``[lo, hi]``, from ``initial_panels`` equal panels, the
+    function whose values at the 15 nodes ``_nodes(a, b)`` of a panel
+    [a, b] are ``row(a, b)``.
 
-    ``rows(k, a, b)`` gets the integral ``k[j]`` and the ends ``a[j] <
-    b[j]`` of each panel to evaluate, at most 512 of them a call, and
-    returns for each panel its integrand values at the 15 nodes
-    ``_nodes(a[j], b[j])``.  Each integral bisects its own
-    worst G7/K15 panel until its summed error is below ``max(abs_tol,
-    rel_tol * |result|)``, within its own budget; they share only the
-    integrand calls, so each result (a list of complex) is what it alone
-    would give.
+    The globally adaptive loop of QUADPACK: it bisects the panel of
+    largest G7/K15 error until the summed error is below ``max(abs_tol,
+    rel_tol * |result|)``, within ``max_subdivisions`` panels, and
+    returns the result as a complex.
 
     Raises
     ------
     NonConvergence
-        At the first integral found to exhaust its budget or to have a
-        panel whose estimate or error is not finite, its message headed
-        ``f"{cell(i)}: "`` when ``cell(i)`` names integral ``i``.
+        When the budget is spent or a panel's estimate or error is not
+        finite, its message headed ``f"{name}: "`` when ``name`` is given.
     """
-    name = (lambda i: "") if cell is None else (lambda i: f"{cell(i)}: ")
-    panels = list(initial_panels)
-    for a, b, n in zip(lo, hi, panels):
-        if not a < b:
-            raise DomainError(f"need lo < hi, got [{a}, {b}]")
-        if not n >= 1:
-            raise DomainError(f"need at least one initial panel, got {n}")
-    heaps = [[] for _ in panels]
-    totals = [0.0 + 0.0j] * len(panels)
-    errors = [0.0] * len(panels)
-
-    # every pending panel as (integral, left, right)
-    todo = [(i, a, b) for i, n in enumerate(panels) for a, b in _partition(lo[i], hi[i], n)]
-    while todo:
-        ests, errs = [], []
-        for j in range(0, len(todo), _SLICE):
-            est, err = _gk15(rows, *zip(*todo[j:j + _SLICE]))
-            ests += est
-            errs += err
-        for (i, a, b), est, err in zip(todo, ests, errs):
+    if not lo < hi:
+        raise DomainError(f"need lo < hi, got [{lo}, {hi}]")
+    if not initial_panels >= 1:
+        raise DomainError(f"need at least one initial panel, got {initial_panels}")
+    head = "" if name is None else f"{name}: "
+    heap, total, error, panels = [], 0.0 + 0.0j, 0.0, initial_panels
+    pending = _partition(lo, hi, initial_panels)
+    while True:
+        for a, b in pending:
+            est, err = _gk15(row, a, b)
             if not math.isfinite(err):
-                raise NonConvergence(f"{name(i)}non-finite integrand on panel [{a}, {b}]",
+                raise NonConvergence(f"{head}non-finite integrand on panel [{a}, {b}]",
                                      estimate=est, error=err)
-            totals[i] += est
-            errors[i] += err
-            heapq.heappush(heaps[i], (-err, a, b, est))
-        refine = [i for i in dict.fromkeys(i for i, _, _ in todo)
-                  if errors[i] > max(tol.abs_tol, tol.rel_tol * abs(totals[i]))]
-        todo = []
-        for i in refine:
-            if panels[i] >= tol.max_subdivisions:
-                raise NonConvergence(
-                    f"{name(i)}error {errors[i]:.3e} above target after {panels[i]} "
-                    f"panels (max_subdivisions={tol.max_subdivisions})",
-                    estimate=totals[i], error=errors[i])
-            neg_err, a, b, est = heapq.heappop(heaps[i])
-            totals[i] -= est
-            errors[i] += neg_err  # neg_err == -err
-            mid = 0.5 * (a + b)
-            todo += [(i, a, mid), (i, mid, b)]
-            panels[i] += 1
-    return [complex(t) for t in totals]
+            total += est
+            error += err
+            heapq.heappush(heap, (-err, a, b, est))
+        if not error > max(tol.abs_tol, tol.rel_tol * abs(total)):
+            return complex(total)
+        if panels >= tol.max_subdivisions:
+            raise NonConvergence(
+                f"{head}error {error:.3e} above target after {panels} "
+                f"panels (max_subdivisions={tol.max_subdivisions})",
+                estimate=total, error=error)
+        neg_err, a, b, est = heapq.heappop(heap)
+        total -= est
+        error += neg_err  # neg_err == -err
+        mid = 0.5 * (a + b)
+        pending = ((a, mid), (mid, b))
+        panels += 1
 
 
 def integrate_adaptive(f, lo, hi, tol=QuadTolerance(), initial_panels=8):
     """Integrate ``f(u)``, a function of one number, on ``[lo, hi]``: an
-    :func:`integrate_rows` of one."""
-    return integrate_rows(_rows(lambda k, a, b: [f(u) for u in _nodes(a, b)]),
-                          [lo], [hi], tol, [initial_panels])[0]
+    :func:`integrate_panels` of its values at each panel's nodes."""
+    return integrate_panels(lambda a, b: [f(u) for u in _nodes(a, b)],
+                            lo, hi, tol, initial_panels)
 
 
 def pv_integrate(w, lo, hi, x, tol=QuadTolerance()):

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import importlib.util
 import math
 import re
@@ -21,7 +22,7 @@ from patil.approximant import (
 )
 from patil.catalog import example1, example2, get_entry, h2_reference_pole, rational
 import patil.asymptotics as asymptotics
-from patil.errors import DomainError, NonConvergence
+from patil.errors import DomainError, NonConvergence, PatilError
 from patil.quadrature import QuadTolerance
 from patil.quench import Interval, QuenchParams
 
@@ -40,6 +41,13 @@ _spec = importlib.util.spec_from_file_location(
     "example1_oracle", Path(__file__).resolve().parents[1] / "tools" / "example1_oracle.py")
 example1_oracle = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(example1_oracle)
+EXAMPLE1_LAMBDAS = (10.0, 1e4, 1e8)
+
+
+@functools.cache
+def example1_mpmath(z):
+    """example1's g_lambda at z on (-1, 1) for each of EXAMPLE1_LAMBDAS."""
+    return example1_oracle.approximants(z, EXAMPLE1_LAMBDAS)
 
 
 def closed_form(x, lam, interval, c, w):
@@ -361,16 +369,48 @@ class TestTable:
     @pytest.mark.parametrize("points", [[0.5 + 1j, 0.3 + 0.05j],
                                         [0.3 + 0.05j, 0.5 + 1j]])
     def test_t_path_names_the_failing_cell(self, points):
-        # with a budget of 67 panels only lambda = 1e8 at 0.3 + 0.05i, which
-        # needs 69, fails; every other (lambda, point) cell needs at most 66
-        stingy = QuadTolerance(max_subdivisions=67)
-        named = (r"^g_lambda at lambda=100000000\.0, z=\(0\.3\+0\.05j\), "
-                 r"t integral: error .* after 67 panels")
+        # with a budget of 76 panels only lambda = 1e8 at 0.5 + 1i, which
+        # needs 84, fails; every other (lambda, point) cell needs at most 68
+        stingy = QuadTolerance(max_subdivisions=76)
+        named = (r"^g_lambda at lambda=100000000\.0, z=\(0\.5\+1j\), "
+                 r"t integral: error .* after 76 panels")
         with pytest.raises(NonConvergence, match=named):
             approximant_table(points, [10.0, 1e4, 1e8], SYM, H2.signal, stingy, "t")
         for lam in (10.0, 1e4):
             approximant_table(points, [lam], SYM, H2.signal, stingy, "t")
-        approximant_table([0.5 + 1j], [1e8], SYM, H2.signal, stingy, "t")
+        approximant_table([0.3 + 0.05j], [1e8], SYM, H2.signal, stingy, "t")
+
+    @pytest.mark.parametrize("points, named", [
+        ([0.3 + 0.05j, 0.5 + 1j], r"lambda=10000\.0, z=\(0\.3\+0\.05j\)"),
+        ([0.5 + 1j, 0.3 + 0.05j], r"lambda=100000000\.0, z=\(0\.5\+1j\)")],
+        ids=["near-point-first", "far-point-first"])
+    def test_t_path_names_the_first_failing_point(self, points, named):
+        # a budget of 64 panels fails lambda = 1e4 (65 panels) and 1e8 (68)
+        # at 0.3 + 0.05i and 1e8 (84) at 0.5 + 1i: the first point in
+        # ``points`` is named, with its first failing lambda
+        stingy = QuadTolerance(max_subdivisions=64)
+        with pytest.raises(NonConvergence, match=f"^g_lambda at {named}, t integral: "
+                                                 f"error .* after 64 panels"):
+            approximant_table(points, [10.0, 1e4, 1e8], SYM, H2.signal, stingy, "t")
+
+    @pytest.mark.parametrize("name", ["example2", "h2pole"])
+    def test_t_path_tolerance_in_g_units(self, name):
+        # rel_tol bounds g itself: each cell is within 10 rel_tol of the
+        # oracle, or a typed refusal where bisection reaches an endpoint
+        c, w = oracle.RATIONAL_ENTRIES[name]
+        signal = rational(c, w, SYM).signal
+        rng = np.random.default_rng(41)
+        points = [3.0 + 0.5j, 0.5 + 1j] + [complex(x, y) for x, y in zip(
+            rng.uniform(-3.0, 3.0, 4), rng.uniform(0.05, 2.0, 4))]
+        for z in points:
+            for lam in (1e8, 1e16, 1e20):
+                want = oracle.approximant(z, lam, SYM.lo, SYM.hi, c, w)
+                try:
+                    value = approximant_table([z], [lam], SYM, signal, TOL, "t")[0][0]
+                except PatilError:
+                    assert lam > 1e8, (z, lam)  # a refusal only where lambda is extreme
+                    continue
+                assert abs(value - want) <= 10 * TOL.rel_tol * abs(want), (z, lam)
 
     def test_lambda_checked(self):
         with pytest.raises(DomainError, match="lambda must be finite"):
@@ -509,7 +549,7 @@ class TestResiduePath:
     @pytest.mark.parametrize("name", ["example2", "h2pole"])
     def test_matches_oracle(self, name, interval, monkeypatch):
         # no integral at all: any quadrature would raise here
-        monkeypatch.setattr("patil.approximant.integrate_rows", None)
+        monkeypatch.setattr("patil.approximant.integrate_panels", None)
         c, w = oracle.RATIONAL_ENTRIES[name]
         signal = (example2 if name == "example2" else h2_reference_pole)(
             interval=interval).signal
@@ -549,10 +589,11 @@ class TestResiduePath:
             for lam, row, want in zip(lams, table, wants):
                 assert abs(row[j] - want) <= 1e-12 * abs(want), (z, lam)
 
-    @pytest.mark.parametrize("lam", [10.0, 1e4, 1e8])
+    @pytest.mark.parametrize("lam", EXAMPLE1_LAMBDAS)
     @pytest.mark.parametrize("z", [2.0, -1.5, 0.3 + 0.5j])
     def test_example1_matches_mpmath(self, z, lam):
-        want = example1_oracle.approximant(z, lam)
+        # the oracle takes each point's three lambdas at once
+        want = example1_mpmath(z)[EXAMPLE1_LAMBDAS.index(lam)]
         value = approximant_table([z], [lam], SYM, example1().signal)[0][0]
         assert abs(value - want) <= 1e-12 * abs(want)
 

@@ -444,7 +444,7 @@ class TestContourResiduals:
         def no_integration(*args, **kwargs):
             raise AssertionError("an edge was integrated")
 
-        monkeypatch.setattr(asymptotics, "integrate_rows", no_integration)
+        monkeypatch.setattr(asymptotics, "integrate_panels", no_integration)
         with pytest.raises(DomainError, match="xi >= 0"):
             contour_residuals(ones, [(1.0, 2.0), (-1.0, 2.0)], ContourSpec(20.0))
 

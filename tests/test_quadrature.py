@@ -1,4 +1,5 @@
 import cmath
+import functools
 import heapq
 import math
 import re
@@ -14,8 +15,8 @@ from patil.quadrature import (
     DecayCertificate,
     QuadTolerance,
     integrate_adaptive,
+    integrate_panels,
     integrate_real_line,
-    integrate_rows,
     pv_integrate,
 )
 
@@ -26,10 +27,9 @@ def const_one(t):
     return 1.0
 
 
-def rows_of(f):
-    """The ``rows`` of integrate_rows for ``f(u, k)``, integral k at node u."""
-    return lambda ks, los, his: [[f(u, k) for u in quadrature._nodes(a, b)]
-                                 for k, a, b in zip(ks, los, his)]
+def row_of(f):
+    """The ``row`` of integrate_panels for ``f(u)``: its values at the nodes."""
+    return lambda a, b: [f(u) for u in quadrature._nodes(a, b)]
 
 
 class TestIntegrateAdaptive:
@@ -103,15 +103,13 @@ def same(a, b):
 
 @pytest.fixture
 def panel_log(monkeypatch):
-    """Integrand calls and panels per integral, as seen by the G7/K15 stage."""
-    log = {"calls": 0, "panels": {}}
+    """The panels the G7/K15 stage evaluates, in order."""
+    log = []
     gk15 = quadrature._gk15
 
-    def counted(rows, k, lo, hi):
-        log["calls"] += 1
-        for i in k:
-            log["panels"][i] = log["panels"].get(i, 0) + 1
-        return gk15(rows, k, lo, hi)
+    def counted(row, a, b):
+        log.append((a, b))
+        return gk15(row, a, b)
 
     monkeypatch.setattr(quadrature, "_gk15", counted)
     return log
@@ -124,19 +122,18 @@ BATCH = [
     (lambda t: (1.0 + 0.5j * t) / (1.0 + 400.0 * t * t), -2.0, 0.5, 1),
     (lambda t: math.cos(t) + 0.5j * t, 0.0, 1.0, 8),
 ]
-batch_rows = rows_of(lambda u, k: BATCH[k][0](u))
 
 
 def reference_adaptive(f, lo, hi, tol, initial_panels=8):
-    """The one-panel-per-call adaptive loop the batch engine replaced, with
-    the engine's G7/K15 sum of one panel."""
+    """The one-panel-per-call adaptive loop, written out, with the
+    engine's G7/K15 sum of one panel."""
     heap, total, total_err = [], 0.0 + 0.0j, 0.0
 
     def add_panel(a, b):
         nonlocal total, total_err
         half, mid = 0.5 * (b - a), 0.5 * (b + a)
         fv = [f(mid + half * x) for x in quadrature._NODES]
-        (est,), (err,) = quadrature._gk15(lambda *panel: [fv], [0], [a], [b])
+        est, err = quadrature._gk15(lambda a, b: fv, a, b)
         total += est
         total_err += err
         heapq.heappush(heap, (-err, a, b, est))
@@ -154,7 +151,7 @@ def reference_adaptive(f, lo, hi, tol, initial_panels=8):
 
 
 def reference_pv(w, lo, hi, x, tol):
-    """The principal value of one point, as computed before batching."""
+    """The principal value of one point, written out."""
     wx = w(x)
 
     def smooth(t):
@@ -166,77 +163,55 @@ def reference_pv(w, lo, hi, x, tol):
 
 
 class TestIntegrateBatch:
+    """:func:`integrate_panels`, the one engine under every batch of
+    integrals: the t-path's (lambda, point) cells and the contour's edges."""
+
     def test_equals_reference_loop(self):
         tol = QuadTolerance(1e-12, 1e-12, 4000)
         for f, lo, hi, n in BATCH:
             assert same([integrate_adaptive(f, lo, hi, tol, n)],
                         [reference_adaptive(f, lo, hi, tol, n)])
 
-
     def test_equals_each_integral_alone(self, panel_log):
+        # integrals sharing one cache of panel nodes, as the t-path's and the
+        # contour's share theirs, give what each alone gives, panel for panel
         tol = QuadTolerance(1e-12, 1e-12, 4000)
-        alone, calls, panels = [], [], []
+        alone, panels = [], []
         for f, lo, hi, n in BATCH:
-            panel_log.update(calls=0, panels={})
+            panel_log.clear()
             alone.append(integrate_adaptive(f, lo, hi, tol, n))
-            calls.append(panel_log["calls"])
-            panels.append(panel_log["panels"][0])
-        panel_log.update(calls=0, panels={})
-        together = integrate_rows(batch_rows, [b[1] for b in BATCH],
-                                  [b[2] for b in BATCH], tol, [b[3] for b in BATCH])
-        assert same(together, alone)
-        assert [panel_log["panels"][i] for i in range(len(BATCH))] == panels
-        # one call for all initial panels, then one per refinement step
-        assert panel_log["calls"] == max(calls) < sum(calls)
-
-    def test_integrand_calls_capped_at_512_panels(self):
-        # 80 integrals of 8 initial panels: 640 panels, more than one call takes
-        rates = np.linspace(0.5, 40.0, 80).tolist()
-        sizes = []
-
-        def f(u, k):
-            return cmath.exp(1j * rates[k] * u) / (1.1 + u)
-
-        def rows(k, a, b):
-            sizes.append(len(k))
-            return rows_of(f)(k, a, b)
-
-        tol = QuadTolerance(1e-12, 1e-12, 4000)
-        together = integrate_rows(rows, [-1.0] * 80, [2.0] * 80, tol, [8] * 80)
-        assert sizes[0] == 512 and max(sizes) == 512
-        alone = [integrate_adaptive(lambda u, i=i: f(u, i), -1.0, 2.0, tol)
-                 for i in range(80)]
-        assert same(together, alone)
+            panels.append(len(panel_log))
+        nodes = functools.cache(quadrature._nodes)
+        shared, shared_panels = [], []
+        for f, lo, hi, n in BATCH * 2:
+            panel_log.clear()
+            shared.append(integrate_panels(lambda a, b, f=f: [f(u) for u in nodes(a, b)],
+                                           lo, hi, tol, n))
+            shared_panels.append(len(panel_log))
+        assert same(shared, alone * 2)
+        assert shared_panels == panels * 2
 
     def test_rows_equal_arrays(self):
         # plain-Python rows give what rows evaluated on numpy arrays give,
         # bit for bit, for an integrand of products and sums
         tol = QuadTolerance(1e-12, 1e-12, 4000)
-        coeffs = [(0.3 + 1j, -2j), (-1.5 + 0.25j, 0.5)]
+        for (c, d), lo, hi, n in [((0.3 + 1j, -2j), -1.0, 2.0, 8),
+                                  ((-1.5 + 0.25j, 0.5), 0.0, 3.0, 3)]:
+            def row(a, b):
+                half, mid = 0.5 * (b - a), 0.5 * (b + a)
+                return [c * u * u + d * u for u in (mid + half * x for x in quadrature._NODES)]
 
-        def rows(k, a, b):
-            out = []
-            for i, lo, hi in zip(k, a, b):
-                half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
-                c, d = coeffs[i]
-                out.append([c * u * u + d * u for u in
-                            (mid + half * x for x in quadrature._NODES)])
-            return out
+            def array(a, b):
+                u = 0.5 * (b + a) + 0.5 * (b - a) * np.array(quadrature._NODES)
+                return (c * u * u + d * u).tolist()
 
-        def arrays(k, a, b):
-            c, d = np.array(coeffs).T
-            a, b, k = np.array(a), np.array(b), np.array(k)[:, None]
-            half, mid = 0.5 * (b - a), 0.5 * (b + a)
-            u = mid[:, None] + half[:, None] * np.array(quadrature._NODES)
-            return (c[k] * u * u + d[k] * u).tolist()
+            assert same([integrate_panels(row, lo, hi, tol, n)],
+                        [integrate_panels(array, lo, hi, tol, n)])
 
-        assert same(integrate_rows(rows, [-1.0, 0.0], [2.0, 3.0], tol, [8, 3]),
-                    integrate_rows(arrays, [-1.0, 0.0], [2.0, 3.0], tol, [8, 3]))
-
-    def test_rows_one_per_panel(self):
-        # a row integrand that drops a panel is refused, not summed short
+    def test_row_of_14_values_refused(self):
+        # a row that drops a node is refused, not summed short
         with pytest.raises(ValueError):
-            quadrature.integrate_rows(lambda k, a, b: [[1.0] * 15], [0.0], [1.0], TOL, [2])
+            integrate_panels(lambda a, b: [1.0] * 14, 0.0, 1.0, TOL, 2)
 
     @pytest.mark.parametrize("lo,hi,n", [(-20.0, 20.0, 20), (0.0, 1.5 * math.pi, 8),
                                          (-744.0, 744.0, 744), (-1e-3, 3.3, 7),
@@ -245,42 +220,44 @@ class TestIntegrateBatch:
         ends = [a for a, _ in quadrature._partition(lo, hi, n)] + [hi]
         assert ends == np.linspace(lo, hi, n + 1).tolist()
 
-    def test_empty_batch(self):
-        assert integrate_rows(batch_rows, [], [], TOL, []) == []
+    def test_zero_row_needs_no_refinement(self, panel_log):
+        # nothing to integrate: exactly 0 from the initial panels alone
+        assert same([integrate_panels(lambda a, b: [0.0] * 15, 0.0, 1.0, TOL, 3)], [0j])
+        assert panel_log == list(quadrature._partition(0.0, 1.0, 3))
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_no_initial_panel_refused(self, n):
         # no panel would integrate to 0 without a word
         with pytest.raises(DomainError, match=f"need at least one initial panel, got {n}"):
-            integrate_rows(batch_rows, [0.0], [1.0], TOL, [n])
+            integrate_panels(row_of(lambda u: u), 0.0, 1.0, TOL, n)
 
     def test_nonfinite_member_named(self):
-        def f(u, k):
-            return math.nan if k == 1 and u > 0.5 else u
-        with pytest.raises(NonConvergence, match=r"panel \[0\.5, 0\.625\]"):
-            integrate_rows(rows_of(f), [0.0, 0.0, 0.0], [1.0, 1.0, 1.0], TOL, [8, 8, 8])
+        with pytest.raises(NonConvergence, match=r"^cell 1: non-finite integrand "
+                                                 r"on panel \[0\.5, 0\.625\]$"):
+            integrate_panels(row_of(lambda u: math.nan if u > 0.5 else u),
+                             0.0, 1.0, TOL, 8, "cell 1")
 
     def test_member_budget_exhausted(self):
         stingy = QuadTolerance(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=9)
-
-        def f(u, k):
-            return u if k == 0 else math.sqrt(abs(u))
+        assert integrate_panels(row_of(lambda u: u), -1.0, 1.0, stingy) == 0
         with pytest.raises(NonConvergence, match="after 9 panels"):
-            integrate_rows(rows_of(f), [-1.0, -1.0], [1.0, 1.0], stingy, [8, 8])
+            integrate_panels(row_of(lambda u: math.sqrt(abs(u))), -1.0, 1.0, stingy)
 
     def test_budget_below_initial_panels_named(self):
         # 29 initial panels are spent before a budget of 9 is first checked
         stingy = QuadTolerance(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=9)
         with pytest.raises(NonConvergence, match=r"^error \S+ above target after "
                            r"29 panels \(max_subdivisions=9\)$"):
-            integrate_rows(rows_of(lambda u, k: math.sqrt(abs(u))), [-1.0], [1.0],
-                           stingy, [29])
+            integrate_panels(row_of(lambda u: math.sqrt(abs(u))), -1.0, 1.0,
+                             stingy, 29)
 
     @pytest.mark.parametrize("lo,hi", [([0.0, 1.0], [1.0, 1.0]),
                                        ([0.0, 2.0], [1.0, 1.0])])
     def test_bad_member_interval(self, lo, hi):
+        # the first interval integrates; the second, empty or reversed, is refused
+        assert integrate_panels(row_of(lambda u: u), lo[0], hi[0], TOL) == pytest.approx(0.5)
         with pytest.raises(DomainError, match="need lo < hi"):
-            integrate_rows(rows_of(lambda u, k: u), lo, hi, TOL, [8, 8])
+            integrate_panels(row_of(lambda u: u), lo[1], hi[1], TOL)
 
 
 class TestPvIntegrate:

@@ -118,8 +118,10 @@ def main(argv=None):
                      "pair, same seed in a pair, seed = pair number, the parent "
                      "first in odd pairs",
         "counts_method": "PYTHONPATH=src python3 tools/quad_counts.py --seed 1 W in "
-                         "each tree: calls = G7/K15 integrand calls, panels = G7/K15 "
-                         "panels, points = node values they return, "
+                         "each tree: panels = G7/K15 panels, one integrand call each "
+                         "(trees before the one-integral engine also count "
+                         "calls, integrand calls over batches of panels), "
+                         "points = node values they return, "
                          "residue_cells = (point, lambda) cells of the residue "
                          "path, term_builds = residue term builds (calls of "
                          "asymptotics._clusters)",

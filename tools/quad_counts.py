@@ -1,4 +1,4 @@
-"""Quadrature work per perfbench workload: integrand calls, panels, points.
+"""Quadrature work per perfbench workload: panels, points, residue cells.
 
 Usage, from the root of a source tree::
 
@@ -6,18 +6,16 @@ Usage, from the root of a source tree::
 
 Runs each experiment of the workloads (perfbench/workloads.py, the same
 seed-drawn inputs) once, in-process, through ``patil.cli.main``, with
-``patil.quadrature._gk15`` wrapped to count its integrand calls, the
-panels it evaluates (one per entry of its last argument, the panel right
-ends) and the node values the integrand returns (15 per panel row), the
-residue path's ``_residue_columns`` (where ``approximant_table`` looks
-it up) wrapped to count its (point, lambda) cells, and
-``asymptotics._clusters`` wrapped to count the residue terms built, one
-set per point (or contour alpha) and memo key min(0.1, 1/xi).  The
-counts do not depend on the machine, and the wrappers do not depend on
-whether ``_gk15`` takes one panel or a stack of them, so two source
-trees can be compared.  Prints one JSON object:
-workload -> {"calls", "panels", "points", "residue_cells", "term_builds",
-and per experiment its counts and exit code}.
+``patil.quadrature._gk15(row, a, b)`` wrapped to count the panels it
+evaluates (one a call) and the node values its row returns (15 a
+panel), the residue path's ``_residue_columns`` (where
+``approximant_table`` looks it up) wrapped to count its (point, lambda)
+cells, and ``asymptotics._clusters`` wrapped to count the residue terms
+built, one set per point (or contour alpha) and memo key min(0.1, 1/xi).
+The counts do not depend on the machine, so two source trees can be
+compared.  Prints one JSON object: workload -> {"panels", "points",
+"residue_cells", "term_builds", and per experiment its counts and exit
+code}.
 """
 
 import argparse
@@ -37,18 +35,17 @@ import patil.asymptotics as asymptotics  # noqa: E402
 import patil.cli  # noqa: E402
 import patil.quadrature as quadrature  # noqa: E402
 
-COUNTS = ("calls", "panels", "points", "residue_cells", "term_builds")
+COUNTS = ("panels", "points", "residue_cells", "term_builds")
 
 
 def counted(gk15, tally):
-    def wrapper(rows, *args):
-        def integrand(*panels):
-            tally["calls"] += 1
-            values = rows(*panels)
-            tally["points"] += sum(map(len, values))
+    def wrapper(row, a, b):
+        def integrand(a, b):
+            values = row(a, b)
+            tally["points"] += len(values)
             return values
-        tally["panels"] += len(args[-1])
-        return gk15(integrand, *args)
+        tally["panels"] += 1
+        return gk15(integrand, a, b)
     return wrapper
 
 
